@@ -5,6 +5,7 @@ from . import errors
 from .exterior import (
     ExteriorVector,
     RankCertificate,
+    numeric_rank,
     rank_of_span,
     subset_index,
     subsets,

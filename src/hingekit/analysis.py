@@ -28,7 +28,7 @@ from .errors import (
     ScenarioError,
     WrongMapError,
 )
-from .exterior import ExteriorVector, RankCertificate, rank_of_span, top_pairing, wedge
+from .exterior import ExteriorVector, RankCertificate, numeric_rank, rank_of_span, top_pairing, wedge
 from .geometry import Axis, Frame, axis_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
@@ -219,13 +219,6 @@ def grid_incident_line(
     return best_val <= rel_tol, best_dir, best_val
 
 
-def _svd_rank(matrix: np.ndarray, tol: float) -> tuple[int, np.ndarray, np.ndarray, float]:
-    u, sig, _ = np.linalg.svd(matrix, full_matrices=True)
-    sigma_max = sig[0] if sig.size else 0.0
-    cutoff = tol * sigma_max * max(matrix.shape)
-    return int(np.sum(sig > cutoff)), sig, u, cutoff
-
-
 def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     """Rank verdict of the end-point map, with an incident-line witness.
 
@@ -238,7 +231,7 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
         raise WrongMapError("endpoint_singularity needs a chain with a bare end-point")
     pl = forward_kinematics(chain, theta)
     jac = frame_map_jacobian(chain, theta, placement=pl)
-    rank, sig, u, cutoff = _svd_rank(jac, tol)
+    rank, cutoff, u, sig, _ = numeric_rank(jac, tol)
     singular = rank < chain.d
     witness = None
     conull = None

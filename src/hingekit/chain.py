@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import DefinitionError, ProjectionError, RigidCycleError, WrongMapError
-from .exterior import ExteriorVector
+from .exterior import ExteriorVector, numeric_rank
 from .geometry import (
     Axis,
     Frame,
@@ -48,19 +48,15 @@ __all__ = [
 ]
 
 
-def _span_dim(vectors: np.ndarray, rel_tol: float = 1e-8) -> int:
-    if vectors.size == 0:
-        return 0
-    sig = np.linalg.svd(vectors, compute_uv=False)
-    if sig.size == 0 or sig[0] == 0.0:
-        return 0
-    return int(np.sum(sig > rel_tol * sig[0]))
+# Rank tolerance of the panel check; it screens input axes, so it is looser
+# than the 1e-10 default of the verdicts.
+PANEL_RANK_TOL = 1e-8
 
 
 def panel_spans_ok(a: Axis, b: Axis) -> bool:
     """Do two axes span at most a hyperplane (the defining panel property)?"""
     rows = np.vstack([a.dirs, b.dirs, (b.origin - a.origin)[None, :]])
-    return _span_dim(rows) <= a.dim - 1
+    return numeric_rank(rows, PANEL_RANK_TOL)[0] <= a.dim - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,10 +230,7 @@ def frame_residual(chain: Chain, theta, placement: Placement | None = None) -> n
 def fiber_tangent_basis(chain: Chain, theta, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (rows) of the kernel of the closure differential."""
     J = frame_map_jacobian(chain, theta)
-    _, sig, vh = np.linalg.svd(J, full_matrices=True)
-    sigma_max = sig[0] if sig.size else 0.0
-    cutoff = tol * sigma_max * max(J.shape)
-    rank = int(np.sum(sig > cutoff))
+    rank, _, _, _, vh = numeric_rank(J, tol)
     if rank >= J.shape[1]:
         raise RigidCycleError("the closure differential has no kernel")
     return vh[rank:]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,13 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, linkage as linkage_mod
-from .chain import (
-    Chain,
-    cycle_chain,
-    fiber_tangent_basis,
-    flex_cycle,
-    frame_residual,
-)
+from .chain import Chain, cycle_chain, flex_path, frame_residual
 from .errors import (
     ConsistencyError,
     DefinitionError,
@@ -48,6 +43,7 @@ from .errors import (
     ProjectionError,
     RigidCycleError,
     ScenarioError,
+    ToleranceError,
     WrongMapError,
 )
 from .geometry import Frame, make_axis, make_frame
@@ -90,6 +86,8 @@ def _num(value, path: str):
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
         return value
     if isinstance(value, str):
         try:
@@ -149,8 +147,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("seed: expected an integer")
     tol = doc.get("tol")
     if tol is not None:
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-            raise ScenarioError("tol: expected a positive number")
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
+            raise ScenarioError("tol: expected a finite number > 0")
         tol = float(tol)
     panel = doc.get("panel", False)
     if not isinstance(panel, bool):
@@ -210,8 +208,8 @@ def _validate_buildable(sc: Scenario) -> None:
         raise ScenarioError(f"semantic error: {exc}") from exc
 
 
-def _floats(values) -> list[float]:
-    return [float(x) for x in values]
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
 
 
 def scenario_axes(sc: Scenario):
@@ -276,8 +274,14 @@ def _emit_value(x):
 
 
 def emit_scenario(sc: Scenario) -> str:
-    """Serialize back to schema JSON; parse(emit(sc)) == sc."""
+    """Serialize back to schema JSON; parse(emit(sc)) == sc.
+
+    Keys come in the order kind, d, seed, axes, end_frame, legs, panel,
+    tol; ``hingekit example`` prints through here, so its goldens pin it.
+    """
     doc: dict = {"kind": sc.kind, "d": sc.d}
+    if sc.seed is not None:
+        doc["seed"] = sc.seed
     if sc.axes is not None:
         doc["axes"] = [
             {"origin": [_emit_value(x) for x in origin], "dirs": [[_emit_value(x) for x in v] for v in dirs]}
@@ -296,8 +300,6 @@ def emit_scenario(sc: Scenario) -> str:
         ]
     if sc.panel:
         doc["panel"] = True
-    if sc.seed is not None:
-        doc["seed"] = sc.seed
     if sc.tol is not None:
         doc["tol"] = sc.tol
     return json.dumps(doc, indent=2)
@@ -436,6 +438,13 @@ def _print_chain_report(chain: Chain, verdict, out) -> None:
 # commands
 
 
+def _tolerance(args, sc: Scenario) -> float:
+    """--tol, else the scenario's "tol", else 1e-10; an explicit 0 is kept, so the rank test rejects it."""
+    if args.tol is not None:
+        return args.tol
+    return sc.tol if sc.tol is not None else 1e-10
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -444,7 +453,7 @@ def _read_input(path: str) -> str:
 
 def _cmd_analyze_chain(args) -> int:
     sc = parse_scenario(_read_input(args.file))
-    tol = args.tol or sc.tol or 1e-10
+    tol = _tolerance(args, sc)
     if args.exact:
         raise ScenarioError("--exact is not available for chains (placement needs trigonometry)")
     if sc.kind == "cycle":
@@ -464,7 +473,7 @@ def _cmd_analyze_cycle(args) -> int:
     sc = parse_scenario(_read_input(args.file))
     if sc.kind != "cycle":
         raise ScenarioError("analyze-cycle needs a cycle scenario")
-    tol = args.tol or sc.tol or 1e-10
+    tol = _tolerance(args, sc)
     verdict = analysis.cycle_mobility(scenario_axes(sc), tol=tol)
     exact_verdict = None
     if args.exact:
@@ -500,7 +509,7 @@ def _cmd_analyze_platform(args) -> int:
     sc = parse_scenario(_read_input(args.file))
     if sc.kind != "platform":
         raise ScenarioError("analyze-platform needs a platform scenario")
-    tol = args.tol or sc.tol or 1e-10
+    tol = _tolerance(args, sc)
     verdict = analysis.platform_flexibility(scenario_platform(sc), tol=tol)
     exact_verdict = None
     if args.exact:
@@ -567,21 +576,10 @@ def _cmd_flex(args) -> int:
     sc = parse_scenario(_read_input(args.file))
     if sc.kind != "cycle":
         raise ScenarioError("flex needs a cycle scenario")
-    tol = args.tol or sc.tol or 1e-10
+    tol = _tolerance(args, sc)
     chain = scenario_cycle_chain(sc)
-    theta = np.zeros(chain.n - 1)
-    path = [theta]
-    residuals = [float(np.linalg.norm(frame_residual(chain, theta)))]
-    previous = None
-    for _ in range(args.steps):
-        basis = fiber_tangent_basis(chain, theta, tol=tol)
-        direction = basis[0]
-        if previous is not None and direction @ previous < 0:
-            direction = -direction
-        theta = flex_cycle(chain, theta, direction, args.step_size, tol=tol)
-        previous = direction
-        path.append(theta)
-        residuals.append(float(np.linalg.norm(frame_residual(chain, theta))))
+    path = flex_path(chain, args.steps, args.step_size, tol=tol)
+    residuals = [float(np.linalg.norm(frame_residual(chain, theta))) for theta in path]
     drift = None
     try:
         drift = linkage_mod.check_linkage_invariance(chain, path)
@@ -615,7 +613,7 @@ def _cmd_sweep(args) -> int:
     sc = parse_scenario(_read_input(args.file))
     if sc.kind == "platform":
         raise ScenarioError("sweep needs a chain or cycle scenario")
-    tol = args.tol or sc.tol or 1e-10
+    tol = _tolerance(args, sc)
     chain = scenario_cycle_chain(sc) if sc.kind == "cycle" else scenario_chain(sc)
     seed = args.seed if args.seed is not None else (sc.seed or 0)
     report = sweep(chain, args.samples, seed, tol=tol, workers=args.workers)
@@ -649,45 +647,30 @@ def _parse_ts(text: str) -> tuple:
         raise ScenarioError(f"--t: cannot parse {text!r} as comma-separated rationals") from None
 
 
-def _example_doc(args) -> dict:
+def _axes_data(axes) -> tuple:
+    return tuple((_floats(a.origin), tuple(_floats(v) for v in a.dirs)) for a in axes)
+
+
+def _line_axes(lines) -> tuple:
+    """Axes of R^3 from (point, direction) pairs, numbers kept as given."""
+    return tuple((tuple(p), (tuple(u),)) for p, u in lines)
+
+
+def _example_scenario(args) -> Scenario:
     name = args.name
     if name == "twisted-cubic-tangents":
         ts = _parse_ts(args.t) if args.t else (0, 1, -1, 2, -2, 3)
-        data = analysis.twisted_cubic_data(ts)
-        return {
-            "kind": "cycle",
-            "d": 3,
-            "axes": [
-                {"origin": [_emit_value(x) for x in p], "dirs": [[_emit_value(x) for x in u]]}
-                for p, u in data
-            ],
-        }
+        return Scenario("cycle", 3, axes=_line_axes(analysis.twisted_cubic_data(ts)))
     if name == "bricard-symmetric-six":
         lines = analysis.bricard_symmetric_lines(args.seed or 0)
-        return {
-            "kind": "cycle",
-            "d": 3,
-            "seed": args.seed or 0,
-            "axes": [{"origin": p, "dirs": [u]} for p, u in lines],
-        }
+        return Scenario("cycle", 3, axes=_line_axes(lines), seed=args.seed or 0)
     if name == "cyclohexane-panels":
         pts = analysis.chair_hexagon_points(args.height)
-        axes = []
-        for i in range(6):
-            u = pts[(i + 1) % 6] - pts[i]
-            axes.append({"origin": [float(x) for x in pts[i]], "dirs": [[float(x) for x in u]]})
-        return {"kind": "cycle", "d": 3, "axes": axes, "panel": True}
+        axes = tuple((_floats(pts[i]), (_floats(pts[(i + 1) % 6] - pts[i]),)) for i in range(6))
+        return Scenario("cycle", 3, axes=axes, panel=True)
     if name == "desargues":
         perturb = Fraction(args.perturb) if args.perturb else 0
-        legs = analysis.desargues_legs(perturb)
-        return {
-            "kind": "platform",
-            "d": 2,
-            "legs": [
-                {"p": [_emit_value(x) for x in p], "q": [_emit_value(x) for x in q]}
-                for p, q in legs
-            ],
-        }
+        return Scenario("platform", 2, legs=tuple(analysis.desargues_legs(perturb)))
     if name == "planar-arm":
         lengths = (
             tuple(float(Fraction(part)) for part in args.lengths.split(","))
@@ -695,38 +678,22 @@ def _example_doc(args) -> dict:
             else (1.0, 1.0, 1.0)
         )
         chain = analysis.planar_arm_chain(lengths)
-        return {
-            "kind": "chain",
-            "d": 2,
-            "axes": [
-                {"origin": [float(x) for x in a.origin], "dirs": []} for a in chain.ref_axes
-            ],
-            "end_frame": {"origin": [float(x) for x in chain.end_frame.origin], "vecs": []},
-        }
+        return Scenario(
+            "chain", 2, axes=_axes_data(chain.ref_axes), end_frame=(_floats(chain.end_frame.origin), ())
+        )
     if name == "generic-cycle":
         chain = analysis.classical_scenario(
             "generic-cycle", d=args.d or 3, n=args.n or 7, seed=args.seed or 0
         )
-        axes = list(chain.ref_axes) + [chain.closing_axis]
-        return {
-            "kind": "cycle",
-            "d": chain.d,
-            "seed": args.seed or 0,
-            "axes": [
-                {
-                    "origin": [float(x) for x in a.origin],
-                    "dirs": [[float(x) for x in v] for v in a.dirs],
-                }
-                for a in axes
-            ],
-        }
+        axes = _axes_data(list(chain.ref_axes) + [chain.closing_axis])
+        return Scenario("cycle", chain.d, axes=axes, seed=args.seed or 0)
     raise ScenarioError(
         f"unknown example {name!r}; choose one of {', '.join(analysis.SCENARIO_NAMES)}"
     )
 
 
 def _cmd_example(args) -> int:
-    print(json.dumps(_example_doc(args), indent=2))
+    print(emit_scenario(_example_scenario(args)))
     return 0
 
 
@@ -815,7 +782,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ScenarioError, DefinitionError, WrongMapError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, DefinitionError, WrongMapError, ToleranceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GenericityError, DegenerateGeometryError, RigidCycleError, ProjectionError) as exc:

@@ -65,5 +65,9 @@ class ConsistencyError(HingekitError):
     """Rank verdict and geometric witness disagree; signals a tolerance bug."""
 
 
+class ToleranceError(HingekitError, ValueError):
+    """A rank tolerance that is not a finite number > 0."""
+
+
 class ScenarioError(HingekitError):
     """Scenario text failed schema or semantic validation."""

@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionError, GradeError
+from .errors import DimensionError, GradeError, ToleranceError
 
 __all__ = [
     "ExteriorVector",
@@ -31,6 +31,7 @@ __all__ = [
     "wedge",
     "top_pairing",
     "rank_of_span",
+    "numeric_rank",
     "subsets",
     "subset_index",
 ]
@@ -324,6 +325,23 @@ def _exact_rank(vectors: list[ExteriorVector], expected_rank: int) -> RankCertif
     return RankCertificate(rank, np.array([]), deficient, conull, exact=True)
 
 
+def numeric_rank(matrix: np.ndarray, tol: float):
+    """Numerical rank of a matrix: the one rank rule of the package.
+
+    Counts the singular values above ``cutoff = tol * sigma_max *
+    max(matrix.shape)``. Returns ``(rank, cutoff, u, sigma, vh)`` from one
+    full SVD, so callers read null bases off ``u[:, rank:]`` and
+    ``vh[rank:]``. ``tol`` must be a finite number > 0; anything else
+    raises ToleranceError.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ToleranceError(f"tolerance must be a finite number > 0, got {tol!r}")
+    u, sig, vh = np.linalg.svd(matrix, full_matrices=True)
+    sigma_max = sig[0] if sig.size else 0.0
+    cutoff = tol * sigma_max * max(matrix.shape)
+    return int(np.sum(sig > cutoff)), cutoff, u, sig, vh
+
+
 def rank_of_span(
     vectors,
     expected_rank: int,
@@ -333,7 +351,7 @@ def rank_of_span(
 ) -> RankCertificate:
     """Rank of the linear span of same-shape exterior vectors.
 
-    Float mode counts singular values above ``tol * sigma_max * max(dims)``.
+    Float mode applies ``numeric_rank`` to the stacked coefficient rows.
     When every input is exact the rank is computed by exact Gaussian
     elimination instead and ``singular_values`` stays empty. ``ambient``
     and ``grade`` are only consulted for an empty input list, where they
@@ -349,15 +367,10 @@ def rank_of_span(
     g, m = vectors[0].grade, vectors[0].ambient
     if any(v.grade != g or v.ambient != m for v in vectors):
         raise GradeError("rank_of_span needs vectors of one common grade and ambient")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if all(v.exact for v in vectors):
         return _exact_rank(vectors, expected_rank)
     rows = np.array([v.as_float().coeffs for v in vectors])
-    _, sig, vh = np.linalg.svd(rows, full_matrices=True)
-    sigma_max = sig[0] if sig.size else 0.0
-    cutoff = tol * sigma_max * max(rows.shape)
-    rank = int(np.sum(sig > cutoff))
+    rank, _, _, sig, vh = numeric_rank(rows, tol)
     deficient = rank < expected_rank
     conull = None
     if deficient and rank < rows.shape[1]:

@@ -26,7 +26,7 @@ from .errors import (
     DimensionError,
     ParallelLinesError,
 )
-from .exterior import ExteriorVector, top_pairing, wedge
+from .exterior import ExteriorVector, numeric_rank, top_pairing, wedge
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -318,9 +318,10 @@ def affine_intersection(subspaces) -> AffineSubspace | None:
     """Intersection of affine flats (anything exposing origin/dirs rows).
 
     Returns None for an empty intersection. A point comes back as a flat
-    of dimension 0. The near_degenerate flag is raised when the stacked
-    constraint system has an informative singular value within 1e-10 of
-    dropping out.
+    of dimension 0. The stacked constraint system is ranked by
+    ``numeric_rank`` at machine epsilon; the near_degenerate flag is
+    raised when an informative singular value sits within 1e-10 (relative
+    to the largest) of dropping out.
     """
     flats = list(subspaces)
     if not flats:
@@ -335,11 +336,8 @@ def affine_intersection(subspaces) -> AffineSubspace | None:
         rhs.append(normal @ np.asarray(s.origin, dtype=float))
     A = np.vstack(blocks)
     b = np.concatenate(rhs)
-    u, sig, vh = np.linalg.svd(A, full_matrices=True)
-    sigma_max = sig[0] if sig.size else 0.0
-    cutoff = max(A.shape) * np.finfo(float).eps * sigma_max
-    rank = int(np.sum(sig > cutoff))
-    near_degenerate = bool(rank > 0 and sig[rank - 1] < 1e-10 * sigma_max)
+    rank, _, u, sig, vh = numeric_rank(A, np.finfo(float).eps)
+    near_degenerate = bool(rank > 0 and sig[rank - 1] < 1e-10 * sig[0])
     if rank == 0:
         x0 = np.zeros(d)
     else:

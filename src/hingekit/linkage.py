@@ -239,15 +239,18 @@ def _even_vertex_positions(axes, d: int) -> dict[str, np.ndarray]:
 
 
 def simplex_orientations(linkage: Linkage) -> tuple[int, ...]:
-    """Sign of the volume form of each body simplex (0 flags a collapse)."""
+    """Sign of the volume form of each body simplex (0 flags a collapse).
+
+    A simplex counts as collapsed when |det| of its edge vectors is at most
+    1e-10 times their Hadamard bound, the product of the edge lengths.
+    """
     vm = linkage.vertex_map()
-    scale = max(1.0, max(np.max(np.abs(v)) for v in vm.values()))
     signs = []
     for simplex in linkage.simplices():
         base = vm[simplex[0]]
         mat = np.array([vm[label] - base for label in simplex[1:]])
         det = np.linalg.det(mat)
-        if abs(det) <= 1e-10 * scale ** linkage.d:
+        if abs(det) <= 1e-10 * np.prod(np.linalg.norm(mat, axis=1)):
             signs.append(0)
         else:
             signs.append(1 if det > 0 else -1)

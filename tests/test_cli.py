@@ -289,3 +289,48 @@ def test_example_outputs_match_goldens(name, capsys):
 
     golden = Path(__file__).parent / "goldens" / f"{name}.json"
     assert example_text(capsys, name) == golden.read_text()
+
+
+# --- tolerances and non-finite input ----------------------------------------------
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_analyze_chain_rejects_bad_tolerance(tmp_path, capsys, tol):
+    # unchecked, -1 calls the collinear arm regular and nan/inf give rank 0 with
+    # a witness line that misses every axis
+    path = tmp_path / "arm.json"
+    path.write_text(example_text(capsys, "planar-arm"))
+    code, out, err = capture(capsys, ["analyze-chain", str(path), "--tol", tol])
+    assert code == 2 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("command", ["analyze-cycle", "flex", "sweep"])
+def test_cycle_commands_reject_negative_tolerance(tmp_path, capsys, command):
+    path = tmp_path / "cubic.json"
+    path.write_text(example_text(capsys, "twisted-cubic-tangents"))
+    code, out, err = capture(capsys, [command, str(path), "--tol", "-1"])
+    assert code == 2 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("tol", ["NaN", "Infinity", "1e400", "0", "-1"])
+def test_scenario_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    text = example_text(capsys, "twisted-cubic-tangents").replace('"d": 3,', f'"d": 3, "tol": {tol},')
+    with pytest.raises(ScenarioError, match="tol"):
+        parse_scenario(text)
+    path = tmp_path / "cubic.json"
+    path.write_text(text)
+    code, out, err = capture(capsys, ["analyze-cycle", str(path)])
+    assert code == 2 and out == "" and "tol" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_are_rejected(tmp_path, capsys, value):
+    doc = json.loads(example_text(capsys, "generic-cycle"))
+    doc["axes"][0]["origin"][0] = value
+    text = json.dumps(doc)  # writes NaN / Infinity, which Python's json reads back
+    with pytest.raises(ScenarioError, match=r"axes\[0\]\.origin\[0\]: expected a finite number"):
+        parse_scenario(text)
+    path = tmp_path / "cycle.json"
+    path.write_text(text)
+    code, out, err = capture(capsys, ["analyze-cycle", str(path)])
+    assert code == 2 and out == "" and "axes[0].origin[0]" in err

@@ -4,8 +4,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from hingekit import ExteriorVector, rank_of_span, subset_index, subsets, top_pairing, wedge
-from hingekit.errors import DimensionError, GradeError
+from hingekit import (
+    ExteriorVector,
+    numeric_rank,
+    rank_of_span,
+    subset_index,
+    subsets,
+    top_pairing,
+    wedge,
+)
+from hingekit.errors import DimensionError, GradeError, ToleranceError
 
 
 def basis_wedge(m, subset):
@@ -157,6 +165,24 @@ def test_rank_empty_list():
     assert cert.rank == 0 and not cert.deficient and cert.conull is None
     cert = rank_of_span([], expected_rank=1, ambient=3, grade=1)
     assert cert.deficient and cert.conull is not None
+
+
+def test_numeric_rank_counts_sigma_above_scaled_cutoff():
+    matrix = np.diag([2.0, 1e-9, 1e-11])
+    rank, cutoff, u, sig, vh = numeric_rank(matrix, 1e-10)
+    assert cutoff == 1e-10 * 2.0 * 3
+    assert rank == 2 and np.allclose(sig, [2.0, 1e-9, 1e-11])
+    assert u.shape == vh.shape == (3, 3)
+    assert np.allclose(np.abs(vh[rank:]), [[0, 0, 1]])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_numeric_rank_rejects_bad_tolerance(tol):
+    with pytest.raises(ToleranceError):
+        numeric_rank(np.eye(2), tol)
+    # float spans reach the same check; the error is also a ValueError
+    with pytest.raises(ValueError):
+        rank_of_span([basis_wedge(3, (0, 1))], expected_rank=1, tol=tol)
 
 
 def test_rank_mixed_grades_rejected():

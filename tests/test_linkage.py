@@ -5,6 +5,7 @@ from hingekit import (
     Linkage,
     apply,
     check_linkage_invariance,
+    classical_scenario,
     cycle_axes_at,
     cycle_chain,
     cycle_to_linkage,
@@ -157,6 +158,15 @@ def test_flex_path_preserves_lengths_and_orientations():
     signs = simplex_orientations(linkage_at(c, path[0]))
     for theta in path[1:]:
         assert simplex_orientations(linkage_at(c, theta)) == signs
+
+
+def test_d4_simplex_collapse_is_relative_to_edge_lengths():
+    # A simplex of this cycle has |det| ~ 0.14 and vertices far from the origin:
+    # a threshold of 1e-10 * (largest coordinate)**d would call it collapsed.
+    c = classical_scenario("generic-cycle", d=4, n=11, seed=5)
+    path = flex_path(c, steps=10, step_size=1e-2)
+    assert 0 not in simplex_orientations(linkage_at(c, path[0]))
+    assert check_linkage_invariance(c, path) <= 1e-8
 
 
 def test_constant_and_rotated_paths_have_zero_drift():

@@ -246,7 +246,7 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
     """
     theta = _as_config(chain, theta)
     if np.linalg.norm(frame_residual(chain, theta)) > tol:
-        raise ValueError("theta does not satisfy the closure condition")
+        raise DefinitionError("theta does not satisfy the closure condition")
     direction = np.asarray(direction, dtype=float)
     current = theta + step * direction
     residual = frame_residual(chain, current)
@@ -283,6 +283,8 @@ def flex_path(
     closure differential, sign-aligned with the previous one. Returns the
     (steps+1) x (n-1) array of visited configurations.
     """
+    if steps < 0:
+        raise DefinitionError(f"a flex needs a step count >= 0, got {steps}")
     theta = np.zeros(chain.n - 1) if theta0 is None else _as_config(chain, theta0)
     path = [theta]
     previous = None

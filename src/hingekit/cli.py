@@ -25,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +37,7 @@ from .errors import (
     ConsistencyError,
     DefinitionError,
     DegenerateGeometryError,
+    DimensionError,
     GenericityError,
     HingekitError,
     ProjectionError,
@@ -46,6 +46,7 @@ from .errors import (
     ToleranceError,
     WrongMapError,
 )
+from .exterior import check_tolerance
 from .geometry import Frame, make_axis, make_frame
 from .sampling import rng_from
 
@@ -83,18 +84,20 @@ class Scenario:
 def _num(value, path: str):
     if isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
-        return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ScenarioError(f"{path}: {value!r} is not a rational 'a/b' string") from None
-    raise ScenarioError(f"{path}: expected a number or 'a/b' string")
+    elif not isinstance(value, (int, float)):
+        raise ScenarioError(f"{path}: expected a number or 'a/b' string")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ScenarioError(f"{path}: expected a finite number, got one too large for a float") from None
+    if not finite:
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
+    return value
 
 
 def _vector(value, path: str, length: int) -> tuple:
@@ -128,12 +131,22 @@ def _axis_entry(value, path: str, d: int) -> tuple[tuple, tuple[tuple, ...]]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON; errors carry the JSON path."""
+    return _load(text)[0]
+
+
+def _load(text: str) -> tuple[Scenario, Chain | analysis.Platform]:
+    """Parse scenario JSON and build its chain, cycle chain or platform once.
+
+    The build is the semantic check; commands use the built object.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # e.g. an integer beyond Python's digit limit
+        raise ScenarioError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
     kind = doc.get("kind")
@@ -147,7 +160,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("seed: expected an integer")
     tol = doc.get("tol")
     if tol is not None:
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
             raise ScenarioError("tol: expected a finite number > 0")
         tol = float(tol)
     panel = doc.get("panel", False)
@@ -190,21 +203,10 @@ def parse_scenario(text: str) -> Scenario:
         legs = tuple(legs)
 
     scenario = Scenario(kind, d, axes, end_frame, legs, panel, seed, tol)
-    _validate_buildable(scenario)
-    return scenario
-
-
-def _validate_buildable(sc: Scenario) -> None:
+    build = {"chain": scenario_chain, "cycle": scenario_cycle_chain, "platform": scenario_platform}[kind]
     try:
-        if sc.kind == "chain":
-            scenario_chain(sc)
-        elif sc.kind == "cycle":
-            scenario_cycle_chain(sc)
-        else:
-            scenario_platform(sc)
+        return scenario, build(scenario)
     except HingekitError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError(f"semantic error: {exc}") from exc
 
 
@@ -241,28 +243,18 @@ def scenario_platform(sc: Scenario) -> analysis.Platform:
     return analysis.Platform(sc.d, sc.legs)
 
 
-def _require_rational(values, path: str) -> None:
-    for i, x in enumerate(values):
-        if isinstance(x, float):
-            raise ScenarioError(
-                f"{path}[{i}]: exact mode needs integers or 'a/b' strings, got a float"
-            )
-
-
-def scenario_exact_cycle_axes(sc: Scenario) -> list[tuple[tuple, tuple[tuple, ...]]]:
-    """Raw rational axis data for the exact-rank path; rejects float inputs."""
-    for i, (origin, dirs) in enumerate(sc.axes):
-        _require_rational(origin, f"axes[{i}].origin")
-        for j, v in enumerate(dirs):
-            _require_rational(v, f"axes[{i}].dirs[{j}]")
-    return list(sc.axes)
-
-
-def scenario_exact_platform(sc: Scenario) -> analysis.Platform:
-    for i, (p, q) in enumerate(sc.legs):
-        _require_rational(p, f"legs[{i}].p")
-        _require_rational(q, f"legs[{i}].q")
-    return analysis.Platform(sc.d, sc.legs)
+def _require_exact(sc: Scenario) -> None:
+    """Reject float coordinates before an --exact run; ints and 'a/b' strings pass."""
+    vectors = []
+    for i, (origin, dirs) in enumerate(sc.axes or ()):
+        vectors.append((f"axes[{i}].origin", origin))
+        vectors.extend((f"axes[{i}].dirs[{j}]", v) for j, v in enumerate(dirs))
+    for i, (p, q) in enumerate(sc.legs or ()):
+        vectors += [(f"legs[{i}].p", p), (f"legs[{i}].q", q)]
+    for path, values in vectors:
+        for k, x in enumerate(values):
+            if isinstance(x, float):
+                raise ScenarioError(f"{path}[{k}]: exact mode needs integers or 'a/b' strings, got a float")
 
 
 def _emit_value(x):
@@ -338,34 +330,21 @@ def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: in
     """Seeded uniform scan of the configuration torus.
 
     Sample i draws its angles from the dedicated PCG64 stream (seed, i),
-    so partitioning across any number of workers reproduces the same rows
-    in the same order, byte for byte.
+    so each row depends only on (seed, i). Samples run in order in the
+    calling thread; ``workers`` is accepted and has no effect.
     """
     if samples < 1:
         raise ScenarioError("sweep needs at least one sample")
-
-    def compute(index: int) -> SweepRow:
-        rng = rng_from(seed, index)
-        theta = rng.uniform(0.0, 2.0 * np.pi, chain.n - 1)
+    rows = []
+    for index in range(samples):
+        theta = rng_from(seed, index).uniform(0.0, 2.0 * np.pi, chain.n - 1)
         verdict = _verdict_for(chain, theta, tol)
         sig = verdict.certificate.singular_values
         sigma_min = float(sig[-1]) if sig.size else 0.0
-        return SweepRow(index, tuple(float(t) for t in theta), verdict.rank, sigma_min, verdict.singular)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(compute, range(samples)))
-    else:
-        rows = tuple(compute(i) for i in range(samples))
+        rows.append(SweepRow(index, tuple(float(t) for t in theta), verdict.rank, sigma_min, verdict.singular))
     sigmas = [r.sigma_min for r in rows]
-    return SweepReport(
-        samples=samples,
-        seed=seed,
-        singular_count=sum(1 for r in rows if r.singular),
-        sigma_min_min=min(sigmas),
-        sigma_min_mean=sum(sigmas) / len(sigmas),
-        rows=rows,
-    )
+    singular_count = sum(1 for r in rows if r.singular)
+    return SweepReport(samples, seed, singular_count, min(sigmas), sum(sigmas) / len(sigmas), tuple(rows))
 
 
 def sweep_csv(report: SweepReport) -> str:
@@ -439,9 +418,9 @@ def _print_chain_report(chain: Chain, verdict, out) -> None:
 
 
 def _tolerance(args, sc: Scenario) -> float:
-    """--tol, else the scenario's "tol", else 1e-10; an explicit 0 is kept, so the rank test rejects it."""
+    """--tol, else the scenario's "tol", else 1e-10; --tol is checked here, before the command runs."""
     if args.tol is not None:
-        return args.tol
+        return check_tolerance(args.tol)
     return sc.tol if sc.tol is not None else 1e-10
 
 
@@ -452,16 +431,13 @@ def _read_input(path: str) -> str:
 
 
 def _cmd_analyze_chain(args) -> int:
-    sc = parse_scenario(_read_input(args.file))
-    tol = _tolerance(args, sc)
+    sc, chain = _load(_read_input(args.file))
     if args.exact:
         raise ScenarioError("--exact is not available for chains (placement needs trigonometry)")
-    if sc.kind == "cycle":
-        chain = scenario_cycle_chain(sc)
-    else:
-        chain = scenario_chain(sc)
-    theta = np.zeros(chain.n - 1)
-    verdict = _verdict_for(chain, theta, tol)
+    if sc.kind == "platform":
+        raise ScenarioError(f"expected a chain scenario, got kind {sc.kind!r}")
+    tol = _tolerance(args, sc)
+    verdict = _verdict_for(chain, np.zeros(chain.n - 1), tol)
     if args.json:
         print(json.dumps(_verdict_json(verdict), indent=2))
     else:
@@ -470,14 +446,15 @@ def _cmd_analyze_chain(args) -> int:
 
 
 def _cmd_analyze_cycle(args) -> int:
-    sc = parse_scenario(_read_input(args.file))
+    sc, chain = _load(_read_input(args.file))
     if sc.kind != "cycle":
         raise ScenarioError("analyze-cycle needs a cycle scenario")
     tol = _tolerance(args, sc)
-    verdict = analysis.cycle_mobility(scenario_axes(sc), tol=tol)
+    verdict = analysis.cycle_mobility([*chain.ref_axes, chain.closing_axis], tol=tol)
     exact_verdict = None
     if args.exact:
-        exact_verdict = analysis.cycle_mobility_exact(scenario_exact_cycle_axes(sc))
+        _require_exact(sc)
+        exact_verdict = analysis.cycle_mobility_exact(list(sc.axes))
     if args.json:
         doc = _verdict_json(verdict)
         if exact_verdict is not None:
@@ -506,14 +483,15 @@ def _cmd_analyze_cycle(args) -> int:
 
 
 def _cmd_analyze_platform(args) -> int:
-    sc = parse_scenario(_read_input(args.file))
+    sc, platform = _load(_read_input(args.file))
     if sc.kind != "platform":
         raise ScenarioError("analyze-platform needs a platform scenario")
     tol = _tolerance(args, sc)
-    verdict = analysis.platform_flexibility(scenario_platform(sc), tol=tol)
+    verdict = analysis.platform_flexibility(platform, tol=tol)
     exact_verdict = None
     if args.exact:
-        exact_verdict = analysis.platform_flexibility(scenario_exact_platform(sc), exact=True)
+        _require_exact(sc)
+        exact_verdict = analysis.platform_flexibility(platform, exact=True)
     if args.json:
         doc = _verdict_json(verdict)
         if exact_verdict is not None:
@@ -554,10 +532,11 @@ def linkage_from_json(doc: dict) -> linkage_mod.Linkage:
 
 
 def _cmd_convert_linkage(args) -> int:
-    sc = parse_scenario(_read_input(args.file))
+    sc, chain = _load(_read_input(args.file))
     if sc.kind != "cycle":
         raise ScenarioError("convert-linkage needs a cycle scenario")
-    lk = linkage_mod.cycle_to_linkage(scenario_axes(sc))
+    _tolerance(args, sc)
+    lk = linkage_mod.cycle_to_linkage([*chain.ref_axes, chain.closing_axis])
     if args.json:
         print(json.dumps(_linkage_json(lk), indent=2))
         return 0
@@ -573,11 +552,10 @@ def _cmd_convert_linkage(args) -> int:
 
 
 def _cmd_flex(args) -> int:
-    sc = parse_scenario(_read_input(args.file))
+    sc, chain = _load(_read_input(args.file))
     if sc.kind != "cycle":
         raise ScenarioError("flex needs a cycle scenario")
     tol = _tolerance(args, sc)
-    chain = scenario_cycle_chain(sc)
     path = flex_path(chain, args.steps, args.step_size, tol=tol)
     residuals = [float(np.linalg.norm(frame_residual(chain, theta))) for theta in path]
     drift = None
@@ -610,11 +588,10 @@ def _cmd_flex(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sc = parse_scenario(_read_input(args.file))
+    sc, chain = _load(_read_input(args.file))
     if sc.kind == "platform":
         raise ScenarioError("sweep needs a chain or cycle scenario")
     tol = _tolerance(args, sc)
-    chain = scenario_cycle_chain(sc) if sc.kind == "cycle" else scenario_chain(sc)
     seed = args.seed if args.seed is not None else (sc.seed or 0)
     report = sweep(chain, args.samples, seed, tol=tol, workers=args.workers)
     csv_text = sweep_csv(report)
@@ -756,7 +733,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, csv=True)
     p.add_argument("--samples", type=int, default=100, help="number of torus samples")
     p.add_argument("--seed", type=int, default=None, help="stream seed (default: scenario seed or 0)")
-    p.add_argument("--workers", type=int, default=1, help="worker threads; output is identical for any count")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("example", help="emit a classical scenario as JSON")
@@ -782,7 +759,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ScenarioError, DefinitionError, WrongMapError, ToleranceError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, DefinitionError, DimensionError, WrongMapError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GenericityError, DegenerateGeometryError, RigidCycleError, ProjectionError) as exc:

@@ -45,8 +45,8 @@ class ProvenanceError(HingekitError):
     """A linkage does not carry the labels of the canonical construction."""
 
 
-class DefinitionError(HingekitError):
-    """A chain, cycle or platform violates a structural invariant."""
+class DefinitionError(HingekitError, ValueError):
+    """A chain, cycle, platform or configuration violates a structural invariant."""
 
 
 class WrongMapError(HingekitError):

@@ -325,17 +325,22 @@ def _exact_rank(vectors: list[ExteriorVector], expected_rank: int) -> RankCertif
     return RankCertificate(rank, np.array([]), deficient, conull, exact=True)
 
 
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is a finite number > 0, else raise ToleranceError."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ToleranceError(f"tolerance must be a finite number > 0, got {tol!r}")
+    return tol
+
+
 def numeric_rank(matrix: np.ndarray, tol: float):
     """Numerical rank of a matrix: the one rank rule of the package.
 
     Counts the singular values above ``cutoff = tol * sigma_max *
     max(matrix.shape)``. Returns ``(rank, cutoff, u, sigma, vh)`` from one
     full SVD, so callers read null bases off ``u[:, rank:]`` and
-    ``vh[rank:]``. ``tol`` must be a finite number > 0; anything else
-    raises ToleranceError.
+    ``vh[rank:]``. ``tol`` must pass ``check_tolerance``.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ToleranceError(f"tolerance must be a finite number > 0, got {tol!r}")
+    check_tolerance(tol)
     u, sig, vh = np.linalg.svd(matrix, full_matrices=True)
     sigma_max = sig[0] if sig.size else 0.0
     cutoff = tol * sigma_max * max(matrix.shape)

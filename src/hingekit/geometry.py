@@ -16,11 +16,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DefinitionError,
     DegenerateAxisError,
     DegenerateLineError,
     DimensionError,
@@ -123,7 +125,12 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class Isometry:
-    """Orientation-preserving rigid motion x -> rot @ x + trans."""
+    """Orientation-preserving rigid motion x -> rot @ x + trans.
+
+    ``rot`` is a rotation by construction (identity, products, inverses,
+    and ``rotate_about`` of a validated Axis by a finite angle), so only
+    shapes are checked here.
+    """
 
     rot: np.ndarray
     trans: np.ndarray
@@ -134,10 +141,6 @@ class Isometry:
         d = trans.shape[0]
         if rot.shape != (d, d):
             raise DimensionError("rotation and translation dimensions disagree")
-        if not np.allclose(rot.T @ rot, np.eye(d), atol=1e-12, rtol=0.0):
-            raise DimensionError("rotation part must be orthogonal within 1e-12")
-        if np.linalg.det(rot) < 0:
-            raise DimensionError("rotation part must preserve orientation")
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "trans", trans)
 
@@ -264,8 +267,11 @@ def rotate_about(axis: Axis, angle: float) -> Isometry:
     """The isometry fixing the axis pointwise and turning its complement plane.
 
     The sign convention is the one of ``rotation_generator``;
-    ``rotate_about(a, 0)`` is exactly the identity.
+    ``rotate_about(a, 0)`` is exactly the identity. A non-finite angle
+    raises DefinitionError.
     """
+    if not math.isfinite(angle):
+        raise DefinitionError(f"rotation angle must be finite, got {float(angle)!r}")
     J = rotation_generator(axis)
     rot = np.eye(axis.dim) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
     return Isometry(rot, axis.origin - rot @ axis.origin)

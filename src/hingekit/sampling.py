@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import Chain, cycle_chain
-from .errors import DefinitionError
+from .errors import DefinitionError, DimensionError
 from .geometry import Axis, Frame, make_axis, make_frame
 
 __all__ = [
@@ -32,6 +32,8 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
 
 
 def random_axis(rng: np.random.Generator, d: int, box: float = 1.5) -> Axis:
+    if d < 2:
+        raise DimensionError("axes need ambient dimension >= 2")
     origin = rng.uniform(-box, box, d)
     if d == 2:
         return Axis(2, origin, np.zeros((0, 2)))
@@ -47,6 +49,8 @@ def random_frame(rng: np.random.Generator, d: int, k: int, box: float = 1.5) -> 
 
 def random_chain(rng: np.random.Generator, d: int, n: int, k: int = 0) -> Chain:
     """Generic chain of n bodies with a k-frame marker on the last one."""
+    if n < 2:
+        raise DefinitionError("a chain needs at least one hinge (n >= 2 bodies)")
     axes = tuple(random_axis(rng, d) for _ in range(n - 1))
     while True:
         frame = random_frame(rng, d, k)
@@ -58,6 +62,8 @@ def random_chain(rng: np.random.Generator, d: int, n: int, k: int = 0) -> Chain:
 
 def random_cycle(rng: np.random.Generator, d: int, n: int) -> Chain:
     """Generic closed cycle of n axes, cut at the last one."""
+    if n < 2:
+        raise DefinitionError("a cycle needs at least two axes")
     while True:
         axes = [random_axis(rng, d) for _ in range(n)]
         try:

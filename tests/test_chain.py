@@ -23,7 +23,7 @@ from hingekit import (
 )
 from hingekit.analysis import classical_scenario
 from hingekit.chain import panel_spans_ok
-from hingekit.errors import DefinitionError, RigidCycleError, WrongMapError
+from hingekit.errors import DefinitionError, DimensionError, HingekitError, RigidCycleError, WrongMapError
 from hingekit.sampling import random_axis, random_chain, random_cycle, rng_from
 
 
@@ -242,6 +242,22 @@ def test_flex_requires_fiber_point():
     basis = fiber_tangent_basis(c, np.zeros(6))
     with pytest.raises(ValueError):
         flex_cycle(c, 0.3 * np.ones(6), basis[0], 1e-2)
+
+
+def test_off_fiber_theta_and_negative_steps_are_hingekit_errors():
+    c = random_cycle(rng_from(114), 3, 7)
+    basis = fiber_tangent_basis(c, np.zeros(6))
+    with pytest.raises(HingekitError, match="closure condition") as info:
+        flex_cycle(c, 0.3 * np.ones(6), basis[0], 1e-2)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(DefinitionError, match="step count"):
+        flex_path(c, -3, 1e-2)
+    assert flex_path(c, 0, 1e-2).shape == (1, 6)
+
+
+def test_random_axis_needs_dimension_two():
+    with pytest.raises(DimensionError):
+        random_axis(rng_from(0), 1)
 
 
 def test_rigid_cycle_has_no_tangent():

@@ -312,7 +312,7 @@ def test_cycle_commands_reject_negative_tolerance(tmp_path, capsys, command):
     assert code == 2 and out == "" and "tolerance" in err
 
 
-@pytest.mark.parametrize("tol", ["NaN", "Infinity", "1e400", "0", "-1"])
+@pytest.mark.parametrize("tol", ["NaN", "Infinity", "1e400", "0", "-1", pytest.param("1" + "0" * 400, id="int-1e400")])
 def test_scenario_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
     text = example_text(capsys, "twisted-cubic-tangents").replace('"d": 3,', f'"d": 3, "tol": {tol},')
     with pytest.raises(ScenarioError, match="tol"):
@@ -323,7 +323,16 @@ def test_scenario_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
     assert code == 2 and out == "" and "tol" in err
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        pytest.param(10**400, id="int-1e400"),
+        pytest.param(f"{10**400}/3", id="rational-1e400"),
+    ],
+)
 def test_non_finite_coordinates_are_rejected(tmp_path, capsys, value):
     doc = json.loads(example_text(capsys, "generic-cycle"))
     doc["axes"][0]["origin"][0] = value
@@ -334,3 +343,60 @@ def test_non_finite_coordinates_are_rejected(tmp_path, capsys, value):
     path.write_text(text)
     code, out, err = capture(capsys, ["analyze-cycle", str(path)])
     assert code == 2 and out == "" and "axes[0].origin[0]" in err
+
+
+# --- bad input ends in exit code 2, never a traceback or a hang ------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["convert-linkage", "CYCLE", "--tol", "nan"], id="convert-linkage-tol-nan"),
+        pytest.param(["flex", "CYCLE", "--steps", "-3"], id="flex-steps-negative"),
+        pytest.param(["flex", "CYCLE", "--steps", "0", "--tol", "-1"], id="flex-steps-0-tol-negative"),
+        pytest.param(["flex", "CYCLE", "--step-size", "nan"], id="flex-step-size-nan"),
+        pytest.param(["flex", "CYCLE", "--step-size", "inf"], id="flex-step-size-inf"),
+        pytest.param(["analyze-cycle", "DIGITS"], id="analyze-cycle-5001-digit-integer"),
+        pytest.param(["example", "generic-cycle", "--d", "1"], id="example-generic-cycle-d-1"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    text = example_text(capsys, "generic-cycle")
+    doc = json.loads(text)
+    doc["axes"][0]["origin"][0] = "BIG"
+    # an integer with more digits than Python's int parser accepts by default
+    files = {"CYCLE": text, "DIGITS": json.dumps(doc).replace('"BIG"', "1" + "0" * 5000)}
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if arg in files:
+            path = tmp_path / f"{arg}.json"
+            path.write_text(files[arg])
+            argv[i] = str(path)
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_samplers_with_one_body_fail_instead_of_hanging():
+    # run in a child process: before the check these calls retried forever
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "hingekit.cli", "example", "generic-cycle", "--n", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2 and proc.stdout == "" and "two axes" in proc.stderr
+    code = "from hingekit.sampling import random_chain, rng_from; random_chain(rng_from(0), 3, 1)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1 and "DefinitionError: a chain needs at least one hinge" in proc.stderr
+
+
+def test_analyze_cycle_builds_each_axis_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cycle.json"
+    path.write_text(example_text(capsys, "generic-cycle"))
+    calls = []
+    make_axis = cli.make_axis
+    monkeypatch.setattr(cli, "make_axis", lambda *a: calls.append(a) or make_axis(*a))
+    code, _, _ = capture(capsys, ["analyze-cycle", str(path)])
+    assert code == 0 and len(calls) == 7

@@ -21,7 +21,7 @@ from hingekit import (
     rotate_about,
     rotation_generator,
 )
-from hingekit.errors import DegenerateAxisError, DegenerateLineError, ParallelLinesError
+from hingekit.errors import DefinitionError, DegenerateAxisError, DegenerateLineError, ParallelLinesError
 
 
 def point_axis(x, y):
@@ -195,6 +195,13 @@ def test_rotate_about_fixes_axis_and_derivative():
     p = rng.uniform(-1, 1, 3)
     fd = (apply(rotate_about(a, h), p) - p) / h
     assert np.allclose(fd, rotation_generator(a) @ (p - a.origin), atol=1e-5)
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_rotate_about_rejects_non_finite_angles(angle):
+    # isometries are not re-checked after construction, so the angle is checked here
+    with pytest.raises(DefinitionError, match="finite"):
+        rotate_about(z_axis(), angle)
 
 
 def test_rotation_angles_add():

@@ -280,7 +280,8 @@ def flex_path(
     """Track the closure fiber from theta0 (default: the reference).
 
     At each step the flex direction is the first kernel vector of the
-    closure differential, sign-aligned with the previous one. Returns the
+    closure differential, sign-aligned with the previous one; the first
+    direction has its largest-magnitude component positive. Returns the
     (steps+1) x (n-1) array of visited configurations.
     """
     if steps < 0:
@@ -291,7 +292,11 @@ def flex_path(
     for _ in range(steps):
         basis = fiber_tangent_basis(chain, theta, tol=tol)
         direction = basis[0]
-        if previous is not None and direction @ previous < 0:
+        if previous is None:
+            flip = direction[np.argmax(np.abs(direction))] < 0
+        else:
+            flip = direction @ previous < 0
+        if flip:
             direction = -direction
         theta = flex_cycle(chain, theta, direction, step_size, tol=tol)
         previous = direction

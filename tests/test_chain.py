@@ -277,6 +277,23 @@ def test_bricard_cycle_admits_flex():
     assert np.linalg.norm(theta) > 1e-3
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [pytest.param("bricard-symmetric-six", {"seed": s}, id=f"bricard-{s}") for s in range(6)]
+    + [
+        pytest.param("generic-cycle", {"d": 3, "n": 7, "seed": 0}, id="generic-d3n7"),
+        pytest.param("generic-cycle", {"d": 4, "n": 11, "seed": 0}, id="generic-d4n11"),
+    ],
+)
+def test_flex_path_first_step_has_positive_largest_component(name, params):
+    # the kernel vector's sign is whatever the SVD returns; flex_path pins it,
+    # so a last-bit change in the Jacobian cannot reverse the whole path
+    c = classical_scenario(name, **params)
+    c = c if isinstance(c, Chain) else cycle_chain(c)
+    step = np.diff(flex_path(c, steps=1, step_size=1e-2), axis=0)[0]
+    assert step[np.argmax(np.abs(step))] > 0
+
+
 def test_cycle_constructor_guards():
     rng = rng_from(116)
     axes = [random_axis(rng, 3) for _ in range(6)]

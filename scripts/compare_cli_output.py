@@ -8,7 +8,8 @@ cycle and k=1 frame chains - once against ``src/`` of this checkout and
 once against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
 stderr and every written CSV file must agree; differences are listed and
-the script exits 1.
+the script exits 1. For each difference it says whether only numeric
+tokens differ, and if so the largest absolute and relative difference.
 
     python scripts/compare_cli_output.py HEAD~1
 """
@@ -20,6 +21,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -91,6 +93,31 @@ RUNS = [
 ]
 
 
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def numeric_gap(a: str, b: str) -> tuple[float, float] | None:
+    """Largest (absolute, relative) gap between a and b, or None if more than numbers differ."""
+    pa, pb = NUMBER.split(a), NUMBER.split(b)
+    if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
+        return None
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(map(float, pa[1::2]), map(float, pb[1::2])):
+        gap = abs(x - y)
+        worst_abs = max(worst_abs, gap)
+        if gap:
+            worst_rel = max(worst_rel, gap / max(abs(x), abs(y)))
+    return worst_abs, worst_rel
+
+
+def _describe(theirs, ours) -> str:
+    dump = lambda res: json.dumps(res, sort_keys=True, ensure_ascii=False)  # noqa: E731
+    gap = numeric_gap(dump(theirs), dump(ours))
+    if gap is None:
+        return "text differs, not only numbers"
+    return f"only numbers differ: largest absolute {gap[0]:.3g}, largest relative {gap[1]:.3g}"
+
+
 def _run_one(run, argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -154,7 +181,10 @@ def main() -> int:
         theirs = _side(tmp / "ref" / "src", tmp / "theirs")
     differ = [key for key in sorted(set(ours) | set(theirs)) if ours.get(key) != theirs.get(key)]
     for key in differ:
-        print(f"DIFFERS: {key}\n  {args.rev}: {theirs.get(key)!r:.300}\n  here: {ours.get(key)!r:.300}")
+        print(
+            f"DIFFERS: {key} ({_describe(theirs.get(key), ours.get(key))})\n"
+            f"  {args.rev}: {theirs.get(key)!r:.300}\n  here: {ours.get(key)!r:.300}"
+        )
     print(f"{len(ours) - len(differ)} of {len(ours)} outputs identical to {args.rev}")
     return 1 if differ else 0
 

@@ -156,8 +156,8 @@ def _load(text: str) -> tuple[Scenario, Chain | analysis.Platform]:
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ScenarioError("d: expected an integer >= 2")
     seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ScenarioError("seed: expected an integer")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+        raise ScenarioError("seed: expected an integer >= 0")
     tol = doc.get("tol")
     if tol is not None:
         if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
@@ -294,7 +294,10 @@ def emit_scenario(sc: Scenario) -> str:
         doc["panel"] = True
     if sc.tol is not None:
         doc["tol"] = sc.tol
-    return json.dumps(doc, indent=2)
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise ScenarioError("the scenario has a coordinate that is not a finite float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +428,11 @@ def _tolerance(args, sc: Scenario) -> float:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ScenarioError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _cmd_analyze_chain(args) -> int:
@@ -617,11 +622,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_ts(text: str) -> tuple:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ScenarioError(f"--t: cannot parse {text!r} as comma-separated rationals") from None
+def _rationals(flag: str, text: str) -> tuple:
+    """Comma-separated finite rationals given to an ``example`` flag."""
+    return tuple(_num(part, f"{flag}[{i}]") for i, part in enumerate(text.split(",")))
 
 
 def _axes_data(axes) -> tuple:
@@ -634,36 +637,34 @@ def _line_axes(lines) -> tuple:
 
 
 def _example_scenario(args) -> Scenario:
+    """The named fixture; a flag that is given is used as given, never replaced by its default."""
     name = args.name
+    seed = 0 if args.seed is None else args.seed
     if name == "twisted-cubic-tangents":
-        ts = _parse_ts(args.t) if args.t else (0, 1, -1, 2, -2, 3)
+        ts = (0, 1, -1, 2, -2, 3) if args.t is None else _rationals("--t", args.t)
         return Scenario("cycle", 3, axes=_line_axes(analysis.twisted_cubic_data(ts)))
     if name == "bricard-symmetric-six":
-        lines = analysis.bricard_symmetric_lines(args.seed or 0)
-        return Scenario("cycle", 3, axes=_line_axes(lines), seed=args.seed or 0)
+        lines = analysis.bricard_symmetric_lines(seed)
+        return Scenario("cycle", 3, axes=_line_axes(lines), seed=seed)
     if name == "cyclohexane-panels":
-        pts = analysis.chair_hexagon_points(args.height)
+        pts = analysis.chair_hexagon_points(_num(args.height, "--height"))
         axes = tuple((_floats(pts[i]), (_floats(pts[(i + 1) % 6] - pts[i]),)) for i in range(6))
         return Scenario("cycle", 3, axes=axes, panel=True)
     if name == "desargues":
-        perturb = Fraction(args.perturb) if args.perturb else 0
+        perturb = 0 if args.perturb is None else _num(args.perturb, "--perturb")
         return Scenario("platform", 2, legs=tuple(analysis.desargues_legs(perturb)))
     if name == "planar-arm":
-        lengths = (
-            tuple(float(Fraction(part)) for part in args.lengths.split(","))
-            if args.lengths
-            else (1.0, 1.0, 1.0)
-        )
+        lengths = (1.0, 1.0, 1.0) if args.lengths is None else _rationals("--lengths", args.lengths)
         chain = analysis.planar_arm_chain(lengths)
         return Scenario(
             "chain", 2, axes=_axes_data(chain.ref_axes), end_frame=(_floats(chain.end_frame.origin), ())
         )
     if name == "generic-cycle":
-        chain = analysis.classical_scenario(
-            "generic-cycle", d=args.d or 3, n=args.n or 7, seed=args.seed or 0
-        )
+        d = 3 if args.d is None else args.d
+        n = 7 if args.n is None else args.n
+        chain = analysis.classical_scenario("generic-cycle", d=d, n=n, seed=seed)
         axes = _axes_data(list(chain.ref_axes) + [chain.closing_axis])
-        return Scenario("cycle", chain.d, axes=axes, seed=args.seed or 0)
+        return Scenario("cycle", chain.d, axes=axes, seed=seed)
     raise ScenarioError(
         f"unknown example {name!r}; choose one of {', '.join(analysis.SCENARIO_NAMES)}"
     )

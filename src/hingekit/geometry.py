@@ -10,8 +10,9 @@ Conventions used throughout the package:
   grade-(d-1) vector lift(origin) ^ lift0(v_1) ^ ... ^ lift0(v_{d-2})
   over R^{d+1} (for d = 2 an axis is a point and the wedge degenerates
   to the homogeneous point itself);
-* the oriented complement pair (u_1, u_2) of an axis satisfies
-  det[dirs | u_1 | u_2] > 0, which pins down all rotation signs.
+* the rotation generator of an axis is the skew matrix
+  J[a, b] = -det[dirs; e_a; e_b] / |v_1 ^ ... ^ v_{d-2}|, which pins
+  down all rotation signs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     DimensionError,
     ParallelLinesError,
 )
-from .exterior import ExteriorVector, numeric_rank, top_pairing, wedge
+from .exterior import ExteriorVector, _complement_table, numeric_rank, subsets, top_pairing, wedge
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -67,7 +68,8 @@ def _check_orthonormal_rows(rows: np.ndarray, what: str) -> None:
     if rows.shape[0] == 0:
         return
     gram = rows @ rows.T
-    if not np.allclose(gram, np.eye(rows.shape[0]), atol=1e-12, rtol=0.0):
+    # written as not (... <= ...) so that NaN and inf entries are rejected too
+    if not np.abs(gram - np.eye(rows.shape[0])).max() <= ORTHONORMAL_TOL:
         raise DegenerateAxisError(f"{what} must be orthonormal within 1e-12")
 
 
@@ -240,27 +242,22 @@ def incident(line: ExteriorVector, axis_point: ExteriorVector, tol: float = 1e-1
     return abs(float(pairing)) <= tol * line.norm() * axis_point.norm()
 
 
-def _complement_pair(dirs: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    if dirs.shape[0] == 0:
-        basis = np.eye(dim)
-    else:
-        _, _, vh = np.linalg.svd(dirs, full_matrices=True)
-        basis = vh[dirs.shape[0] :]
-    u1, u2 = basis[0], basis[1]
-    stacked = np.vstack([dirs, u1, u2]) if dirs.size else np.vstack([u1, u2])
-    if np.linalg.det(stacked.T) < 0:
-        u1, u2 = u2, u1
-    return u1, u2
-
-
 def rotation_generator(axis: Axis) -> np.ndarray:
     """Skew matrix J of the unit-speed rotation fixing the axis.
 
+    J[a, b] = -det[dirs; e_a; e_b] / |v_1 ^ ... ^ v_{d-2}|, read off the
+    wedge of the directions with the shuffle signs of ``top_pairing``.
     A point p moves with velocity J @ (p - origin); J annihilates the
     axis directions and J^3 = -J.
     """
-    u1, u2 = _complement_pair(axis.dirs, axis.dim)
-    return np.outer(u2, u1) - np.outer(u1, u2)
+    d = axis.dim
+    w = wedge(list(axis.dirs), ambient=d).coeffs
+    idx, sgn = _complement_table(d, 2)
+    a, b = np.array(subsets(d, 2)).T
+    J = np.zeros((d, d))
+    # dividing by |w| keeps J unit-speed for placed axes, whose directions drift by rounding
+    J[a, b] = -(sgn * w[idx]) / np.linalg.norm(w)
+    return J - J.T
 
 
 def rotate_about(axis: Axis, angle: float) -> Isometry:

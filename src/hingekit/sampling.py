@@ -27,7 +27,9 @@ __all__ = [
 
 
 def rng_from(seed: int, *key: int) -> np.random.Generator:
-    """PCG64 stream for (seed, key...): per-index streams never overlap."""
+    """PCG64 stream for (seed, key...): per-index streams never overlap; seed must be >= 0."""
+    if int(seed) < 0:
+        raise DefinitionError(f"a seed must be an integer >= 0, got {seed}")
     return np.random.default_rng([int(seed), *map(int, key)] if key else int(seed))
 
 

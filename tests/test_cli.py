@@ -358,6 +358,26 @@ def test_non_finite_coordinates_are_rejected(tmp_path, capsys, value):
         pytest.param(["flex", "CYCLE", "--step-size", "inf"], id="flex-step-size-inf"),
         pytest.param(["analyze-cycle", "DIGITS"], id="analyze-cycle-5001-digit-integer"),
         pytest.param(["example", "generic-cycle", "--d", "1"], id="example-generic-cycle-d-1"),
+        pytest.param(["analyze-cycle", "UTF16"], id="analyze-cycle-not-utf8"),
+        pytest.param(["example", "generic-cycle", "--n", "0"], id="example-generic-cycle-n-0"),
+        pytest.param(["example", "generic-cycle", "--d", "0"], id="example-generic-cycle-d-0"),
+        pytest.param(["example", "generic-cycle", "--seed", "-1"], id="example-generic-cycle-seed-negative"),
+        pytest.param(["example", "twisted-cubic-tangents", "--t", ""], id="example-t-empty"),
+        pytest.param(["example", "planar-arm", "--lengths", ""], id="example-lengths-empty"),
+        pytest.param(["example", "planar-arm", "--lengths", "1,x"], id="example-lengths-not-rational"),
+        pytest.param(["example", "planar-arm", "--lengths", "1/0"], id="example-lengths-zero-denominator"),
+        pytest.param(["example", "planar-arm", "--lengths", "1e400"], id="example-lengths-overflow"),
+        pytest.param(["example", "desargues", "--perturb", "x"], id="example-perturb-not-rational"),
+        pytest.param(["example", "desargues", "--perturb", "1/0"], id="example-perturb-zero-denominator"),
+        pytest.param(["example", "cyclohexane-panels", "--height", "nan"], id="example-height-nan"),
+        pytest.param(["example", "cyclohexane-panels", "--height", "inf"], id="example-height-inf"),
+        pytest.param(
+            ["example", "cyclohexane-panels", "--height", "1e308"],
+            id="example-height-overflows-dirs",
+            marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+        ),
+        pytest.param(["sweep", "CYCLE", "--seed", "-1"], id="sweep-seed-negative"),
+        pytest.param(["analyze-cycle", "SEED"], id="scenario-seed-negative"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
@@ -365,12 +385,18 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     doc = json.loads(text)
     doc["axes"][0]["origin"][0] = "BIG"
     # an integer with more digits than Python's int parser accepts by default
-    files = {"CYCLE": text, "DIGITS": json.dumps(doc).replace('"BIG"', "1" + "0" * 5000)}
+    files = {
+        "CYCLE": text,
+        "DIGITS": json.dumps(doc).replace('"BIG"', "1" + "0" * 5000),
+        "UTF16": text.encode("utf-16"),  # starts with the byte-order mark ff fe
+        "SEED": json.dumps(dict(doc, seed=-1)).replace('"BIG"', "0"),
+    }
     argv = list(argv)
     for i, arg in enumerate(argv):
         if arg in files:
             path = tmp_path / f"{arg}.json"
-            path.write_text(files[arg])
+            data = files[arg]
+            path.write_bytes(data) if isinstance(data, bytes) else path.write_text(data)
             argv[i] = str(path)
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err

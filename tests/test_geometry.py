@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hingekit import (
     AffineSubspace,
     Axis,
+    Frame,
     affine_intersection,
     apply,
     axis_plucker,
@@ -58,6 +59,13 @@ def test_make_axis_rejects_dependent_dirs():
 def test_axis_validates_orthonormality():
     with pytest.raises(DegenerateAxisError):
         Axis(3, np.zeros(3), np.array([[0.0, 0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("build", [Axis, Frame])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_orthonormality_check_rejects_non_finite_rows(build, bad):
+    with pytest.raises(DegenerateAxisError, match="orthonormal"):
+        build(3, np.zeros(3), np.array([[0.0, bad, 1.0]]))
 
 
 # --- plucker coordinates ------------------------------------------------------
@@ -170,6 +178,37 @@ def test_rotation_generator_identities(d, seed):
     assert np.allclose(J + J.T, 0, atol=1e-12)
     assert np.allclose(J @ J @ J, -J, atol=1e-12)
     assert np.allclose(J @ a.dirs.T, 0, atol=1e-12)
+
+
+def random_axis_of(d, rng):
+    dirs = rng.standard_normal((d - 2, d))
+    return make_axis(d, rng.uniform(-1, 1, d), dirs)
+
+
+def complement_pair_generator(a):
+    """Reference J = u2 u1^T - u1 u2^T from an SVD complement pair with det[dirs; u1; u2] > 0."""
+    _, _, vh = np.linalg.svd(np.vstack([a.dirs, np.zeros((2, a.dim))]))
+    u1, u2 = vh[a.dim - 2], vh[a.dim - 1]
+    if np.linalg.det(np.vstack([a.dirs, u1, u2])) < 0:
+        u1, u2 = u2, u1
+    return np.outer(u2, u1) - np.outer(u1, u2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 10**6))
+def test_rotation_generator_matches_complement_pair(d, seed):
+    a = random_axis_of(d, np.random.default_rng(seed))
+    assert np.allclose(rotation_generator(a), complement_pair_generator(a), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 10**6))
+def test_rotation_generator_is_equivariant(d, seed):
+    rng = np.random.default_rng(seed)
+    a = random_axis_of(d, rng)
+    g = rotate_about(random_axis_of(d, rng), rng.uniform(-np.pi, np.pi))
+    expected = g.rot @ rotation_generator(a) @ g.rot.T
+    assert np.allclose(rotation_generator(apply(g, a)), expected, rtol=0, atol=1e-12)
 
 
 def test_rotate_about_point_quarter_turn():

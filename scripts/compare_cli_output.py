@@ -111,8 +111,7 @@ def numeric_gap(a: str, b: str) -> tuple[float, float] | None:
 
 
 def _describe(theirs, ours) -> str:
-    dump = lambda res: json.dumps(res, sort_keys=True, ensure_ascii=False)  # noqa: E731
-    gap = numeric_gap(dump(theirs), dump(ours))
+    gap = numeric_gap(*(json.dumps(res, sort_keys=True, ensure_ascii=False) for res in (theirs, ours)))
     if gap is None:
         return "text differs, not only numbers"
     return f"only numbers differ: largest absolute {gap[0]:.3g}, largest relative {gap[1]:.3g}"

@@ -9,7 +9,11 @@ A grade-k vector is stored densely: one coefficient per k-subset of
 Float coefficients live in a float64 array. Exact coefficients are
 ``fractions.Fraction`` entries in an object array; they are produced by
 ``wedge(..., exact=True)`` and flow through ``top_pairing`` and
-``rank_of_span`` without ever rounding.
+``rank_of_span`` without ever rounding. Both exact kernels work on
+integer-scaled inputs: each input vector is multiplied by the lcm of its
+denominators, minors and the rank elimination are fraction-free (Bareiss)
+in Python ints, and a wedge coefficient is the integer minor over the
+product of the scales.
 """
 
 from __future__ import annotations
@@ -155,26 +159,35 @@ class ExteriorVector:
         return f"ExteriorVector(grade={self.grade}, ambient={self.ambient}, {mode})"
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    a = [row[:] for row in rows]
+def _integer_scaled(values) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, as ints, and that lcm."""
+    fracs = [_to_fraction(x) for x in values]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Every division is exact, so the entries stay integers throughout. The
+    rows of ``a`` are replaced, never edited in place.
+    """
     size = len(a)
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        pivot = a[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / pivot
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, size):
+            f = a[i][k]
+            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
+    return sign * a[-1][-1]
 
 
 def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorVector:
@@ -208,10 +221,12 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
         raise GradeError(f"cannot wedge {j} vectors in R^{m}")
     index = subsets(m, j)
     if exact:
-        cols = [[_to_fraction(x) for x in v] for v in vecs]
+        scaled = [_integer_scaled(v) for v in vecs]
+        cols = [col for col, _ in scaled]
+        den = math.prod(scale for _, scale in scaled)
         out = np.empty(len(index), dtype=object)
         for pos, S in enumerate(index):
-            out[pos] = _fraction_det([[cols[c][r] for c in range(j)] for r in S])
+            out[pos] = Fraction(_bareiss_det([[col[r] for col in cols] for r in S]), den)
         return ExteriorVector(j, m, out)
     mat = np.array(vecs, dtype=float).T  # columns are the inputs
     minors = mat[np.array(index), :]  # (C(m,j), j, j) row selections
@@ -278,22 +293,29 @@ class RankCertificate:
 
 
 def _exact_rank(vectors: list[ExteriorVector], expected_rank: int) -> RankCertificate:
-    rows = [[x for x in v.coeffs] for v in vectors]
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
+    """Fraction-free Gauss-Jordan elimination on the integer-scaled coefficient rows.
+
+    Scaling a row changes neither the rank nor the null space. After each
+    pivot the pivot rows hold ``prev`` times the reduced row echelon form,
+    ``prev`` being the last pivot, and every division is exact.
+    """
+    mat = [_integer_scaled(v.coeffs)[0] for v in vectors]
+    ncols = len(mat[0])
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        pivot = mat[r][c]
-        mat[r] = [x / pivot for x in mat[r]]
+        top = mat[r]
+        pivot = top[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
+            if i != r:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [(pivot * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = pivot
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -303,24 +325,16 @@ def _exact_rank(vectors: list[ExteriorVector], expected_rank: int) -> RankCertif
     conull = None
     if deficient and rank < ncols:
         free = next(c for c in range(ncols) if c not in pivots)
-        sol = [Fraction(0)] * ncols
-        sol[free] = Fraction(1)
+        ints = [0] * ncols
+        ints[free] = prev
         for row, pc in enumerate(pivots):
-            sol[pc] = -mat[row][free]
-        den = 1
-        for x in sol:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [int(x * den) for x in sol]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, x)
-        if g:
-            ints = [x // g for x in ints]
-        lead = next((x for x in ints if x != 0), 1)
+            ints[pc] = -mat[row][free]
+        g = math.gcd(*ints)
+        lead = next(x for x in ints if x != 0)
         if lead < 0:
-            ints = [-x for x in ints]
+            g = -g
         conull = np.empty(ncols, dtype=object)
-        conull[:] = [Fraction(x) for x in ints]
+        conull[:] = [Fraction(x // g) for x in ints]
         conull.setflags(write=False)
     return RankCertificate(rank, np.array([]), deficient, conull, exact=True)
 

@@ -391,7 +391,9 @@ def _verdict_json(verdict) -> dict:
             "direction": [float(x) for x in verdict.witness.direction],
         }
     elif verdict.witness is not None:
-        out["functional"] = [float(x) for x in verdict.witness]
+        # an exact functional is a coprime integer vector; a float would round it
+        emit = _emit_value if verdict.certificate.exact else float
+        out["functional"] = [emit(x) for x in verdict.witness]
     return out
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -426,3 +428,47 @@ def test_analyze_cycle_builds_each_axis_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "make_axis", lambda *a: calls.append(a) or make_axis(*a))
     code, _, _ = capture(capsys, ["analyze-cycle", str(path)])
     assert code == 0 and len(calls) == 7
+
+
+# Nine integer axes in R^4 (numpy default_rng(0) draws from [-9, 9]): the Plucker
+# span has rank 9 of 10, and its conull has entries up to 4.3e20, past 2^53.
+D4N9_AXES = [
+    ([7, 3, 0, -4], [[-4, -9, -8, -9], [-6, 6, 3, 8]]),
+    ([0, 2, 9, 4], [[3, 1, 1, 8], [-4, 6, 3, -9]]),
+    ([-2, 7, 1, -9], [[5, 4, 7, -6], [-8, 7, -9, 1]]),
+    ([-8, -4, 0, -1], [[-2, -9, -9, -7], [-9, 3, 0, 3]]),
+    ([-5, 2, 5, -2], [[-1, 9, 6, 9], [-2, 4, 9, 3]]),
+    ([6, 4, 4, -2], [[7, -7, 1, 4], [7, 0, -2, -4]]),
+    ([-1, 0, 4, 7], [[-8, 8, 1, -3], [3, 1, -5, -3]]),
+    ([4, 2, 0, -3], [[5, -2, -3, 7], [-4, -5, 4, 2]]),
+    ([-9, -8, -2, 6], [[-2, 5, -3, -5], [6, 7, -8, -8]]),
+]
+
+
+def _d4n9_file(tmp_path):
+    path = tmp_path / "d4n9.json"
+    axes = [{"origin": origin, "dirs": dirs} for origin, dirs in D4N9_AXES]
+    path.write_text(json.dumps({"kind": "cycle", "d": 4, "axes": axes}))
+    return str(path)
+
+
+def _plucker_point(origin, dirs):
+    """3 x 3 minors of the columns (origin, 1), (dir, 0), (dir, 0), in Fractions."""
+    cols = [[Fraction(x) for x in origin + [1]]] + [[Fraction(x) for x in v + [0]] for v in dirs]
+    point = []
+    for rows in itertools.combinations(range(5), 3):
+        (a, b, c), (d, e, f), (g, h, i) = ([col[r] for col in cols] for r in rows)
+        point.append(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+    return point
+
+
+def test_exact_json_functional_is_integer_and_annihilates(tmp_path, capsys):
+    code, out, _ = capture(capsys, ["analyze-cycle", _d4n9_file(tmp_path), "--exact", "--json"])
+    assert code == 0
+    exact = json.loads(out)["exact"]
+    assert exact["rank"] == 9 and exact["singular"] and exact["mobility"] == 0
+    functional = exact["functional"]
+    assert all(type(x) is int for x in functional)
+    assert max(abs(x) for x in functional) > 2**53
+    for origin, dirs in D4N9_AXES:
+        assert sum(Fraction(f) * p for f, p in zip(functional, _plucker_point(origin, dirs))) == 0

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 input error, 3 genericity/degeneracy error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -681,6 +682,7 @@ def _cmd_example(args) -> int:
 # argument parsing and dispatch
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hingekit",

@@ -472,3 +472,14 @@ def test_exact_json_functional_is_integer_and_annihilates(tmp_path, capsys):
     assert max(abs(x) for x in functional) > 2**53
     for origin, dirs in D4N9_AXES:
         assert sum(Fraction(f) * p for f, p in zip(functional, _plucker_point(origin, dirs))) == 0
+
+
+def test_runs_after_an_error_and_help_print_the_same_bytes(tmp_path, capsys):
+    argv = ["analyze-cycle", _d4n9_file(tmp_path), "--exact", "--json"]
+    first = capture(capsys, argv)
+    assert first[0] == 0
+    code, out, err = capture(capsys, ["analyze-cycle", str(tmp_path / "missing.json")])
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, _ = capture(capsys, ["--help"])
+    assert code == 0 and out.startswith("usage: hingekit")
+    assert capture(capsys, argv) == first

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from hingekit import (
@@ -247,3 +249,133 @@ def test_vector_arithmetic_guards():
     b = wedge([(1, 0, 0, 0), (0, 1, 0, 0)])
     with pytest.raises(DimensionError):
         a + b
+
+
+# --- exact kernels against plain Fraction elimination ----------------------------
+# The references are the Fraction-arithmetic versions of the exact kernels: a
+# determinant per minor, and Gauss-Jordan elimination to the reduced row echelon form.
+
+
+def _reference_det(rows):
+    a = [row[:] for row in rows]
+    size = len(a)
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        pivot = a[col][col]
+        det *= pivot
+        for r in range(col + 1, size):
+            factor = a[r][col] / pivot
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _reference_wedge(vecs):
+    cols = [[Fraction(x) for x in v] for v in vecs]
+    return [
+        _reference_det([[col[r] for col in cols] for r in rows])
+        for rows in subsets(len(vecs[0]), len(vecs))
+    ]
+
+
+def _reference_rank(rows, expected_rank):
+    """(rank, deficient, conull) by Fraction Gauss-Jordan; conull coprime with a positive lead."""
+    mat = [row[:] for row in rows]
+    ncols = len(mat[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    rank = len(pivots)
+    if rank >= expected_rank or rank == ncols:
+        return rank, rank < expected_rank, None
+    free = next(c for c in range(ncols) if c not in pivots)
+    sol = [Fraction(0)] * ncols
+    sol[free] = Fraction(1)
+    for row, pc in enumerate(pivots):
+        sol[pc] = -mat[row][free]
+    den = math.lcm(*(x.denominator for x in sol))
+    ints = [int(x * den) for x in sol]
+    g = math.gcd(*ints)
+    lead = next(x for x in ints if x != 0)
+    return rank, True, [Fraction(x // g if lead > 0 else -x // g) for x in ints]
+
+
+small_ints = st.integers(-6, 6)
+rationals = st.one_of(
+    small_ints,
+    st.builds(Fraction, small_ints, st.integers(1, 9)),
+    st.builds(lambda n, d: f"{n}/{d}", small_ints, st.integers(1, 9)),
+    st.integers(-48, 48).map(lambda k: k / 16),  # floats with an exact binary value
+)
+
+
+@st.composite
+def exact_wedge_inputs(draw):
+    m = draw(st.integers(1, 7))
+    j = draw(st.integers(1, m))
+    vecs = [[draw(rationals) for _ in range(m)] for _ in range(j)]
+    if j >= 2 and draw(st.booleans()):  # the last input depends on the others
+        weights = [draw(small_ints) for _ in range(j - 1)]
+        vecs[-1] = [sum(w * Fraction(v[r]) for w, v in zip(weights, vecs)) for r in range(m)]
+    if draw(st.booleans()):  # a zero in the top-left corner of the leading minors
+        vecs[0][0] = 0
+    return vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_wedge_inputs())
+@example([[0, 1, 2], [3, 4, 5]])  # zero leading entry: the first minor swaps rows
+@example([[0, 0, 1], [0, 0, 2]])  # two leading zeros: no pivot in the column
+@example([[1, "1/2", 0.25], ["2", 1, 0.5], [Fraction(3, 7), 0, 1]])  # dependent columns
+def test_exact_wedge_matches_fraction_minors(vecs):
+    v = wedge(vecs, exact=True)
+    assert v.exact
+    assert all(type(x) is Fraction for x in v.coeffs)
+    assert list(v.coeffs) == _reference_wedge(vecs)
+
+
+@st.composite
+def exact_rank_inputs(draw):
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.builds(Fraction, small_ints, st.integers(1, 9)))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(1, 7)))]
+    if draw(st.booleans()):  # one column is zero in every row
+        zero = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[zero] = Fraction(0)
+    if len(rows) >= 2 and draw(st.booleans()):  # a row that depends on the first two
+        a, b = draw(small_ints), draw(st.builds(Fraction, small_ints, st.integers(1, 9)))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return rows, draw(st.integers(0, ncols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_rank_inputs())
+@example(([[1, 2, 3], [2, 4, 7]], 3))  # the first free column is not the last
+@example(([["1/2", 0, 0, 0], [0, "3/5", 0, "1/7"]], 4))  # deficient only after r == len(rows)
+@example(([[0, "1/3", 2], [0, 3, "5/2"], [0, "2/3", 4]], 3))  # an all-zero column
+def test_exact_rank_matches_fraction_gauss_jordan(inputs):
+    rows, expected = inputs
+    rows = [[Fraction(x) for x in row] for row in rows]
+    vs = [ExteriorVector(1, len(row), np.array(row, dtype=object)) for row in rows]
+    cert = rank_of_span(vs, expected_rank=expected)
+    rank, deficient, conull = _reference_rank(rows, expected)
+    assert cert.exact and (cert.rank, cert.deficient) == (rank, deficient)
+    assert (None if cert.conull is None else list(cert.conull)) == conull

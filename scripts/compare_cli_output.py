@@ -4,7 +4,8 @@
 Runs a fixed list of invocations - every ``example`` with and without its
 flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
 ``convert-linkage``, ``flex --json/--csv`` and ``sweep`` CSV on end-point,
-cycle and k=1 frame chains - once against ``src/`` of this checkout and
+cycle and k=1 frame chains, and ``analyze-cycle --exact`` on an integer
+cycle whose conull has entries past 2^53 - once against ``src/`` of this checkout and
 once against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
 stderr and every written CSV file must agree; differences are listed and
@@ -26,6 +27,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +49,8 @@ EXAMPLES = {
     "cycle-d2": ["generic-cycle", "--d", "2", "--n", "5", "--seed", "1"],
 }
 
-# hand-written chains in R^3: a generic end-point chain and a k=1 frame chain
+# hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,
+# and nine integer axes in R^4 with Plucker rank 9 of 10 and a big-integer conull
 AXES = [
     {"origin": [0.1, -0.4, 0.7], "dirs": [[0.3, 0.9, -0.2]]},
     {"origin": [1.2, 0.5, -0.3], "dirs": [[-0.8, 0.1, 0.6]]},
@@ -55,11 +58,24 @@ AXES = [
     {"origin": [0.4, 0.3, 1.4], "dirs": [[0.7, 0.7, 0.1]]},
     {"origin": [-1.0, -0.2, 0.5], "dirs": [[0.1, 0.4, -0.9]]},
 ]
-CHAINS = {
+D4N9 = [
+    ([7, 3, 0, -4], [[-4, -9, -8, -9], [-6, 6, 3, 8]]),
+    ([0, 2, 9, 4], [[3, 1, 1, 8], [-4, 6, 3, -9]]),
+    ([-2, 7, 1, -9], [[5, 4, 7, -6], [-8, 7, -9, 1]]),
+    ([-8, -4, 0, -1], [[-2, -9, -9, -7], [-9, 3, 0, 3]]),
+    ([-5, 2, 5, -2], [[-1, 9, 6, 9], [-2, 4, 9, 3]]),
+    ([6, 4, 4, -2], [[7, -7, 1, 4], [7, 0, -2, -4]]),
+    ([-1, 0, 4, 7], [[-8, 8, 1, -3], [3, 1, -5, -3]]),
+    ([4, 2, 0, -3], [[5, -2, -3, 7], [-4, -5, 4, 2]]),
+    ([-9, -8, -2, 6], [[-2, 5, -3, -5], [6, 7, -8, -8]]),
+]
+SCENARIOS = {
     "chain-d3": {"kind": "chain", "d": 3, "axes": AXES[:4],
                  "end_frame": {"origin": [1.5, -0.2, 0.9], "vecs": []}},
     "frame-k1": {"kind": "chain", "d": 3, "axes": AXES,
                  "end_frame": {"origin": [1.5, -0.2, 0.9], "vecs": [["3/5", "4/5", 0]]}},
+    "cycle-d4n9": {"kind": "cycle", "d": 4,
+                   "axes": [{"origin": origin, "dirs": dirs} for origin, dirs in D4N9]},
 }
 
 RUNS = [
@@ -74,6 +90,7 @@ RUNS = [
     ["analyze-cycle", "{bricard}", "--exact"], ["analyze-cycle", "{bricard-4}", "--json", "--exact"],
     ["analyze-cycle", "{chair}", "--json"], ["analyze-cycle", "{chair-h}"],
     ["analyze-cycle", "{cycle}"], ["analyze-cycle", "{cycle-d4}", "--json"],
+    ["analyze-cycle", "{cycle-d4n9}", "--exact"], ["analyze-cycle", "{cycle-d4n9}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-d2}", "--json"], ["analyze-cycle", "{cycle}", "--exact"],
     ["analyze-platform", "{desargues}"], ["analyze-platform", "{desargues}", "--exact"],
     ["analyze-platform", "{desargues}", "--json", "--exact"],
@@ -101,13 +118,14 @@ def numeric_gap(a: str, b: str) -> tuple[float, float] | None:
     pa, pb = NUMBER.split(a), NUMBER.split(b)
     if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
         return None
-    worst_abs = worst_rel = 0.0
-    for x, y in zip(map(float, pa[1::2]), map(float, pb[1::2])):
+    worst_abs = worst_rel = Fraction(0)
+    # exact decimal values, so a big integer printed as a rounded float shows its gap
+    for x, y in zip(map(Fraction, pa[1::2]), map(Fraction, pb[1::2])):
         gap = abs(x - y)
         worst_abs = max(worst_abs, gap)
         if gap:
             worst_rel = max(worst_rel, gap / max(abs(x), abs(y)))
-    return worst_abs, worst_rel
+    return float(worst_abs), float(worst_rel)
 
 
 def _describe(theirs, ours) -> str:
@@ -138,7 +156,7 @@ def worker(work: Path) -> None:
         path = work / f"{tag}.json"
         path.write_text(res["stdout"])
         files[tag] = str(path)
-    for tag, doc in CHAINS.items():
+    for tag, doc in SCENARIOS.items():
         path = work / f"{tag}.json"
         path.write_text(json.dumps(doc))
         files[tag] = str(path)

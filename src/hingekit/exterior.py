@@ -169,8 +169,7 @@ def _integer_scaled(values) -> tuple[list[int], int]:
 def _bareiss_det(a: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
 
-    Every division is exact, so the entries stay integers throughout. The
-    rows of ``a`` are replaced, never edited in place.
+    Every division is exact, so the entries stay integers; ``a`` is overwritten.
     """
     size = len(a)
     sign, prev = 1, 1
@@ -221,9 +220,8 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
         raise GradeError(f"cannot wedge {j} vectors in R^{m}")
     index = subsets(m, j)
     if exact:
-        scaled = [_integer_scaled(v) for v in vecs]
-        cols = [col for col, _ in scaled]
-        den = math.prod(scale for _, scale in scaled)
+        cols, scales = zip(*map(_integer_scaled, vecs))
+        den = math.prod(scales)
         out = np.empty(len(index), dtype=object)
         for pos, S in enumerate(index):
             out[pos] = Fraction(_bareiss_det([[col[r] for col in cols] for r in S]), den)

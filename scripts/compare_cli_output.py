@@ -4,9 +4,10 @@
 Runs a fixed list of invocations - every ``example`` with and without its
 flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
 ``convert-linkage``, ``flex --json/--csv`` and ``sweep`` CSV on end-point,
-cycle and k=1 frame chains, and ``analyze-cycle --exact`` on an integer
-cycle whose conull has entries past 2^53 - once against ``src/`` of this checkout and
-once against ``src/`` of REV (extracted with ``git archive``). Each side
+cycle and k=1 frame chains (one of them singular at theta = 0), and
+``analyze-cycle --exact`` on an integer cycle whose conull has entries past
+2^53 - once against ``src/`` of this checkout and once against ``src/`` of
+REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
 stderr and every written CSV file must agree; differences are listed and
 the script exits 1. For each difference it says whether only numeric
@@ -50,6 +51,7 @@ EXAMPLES = {
 }
 
 # hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,
+# a k=1 frame chain on five parallel axes whose end-frame map is singular (rank 3 of 5),
 # and nine integer axes in R^4 with Plucker rank 9 of 10 and a big-integer conull
 AXES = [
     {"origin": [0.1, -0.4, 0.7], "dirs": [[0.3, 0.9, -0.2]]},
@@ -74,6 +76,10 @@ SCENARIOS = {
                  "end_frame": {"origin": [1.5, -0.2, 0.9], "vecs": []}},
     "frame-k1": {"kind": "chain", "d": 3, "axes": AXES,
                  "end_frame": {"origin": [1.5, -0.2, 0.9], "vecs": [["3/5", "4/5", 0]]}},
+    "frame-singular": {"kind": "chain", "d": 3,
+                       "axes": [{"origin": [x, y, 0], "dirs": [[0, 0, 1]]}
+                                for x, y in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2))],
+                       "end_frame": {"origin": [3, 3, 1], "vecs": [[1, 0, 0]]}},
     "cycle-d4n9": {"kind": "cycle", "d": 4,
                    "axes": [{"origin": origin, "dirs": dirs} for origin, dirs in D4N9]},
 }
@@ -83,6 +89,7 @@ RUNS = [
     ["analyze-chain", "{arm-l}", "--json"], ["analyze-chain", "{chain-d3}"],
     ["analyze-chain", "{chain-d3}", "--json", "--tol", "1e-6"],
     ["analyze-chain", "{frame-k1}"], ["analyze-chain", "{frame-k1}", "--json"],
+    ["analyze-chain", "{frame-singular}"], ["analyze-chain", "{frame-singular}", "--json"],
     ["analyze-chain", "{chair}"], ["analyze-chain", "{cycle}", "--json"],
     ["analyze-cycle", "{cubic}"], ["analyze-cycle", "{cubic}", "--exact"],
     ["analyze-cycle", "{cubic}", "--json", "--exact"],
@@ -107,6 +114,7 @@ RUNS = [
     ["sweep", "{cycle}", "--samples", "10", "--csv", "{out}/sweep-cycle.csv"],
     ["sweep", "{frame-k1}", "--samples", "10", "--seed", "9", "--csv", "{out}/sweep-frame.csv"],
     ["sweep", "{frame-k1}", "--samples", "6", "--workers", "2"],
+    ["sweep", "{frame-singular}", "--samples", "3"],
 ]
 
 

@@ -28,7 +28,7 @@ from .errors import (
     ScenarioError,
     WrongMapError,
 )
-from .exterior import ExteriorVector, RankCertificate, numeric_rank, rank_of_span, top_pairing, wedge
+from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, rank_of_span, top_pairing, wedge
 from .geometry import Axis, Frame, axis_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
@@ -237,10 +237,7 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     conull = None
     null_basis = None
     if singular:
-        nu = u[:, rank].copy()
-        lead = int(np.argmax(np.abs(nu)))
-        if nu[lead] < 0:
-            nu = -nu
+        nu = positive_lead(u[:, rank])
         witness = WitnessLine(pl.frame_at.origin, nu)
         conull = nu
         # every deficiency direction is a witness, so hand back all of them
@@ -290,6 +287,28 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
     return points
 
 
+def _span_verdict(vectors, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
+    """Rank verdict on a span of vectors over R^{d+1} of generic dimension C(d+1, 2).
+
+    Both ranks are reduced by ``stab_dim``, the dimension of a stabilizer
+    span included among the vectors. The witness is the certificate's
+    conull functional; a cycle also reports its mobility n - rank.
+    """
+    vectors = list(vectors)
+    if cycle and len(vectors) < 2:
+        raise DefinitionError("a cycle needs at least two axes")
+    full_dim = comb(vectors[0].ambient, 2)
+    certificate = rank_of_span(vectors, expected_rank=full_dim, tol=tol)
+    return Verdict(
+        certificate.rank - stab_dim,
+        full_dim - stab_dim,
+        certificate.deficient,
+        certificate,
+        witness=certificate.conull,
+        mobility=len(vectors) - certificate.rank if cycle else None,
+    )
+
+
 def frame_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     """Rank verdict of the end-frame map for any k.
 
@@ -300,17 +319,9 @@ def frame_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     differential's rank; the certificate's conull vector is the
     hyperplane functional.
     """
-    d = chain.d
-    k = chain.end_frame.k
     pl = forward_kinematics(chain, theta)
     columns = frame_columns(chain, theta, placement=pl) + stabilizer_pluckers(pl.frame_at)
-    full_dim = comb(d + 1, 2)
-    stab_dim = comb(d - k, 2)
-    certificate = rank_of_span(columns, expected_rank=full_dim, tol=tol)
-    rank = certificate.rank - stab_dim
-    full_rank = full_dim - stab_dim
-    singular = certificate.rank < full_dim
-    return Verdict(rank, full_rank, singular, certificate, witness=certificate.conull)
+    return _span_verdict(columns, tol, stab_dim=comb(chain.d - chain.end_frame.k, 2))
 
 
 def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
@@ -321,26 +332,12 @@ def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
     infinitesimally flexible cycle. The conull functional is the
     hyperplane section containing all axis points.
     """
-    axes = list(axes)
-    if len(axes) < 2:
-        raise DefinitionError("a cycle needs at least two axes")
-    d = axes[0].dim
-    full_dim = comb(d + 1, 2)
-    certificate = rank_of_span([axis_plucker(a) for a in axes], expected_rank=full_dim, tol=tol)
-    return Verdict(
-        certificate.rank,
-        full_dim,
-        certificate.rank < full_dim,
-        certificate,
-        witness=certificate.conull,
-        mobility=len(axes) - certificate.rank,
-    )
+    return _span_verdict([axis_plucker(a) for a in axes], tol, cycle=True)
 
 
 def axis_plucker_exact(origin, dirs) -> ExteriorVector:
     """Exact Plucker point from rational axis data (directions need not be unit)."""
     origin = list(origin)
-    d = len(origin)
     rows = [origin + [1]] + [list(v) + [0] for v in dirs]
     vec = wedge(rows, exact=True)
     if vec.is_zero():
@@ -356,17 +353,7 @@ def cycle_mobility_exact(raw_axes) -> Verdict:
     keeps every coefficient rational and the rank exact.
     """
     vectors = [axis_plucker_exact(origin, dirs) for origin, dirs in raw_axes]
-    d = vectors[0].ambient - 1
-    full_dim = comb(d + 1, 2)
-    certificate = rank_of_span(vectors, expected_rank=full_dim)
-    return Verdict(
-        certificate.rank,
-        full_dim,
-        certificate.rank < full_dim,
-        certificate,
-        witness=certificate.conull,
-        mobility=len(vectors) - certificate.rank,
-    )
+    return _span_verdict(vectors, cycle=True)
 
 
 def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = False) -> Verdict:
@@ -377,18 +364,10 @@ def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = F
     motion exactly when these C(d+1, 2) lines are linearly dependent.
     The conull functional is the skew form annihilating every bar line.
     """
-    full_dim = comb(platform.d + 1, 2)
     vectors = [
         wedge([list(p) + [1], list(q) + [1]], exact=exact) for p, q in platform.legs
     ]
-    certificate = rank_of_span(vectors, expected_rank=full_dim, tol=tol)
-    return Verdict(
-        certificate.rank,
-        full_dim,
-        certificate.rank < full_dim,
-        certificate,
-        witness=certificate.conull,
-    )
+    return _span_verdict(vectors, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import DefinitionError, ProjectionError, RigidCycleError, WrongMapError
-from .exterior import ExteriorVector, numeric_rank
+from .exterior import ExteriorVector, numeric_rank, positive_lead
 from .geometry import (
     Axis,
     Frame,
@@ -218,13 +218,11 @@ def numerical_jacobian(fn, theta, h: float = 1e-5) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def frame_residual(chain: Chain, theta, placement: Placement | None = None) -> np.ndarray:
+def frame_residual(chain: Chain, theta) -> np.ndarray:
     """Coordinates of the placed end frame minus its reference position."""
-    pl = placement if placement is not None else forward_kinematics(chain, theta)
+    frame = forward_kinematics(chain, theta).frame_at
     ref = chain.end_frame
-    return np.concatenate(
-        [pl.frame_at.origin - ref.origin, (pl.frame_at.vecs - ref.vecs).ravel()]
-    )
+    return np.concatenate([frame.origin - ref.origin, (frame.vecs - ref.vecs).ravel()])
 
 
 def fiber_tangent_basis(chain: Chain, theta, tol: float = 1e-10) -> np.ndarray:
@@ -270,14 +268,8 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
     raise ProjectionError("Gauss-Newton did not reach the fiber within 50 iterations")
 
 
-def flex_path(
-    chain: Chain,
-    steps: int,
-    step_size: float,
-    theta0=None,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Track the closure fiber from theta0 (default: the reference).
+def flex_path(chain: Chain, steps: int, step_size: float, tol: float = 1e-10) -> np.ndarray:
+    """Track the closure fiber from the reference configuration.
 
     At each step the flex direction is the first kernel vector of the
     closure differential, sign-aligned with the previous one; the first
@@ -286,17 +278,14 @@ def flex_path(
     """
     if steps < 0:
         raise DefinitionError(f"a flex needs a step count >= 0, got {steps}")
-    theta = np.zeros(chain.n - 1) if theta0 is None else _as_config(chain, theta0)
+    theta = np.zeros(chain.n - 1)
     path = [theta]
     previous = None
     for _ in range(steps):
-        basis = fiber_tangent_basis(chain, theta, tol=tol)
-        direction = basis[0]
+        direction = fiber_tangent_basis(chain, theta, tol=tol)[0]
         if previous is None:
-            flip = direction[np.argmax(np.abs(direction))] < 0
-        else:
-            flip = direction @ previous < 0
-        if flip:
+            direction = positive_lead(direction)
+        elif direction @ previous < 0:
             direction = -direction
         theta = flex_cycle(chain, theta, direction, step_size, tol=tol)
         previous = direction

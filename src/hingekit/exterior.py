@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionError, GradeError, ToleranceError
+from .errors import DegenerateGeometryError, DimensionError, GradeError, ToleranceError
 
 __all__ = [
     "ExteriorVector",
@@ -111,10 +111,6 @@ class ExteriorVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.as_float().coeffs))
-
-    def coeff(self, subset):
-        """Coefficient on one basis form, addressed by its sorted subset."""
-        return self.coeffs[subset_index(self.ambient, subset)]
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.exact:
@@ -350,13 +346,26 @@ def numeric_rank(matrix: np.ndarray, tol: float):
     Counts the singular values above ``cutoff = tol * sigma_max *
     max(matrix.shape)``. Returns ``(rank, cutoff, u, sigma, vh)`` from one
     full SVD, so callers read null bases off ``u[:, rank:]`` and
-    ``vh[rank:]``. ``tol`` must pass ``check_tolerance``.
+    ``vh[rank:]``. ``tol`` must pass ``check_tolerance``; a matrix with an
+    inf or NaN entry raises DegenerateGeometryError before the SVD.
     """
     check_tolerance(tol)
+    if not np.isfinite(matrix).all():
+        raise DegenerateGeometryError(
+            "a rank test met a non-finite number: the input overflows float arithmetic"
+        )
     u, sig, vh = np.linalg.svd(matrix, full_matrices=True)
     sigma_max = sig[0] if sig.size else 0.0
     cutoff = tol * sigma_max * max(matrix.shape)
     return int(np.sum(sig > cutoff)), cutoff, u, sig, vh
+
+
+def positive_lead(v: np.ndarray) -> np.ndarray:
+    """Copy of ``v`` or ``-v``, whichever has its largest-magnitude entry positive.
+
+    The sign rule of every float null vector the package reports.
+    """
+    return -v if v[np.argmax(np.abs(v))] < 0 else v.copy()
 
 
 def rank_of_span(
@@ -391,9 +400,6 @@ def rank_of_span(
     deficient = rank < expected_rank
     conull = None
     if deficient and rank < rows.shape[1]:
-        conull = vh[rank].copy()
-        lead = int(np.argmax(np.abs(conull)))
-        if conull[lead] < 0:
-            conull = -conull
+        conull = positive_lead(vh[rank])
         conull.setflags(write=False)
     return RankCertificate(rank, sig, deficient, conull)

@@ -131,7 +131,7 @@ def _scale(axes) -> float:
     return max(1.0, max(float(np.max(np.abs(a.origin))) for a in axes))
 
 
-def cycle_to_linkage(axes, d: int | None = None) -> Linkage:
+def cycle_to_linkage(axes) -> Linkage:
     """Canonical bar-joint linkage of a generic cycle of axes.
 
     Raises GenericityError when an intersection window has the wrong
@@ -141,7 +141,7 @@ def cycle_to_linkage(axes, d: int | None = None) -> Linkage:
     """
     axes = list(axes)
     n = len(axes)
-    d = axes[0].dim if d is None else d
+    d = axes[0].dim
     if d == 2:
         return _polygon_linkage(axes)
     if d % 2:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import comb
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 from hingekit import (
     Chain,
     Frame,
     Platform,
+    apply,
     axis_plucker,
+    compose,
     cycle_chain,
     cycle_mobility,
     cycle_mobility_exact,
@@ -22,6 +27,7 @@ from hingekit import (
     pairing_rows,
     platform_flexibility,
     rank_of_span,
+    rotate_about,
     stabilizer_pluckers,
     wedge,
 )
@@ -30,6 +36,7 @@ from hingekit.analysis import (
     bricard_symmetric_lines,
     classical_scenario,
     desargues_legs,
+    twisted_cubic_data,
     twisted_cubic_tangent_vectors,
 )
 from hingekit.errors import DegenerateLegError, DefinitionError, ScenarioError
@@ -267,21 +274,113 @@ def test_appending_perturbed_axis_adds_mobility():
         assert after == before + 1
 
 
-def test_cycle_mobility_invariances():
-    rng = rng_from(313)
-    axes = [random_axis(rng, 3) for _ in range(7)]
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize(
+    "verdict, axis",
+    [
+        (cycle_mobility, make_axis(3, (0, 0, 0), [(0, 0, 1)])),
+        (cycle_mobility_exact, ((0, 0, 0), [(0, 0, 1)])),
+    ],
+    ids=["float", "exact"],
+)
+def test_cycle_verdicts_need_two_axes(verdict, axis, count):
+    with pytest.raises(DefinitionError, match="a cycle needs at least two axes"):
+        verdict([axis] * count)
+
+
+def _rigid_motion(rng, d):
+    """Product of three rotations about random axes, so translations are included."""
+    g = rotate_about(random_axis(rng, d), rng.uniform(-np.pi, np.pi))
+    for _ in range(2):
+        g = compose(rotate_about(random_axis(rng, d), rng.uniform(-np.pi, np.pi)), g)
+    return g
+
+
+def _float_cycle_invariance(data, rng, cubic):
+    if cubic:
+        ts = data.draw(st.lists(st.integers(-3, 3), min_size=6, max_size=7, unique=True), label="ts")
+        axes, d = classical_scenario("twisted-cubic-tangents", ts=ts), 3
+    else:
+        d = data.draw(st.integers(3, 5), label="d")
+        n = data.draw(st.integers(2, comb(d + 1, 2) + 2), label="n")
+        axes = [random_axis(rng, d) for _ in range(n)]
     base = cycle_mobility(axes)
-    # reordering
-    perm = [axes[i] for i in rng.permutation(7)]
-    assert cycle_mobility(perm).rank == base.rank
-    # global isometry
-    from hingekit import apply, rotate_about
+    if cubic:
+        assert base.rank == 5 and base.singular
+    scale = data.draw(st.floats(0.5, 2.0), label="scale")
+    g = _rigid_motion(rng, d)
+    for moved in (
+        [apply(g, a) for a in axes],
+        [make_axis(d, scale * a.origin, a.dirs) for a in axes],
+        [axes[i] for i in rng.permutation(len(axes))],
+    ):
+        v = cycle_mobility(moved)
+        assert (v.rank, v.singular, v.mobility) == (base.rank, base.singular, base.mobility)
 
-    g = rotate_about(make_axis(3, (0.3, 0.1, -0.2), [(1, 2, 1)]), 1.1)
-    moved = [apply(g, a) for a in axes]
-    assert cycle_mobility(moved).rank == base.rank
+
+def _exact_cycle_invariance(data, rng):
+    if data.draw(st.booleans(), label="cubic"):
+        ts = data.draw(st.lists(st.integers(-4, 4), min_size=6, max_size=8, unique=True), label="ts")
+        raw = [(p, [u]) for p, u in twisted_cubic_data(ts)]
+    else:
+        d = data.draw(st.integers(3, 4), label="d")
+        vec = st.lists(st.integers(-5, 5), min_size=d, max_size=d)
+        raw = data.draw(
+            st.lists(st.tuples(vec, st.lists(vec, min_size=d - 2, max_size=d - 2)),
+                     min_size=2, max_size=comb(d + 1, 2) + 1),
+            label="axes",
+        )
+        assume(all(not wedge(dirs, exact=True).is_zero() for _, dirs in raw))
+    base = cycle_mobility_exact(raw)
+    k = data.draw(st.integers(0, len(raw) - 1), label="scaled axis")
+    factor = data.draw(st.integers(-4, 4).filter(bool), label="factor")
+    origin, (first, *rest) = raw[k]
+    scaled = raw[:k] + [(origin, [[factor * x for x in first], *rest])] + raw[k + 1:]
+    for moved in ([raw[i] for i in rng.permutation(len(raw))], scaled):
+        v = cycle_mobility_exact(moved)
+        assert v.rank == base.rank and v.mobility == base.mobility
+        assert (v.witness is None) == (base.witness is None)
+        if base.witness is not None:
+            assert list(v.witness) == list(base.witness)
 
 
+def _desargues_invariance(data, rng):
+    perturb = data.draw(st.just(0) | st.integers(-50, 50).filter(bool).map(lambda k: Fraction(k, 100)))
+    legs = [(tuple(map(float, p)), tuple(map(float, q))) for p, q in desargues_legs(perturb)]
+    base = platform_flexibility(Platform(2, legs))
+    assert base.rank == (2 if perturb == 0 else 3)
+    g = _rigid_motion(rng, 2)
+    for moved in (
+        [(tuple(apply(g, p)), tuple(apply(g, q))) for p, q in legs],
+        [legs[i] for i in rng.permutation(3)],
+    ):
+        v = platform_flexibility(Platform(2, moved))
+        assert (v.rank, v.singular) == (base.rank, base.singular)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(["generic", "cubic", "exact", "desargues"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_cycle_mobility_invariances(case, seed, data):
+    """Span verdicts survive rigid motion, uniform scaling and reordering.
+
+    Float cycles (generic, d = 3..5, and twisted-cubic tangents at distinct
+    integer t) keep rank, singular and mobility under a rigid motion, a
+    scaling of the origins and a reordering of the axes. The exact cycle
+    verdict keeps rank and conull under reordering and under scaling a
+    direction row by a nonzero integer. Desargues platforms, perturbed or
+    not, keep their rank under a rigid motion and a reordering of the legs.
+    """
+    rng = rng_from(seed)
+    if case == "exact":
+        _exact_cycle_invariance(data, rng)
+    elif case == "desargues":
+        _desargues_invariance(data, rng)
+    else:
+        _float_cycle_invariance(data, rng, cubic=case == "cubic")
 # --- twisted cubic ---------------------------------------------------------------
 
 

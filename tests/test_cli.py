@@ -483,3 +483,51 @@ def test_runs_after_an_error_and_help_print_the_same_bytes(tmp_path, capsys):
     code, out, _ = capture(capsys, ["--help"])
     assert code == 0 and out.startswith("usage: hingekit")
     assert capture(capsys, argv) == first
+
+
+# two scenarios of finite numbers whose Plucker points or placements overflow to inf
+OVERFLOW_PLATFORM = {
+    "kind": "platform",
+    "d": 2,
+    "legs": [
+        {"p": [1e308, 0], "q": [0, 1e308]},
+        {"p": [1, 2], "q": [3, 1]},
+        {"p": [-1e308, 5], "q": [2, -1e308]},
+    ],
+}
+OVERFLOW_CHAIN = {
+    "kind": "chain",
+    "d": 3,
+    "axes": [
+        {"origin": [1e308, 0, 0], "dirs": [[0, 0, 1]]},
+        {"origin": [0, 1e308, 0], "dirs": [[1, 0, 0]]},
+        {"origin": [1, 2, 3], "dirs": [[1, 1, 0]]},
+    ],
+    "end_frame": {"origin": [1e308, -1e308, 5], "vecs": [[1, 0, 0]]},
+}
+
+
+def test_overflowing_platform_exits_3_instead_of_hanging(tmp_path):
+    # run in a child process: before the check the SVD of the inf matrix never returned
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "platform.json"
+    path.write_text(json.dumps(OVERFLOW_PLATFORM))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys; from hingekit.cli import run; sys.exit(run(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "analyze-platform", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "overflows float arithmetic" in proc.stderr
+
+
+def test_overflowing_chain_sweep_exits_3_without_traceback(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(OVERFLOW_CHAIN))
+    with np.errstate(all="ignore"):
+        code, out, err = capture(capsys, ["sweep", str(path), "--samples", "3"])
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("degenerate input:") and "overflows float arithmetic" in err

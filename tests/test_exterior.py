@@ -15,7 +15,8 @@ from hingekit import (
     top_pairing,
     wedge,
 )
-from hingekit.errors import DimensionError, GradeError, ToleranceError
+from hingekit.errors import DegenerateGeometryError, DimensionError, GradeError, ToleranceError
+from hingekit.exterior import positive_lead
 
 
 def basis_wedge(m, subset):
@@ -185,6 +186,25 @@ def test_numeric_rank_rejects_bad_tolerance(tol):
     # float spans reach the same check; the error is also a ValueError
     with pytest.raises(ValueError):
         rank_of_span([basis_wedge(3, (0, 1))], expected_rank=1, tol=tol)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_numeric_rank_rejects_non_finite_entries(bad):
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    with pytest.raises(DegenerateGeometryError, match="overflows float arithmetic"):
+        numeric_rank(matrix, 1e-10)
+
+
+def test_positive_lead_flips_to_a_positive_largest_entry_and_copies():
+    v = np.array([1.0, -3.0, 2.0])
+    assert positive_lead(v).tolist() == [-1.0, 3.0, -2.0]
+    same = positive_lead(-v)
+    assert same.tolist() == [-1.0, 3.0, -2.0]
+    same[0] = 9.0
+    assert v.tolist() == [1.0, -3.0, 2.0]
+    # a tie goes to the first largest entry
+    assert positive_lead(np.array([-2.0, 2.0])).tolist() == [2.0, -2.0]
 
 
 def test_rank_mixed_grades_rejected():

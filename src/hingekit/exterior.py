@@ -363,7 +363,8 @@ def numeric_rank(matrix: np.ndarray, tol: float):
 def positive_lead(v: np.ndarray) -> np.ndarray:
     """Copy of ``v`` or ``-v``, whichever has its largest-magnitude entry positive.
 
-    The sign rule of every float null vector the package reports.
+    The one sign rule for the float conull of a span, the end-point
+    witness direction and the first flex direction.
     """
     return -v if v[np.argmax(np.abs(v))] < 0 else v.copy()
 

@@ -11,9 +11,10 @@ Float coefficients live in a float64 array. Exact coefficients are
 ``wedge(..., exact=True)`` and flow through ``top_pairing`` and
 ``rank_of_span`` without ever rounding. Both exact kernels work on
 integer-scaled inputs: each input vector is multiplied by the lcm of its
-denominators, minors and the rank elimination are fraction-free (Bareiss)
-in Python ints, and a wedge coefficient is the integer minor over the
-product of the scales.
+denominators and reduced by one fraction-free (Bareiss) elimination in
+Python ints, ``_echelon``. The rank is read off that echelon form, and so
+is every minor of a wedge; a wedge coefficient is the integer minor over
+the product of the scales.
 """
 
 from __future__ import annotations
@@ -157,32 +158,54 @@ class ExteriorVector:
 
 def _integer_scaled(values) -> tuple[list[int], int]:
     """Rationals times the lcm of their denominators, as ints, and that lcm."""
-    fracs = [_to_fraction(x) for x in values]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (scale // f.denominator) for f in fracs], scale
+    pairs = [(x, 1) if type(x) is int else _to_fraction(x).as_integer_ratio() for x in values]
+    scale = math.lcm(*(d for _, d in pairs))
+    return [n * (scale // d) for n, d in pairs], scale
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+def _echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer matrix.
 
-    Every division is exact, so the entries stay integers; ``a`` is overwritten.
+    Returns ``(rows, pivots, prev, sign)``: row i has its pivot in column
+    ``pivots[i]``, the pivot rows hold ``prev`` (the last pivot) times the
+    reduced row echelon form, and ``sign`` is the parity of the row swaps,
+    so a square matrix of full rank has determinant ``sign * prev``. Every
+    division is exact; ``mat`` is overwritten.
     """
-    size = len(a)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(mat[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
             sign = -sign
-        top = a[k]
-        pivot = top[k]
-        for i in range(k + 1, size):
-            f = a[i][k]
-            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], top)]
+        top = mat[r]
+        pivot = top[c]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [(pivot * x - f * y) // prev for x, y in zip(mat[i], top)]
         prev = pivot
-    return sign * a[-1][-1]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return mat, pivots, prev, sign
+
+
+@lru_cache(maxsize=None)
+def _minor_plan(m: int, pivots: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
+    """Per j-subset S of range(m): the Laplace sign of expanding along the pivot
+    columns in S, the rows whose pivot is not in S, and S's non-pivot columns."""
+    row_of = {p: i for i, p in enumerate(pivots)}
+    plan = []
+    for S in subsets(m, len(pivots)):
+        odd = sum(row_of[c] + pos for pos, c in enumerate(S) if c in row_of) % 2
+        rows = tuple(i for i, p in enumerate(pivots) if p not in S)
+        plan.append((-1 if odd else 1, rows, tuple(c for c in S if c not in row_of)))
+    return tuple(plan)
 
 
 def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorVector:
@@ -192,7 +215,10 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
     the matrix whose columns are the inputs, which makes the result
     multilinear and alternating. With ``exact=True`` the inputs are read
     as rationals (int, Fraction, 'a/b' strings, or floats through their
-    exact binary value) and the coefficients come out as Fractions.
+    exact binary value) and the coefficients come out as Fractions: the
+    inputs are reduced to one fraction-free echelon form F with pivot
+    columns P, and the minor on S is a determinant of F on the columns
+    of S outside P, at most min(j, m - j) of them.
 
     An empty input list is the scalar 1 of grade 0; it then needs an
     explicit ``ambient``.
@@ -216,11 +242,27 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
         raise GradeError(f"cannot wedge {j} vectors in R^{m}")
     index = subsets(m, j)
     if exact:
-        cols, scales = zip(*map(_integer_scaled, vecs))
+        ints, scales = zip(*map(_integer_scaled, vecs))
         den = math.prod(scales)
         out = np.empty(len(index), dtype=object)
-        for pos, S in enumerate(index):
-            out[pos] = Fraction(_bareiss_det([[col[r] for col in cols] for r in S]), den)
+        rows, pivots, prev, sign = _echelon(list(ints))
+        if len(pivots) < j:
+            out.fill(Fraction(0))
+            return ExteriorVector(j, m, out)
+        # minor_S = sign * eps * det(rows[rr, cc]) / prev^(k-1) with k = len(cc), exact
+        for pos, (eps, rr, cc) in enumerate(_minor_plan(m, tuple(pivots))):
+            k = len(cc)
+            if k == 0:
+                det = prev
+            elif k == 1:
+                det = rows[rr[0]][cc[0]]
+            elif k == 2:
+                a, b = rows[rr[0]], rows[rr[1]]
+                det = (a[cc[0]] * b[cc[1]] - a[cc[1]] * b[cc[0]]) // prev
+            else:
+                _, bp, bprev, bsign = _echelon([[rows[r][c] for c in cc] for r in rr])
+                det = bsign * bprev // prev ** (k - 1) if len(bp) == k else 0
+            out[pos] = Fraction(sign * eps * det, den)
         return ExteriorVector(j, m, out)
     mat = np.array(vecs, dtype=float).T  # columns are the inputs
     minors = mat[np.array(index), :]  # (C(m,j), j, j) row selections
@@ -287,33 +329,12 @@ class RankCertificate:
 
 
 def _exact_rank(vectors: list[ExteriorVector], expected_rank: int) -> RankCertificate:
-    """Fraction-free Gauss-Jordan elimination on the integer-scaled coefficient rows.
+    """Rank and conull from the ``_echelon`` form of the integer-scaled coefficient rows.
 
-    Scaling a row changes neither the rank nor the null space. After each
-    pivot the pivot rows hold ``prev`` times the reduced row echelon form,
-    ``prev`` being the last pivot, and every division is exact.
+    Scaling a row changes neither the rank nor the null space.
     """
-    mat = [_integer_scaled(v.coeffs)[0] for v in vectors]
+    mat, pivots, prev, _ = _echelon([_integer_scaled(v.coeffs)[0] for v in vectors])
     ncols = len(mat[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        top = mat[r]
-        pivot = top[c]
-        for i in range(len(mat)):
-            if i != r:
-                f = mat[i][c]
-                mat[i] = [(pivot * x - f * y) // prev for x, y in zip(mat[i], top)]
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
     rank = len(pivots)
     deficient = rank < expected_rank
     conull = None

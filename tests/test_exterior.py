@@ -348,7 +348,7 @@ rationals = st.one_of(
 
 @st.composite
 def exact_wedge_inputs(draw):
-    m = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 8))  # up to j=4 of m=8, where a minor leaves a 4x4 block
     j = draw(st.integers(1, m))
     vecs = [[draw(rationals) for _ in range(m)] for _ in range(j)]
     if j >= 2 and draw(st.booleans()):  # the last input depends on the others
@@ -364,6 +364,27 @@ def exact_wedge_inputs(draw):
 @example([[0, 1, 2], [3, 4, 5]])  # zero leading entry: the first minor swaps rows
 @example([[0, 0, 1], [0, 0, 2]])  # two leading zeros: no pivot in the column
 @example([[1, "1/2", 0.25], ["2", 1, 0.5], [Fraction(3, 7), 0, 1]])  # dependent columns
+@example([[0, 0, 1, 2], [0, 0, 3, 4]])  # pivots not in the leading columns
+@example([[1, 2, 3], [0, 0, 0]])  # an all-zero input
+@example([[0, 1, 2], [3, 4, 5], [6, 7, "1/2"]])  # j = m, with a row swap
+@example([["1/3", 0, -2, Fraction(5, 7)]])  # j = 1 with fractions
+@example(  # a d=6 axis: j=5 homogeneous vectors in R^7 with a/b entries
+    [
+        [1, "1/2", 0, 3, -2, "5/3", 1],
+        [0, 1, 2, 0, "-1/4", 3, 0],
+        [0, 3, 1, -1, 2, 0, "7/2"],
+        [0, 0, 1, 4, -3, 2, 1],
+        [0, 2, "2/9", 1, 0, -1, 5],
+    ]
+)
+@example(  # j=4 of m=8: a row swap, and the minor on the four free columns is a 4x4
+    [  # block that needs one too (column 4 is the sum of columns 1 and 2)
+        [0, 1, 0, 3, 1, -2, 5, "1/3"],
+        [1, 3, -1, 0, 2, -2, 4, 7],
+        [0, 2, 1, 1, 3, -2, 3, 1],
+        [3, 0, 2, -1, 2, 5, -1, 2],
+    ]
+)
 def test_exact_wedge_matches_fraction_minors(vecs):
     v = wedge(vecs, exact=True)
     assert v.exact

@@ -763,7 +763,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # overflow to inf or NaN is reported once, by numeric_rank's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (ScenarioError, DefinitionError, DimensionError, WrongMapError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

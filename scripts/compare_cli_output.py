@@ -5,8 +5,8 @@ Runs a fixed list of invocations - every ``example`` with and without its
 flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
 ``convert-linkage``, ``flex --json/--csv`` and ``sweep`` CSV on end-point,
 cycle and k=1 frame chains (one of them singular at theta = 0), and
-``analyze-cycle --exact`` on an integer cycle whose conull has entries past
-2^53 - once against ``src/`` of this checkout and once against ``src/`` of
+``analyze-cycle --exact`` on an integer cycle in R^4 whose conull has
+entries past 2^53 and on a d=6 cycle with two ``a/b`` coordinates - once against ``src/`` of this checkout and once against ``src/`` of
 REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
 stderr and every written CSV file must agree; differences are listed and
@@ -23,6 +23,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -71,6 +72,17 @@ D4N9 = [
     ([4, 2, 0, -3], [[5, -2, -3, 7], [-4, -5, 4, 2]]),
     ([-9, -8, -2, 6], [[-2, 5, -3, -5], [6, 7, -8, -8]]),
 ]
+# twenty axes in R^6 with small integer coordinates and two a/b ones: Plucker rank 20 of
+# 21, so every exact wedge has j=5 inputs in R^7, one with a denominator, and the exact
+# functional has entries of 54 to 58 digits
+_rng = random.Random(621)
+D6N20 = [
+    {"origin": [_rng.randint(-4, 4) for _ in range(6)],
+     "dirs": [[_rng.randint(-4, 4) for _ in range(6)] for _ in range(4)]}
+    for _ in range(20)
+]
+D6N20[0]["origin"][1] = "1/2"
+D6N20[7]["dirs"][2][4] = "-3/7"
 SCENARIOS = {
     "chain-d3": {"kind": "chain", "d": 3, "axes": AXES[:4],
                  "end_frame": {"origin": [1.5, -0.2, 0.9], "vecs": []}},
@@ -82,6 +94,7 @@ SCENARIOS = {
                        "end_frame": {"origin": [3, 3, 1], "vecs": [[1, 0, 0]]}},
     "cycle-d4n9": {"kind": "cycle", "d": 4,
                    "axes": [{"origin": origin, "dirs": dirs} for origin, dirs in D4N9]},
+    "cycle-d6n20": {"kind": "cycle", "d": 6, "axes": D6N20},
 }
 
 RUNS = [
@@ -98,6 +111,7 @@ RUNS = [
     ["analyze-cycle", "{chair}", "--json"], ["analyze-cycle", "{chair-h}"],
     ["analyze-cycle", "{cycle}"], ["analyze-cycle", "{cycle-d4}", "--json"],
     ["analyze-cycle", "{cycle-d4n9}", "--exact"], ["analyze-cycle", "{cycle-d4n9}", "--exact", "--json"],
+    ["analyze-cycle", "{cycle-d6n20}", "--exact"], ["analyze-cycle", "{cycle-d6n20}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-d2}", "--json"], ["analyze-cycle", "{cycle}", "--exact"],
     ["analyze-platform", "{desargues}"], ["analyze-platform", "{desargues}", "--exact"],
     ["analyze-platform", "{desargues}", "--json", "--exact"],

@@ -195,7 +195,7 @@ def _echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
     return mat, pivots, prev, sign
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # generic inputs all share the leading-pivot plan
 def _minor_plan(m: int, pivots: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
     """Per j-subset S of range(m): the Laplace sign of expanding along the pivot
     columns in S, the rows whose pivot is not in S, and S's non-pivot columns."""

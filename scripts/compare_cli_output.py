@@ -3,15 +3,18 @@
 
 Runs a fixed list of invocations - every ``example`` with and without its
 flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
-``convert-linkage``, ``flex --json/--csv`` and ``sweep`` CSV on end-point,
-cycle and k=1 frame chains (one of them singular at theta = 0), and
-``analyze-cycle --exact`` on an integer cycle in R^4 whose conull has
-entries past 2^53 and on a d=6 cycle with two ``a/b`` coordinates - once against ``src/`` of this checkout and once against ``src/`` of
-REV (extracted with ``git archive``). Each side
-feeds the analyses with its own ``example`` output. Exit code, stdout,
-stderr and every written CSV file must agree; differences are listed and
-the script exits 1. For each difference it says whether only numeric
-tokens differ, and if so the largest absolute and relative difference.
+``convert-linkage``, ``flex`` in text, ``--json`` and ``--csv`` form (one
+of them ten steps along a Bricard fiber whose closure Jacobian has a
+singular value near 1e-11), ``sweep`` CSV on end-point, cycle and k=1
+frame chains (one of them singular at theta = 0), and ``analyze-cycle
+--exact`` on an integer cycle in R^4 whose conull has entries past 2^53
+and on a d=6 cycle with two ``a/b`` coordinates - once against ``src/``
+of this checkout and once against ``src/`` of REV (extracted with ``git
+archive``). Each side feeds the analyses with its own ``example`` output.
+Exit code, stdout, stderr and every written CSV file must agree;
+differences are listed and the script exits 1. For each difference it
+says whether only numeric tokens differ, and if so the largest absolute
+and relative difference.
 
     python scripts/compare_cli_output.py HEAD~1
 """
@@ -39,6 +42,7 @@ EXAMPLES = {
     "cubic-t": ["twisted-cubic-tangents", "--t", "0,1,2,-1,1/2,3,5/3"],
     "bricard": ["bricard-symmetric-six"],
     "bricard-4": ["bricard-symmetric-six", "--seed", "4"],
+    "bricard-11": ["bricard-symmetric-six", "--seed", "11"],
     "chair": ["cyclohexane-panels"],
     "chair-h": ["cyclohexane-panels", "--height", "0.3"],
     "desargues": ["desargues"],
@@ -122,6 +126,7 @@ RUNS = [
     ["flex", "{cycle-5}", "--steps", "4", "--step-size", "0.05"],
     ["flex", "{cycle-d4}", "--json", "--steps", "3"], ["flex", "{bricard}", "--json", "--steps", "3"],
     ["flex", "{chair}", "--json", "--steps", "3"], ["flex", "{cycle}", "--json", "--steps", "0"],
+    ["flex", "{bricard-11}", "--steps", "10"], ["flex", "{bricard-11}", "--json", "--steps", "10"],
     ["sweep", "{arm}", "--samples", "20", "--seed", "3", "--csv", "{out}/sweep-arm.csv"],
     ["sweep", "{arm-l}", "--samples", "10", "--json"],
     ["sweep", "{chain-d3}", "--samples", "15", "--seed", "2"],

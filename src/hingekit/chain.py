@@ -3,15 +3,21 @@ end-point / end-frame maps, their differentials, and fiber tracking.
 
 A configuration is a plain length-(n-1) float array of angles; theta = 0
 is the reference placement. Joint i turns everything from body i+1 on
-about the currently placed axis A_i(theta), so body placements compose
-as g_{i+1} = rotate_about(A_i(theta), theta_i) after g_i, with g_1 the
-identity on the first body.
+about the currently placed axis A_i(theta) = g_i(A_i), so body placements
+compose as g_{i+1} = (rotation by theta_i about A_i(theta)) after g_i,
+with g_1 the identity on the first body. The placed axis's generator is
+found by conjugation, J_i(theta) = R_i J_i R_i^T with R_i the rotation
+part of g_i and J_i the chain's reference generator, rescaled to the
+Frobenius norm sqrt(2) of a unit-speed generator so rounding drift does
+not compound along the chain. Jacobian columns and Plucker points of the
+placed axes are read off these generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import cached_property
+from math import comb, sqrt
 
 import numpy as np
 
@@ -21,11 +27,11 @@ from .geometry import (
     Axis,
     Frame,
     Isometry,
+    _plucker_to_twist,
+    _rodrigues,
     apply,
-    axis_plucker,
     compose,
     identity_isometry,
-    rotate_about,
     rotation_generator,
 )
 
@@ -116,6 +122,17 @@ class Chain:
     def n(self) -> int:
         return len(self.ref_axes) + 1
 
+    @cached_property
+    def ref_generators(self) -> np.ndarray:
+        """Rotation generators of the reference axes, stacked; computed on first use.
+
+        Lazy, so commands that never place the chain (``analyze-cycle``
+        reads only its axes) do not pay for them.
+        """
+        generators = np.array([rotation_generator(a) for a in self.ref_axes])
+        generators.setflags(write=False)
+        return generators
+
 
 def cycle_chain(axes, panel: bool = False) -> Chain:
     """Cut a closed ring of n axes at the last one.
@@ -138,12 +155,16 @@ class Placement:
     """One configuration realized in the ambient space.
 
     ``body_isometries`` holds g_1..g_n (g_1 is the identity); axis i as
-    placed is apply(g_i, ref_axes[i]).
+    placed is apply(g_i, ref_axes[i]). ``generators`` stacks the rotation
+    generators of the placed axes, an (n-1) x d x d array: entry i is
+    R_i J_i R_i^T rescaled to Frobenius norm sqrt(2), where R_i is the
+    rotation part of g_i and J_i = rotation_generator(ref_axes[i]).
     """
 
     axes_at: tuple[Axis, ...]
     frame_at: Frame
     body_isometries: tuple[Isometry, ...]
+    generators: np.ndarray
 
 
 def _as_config(chain: Chain, theta) -> np.ndarray:
@@ -161,12 +182,22 @@ def forward_kinematics(chain: Chain, theta) -> Placement:
     g = identity_isometry(chain.d)
     isometries = [g]
     axes_at = []
-    for axis, angle in zip(chain.ref_axes, theta):
+    generators = []
+    for axis, J_ref, angle in zip(chain.ref_axes, chain.ref_generators, theta):
         moved = apply(g, axis)
+        J = g.rot @ J_ref @ g.rot.T
+        J *= sqrt(2.0) / np.linalg.norm(J)
         axes_at.append(moved)
-        g = compose(rotate_about(moved, angle), g)
+        generators.append(J)
+        g = compose(_rodrigues(J, moved.origin, angle), g)
         isometries.append(g)
-    return Placement(tuple(axes_at), apply(g, chain.end_frame), tuple(isometries))
+    generators = np.array(generators)
+    generators.setflags(write=False)
+    return Placement(tuple(axes_at), apply(g, chain.end_frame), tuple(isometries), generators)
+
+
+def _origins(placement: Placement) -> np.ndarray:
+    return np.array([a.origin for a in placement.axes_at])
 
 
 def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) -> np.ndarray:
@@ -178,13 +209,9 @@ def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) 
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
     f = pl.frame_at
-    cols = []
-    for axis in pl.axes_at:
-        J = rotation_generator(axis)
-        parts = [J @ (f.origin - axis.origin)]
-        parts.extend(J @ v for v in f.vecs)
-        cols.append(np.concatenate(parts) if len(parts) > 1 else parts[0])
-    return np.column_stack(cols)
+    blocks = [np.einsum("iab,ib->ai", pl.generators, f.origin - _origins(pl))]
+    blocks.extend((pl.generators @ v).T for v in f.vecs)
+    return np.vstack(blocks)
 
 
 def endpoint_jacobian(chain: Chain, theta) -> np.ndarray:
@@ -199,10 +226,15 @@ def frame_columns(chain: Chain, theta, placement: Placement | None = None) -> li
 
     These represent the images of the torus tangent basis inside the
     Lie algebra of rigid motions, identified with grade-(d-1) vectors
-    over R^{d+1}; ranks of their spans read off differential ranks.
+    over R^{d+1}; ranks of their spans read off differential ranks. Each
+    one is read off the twist (J[a < b], -J @ o) of the placed generator J
+    and origin o through the signed permutation ``_plucker_to_twist(d)``.
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
-    return [axis_plucker(a) for a in pl.axes_at]
+    a, b = np.triu_indices(chain.d, 1)
+    moments = -np.einsum("iab,ib->ia", pl.generators, _origins(pl))
+    twists = np.hstack([pl.generators[:, a, b], moments])
+    return [ExteriorVector(chain.d - 1, chain.d + 1, p) for p in twists @ _plucker_to_twist(chain.d)]
 
 
 def numerical_jacobian(fn, theta, h: float = 1e-5) -> np.ndarray:
@@ -238,7 +270,9 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
     """One predictor-corrector move along the closure fiber.
 
     Steps theta by step * direction and projects back onto the fiber
-    {end frame = reference} with Gauss-Newton plus step halving. The
+    {end frame = reference} with Gauss-Newton plus step halving; each
+    Gauss-Newton step applies the pseudo-inverse of the closure Jacobian
+    truncated at the ``numeric_rank(J, tol)`` cutoff. The
     returned configuration satisfies the closure residual within tol and
     sits within O(step^2) of the predictor for small steps.
     """
@@ -251,8 +285,10 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
     for _ in range(50):
         if np.linalg.norm(residual) <= tol:
             return current
-        J = frame_map_jacobian(chain, current)
-        delta = np.linalg.lstsq(J, residual, rcond=None)[0]
+        # pseudo-inverse step truncated at the rank cutoff, so a near-kernel
+        # direction of J (sigma ~ 1e-11 near a Bricard fiber) cannot blow it up
+        rank, _, u, sig, vh = numeric_rank(frame_map_jacobian(chain, current), tol)
+        delta = vh[:rank].T @ ((u[:, :rank].T @ residual) / sig[:rank])
         scale = 1.0
         for _ in range(30):
             trial = current - scale * delta

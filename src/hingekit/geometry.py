@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     DimensionError,
     ParallelLinesError,
 )
-from .exterior import ExteriorVector, _complement_table, numeric_rank, subsets, top_pairing, wedge
+from .exterior import ExteriorVector, _complement_table, numeric_rank, subset_index, subsets, top_pairing, wedge
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -267,11 +268,37 @@ def rotate_about(axis: Axis, angle: float) -> Isometry:
     ``rotate_about(a, 0)`` is exactly the identity. A non-finite angle
     raises DefinitionError.
     """
+    return _rodrigues(rotation_generator(axis), axis.origin, angle)
+
+
+def _rodrigues(J: np.ndarray, origin: np.ndarray, angle: float) -> Isometry:
+    """Turn by ``angle`` about the axis through ``origin`` with unit-speed generator J.
+
+    Rodrigues' formula I + sin(angle) J + (1 - cos(angle)) J^2, valid since
+    J^3 = -J; a zero angle gives exactly the identity.
+    """
     if not math.isfinite(angle):
         raise DefinitionError(f"rotation angle must be finite, got {float(angle)!r}")
-    J = rotation_generator(axis)
-    rot = np.eye(axis.dim) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
-    return Isometry(rot, axis.origin - rot @ axis.origin)
+    rot = np.eye(J.shape[0]) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
+    return Isometry(rot, origin - rot @ origin)
+
+
+@lru_cache(maxsize=None)
+def _plucker_to_twist(d: int) -> np.ndarray:
+    """Signed permutation M_d taking an axis's Plucker point to its twist.
+
+    The twist of an axis with generator J and origin o lists J[a, b] for
+    a < b < d in ``subsets(d, 2)`` order, then -J @ o. It is (-1)^(d+1)
+    times the Hodge star of the Plucker point: the coefficient of the pair
+    {a, b} of range(d+1), with slot d standing for the moment -J @ o.
+    """
+    idx, sgn = _complement_table(d + 1, 2)
+    pairs = list(subsets(d, 2)) + [(a, d) for a in range(d)]
+    rows = [subset_index(d + 1, p) for p in pairs]
+    M = np.zeros((len(rows), len(rows)))
+    M[np.arange(len(rows)), idx[rows]] = (-1.0) ** (d + 1) * sgn[rows]
+    M.setflags(write=False)
+    return M
 
 
 def common_perpendicular(line1, line2) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from hingekit import (
     Axis,
@@ -20,9 +22,11 @@ from hingekit import (
     make_axis,
     numerical_jacobian,
     rotate_about,
+    rotation_generator,
 )
 from hingekit.analysis import classical_scenario
 from hingekit.chain import panel_spans_ok
+from hingekit.geometry import _plucker_to_twist
 from hingekit.errors import DefinitionError, DimensionError, HingekitError, RigidCycleError, WrongMapError
 from hingekit.sampling import random_axis, random_chain, random_cycle, rng_from
 
@@ -292,6 +296,55 @@ def test_flex_path_first_step_has_positive_largest_component(name, params):
     c = c if isinstance(c, Chain) else cycle_chain(c)
     step = np.diff(flex_path(c, steps=1, step_size=1e-2), axis=0)[0]
     assert step[np.argmax(np.abs(step))] > 0
+
+
+@pytest.mark.parametrize("seed", [11, 21, 22])
+def test_bricard_flex_path_does_not_step_along_the_near_kernel(seed):
+    # near these mobility-1 fibers the closure Jacobian has a singular value
+    # around 1e-11; an untruncated least-squares step jumps along it and
+    # Gauss-Newton never reaches the fiber
+    c = cycle_chain(classical_scenario("bricard-symmetric-six", seed=seed))
+    path = flex_path(c, steps=10, step_size=1e-2)
+    assert all(np.linalg.norm(frame_residual(c, theta)) <= 1e-10 for theta in path)
+    assert np.all(np.linalg.norm(np.diff(path, axis=0), axis=1) > 5e-3)
+
+
+def _placed_chain(d, n, seed):
+    rng = np.random.default_rng(seed)
+    c = random_chain(rng, d, n)
+    return c, forward_kinematics(c, rng.uniform(0.0, 2.0 * np.pi, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 22), st.integers(0, 10**6))
+def test_placed_generators_match_the_generators_of_the_placed_axes(d, n, seed):
+    c, pl = _placed_chain(d, n, seed)
+    assert pl.generators.shape == (n - 1, d, d)
+    for J, axis in zip(pl.generators, pl.axes_at):
+        assert np.abs(J - rotation_generator(axis)).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 22), st.integers(0, 10**6))
+def test_frame_columns_match_the_plucker_points_of_the_placed_axes(d, n, seed):
+    c, pl = _placed_chain(d, n, seed)
+    for col, axis in zip(frame_columns(c, None, placement=pl), pl.axes_at):
+        ref = axis_plucker(axis)
+        assert (col.grade, col.ambient) == (ref.grade, ref.ambient)
+        assert np.linalg.norm(col.coeffs - ref.coeffs) <= 1e-13 * ref.norm()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 10**6))
+def test_plucker_to_twist_is_a_signed_permutation_onto_the_twist(d, seed):
+    M = _plucker_to_twist(d)
+    assert set(np.unique(M)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.abs(M).sum(axis=0), np.ones(len(M)))
+    assert np.array_equal(np.abs(M).sum(axis=1), np.ones(len(M)))
+    axis = random_axis(np.random.default_rng(seed), d)
+    J = rotation_generator(axis)
+    twist = np.concatenate([J[np.triu_indices(d, 1)], -J @ axis.origin])
+    assert np.abs(M @ axis_plucker(axis).coeffs - twist).max() <= 1e-13
 
 
 def test_cycle_constructor_guards():

@@ -5,12 +5,12 @@ A configuration is a plain length-(n-1) float array of angles; theta = 0
 is the reference placement. Joint i turns everything from body i+1 on
 about the currently placed axis A_i(theta) = g_i(A_i), so body placements
 compose as g_{i+1} = (rotation by theta_i about A_i(theta)) after g_i,
-with g_1 the identity on the first body. The placed axis's generator is
-found by conjugation, J_i(theta) = R_i J_i R_i^T with R_i the rotation
-part of g_i and J_i the chain's reference generator, rescaled to the
-Frobenius norm sqrt(2) of a unit-speed generator so rounding drift does
-not compound along the chain. Jacobian columns and Plucker points of the
-placed axes are read off these generators.
+with g_1 the identity on the first body. The placed axis turns with the
+generator R_i J_i R_i^T: the reference generator J_i conjugated by the
+rotation part R_i of g_i, rescaled to the Frobenius norm sqrt(2) of a
+unit-speed generator so rounding drift does not compound along the
+chain. Jacobian columns and Plucker points of the placed axes are read
+off these generators.
 """
 
 from __future__ import annotations

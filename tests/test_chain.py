@@ -26,8 +26,8 @@ from hingekit import (
 )
 from hingekit.analysis import classical_scenario
 from hingekit.chain import panel_spans_ok
-from hingekit.geometry import _plucker_to_twist
 from hingekit.errors import DefinitionError, DimensionError, HingekitError, RigidCycleError, WrongMapError
+from hingekit.geometry import _plucker_to_twist
 from hingekit.sampling import random_axis, random_chain, random_cycle, rng_from
 
 

@@ -7,14 +7,18 @@ flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
 of them ten steps along a Bricard fiber whose closure Jacobian has a
 singular value near 1e-11), ``sweep`` CSV on end-point, cycle and k=1
 frame chains (one of them singular at theta = 0), and ``analyze-cycle
---exact`` on an integer cycle in R^4 whose conull has entries past 2^53
-and on a d=6 cycle with two ``a/b`` coordinates - once against ``src/``
-of this checkout and once against ``src/`` of REV (extracted with ``git
+--exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
+on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
+21st axis (full rank), and on six axes in R^3 whose Plucker determinant
+is a nonzero multiple of 2^31 - 1 - once against ``src/`` of this
+checkout and once against ``src/`` of REV (extracted with ``git
 archive``). Each side feeds the analyses with its own ``example`` output.
 Exit code, stdout, stderr and every written CSV file must agree;
 differences are listed and the script exits 1. For each difference it
-says whether only numeric tokens differ, and if so the largest absolute
-and relative difference.
+says whether only numeric tokens differ, and if so how many numbers
+differ, how many of those are below MAGNITUDE_FLOOR on both sides
+(rounding-level values), and how many differ by more than REL_BOUND
+relative, with the worst such gap.
 
     python scripts/compare_cli_output.py HEAD~1
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -87,6 +92,43 @@ D6N20 = [
 ]
 D6N20[0]["origin"][1] = "1/2"
 D6N20[7]["dirs"][2][4] = "-3/7"
+_rng = random.Random(622)
+D6N21 = D6N20 + [{"origin": [_rng.randint(-4, 4) for _ in range(6)],
+                  "dirs": [[_rng.randint(-4, 4) for _ in range(6)] for _ in range(4)]}]
+
+
+def _plucker3(origin, u):
+    a, b = [*origin, 1], [*u, 0]
+    return [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(4), 2)]
+
+
+def _det(rows) -> Fraction:
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+# six axes in R^3: five seeded integer ones and a sixth whose origin x-coordinate solves
+# det = 0 mod 2^31 - 1 (the Plucker determinant is affine in it), so the determinant is a
+# nonzero multiple of that prime: rank 5 modulo it, rank 6 over Q
+_rng = random.Random(5)
+MODP = [([_rng.randint(-9, 9) for _ in range(3)], [_rng.randint(-9, 9) for _ in range(3)])
+        for _ in range(6)]
+_P = (1 << 31) - 1
+_rows = [_plucker3(o, u) for o, u in MODP[:5]]
+_d0, _d1 = (int(_det(_rows + [_plucker3([x, *MODP[5][0][1:]], MODP[5][1])])) for x in (0, 1))
+MODP[5][0][0] = -_d0 * pow(_d1 - _d0, -1, _P) % _P
 SCENARIOS = {
     "chain-d3": {"kind": "chain", "d": 3, "axes": AXES[:4],
                  "end_frame": {"origin": [1.5, -0.2, 0.9], "vecs": []}},
@@ -99,6 +141,9 @@ SCENARIOS = {
     "cycle-d4n9": {"kind": "cycle", "d": 4,
                    "axes": [{"origin": origin, "dirs": dirs} for origin, dirs in D4N9]},
     "cycle-d6n20": {"kind": "cycle", "d": 6, "axes": D6N20},
+    "cycle-d6n21": {"kind": "cycle", "d": 6, "axes": D6N21},
+    "cycle-modp": {"kind": "cycle", "d": 3,
+                   "axes": [{"origin": origin, "dirs": [u]} for origin, u in MODP]},
 }
 
 RUNS = [
@@ -116,6 +161,8 @@ RUNS = [
     ["analyze-cycle", "{cycle}"], ["analyze-cycle", "{cycle-d4}", "--json"],
     ["analyze-cycle", "{cycle-d4n9}", "--exact"], ["analyze-cycle", "{cycle-d4n9}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-d6n20}", "--exact"], ["analyze-cycle", "{cycle-d6n20}", "--exact", "--json"],
+    ["analyze-cycle", "{cycle-d6n21}", "--exact"], ["analyze-cycle", "{cycle-d6n21}", "--exact", "--json"],
+    ["analyze-cycle", "{cycle-modp}", "--exact"], ["analyze-cycle", "{cycle-modp}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-d2}", "--json"], ["analyze-cycle", "{cycle}", "--exact"],
     ["analyze-platform", "{desargues}"], ["analyze-platform", "{desargues}", "--exact"],
     ["analyze-platform", "{desargues}", "--json", "--exact"],
@@ -138,28 +185,48 @@ RUNS = [
 
 
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+# A differing number below this magnitude on both sides is rounding-level noise
+# (closure residuals, near-zero singular values); elsewhere a relative gap above
+# REL_BOUND is a real numeric change.
+MAGNITUDE_FLOOR = Fraction(1, 10**12)
+REL_BOUND = Fraction(1, 10**9)
 
 
-def numeric_gap(a: str, b: str) -> tuple[float, float] | None:
-    """Largest (absolute, relative) gap between a and b, or None if more than numbers differ."""
+def numeric_gap(a: str, b: str) -> tuple[int, int, int, float] | None:
+    """How a and b differ if only their numbers do, else None.
+
+    Returns (differing numbers, those below MAGNITUDE_FLOOR on both sides,
+    those above it whose relative gap exceeds REL_BOUND, the worst such gap).
+    """
     pa, pb = NUMBER.split(a), NUMBER.split(b)
     if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
         return None
-    worst_abs = worst_rel = Fraction(0)
+    differ = tiny = beyond = 0
+    worst = Fraction(0)
     # exact decimal values, so a big integer printed as a rounded float shows its gap
     for x, y in zip(map(Fraction, pa[1::2]), map(Fraction, pb[1::2])):
-        gap = abs(x - y)
-        worst_abs = max(worst_abs, gap)
-        if gap:
-            worst_rel = max(worst_rel, gap / max(abs(x), abs(y)))
-    return float(worst_abs), float(worst_rel)
+        if x == y:
+            continue
+        differ += 1
+        size = max(abs(x), abs(y))
+        rel = abs(x - y) / size
+        if size < MAGNITUDE_FLOOR:
+            tiny += 1
+        elif rel > REL_BOUND:
+            beyond += 1
+            worst = max(worst, rel)
+    return differ, tiny, beyond, float(worst)
 
 
 def _describe(theirs, ours) -> str:
     gap = numeric_gap(*(json.dumps(res, sort_keys=True, ensure_ascii=False) for res in (theirs, ours)))
     if gap is None:
         return "text differs, not only numbers"
-    return f"only numbers differ: largest absolute {gap[0]:.3g}, largest relative {gap[1]:.3g}"
+    differ, tiny, beyond, worst = gap
+    return (
+        f"only numbers differ: {differ} of them, {tiny} below magnitude {float(MAGNITUDE_FLOOR):g}, "
+        f"{beyond} beyond relative {float(REL_BOUND):g} (worst {worst:.3g})"
+    )
 
 
 def _run_one(run, argv) -> dict:

@@ -12,9 +12,11 @@ Float coefficients live in a float64 array. Exact coefficients are
 ``rank_of_span`` without ever rounding. Both exact kernels work on
 integer-scaled inputs: each input vector is multiplied by the lcm of its
 denominators and reduced by one fraction-free (Bareiss) elimination in
-Python ints, ``_echelon``. The rank is read off that echelon form, and so
-is every minor of a wedge; a wedge coefficient is the integer minor over
-the product of the scales.
+Python ints, ``_echelon``. Every minor of a wedge is read off that echelon
+form; a wedge coefficient is the integer minor over the product of the
+scales. A full rank is certified modulo the prime 2^31 - 1 first, by
+elimination in int64; every other rank, and every conull, comes from the
+echelon form.
 """
 
 from __future__ import annotations
@@ -328,13 +330,42 @@ class RankCertificate:
     exact: bool = False
 
 
-def _exact_rank(vectors: list[ExteriorVector], expected_rank: int) -> RankCertificate:
-    """Rank and conull from the ``_echelon`` form of the integer-scaled coefficient rows.
+# A rank modulo a prime never exceeds the rank over Q: an r x r minor that is
+# nonzero mod p is a nonzero integer. So a full column rank mod p proves a full
+# column rank over Q. Below 2^31 a product of two residues stays below 2^62, so
+# int64 elimination cannot overflow.
+_P = (1 << 31) - 1
 
-    Scaling a row changes neither the rank nor the null space.
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank modulo ``_P`` of an integer matrix, by fraction-free elimination in int64."""
+    a = np.array([[x % _P for x in row] for row in rows], dtype=np.int64)
+    rank = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
+        top, rest = a[rank, c:], a[rank + 1:, c:]
+        rest[:] = (rest * top[0] - rest[:, :1] * top) % _P
+        rank += 1
+    return rank
+
+
+def _exact_rank(vectors: list[ExteriorVector], expected_rank: int) -> RankCertificate:
+    """Rank and conull of the integer-scaled coefficient rows.
+
+    Scaling a row changes neither the rank nor the null space. A full
+    column rank is certified by ``_rank_mod_p``; any other outcome, full
+    rank that the prime happens to divide included, is decided by the
+    ``_echelon`` form, which also gives the conull.
     """
-    mat, pivots, prev, _ = _echelon([_integer_scaled(v.coeffs)[0] for v in vectors])
-    ncols = len(mat[0])
+    rows = [_integer_scaled(v.coeffs)[0] for v in vectors]
+    ncols = len(rows[0])
+    if len(rows) >= ncols and _rank_mod_p(rows) == ncols:
+        return RankCertificate(ncols, np.array([]), ncols < expected_rank, None, exact=True)
+    mat, pivots, prev, _ = _echelon(rows)
     rank = len(pivots)
     deficient = rank < expected_rank
     conull = None

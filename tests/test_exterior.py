@@ -16,7 +16,9 @@ from hingekit import (
     wedge,
 )
 from hingekit.errors import DegenerateGeometryError, DimensionError, GradeError, ToleranceError
-from hingekit.exterior import positive_lead
+from hingekit.exterior import _echelon, _rank_mod_p, positive_lead
+
+P31 = (1 << 31) - 1
 
 
 def basis_wedge(m, subset):
@@ -412,6 +414,10 @@ def exact_rank_inputs(draw):
 @example(([[1, 2, 3], [2, 4, 7]], 3))  # the first free column is not the last
 @example(([["1/2", 0, 0, 0], [0, "3/5", 0, "1/7"]], 4))  # deficient only after r == len(rows)
 @example(([[0, "1/3", 2], [0, 3, "5/2"], [0, "2/3", 4]], 3))  # an all-zero column
+@example(([[P31, 1], [0, 1]], 2))  # rank 1 mod 2^31 - 1, rank 2 over Q
+@example(([[2**64 + 1, 3, 2**70], [5, 2**65 - 7, 1], [2**66, 0, 2**64]], 3))  # full, past 2^64
+@example(([[2**64, 2**65 + 2], [2**66, 2**67 + 8]], 2))  # deficient, past 2^64
+@example(([[1, 2], [3, 4], [5, 6]], 2))  # more rows than columns, full rank
 def test_exact_rank_matches_fraction_gauss_jordan(inputs):
     rows, expected = inputs
     rows = [[Fraction(x) for x in row] for row in rows]
@@ -420,3 +426,28 @@ def test_exact_rank_matches_fraction_gauss_jordan(inputs):
     rank, deficient, conull = _reference_rank(rows, expected)
     assert cert.exact and (cert.rank, cert.deficient) == (rank, deficient)
     assert (None if cert.conull is None else list(cert.conull)) == conull
+
+
+@st.composite
+def integer_matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(small_ints, st.integers(-(2**70), 2**70))
+    nrows = draw(st.integers(max(1, ncols - 1), ncols + 1))  # near the full-rank pre-check
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if len(rows) >= 2 and draw(st.booleans()):  # a combination of the first two rows
+        a, b = draw(small_ints), draw(small_ints)
+        k = draw(st.sampled_from([0, P31]))  # plus p times a vector: dependent mod p only
+        w = [draw(small_ints) for _ in range(ncols)]
+        rows.append([a * x + b * y + k * z for x, y, z in zip(rows[0], rows[1], w)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+@example([[P31, 1], [0, 1]])
+def test_rank_mod_p_never_exceeds_the_echelon_rank(rows):
+    rank = len(_echelon([row[:] for row in rows])[1])
+    assert _rank_mod_p(rows) <= rank
+    vs = [ExteriorVector(1, len(row), np.array([Fraction(x) for x in row], dtype=object))
+          for row in rows]
+    assert rank_of_span(vs, expected_rank=len(rows[0])).rank == rank

@@ -10,7 +10,9 @@ generator R_i J_i R_i^T: the reference generator J_i conjugated by the
 rotation part R_i of g_i, rescaled to the Frobenius norm sqrt(2) of a
 unit-speed generator so rounding drift does not compound along the
 chain. Jacobian columns and Plucker points of the placed axes are read
-off these generators.
+off these generators and the placed axis origins; the placed ``Axis``
+objects themselves are built, and validated, only when something reads
+``Placement.axes_at``.
 """
 
 from __future__ import annotations
@@ -154,17 +156,31 @@ def cycle_chain(axes, panel: bool = False) -> Chain:
 class Placement:
     """One configuration realized in the ambient space.
 
-    ``body_isometries`` holds g_1..g_n (g_1 is the identity); axis i as
-    placed is apply(g_i, ref_axes[i]). ``generators`` stacks the rotation
-    generators of the placed axes, an (n-1) x d x d array: entry i is
-    R_i J_i R_i^T rescaled to Frobenius norm sqrt(2), where R_i is the
-    rotation part of g_i and J_i = rotation_generator(ref_axes[i]).
+    ``body_isometries`` holds g_1..g_n (g_1 is the identity) and
+    ``ref_axes`` the chain's reference axes; axis i as placed is
+    apply(g_i, ref_axes[i]). ``origins`` is the read-only (n-1) x d array
+    of the placed axis origins, row i equal bit for bit to that axis's
+    origin. ``generators`` stacks the rotation generators of the placed
+    axes, an (n-1) x d x d array: entry i is R_i J_i R_i^T rescaled to
+    Frobenius norm sqrt(2), where R_i is the rotation part of g_i and
+    J_i = rotation_generator(ref_axes[i]).
     """
 
-    axes_at: tuple[Axis, ...]
+    origins: np.ndarray
     frame_at: Frame
     body_isometries: tuple[Isometry, ...]
     generators: np.ndarray
+    ref_axes: tuple[Axis, ...]
+
+    @cached_property
+    def axes_at(self) -> tuple[Axis, ...]:
+        """The placed axes, built and validated on first read.
+
+        Forward kinematics and the closure maps read only ``origins`` and
+        ``generators``; the witness check, ``cycle_axes_at`` and the
+        linkage read these.
+        """
+        return tuple(apply(g, axis) for g, axis in zip(self.body_isometries, self.ref_axes))
 
 
 def _as_config(chain: Chain, theta) -> np.ndarray:
@@ -181,23 +197,24 @@ def forward_kinematics(chain: Chain, theta) -> Placement:
     theta = _as_config(chain, theta)
     g = identity_isometry(chain.d)
     isometries = [g]
-    axes_at = []
+    origins = []
     generators = []
     for axis, J_ref, angle in zip(chain.ref_axes, chain.ref_generators, theta):
-        moved = apply(g, axis)
+        # the arithmetic of apply(g, axis).origin, without building the Axis
+        origin = g.rot @ axis.origin + g.trans
         J = g.rot @ J_ref @ g.rot.T
         J *= sqrt(2.0) / np.linalg.norm(J)
-        axes_at.append(moved)
+        origins.append(origin)
         generators.append(J)
-        g = compose(_rodrigues(J, moved.origin, angle), g)
+        g = compose(_rodrigues(J, origin, angle), g)
         isometries.append(g)
+    origins = np.array(origins)
+    origins.setflags(write=False)
     generators = np.array(generators)
     generators.setflags(write=False)
-    return Placement(tuple(axes_at), apply(g, chain.end_frame), tuple(isometries), generators)
-
-
-def _origins(placement: Placement) -> np.ndarray:
-    return np.array([a.origin for a in placement.axes_at])
+    return Placement(
+        origins, apply(g, chain.end_frame), tuple(isometries), generators, chain.ref_axes
+    )
 
 
 def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) -> np.ndarray:
@@ -209,7 +226,7 @@ def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) 
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
     f = pl.frame_at
-    blocks = [np.einsum("iab,ib->ai", pl.generators, f.origin - _origins(pl))]
+    blocks = [np.einsum("iab,ib->ai", pl.generators, f.origin - pl.origins)]
     blocks.extend((pl.generators @ v).T for v in f.vecs)
     return np.vstack(blocks)
 
@@ -232,7 +249,7 @@ def frame_columns(chain: Chain, theta, placement: Placement | None = None) -> li
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
     a, b = np.triu_indices(chain.d, 1)
-    moments = -np.einsum("iab,ib->ia", pl.generators, _origins(pl))
+    moments = -np.einsum("iab,ib->ia", pl.generators, pl.origins)
     twists = np.hstack([pl.generators[:, a, b], moments])
     return [ExteriorVector(chain.d - 1, chain.d + 1, p) for p in twists @ _plucker_to_twist(chain.d)]
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -101,17 +103,32 @@ def _label_key(label: str) -> tuple[int, int]:
     return int(idx), {"foot-": 0, "foot+": 1, "p": 0, "q": 1}[role]
 
 
-def _edges_from_simplices(labels_by_simplex, positions) -> tuple[tuple[str, str, float], ...]:
-    seen = {}
-    for simplex in labels_by_simplex:
-        for i in range(len(simplex)):
-            for j in range(i + 1, len(simplex)):
-                a, b = simplex[i], simplex[j]
-                if _label_key(a) > _label_key(b):
-                    a, b = b, a
-                seen[(a, b)] = float(np.linalg.norm(positions[a] - positions[b]))
-    ordered = sorted(seen, key=lambda ab: (_label_key(ab[0]), _label_key(ab[1])))
-    return tuple((a, b, seen[(a, b)]) for a, b in ordered)
+def _pair_key(pair) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Sort key of a label pair, or of an edge (label_a, label_b, length)."""
+    return _label_key(pair[0]), _label_key(pair[1])
+
+
+@lru_cache(maxsize=64)  # one entry per (d, n) in use
+def _edge_order(d: int, n: int) -> tuple[tuple[str, str], ...]:
+    """Label pairs of all body-simplex edges, each pair and the list sorted by label key."""
+    pairs = dict.fromkeys(
+        _norm_pair(a, b)
+        for simplex in Linkage(d, n, (), ()).simplices()
+        for a, b in combinations(simplex, 2)
+    )
+    return tuple(sorted(pairs, key=_pair_key))
+
+
+def _edges_from_simplices(d: int, n: int, positions) -> tuple[tuple[str, str, float], ...]:
+    """Edges of the 1-skeleta of the body simplices, with their realized lengths.
+
+    The order and labels depend only on (d, n), so they come from the
+    cached ``_edge_order``; only the lengths are computed from
+    ``positions`` (label -> point).
+    """
+    return tuple(
+        (a, b, float(np.linalg.norm(positions[a] - positions[b]))) for a, b in _edge_order(d, n)
+    )
 
 
 def _intersection_flat(axes, start: int, count: int, want_dim: int, what: str):
@@ -152,10 +169,7 @@ def cycle_to_linkage(axes) -> Linkage:
         (label, tuple(float(x) for x in positions[label]))
         for label in sorted(positions, key=_label_key)
     )
-    linkage = Linkage(d, n, vertices, ())
-    simplices = linkage.simplices()
-    edges = _edges_from_simplices(simplices, positions)
-    linkage = Linkage(d, n, vertices, edges)
+    linkage = Linkage(d, n, vertices, _edges_from_simplices(d, n, positions))
     for sign in simplex_orientations(linkage):
         if sign == 0:
             raise DegenerateSimplexError("a body simplex has collapsed (zero volume)")
@@ -174,11 +188,8 @@ def _polygon_linkage(axes) -> Linkage:
         length = float(np.linalg.norm(axes[j].origin - axes[i].origin))
         if length <= 1e-12:
             raise DegenerateSimplexError(f"polygon vertices {i + 1} and {j + 1} coincide")
-        a, b = f"p{i + 1}", f"p{j + 1}"
-        if _label_key(a) > _label_key(b):
-            a, b = b, a
-        edges.append((a, b, length))
-    edges.sort(key=lambda e: (_label_key(e[0]), _label_key(e[1])))
+        edges.append((*_norm_pair(f"p{i + 1}", f"p{j + 1}"), length))
+    edges.sort(key=_pair_key)
     return Linkage(2, n, vertices, tuple(edges))
 
 
@@ -301,7 +312,7 @@ def moduli_invariants(linkage: Linkage) -> ModuliPartition:
     missing = [key for key in wanted if key not in by_key]
     if missing:
         raise ProvenanceError(f"canonical dependent edges missing from linkage: {missing}")
-    dependent = tuple(by_key[key] for key in sorted(wanted, key=lambda ab: (_label_key(ab[0]), _label_key(ab[1]))))
+    dependent = tuple(by_key[key] for key in sorted(wanted, key=_pair_key))
     independent = tuple(e for e in linkage.edges if (e[0], e[1]) not in wanted)
     if len(independent) != (2 * d - 3) * n:
         raise ProvenanceError(

@@ -317,6 +317,41 @@ def _placed_chain(d, n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 22), st.integers(0, 10**6))
+def test_placed_origins_and_lazy_axes_equal_the_applied_reference_axes(d, n, seed):
+    c, pl = _placed_chain(d, n, seed)
+    assert pl.origins.shape == (n - 1, d) and not pl.origins.flags.writeable
+    for i, ref in enumerate(c.ref_axes):
+        moved = apply(pl.body_isometries[i], ref)
+        assert np.array_equal(pl.origins[i], moved.origin)
+        assert np.array_equal(pl.axes_at[i].origin, moved.origin)
+        assert np.array_equal(pl.axes_at[i].dirs, moved.dirs)
+
+
+def test_closure_maps_build_no_axis(monkeypatch):
+    # the flex loop reads only origins and generators, so placing a
+    # configuration for the residual, the Jacobian or the frame columns
+    # must not run the validating Axis constructor
+    c = classical_scenario("generic-cycle", d=4, n=11, seed=0)
+    theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, c.n - 1)
+    c.ref_generators
+    built = []
+    post_init = Axis.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Axis, "__post_init__", counting)
+    frame_residual(c, theta)
+    frame_map_jacobian(c, theta)
+    pl = forward_kinematics(c, theta)
+    frame_columns(c, None, placement=pl)
+    assert built == []
+    assert len(pl.axes_at) == c.n - 1 and len(built) == c.n - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 22), st.integers(0, 10**6))
 def test_placed_generators_match_the_generators_of_the_placed_axes(d, n, seed):
     c, pl = _placed_chain(d, n, seed)
     assert pl.generators.shape == (n - 1, d, d)

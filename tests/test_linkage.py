@@ -17,6 +17,7 @@ from hingekit import (
     simplex_orientations,
 )
 from hingekit.errors import GenericityError, ProvenanceError
+from hingekit.linkage import _edge_order, _edges_from_simplices, _label_key
 from hingekit.sampling import random_axis, random_cycle, rng_from
 
 
@@ -224,3 +225,50 @@ def test_moduli_provenance_guard():
     )
     with pytest.raises(ProvenanceError):
         moduli_invariants(doctored)
+
+
+def _uncached_edges(d, n, positions):
+    # the edge list as built before the order was cached: a dict of
+    # label-sorted pairs over every simplex, then one sort by label key
+    seen = {}
+    for simplex in Linkage(d, n, (), ()).simplices():
+        for i in range(len(simplex)):
+            for j in range(i + 1, len(simplex)):
+                a, b = simplex[i], simplex[j]
+                if _label_key(a) > _label_key(b):
+                    a, b = b, a
+                seen[(a, b)] = float(np.linalg.norm(positions[a] - positions[b]))
+    ordered = sorted(seen, key=lambda ab: (_label_key(ab[0]), _label_key(ab[1])))
+    return tuple((a, b, seen[(a, b)]) for a, b in ordered)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [7, 8, 11, 16])
+def test_cached_edge_order_equals_the_uncached_edge_list(d, n):
+    labels = {label for s in Linkage(d, n, (), ()).simplices() for label in s}
+    rng = np.random.default_rng(100 * d + n)
+    positions = {label: rng.normal(size=d) for label in sorted(labels)}
+    expected = _uncached_edges(d, n, positions)
+    assert _edge_order(d, n) == tuple((a, b) for a, b, _ in expected)
+    assert _edges_from_simplices(d, n, positions) == expected
+    assert len(expected) == (2 * d - 1) * n
+
+
+def test_edge_order_cache_is_bounded_and_reused():
+    assert _edge_order.cache_info().maxsize is not None
+    c = classical_scenario("generic-cycle", d=3, n=7, seed=0)
+    linkage_at(c, np.zeros(c.n - 1))
+    hits = _edge_order.cache_info().hits
+    linkage_at(c, np.zeros(c.n - 1))
+    assert _edge_order.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize(
+    "d, n, drift",
+    # computed by the uncached edge list on the same paths
+    [(3, 7, "0x1.c000000000000p-50"), (4, 11, "0x1.a000000000000p-46")],
+)
+def test_generic_cycle_drift_is_unchanged_by_the_cached_edge_order(d, n, drift):
+    c = classical_scenario("generic-cycle", d=d, n=n, seed=0)
+    path = flex_path(c, steps=10, step_size=1e-2)
+    assert check_linkage_invariance(c, path) == float.fromhex(drift)

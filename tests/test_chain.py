@@ -333,7 +333,6 @@ def test_closure_maps_build_no_axis(monkeypatch):
     # must not run the validating Axis constructor
     c = classical_scenario("generic-cycle", d=4, n=11, seed=0)
     theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, c.n - 1)
-    c.ref_generators
     built = []
     post_init = Axis.__post_init__
 

@@ -13,6 +13,9 @@ chain. Jacobian columns and Plucker points of the placed axes are read
 off these generators and the placed axis origins; the placed ``Axis``
 objects themselves are built, and validated, only when something reads
 ``Placement.axes_at``.
+
+A ``Placement`` is immutable, and placing the same chain object at the
+same configuration as the call before returns the same ``Placement``.
 """
 
 from __future__ import annotations
@@ -192,9 +195,33 @@ def _as_config(chain: Chain, theta) -> np.ndarray:
     return theta
 
 
+# (chain, theta bytes, Placement) of the last placement. A fiber step places
+# the configuration it just placed again (residual then Jacobian, tangent then
+# closure check); one slot catches that and keeps only one chain alive. It is
+# read and replaced in one assignment each, so concurrent callers only miss.
+_last_placement: tuple[Chain, bytes, Placement] | None = None
+
+
 def forward_kinematics(chain: Chain, theta) -> Placement:
-    """Place every body; theta = 0 reproduces the reference exactly."""
+    """Place every body; theta = 0 reproduces the reference exactly.
+
+    Placing the same chain object at the same configuration (equal bytes)
+    as the call before returns that call's ``Placement``, which is
+    immutable, so sharing it is safe.
+    """
+    global _last_placement
     theta = _as_config(chain, theta)
+    key = theta.tobytes()
+    last = _last_placement
+    if last is not None and last[0] is chain and last[1] == key:
+        return last[2]
+    placement = _place(chain, theta)
+    _last_placement = (chain, key, placement)
+    return placement
+
+
+def _place(chain: Chain, theta: np.ndarray) -> Placement:
+    """The placement of a validated configuration, computed afresh."""
     g = identity_isometry(chain.d)
     isometries = [g]
     origins = []
@@ -203,7 +230,9 @@ def forward_kinematics(chain: Chain, theta) -> Placement:
         # the arithmetic of apply(g, axis).origin, without building the Axis
         origin = g.rot @ axis.origin + g.trans
         J = g.rot @ J_ref @ g.rot.T
-        J *= sqrt(2.0) / np.linalg.norm(J)
+        # the Frobenius norm as np.linalg.norm computes it, without its overhead
+        flat = J.ravel()
+        J *= sqrt(2.0) / sqrt(flat.dot(flat))
         origins.append(origin)
         generators.append(J)
         g = compose(_rodrigues(J, origin, angle), g)

@@ -279,8 +279,16 @@ def _rodrigues(J: np.ndarray, origin: np.ndarray, angle: float) -> Isometry:
     """
     if not math.isfinite(angle):
         raise DefinitionError(f"rotation angle must be finite, got {float(angle)!r}")
-    rot = np.eye(J.shape[0]) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
+    rot = _eye(J.shape[0]) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
     return Isometry(rot, origin - rot @ origin)
+
+
+@lru_cache(maxsize=None)  # one entry per dimension in use
+def _eye(d: int) -> np.ndarray:
+    """The read-only d x d identity, shared by every Rodrigues step."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import sqrt
 
 import numpy as np
 
@@ -65,25 +66,27 @@ class Linkage:
 
     def simplices(self) -> tuple[tuple[str, ...], ...]:
         """Vertex labels of each body simplex, in a fixed window order."""
-        if self.d == 2:
-            return ()
-        out = []
-        if self.d % 2:
-            k = (self.d - 1) // 2
-            for body in range(self.n):
-                window = [(body - k + 1 + t) % self.n for t in range(k + 1)]
-                out.append(
-                    tuple(f"foot{sign}{i + 1}" for i in window for sign in ("-", "+"))
-                )
-        else:
-            k = self.d // 2
-            for body in range(self.n):
-                ps = [(body - k + 1 + t) % self.n for t in range(k + 1)]
-                qs = [(body - k + 2 + t) % self.n for t in range(k)]
-                out.append(
-                    tuple([f"p{i + 1}" for i in ps] + [f"q{i + 1}" for i in qs])
-                )
-        return tuple(out)
+        return _simplices(self.d, self.n)
+
+
+@lru_cache(maxsize=64)  # one entry per (d, n) in use
+def _simplices(d: int, n: int) -> tuple[tuple[str, ...], ...]:
+    """The labels of ``Linkage.simplices``; they depend only on (d, n)."""
+    if d == 2:
+        return ()
+    out = []
+    if d % 2:
+        k = (d - 1) // 2
+        for body in range(n):
+            window = [(body - k + 1 + t) % n for t in range(k + 1)]
+            out.append(tuple(f"foot{sign}{i + 1}" for i in window for sign in ("-", "+")))
+    else:
+        k = d // 2
+        for body in range(n):
+            ps = [(body - k + 1 + t) % n for t in range(k + 1)]
+            qs = [(body - k + 2 + t) % n for t in range(k)]
+            out.append(tuple([f"p{i + 1}" for i in ps] + [f"q{i + 1}" for i in qs]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def _edge_order(d: int, n: int) -> tuple[tuple[str, str], ...]:
     """Label pairs of all body-simplex edges, each pair and the list sorted by label key."""
     pairs = dict.fromkeys(
         _norm_pair(a, b)
-        for simplex in Linkage(d, n, (), ()).simplices()
+        for simplex in _simplices(d, n)
         for a, b in combinations(simplex, 2)
     )
     return tuple(sorted(pairs, key=_pair_key))
@@ -126,9 +129,12 @@ def _edges_from_simplices(d: int, n: int, positions) -> tuple[tuple[str, str, fl
     cached ``_edge_order``; only the lengths are computed from
     ``positions`` (label -> point).
     """
-    return tuple(
-        (a, b, float(np.linalg.norm(positions[a] - positions[b]))) for a, b in _edge_order(d, n)
-    )
+    lengths = []
+    for a, b in _edge_order(d, n):
+        # the arithmetic of np.linalg.norm on a vector, without its overhead
+        v = positions[a] - positions[b]
+        lengths.append((a, b, sqrt(v.dot(v))))
+    return tuple(lengths)
 
 
 def _intersection_flat(axes, start: int, count: int, want_dim: int, what: str):
@@ -255,17 +261,18 @@ def simplex_orientations(linkage: Linkage) -> tuple[int, ...]:
     A simplex counts as collapsed when |det| of its edge vectors is at most
     1e-10 times their Hadamard bound, the product of the edge lengths.
     """
-    vm = linkage.vertex_map()
-    signs = []
-    for simplex in linkage.simplices():
-        base = vm[simplex[0]]
-        mat = np.array([vm[label] - base for label in simplex[1:]])
-        det = np.linalg.det(mat)
-        if abs(det) <= 1e-10 * np.prod(np.linalg.norm(mat, axis=1)):
-            signs.append(0)
-        else:
-            signs.append(1 if det > 0 else -1)
-    return tuple(signs)
+    simplices = linkage.simplices()
+    if not simplices:
+        return ()
+    coords = dict(linkage.vertices)
+    points = np.array([[coords[label] for label in simplex] for simplex in simplices])
+    mats = points[:, 1:] - points[:, :1]
+    dets = np.linalg.det(mats)
+    hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
+    return tuple(
+        0 if abs(det) <= 1e-10 * bound else (1 if det > 0 else -1)
+        for det, bound in zip(dets, hadamard)
+    )
 
 
 def moduli_invariants(linkage: Linkage) -> ModuliPartition:

@@ -24,6 +24,7 @@ from hingekit import (
     rotate_about,
     rotation_generator,
 )
+import hingekit.chain as chain_module
 from hingekit.analysis import classical_scenario
 from hingekit.chain import panel_spans_ok
 from hingekit.errors import DefinitionError, DimensionError, HingekitError, RigidCycleError, WrongMapError
@@ -388,3 +389,88 @@ def test_cycle_constructor_guards():
     assert c.is_cycle and c.end_frame.k == 1 and c.closing_axis is axes[-1]
     with pytest.raises(DefinitionError):
         Chain(3, tuple(axes[:5]), Frame(3, axes[5].origin, axes[5].dirs), is_cycle=True)
+
+
+def _same_placement(a, b):
+    return (
+        np.array_equal(a.origins, b.origins)
+        and np.array_equal(a.generators, b.generators)
+        and np.array_equal(a.frame_at.origin, b.frame_at.origin)
+        and np.array_equal(a.frame_at.vecs, b.frame_at.vecs)
+        and all(
+            np.array_equal(g.rot, h.rot) and np.array_equal(g.trans, h.trans)
+            for g, h in zip(a.body_isometries, b.body_isometries, strict=True)
+        )
+        and a.ref_axes is b.ref_axes
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(2, 12),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 2), min_size=1, max_size=8),
+)
+def test_memoized_placement_equals_a_fresh_placement(d, n, seed, picks):
+    # a sequence over three configurations, so it repeats the last one and
+    # returns to earlier ones
+    rng = np.random.default_rng(seed)
+    c = random_chain(rng, d, n)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (3, n - 1))
+    for i in picks:
+        assert _same_placement(forward_kinematics(c, thetas[i]), chain_module._place(c, thetas[i]))
+
+
+def test_repeated_placement_is_shared_only_for_the_same_chain():
+    c = classical_scenario("generic-cycle", d=3, n=7, seed=0)
+    twin = cycle_chain(list(c.ref_axes) + [c.closing_axis])
+    other = classical_scenario("generic-cycle", d=3, n=7, seed=1)
+    theta = np.full(c.n - 1, 0.25)
+    first = forward_kinematics(c, theta)
+    assert forward_kinematics(c, theta.copy()) is first
+    for chain in (twin, other):
+        placed = forward_kinematics(chain, theta)
+        assert placed is not first and placed.ref_axes is chain.ref_axes
+        assert _same_placement(placed, chain_module._place(chain, theta))
+
+
+def test_theta_changed_in_place_is_placed_afresh():
+    c = classical_scenario("generic-cycle", d=4, n=11, seed=0)
+    theta = np.full(c.n - 1, 0.1)
+    first = forward_kinematics(c, theta)
+    theta[3] += 0.5
+    second = forward_kinematics(c, theta)
+    assert second is not first
+    assert _same_placement(second, chain_module._place(c, theta))
+
+
+def test_failed_placement_raises_again_and_keeps_the_last_placement():
+    c = classical_scenario("generic-cycle", d=3, n=7, seed=0)
+    theta = np.zeros(c.n - 1)
+    placed = forward_kinematics(c, theta)
+    slot = chain_module._last_placement
+    bad = theta.copy()
+    bad[2] = np.nan
+    for _ in range(2):
+        with pytest.raises(DefinitionError):
+            forward_kinematics(c, bad)
+        assert chain_module._last_placement is slot
+    assert forward_kinematics(c, theta) is placed
+
+
+def test_flex_path_places_each_configuration_once_in_a_row(monkeypatch):
+    # 10 steps of the generic 7-cycle make 70 forward_kinematics calls;
+    # 39 of them repeat the configuration placed just before
+    c = classical_scenario("generic-cycle", d=3, n=7, seed=0)
+    placed = []
+    place = chain_module._place
+
+    def counting(chain, theta):
+        placed.append(theta.copy())
+        return place(chain, theta)
+
+    monkeypatch.setattr(chain_module, "_place", counting)
+    flex_path(c, steps=10, step_size=1e-2)
+    assert len(placed) == 31
+    assert all(not np.array_equal(a, b) for a, b in zip(placed, placed[1:]))

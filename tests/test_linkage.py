@@ -17,7 +17,7 @@ from hingekit import (
     simplex_orientations,
 )
 from hingekit.errors import GenericityError, ProvenanceError
-from hingekit.linkage import _edge_order, _edges_from_simplices, _label_key
+from hingekit.linkage import _edge_order, _edges_from_simplices, _label_key, _simplices
 from hingekit.sampling import random_axis, random_cycle, rng_from
 
 
@@ -272,3 +272,50 @@ def test_generic_cycle_drift_is_unchanged_by_the_cached_edge_order(d, n, drift):
     c = classical_scenario("generic-cycle", d=d, n=n, seed=0)
     path = flex_path(c, steps=10, step_size=1e-2)
     assert check_linkage_invariance(c, path) == float.fromhex(drift)
+
+
+def _orientations_one_by_one(lk):
+    # the per-simplex loop simplex_orientations ran before it was batched
+    vm = lk.vertex_map()
+    signs = []
+    for simplex in lk.simplices():
+        mat = np.array([vm[label] - vm[simplex[0]] for label in simplex[1:]])
+        det = np.linalg.det(mat)
+        if abs(det) <= 1e-10 * np.prod(np.linalg.norm(mat, axis=1)):
+            signs.append(0)
+        else:
+            signs.append(1 if det > 0 else -1)
+    return tuple(signs)
+
+
+@pytest.mark.parametrize("d, n", [(3, 7), (4, 11)])
+def test_edge_lengths_and_orientations_match_numpy_along_a_flex_path(d, n):
+    c = classical_scenario("generic-cycle", d=d, n=n, seed=0)
+    for theta in flex_path(c, steps=10, step_size=1e-2):
+        lk = linkage_at(c, theta)
+        vm = lk.vertex_map()
+        assert all(length == float(np.linalg.norm(vm[a] - vm[b])) for a, b, length in lk.edges)
+        assert simplex_orientations(lk) == _orientations_one_by_one(lk)
+
+
+def test_collapse_rule_reads_the_same_batched():
+    # a d = 4 simplex pushed through the 1e-10 Hadamard threshold
+    c = classical_scenario("generic-cycle", d=4, n=11, seed=0)
+    lk = linkage_at(c, np.zeros(c.n - 1))
+    vm = lk.vertex_map()
+    simplex = lk.simplices()[0]
+    base, tip = vm[simplex[0]], vm[simplex[-1]]
+    others = np.array([vm[label] - base for label in simplex[1:-1]])
+    in_span = base + others.T @ np.linalg.lstsq(others.T, tip - base, rcond=None)[0]
+    normal = tip - in_span
+    for eps in (0.0, 1e-12, 1e-9, 1e-6, 1.0):
+        moved = dict(vm, **{simplex[-1]: in_span + eps * normal})
+        doctored = Linkage(
+            lk.d, lk.n, tuple((label, tuple(moved[label])) for label, _ in lk.vertices), lk.edges
+        )
+        assert simplex_orientations(doctored) == _orientations_one_by_one(doctored)
+
+
+def test_simplex_labels_are_cached_per_dimension_and_size():
+    assert _simplices.cache_info().maxsize is not None
+    assert Linkage(4, 9, (), ()).simplices() is Linkage(4, 9, (), ()).simplices()

@@ -10,7 +10,10 @@ frame chains (one of them singular at theta = 0), and ``analyze-cycle
 --exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
 on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 21st axis (full rank), and on six axes in R^3 whose Plucker determinant
-is a nonzero multiple of 2^31 - 1 - once against ``src/`` of this
+is a nonzero multiple of 2^31 - 1. The error paths are run too: each
+file command on a scenario kind it refuses, and text ``convert-linkage``
+on a three-axis cycle in R^4, too short for the canonical edge
+partition. Every invocation runs once against ``src/`` of this
 checkout and once against ``src/`` of REV (extracted with ``git
 archive``). Each side feeds the analyses with its own ``example`` output.
 Exit code, stdout, stderr and every written CSV file must agree;
@@ -58,6 +61,7 @@ EXAMPLES = {
     "cycle-5": ["generic-cycle", "--seed", "5"],
     "cycle-d4": ["generic-cycle", "--d", "4", "--n", "11"],
     "cycle-d2": ["generic-cycle", "--d", "2", "--n", "5", "--seed", "1"],
+    "cycle-d4n3": ["generic-cycle", "--d", "4", "--n", "3"],
 }
 
 # hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,
@@ -181,6 +185,10 @@ RUNS = [
     ["sweep", "{frame-k1}", "--samples", "10", "--seed", "9", "--csv", "{out}/sweep-frame.csv"],
     ["sweep", "{frame-k1}", "--samples", "6", "--workers", "2"],
     ["sweep", "{frame-singular}", "--samples", "3"],
+    # error paths: a scenario kind the command refuses, and a cycle too short to partition
+    ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],
+    ["convert-linkage", "{desargues}"], ["flex", "{chain-d3}"], ["sweep", "{desargues}"],
+    ["convert-linkage", "{cycle-d4n3}"],
 ]
 
 

@@ -375,11 +375,11 @@ def flex_path(chain: Chain, steps: int, step_size: float, tol: float = 1e-10) ->
     return np.array(path)
 
 
-def cycle_axes_at(chain: Chain, theta, placement: Placement | None = None) -> list[Axis]:
+def cycle_axes_at(chain: Chain, theta) -> list[Axis]:
     """All n axes of a cycle as placed at theta (closing axis carried by body n)."""
     if not chain.is_cycle:
         raise WrongMapError("cycle_axes_at needs a cycle")
-    pl = placement if placement is not None else forward_kinematics(chain, theta)
+    pl = forward_kinematics(chain, theta)
     return list(pl.axes_at) + [apply(pl.body_isometries[-1], chain.closing_axis)]
 
 

@@ -15,8 +15,14 @@ Scenario schema (JSON object):
 
 Coordinates may be numbers or exact rationals written as strings "a/b";
 rational values survive parsing untouched, which is what --exact runs on.
-Exit codes: 0 success, 2 input error, 3 genericity/degeneracy error,
-4 internal consistency error.
+
+Every command but ``example`` reads one scenario file. ``run`` loads and
+builds it once, checks its kind against the ``kinds`` the command declares
+in the parser, and settles the tolerance (--tol, checked, else the
+scenario's "tol", else 1e-10) before the command runs.
+
+Exit codes: 0 success, 2 input error, 3 genericity/degeneracy/provenance
+error, 4 internal consistency error.
 """
 
 from __future__ import annotations
@@ -42,13 +48,14 @@ from .errors import (
     GenericityError,
     HingekitError,
     ProjectionError,
+    ProvenanceError,
     RigidCycleError,
     ScenarioError,
     ToleranceError,
     WrongMapError,
 )
 from .exterior import check_tolerance
-from .geometry import Frame, make_axis, make_frame
+from .geometry import make_axis, make_frame
 from .sampling import rng_from
 
 __all__ = [
@@ -115,19 +122,17 @@ def _rows(value, path: str, width: int) -> tuple[tuple, ...]:
     return tuple(_vector(row, f"{path}[{i}]", width) for i, row in enumerate(value))
 
 
-def _axis_entry(value, path: str, d: int) -> tuple[tuple, tuple[tuple, ...]]:
+def _entry(value, path: str, d: int, key: str) -> tuple[tuple, tuple[tuple, ...]]:
+    """An {"origin": point, key: [vector, ...]} object (an axis or an end frame)."""
     if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: expected an object with origin/dirs")
-    unknown = set(value) - {"origin", "dirs"}
+        raise ScenarioError(f"{path}: expected an object with origin/{key}")
+    unknown = set(value) - {"origin", key}
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
     if "origin" not in value:
         raise ScenarioError(f"{path}.origin: missing")
     origin = _vector(value["origin"], f"{path}.origin", d)
-    dirs = _rows(value.get("dirs", []), f"{path}.dirs", d)
-    if len(dirs) != d - 2:
-        raise ScenarioError(f"{path}.dirs: an axis of R^{d} needs {d - 2} directions")
-    return origin, dirs
+    return origin, _rows(value.get(key, []), f"{path}.{key}", d)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -172,25 +177,19 @@ def _load(text: str) -> tuple[Scenario, Chain | analysis.Platform]:
     if kind in ("chain", "cycle"):
         if "axes" not in doc or not isinstance(doc["axes"], list) or not doc["axes"]:
             raise ScenarioError("axes: expected a nonempty array")
-        axes = tuple(
-            _axis_entry(a, f"axes[{i}]", d) for i, a in enumerate(doc["axes"])
-        )
+        axes = []
+        for i, a in enumerate(doc["axes"]):
+            origin, dirs = _entry(a, f"axes[{i}]", d, "dirs")
+            if len(dirs) != d - 2:
+                raise ScenarioError(f"axes[{i}].dirs: an axis of R^{d} needs {d - 2} directions")
+            axes.append((origin, dirs))
+        axes = tuple(axes)
         if kind == "cycle" and len(axes) < 2:
             raise ScenarioError("axes: a cycle needs at least two axes")
         if kind == "chain":
-            if "end_frame" not in doc or not isinstance(doc["end_frame"], dict):
-                raise ScenarioError("end_frame: missing object")
-            ef = doc["end_frame"]
-            unknown = set(ef) - {"origin", "vecs"}
-            if unknown:
-                raise ScenarioError(f"end_frame: unknown keys {sorted(unknown)}")
-            if "origin" not in ef:
-                raise ScenarioError("end_frame.origin: missing")
-            origin = _vector(ef["origin"], "end_frame.origin", d)
-            vecs = _rows(ef.get("vecs", []), "end_frame.vecs", d)
-            if len(vecs) > d:
+            end_frame = _entry(doc.get("end_frame"), "end_frame", d, "vecs")
+            if len(end_frame[1]) > d:
                 raise ScenarioError("end_frame.vecs: more vectors than dimensions")
-            end_frame = (origin, vecs)
     else:
         if "legs" not in doc or not isinstance(doc["legs"], list):
             raise ScenarioError("legs: expected an array")
@@ -224,11 +223,7 @@ def scenario_chain(sc: Scenario) -> Chain:
     if sc.kind != "chain":
         raise ScenarioError(f"expected a chain scenario, got kind {sc.kind!r}")
     origin, vecs = sc.end_frame
-    frame = (
-        Frame(sc.d, np.array(_floats(origin)), np.zeros((0, sc.d)))
-        if not vecs
-        else make_frame(sc.d, _floats(origin), [_floats(v) for v in vecs])
-    )
+    frame = make_frame(sc.d, _floats(origin), [_floats(v) for v in vecs])
     return Chain(sc.d, tuple(scenario_axes(sc)), frame, panel=sc.panel)
 
 
@@ -376,7 +371,8 @@ def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{float(x):.6g}" for x in v) + "]"
 
 
-def _verdict_json(verdict) -> dict:
+def _verdict_json(verdict, exact_verdict=None) -> dict:
+    """JSON fields of a verdict; an --exact verdict, when given, goes under "exact"."""
     sig = verdict.certificate.singular_values
     out = {
         "rank": verdict.rank,
@@ -395,6 +391,8 @@ def _verdict_json(verdict) -> dict:
         # an exact functional is a coprime integer vector; a float would round it
         emit = _emit_value if verdict.certificate.exact else float
         out["functional"] = [emit(x) for x in verdict.witness]
+    if exact_verdict is not None:
+        out["exact"] = _verdict_json(exact_verdict)
     return out
 
 
@@ -423,13 +421,6 @@ def _print_chain_report(chain: Chain, verdict, out) -> None:
 # commands
 
 
-def _tolerance(args, sc: Scenario) -> float:
-    """--tol, else the scenario's "tol", else 1e-10; --tol is checked here, before the command runs."""
-    if args.tol is not None:
-        return check_tolerance(args.tol)
-    return sc.tol if sc.tol is not None else 1e-10
-
-
 def _read_input(path: str) -> str:
     try:
         return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
@@ -438,13 +429,9 @@ def _read_input(path: str) -> str:
         raise ScenarioError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _cmd_analyze_chain(args) -> int:
-    sc, chain = _load(_read_input(args.file))
+def _cmd_analyze_chain(args, sc: Scenario, chain: Chain, tol: float) -> int:
     if args.exact:
         raise ScenarioError("--exact is not available for chains (placement needs trigonometry)")
-    if sc.kind == "platform":
-        raise ScenarioError(f"expected a chain scenario, got kind {sc.kind!r}")
-    tol = _tolerance(args, sc)
     verdict = _verdict_for(chain, np.zeros(chain.n - 1), tol)
     if args.json:
         print(json.dumps(_verdict_json(verdict), indent=2))
@@ -453,21 +440,14 @@ def _cmd_analyze_chain(args) -> int:
     return 0
 
 
-def _cmd_analyze_cycle(args) -> int:
-    sc, chain = _load(_read_input(args.file))
-    if sc.kind != "cycle":
-        raise ScenarioError("analyze-cycle needs a cycle scenario")
-    tol = _tolerance(args, sc)
+def _cmd_analyze_cycle(args, sc: Scenario, chain: Chain, tol: float) -> int:
     verdict = analysis.cycle_mobility([*chain.ref_axes, chain.closing_axis], tol=tol)
     exact_verdict = None
     if args.exact:
         _require_exact(sc)
         exact_verdict = analysis.cycle_mobility_exact(list(sc.axes))
     if args.json:
-        doc = _verdict_json(verdict)
-        if exact_verdict is not None:
-            doc["exact"] = _verdict_json(exact_verdict)
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_verdict_json(verdict, exact_verdict), indent=2))
         return 0
     n = len(sc.axes)
     state = "infinitesimally flexible" if verdict.singular else "rigid"
@@ -490,21 +470,14 @@ def _cmd_analyze_cycle(args) -> int:
     return 0
 
 
-def _cmd_analyze_platform(args) -> int:
-    sc, platform = _load(_read_input(args.file))
-    if sc.kind != "platform":
-        raise ScenarioError("analyze-platform needs a platform scenario")
-    tol = _tolerance(args, sc)
+def _cmd_analyze_platform(args, sc: Scenario, platform: analysis.Platform, tol: float) -> int:
     verdict = analysis.platform_flexibility(platform, tol=tol)
     exact_verdict = None
     if args.exact:
         _require_exact(sc)
         exact_verdict = analysis.platform_flexibility(platform, exact=True)
     if args.json:
-        doc = _verdict_json(verdict)
-        if exact_verdict is not None:
-            doc["exact"] = _verdict_json(exact_verdict)
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_verdict_json(verdict, exact_verdict), indent=2))
         return 0
     state = "flexible" if verdict.singular else "rigid"
     print(
@@ -539,11 +512,7 @@ def linkage_from_json(doc: dict) -> linkage_mod.Linkage:
     )
 
 
-def _cmd_convert_linkage(args) -> int:
-    sc, chain = _load(_read_input(args.file))
-    if sc.kind != "cycle":
-        raise ScenarioError("convert-linkage needs a cycle scenario")
-    _tolerance(args, sc)
+def _cmd_convert_linkage(args, sc: Scenario, chain: Chain, tol: float) -> int:
     lk = linkage_mod.cycle_to_linkage([*chain.ref_axes, chain.closing_axis])
     if args.json:
         print(json.dumps(_linkage_json(lk), indent=2))
@@ -559,11 +528,7 @@ def _cmd_convert_linkage(args) -> int:
     return 0
 
 
-def _cmd_flex(args) -> int:
-    sc, chain = _load(_read_input(args.file))
-    if sc.kind != "cycle":
-        raise ScenarioError("flex needs a cycle scenario")
-    tol = _tolerance(args, sc)
+def _cmd_flex(args, sc: Scenario, chain: Chain, tol: float) -> int:
     path = flex_path(chain, args.steps, args.step_size, tol=tol)
     residuals = [float(np.linalg.norm(frame_residual(chain, theta))) for theta in path]
     drift = None
@@ -595,11 +560,7 @@ def _cmd_flex(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    sc, chain = _load(_read_input(args.file))
-    if sc.kind == "platform":
-        raise ScenarioError("sweep needs a chain or cycle scenario")
-    tol = _tolerance(args, sc)
+def _cmd_sweep(args, sc: Scenario, chain: Chain, tol: float) -> int:
     seed = args.seed if args.seed is not None else (sc.seed or 0)
     report = sweep(chain, args.samples, seed, tol=tol, workers=args.workers)
     csv_text = sweep_csv(report)
@@ -690,10 +651,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_arg(p):
+    def file_command(p, exact=False, csv=False):
         p.add_argument("file", help="scenario JSON file, or - for stdin")
-
-    def common(p, exact=False, csv=False):
         p.add_argument("--tol", type=float, default=None, help="relative rank tolerance")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if exact:
@@ -706,40 +665,34 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--csv", default=None, help="write CSV rows to this path")
 
     p = sub.add_parser("analyze-chain", help="rank/witness verdict of the end map at theta = 0")
-    scenario_arg(p)
-    common(p)
+    file_command(p)
     p.add_argument("--exact", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(fn=_cmd_analyze_chain)
+    p.set_defaults(fn=_cmd_analyze_chain, kinds=("chain", "cycle"))
 
     p = sub.add_parser("analyze-cycle", help="Plucker span rank and mobility of a cycle")
-    scenario_arg(p)
-    common(p, exact=True)
-    p.set_defaults(fn=_cmd_analyze_cycle)
+    file_command(p, exact=True)
+    p.set_defaults(fn=_cmd_analyze_cycle, kinds=("cycle",))
 
     p = sub.add_parser("analyze-platform", help="infinitesimal flexibility of a bar platform")
-    scenario_arg(p)
-    common(p, exact=True)
-    p.set_defaults(fn=_cmd_analyze_platform)
+    file_command(p, exact=True)
+    p.set_defaults(fn=_cmd_analyze_platform, kinds=("platform",))
 
     p = sub.add_parser("convert-linkage", help="canonical bar-joint linkage of a cycle")
-    scenario_arg(p)
-    common(p)
-    p.set_defaults(fn=_cmd_convert_linkage)
+    file_command(p)
+    p.set_defaults(fn=_cmd_convert_linkage, kinds=("cycle",))
 
     p = sub.add_parser("flex", help="track the closure fiber of a cycle")
-    scenario_arg(p)
-    common(p, csv=True)
+    file_command(p, csv=True)
     p.add_argument("--steps", type=int, default=10, help="number of fiber steps")
     p.add_argument("--step-size", type=float, default=1e-2, help="tangent step length")
-    p.set_defaults(fn=_cmd_flex)
+    p.set_defaults(fn=_cmd_flex, kinds=("cycle",))
 
     p = sub.add_parser("sweep", help="seeded Monte Carlo scan of the configuration torus")
-    scenario_arg(p)
-    common(p, csv=True)
+    file_command(p, csv=True)
     p.add_argument("--samples", type=int, default=100, help="number of torus samples")
     p.add_argument("--seed", type=int, default=None, help="stream seed (default: scenario seed or 0)")
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_sweep, kinds=("chain", "cycle"))
 
     p = sub.add_parser("example", help="emit a classical scenario as JSON")
     p.add_argument("name", help="|".join(analysis.SCENARIO_NAMES))
@@ -756,7 +709,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Dispatch a CLI invocation; returns the process exit code."""
+    """Dispatch a CLI invocation; returns the process exit code.
+
+    A file command is called as ``fn(args, scenario, built, tol)``.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -765,11 +721,19 @@ def run(argv=None) -> int:
     try:
         # overflow to inf or NaN is reported once, by numeric_rank's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.fn(args)
+            if args.command == "example":
+                return args.fn(args)
+            sc, built = _load(_read_input(args.file))
+            if sc.kind not in args.kinds:
+                raise ScenarioError(f"{args.command} needs a {' or '.join(args.kinds)} scenario")
+            tol = sc.tol if sc.tol is not None else 1e-10
+            if args.tol is not None:
+                tol = check_tolerance(args.tol)
+            return args.fn(args, sc, built, tol)
     except (ScenarioError, DefinitionError, DimensionError, WrongMapError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GenericityError, DegenerateGeometryError, RigidCycleError, ProjectionError) as exc:
+    except (GenericityError, DegenerateGeometryError, RigidCycleError, ProjectionError, ProvenanceError) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:

@@ -23,7 +23,7 @@ from math import sqrt
 
 import numpy as np
 
-from .chain import Chain, cycle_axes_at, forward_kinematics
+from .chain import Chain, cycle_axes_at
 from .errors import (
     DegenerateGeometryError,
     DegenerateSimplexError,
@@ -334,8 +334,7 @@ def _norm_pair(a: str, b: str) -> tuple[str, str]:
 
 def linkage_at(chain: Chain, theta) -> Linkage:
     """Canonical linkage of a cycle chain at one configuration."""
-    placement = forward_kinematics(chain, theta)
-    return cycle_to_linkage(cycle_axes_at(chain, theta, placement=placement))
+    return cycle_to_linkage(cycle_axes_at(chain, theta))
 
 
 def check_linkage_invariance(chain: Chain, theta_path) -> float:

@@ -229,6 +229,40 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and "exact mode" in err
 
 
+KIND_EXAMPLES = {"chain": "planar-arm", "cycle": "generic-cycle", "platform": "desargues"}
+
+
+@pytest.mark.parametrize(
+    "command, accepted, refused",
+    [
+        ("analyze-chain", "chain or cycle", "platform"),
+        ("analyze-cycle", "cycle", "chain"),
+        ("analyze-cycle", "cycle", "platform"),
+        ("convert-linkage", "cycle", "chain"),
+        ("convert-linkage", "cycle", "platform"),
+        ("flex", "cycle", "chain"),
+        ("flex", "cycle", "platform"),
+        ("analyze-platform", "platform", "chain"),
+        ("analyze-platform", "platform", "cycle"),
+        ("sweep", "chain or cycle", "platform"),
+    ],
+)
+def test_commands_refuse_scenario_kinds_they_do_not_take(tmp_path, capsys, command, accepted, refused):
+    path = tmp_path / f"{refused}.json"
+    path.write_text(example_text(capsys, KIND_EXAMPLES[refused]))
+    code, out, err = capture(capsys, [command, str(path)])
+    assert (code, out, err) == (2, "", f"error: {command} needs a {accepted} scenario\n")
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_convert_linkage_on_a_cycle_too_short_to_partition_exits_3(tmp_path, capsys, d):
+    # three axes are too few for the canonical split into free and dependent edges
+    path = tmp_path / "short.json"
+    path.write_text(example_text(capsys, "generic-cycle", "--d", str(d), "--n", "3"))
+    code, out, err = capture(capsys, ["convert-linkage", str(path)])
+    assert code == 3 and out == "" and err.startswith("degenerate input: ")
+
+
 def test_sweep_determinism_and_workers(tmp_path, capsys):
     arm_text = example_text(capsys, "planar-arm")
     sc = parse_scenario(arm_text)

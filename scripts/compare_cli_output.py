@@ -10,7 +10,10 @@ frame chains (one of them singular at theta = 0), and ``analyze-cycle
 --exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
 on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 21st axis (full rank), and on six axes in R^3 whose Plucker determinant
-is a nonzero multiple of 2^31 - 1. The error paths are run too: each
+is a nonzero multiple of 2^31 - 1. A five-axis cycle in R^3 (mobility
+0, though its Plucker span misses a hyperplane) runs through
+``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
+finds no kernel and exits 3. The error paths are run too: each
 file command on a scenario kind it refuses, and text ``convert-linkage``
 on a three-axis cycle in R^4, too short for the canonical edge
 partition. Every invocation runs once against ``src/`` of this
@@ -59,6 +62,7 @@ EXAMPLES = {
     "arm-l": ["planar-arm", "--lengths", "1,2,1/2"],
     "cycle": ["generic-cycle"],
     "cycle-5": ["generic-cycle", "--seed", "5"],
+    "cycle-n5": ["generic-cycle", "--n", "5"],
     "cycle-d4": ["generic-cycle", "--d", "4", "--n", "11"],
     "cycle-d2": ["generic-cycle", "--d", "2", "--n", "5", "--seed", "1"],
     "cycle-d4n3": ["generic-cycle", "--d", "4", "--n", "3"],
@@ -168,6 +172,7 @@ RUNS = [
     ["analyze-cycle", "{cycle-d6n21}", "--exact"], ["analyze-cycle", "{cycle-d6n21}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-modp}", "--exact"], ["analyze-cycle", "{cycle-modp}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-d2}", "--json"], ["analyze-cycle", "{cycle}", "--exact"],
+    ["analyze-cycle", "{cycle-n5}"], ["analyze-cycle", "{cycle-n5}", "--json"], ["flex", "{cycle-n5}"],
     ["analyze-platform", "{desargues}"], ["analyze-platform", "{desargues}", "--exact"],
     ["analyze-platform", "{desargues}", "--json", "--exact"],
     ["analyze-platform", "{desargues-p}", "--json", "--exact"],

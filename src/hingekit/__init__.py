@@ -22,11 +22,10 @@ from .geometry import (
     axis_plucker,
     common_perpendicular,
     compose,
+    flat_plucker,
     identity_isometry,
     incident,
     invert,
-    lift_dir,
-    lift_point,
     line_plucker,
     make_axis,
     make_frame,

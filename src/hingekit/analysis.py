@@ -28,8 +28,8 @@ from .errors import (
     ScenarioError,
     WrongMapError,
 )
-from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, rank_of_span, top_pairing, wedge
-from .geometry import Axis, Frame, axis_plucker, line_plucker, make_axis
+from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, rank_of_span, top_pairing
+from .geometry import Axis, Frame, axis_plucker, flat_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
 __all__ = [
@@ -78,19 +78,22 @@ class Verdict:
     """Rank verdict with its certificate.
 
     ``rank`` is the differential's rank (or the Plucker span rank for
-    cycles and platforms), ``full_rank`` the generic value; ``singular``
-    holds exactly when rank < full_rank. The witness is a WitnessLine for
-    end-point verdicts and the hyperplane functional (the certificate's
-    conull vector) for cycle and platform verdicts.
+    cycles and platforms), ``full_rank`` the generic value. The witness is
+    a WitnessLine for end-point verdicts and the hyperplane functional
+    (the certificate's conull vector) for cycle and platform verdicts.
     """
 
     rank: int
     full_rank: int
-    singular: bool
     certificate: RankCertificate
     witness: WitnessLine | np.ndarray | None = None
     mobility: int | None = None
     null_directions: np.ndarray | None = None
+
+    @property
+    def singular(self) -> bool:
+        """rank < full_rank: for a span, it misses a hyperplane."""
+        return self.rank < self.full_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +139,13 @@ def pairing_rows(endpoint, axes) -> np.ndarray:
     return rows
 
 
-def _direction_grid(d: int, step_deg: float) -> np.ndarray:
+def _direction_grid(d: int) -> np.ndarray:
     if d == 2:
-        ang = np.deg2rad(np.arange(0.0, 180.0, step_deg))
+        ang = np.deg2rad(np.arange(0.0, 180.0))
         return np.column_stack([np.cos(ang), np.sin(ang)])
     if d == 3:
-        polar = np.deg2rad(np.arange(0.0, 90.0 + step_deg, step_deg))
-        azimuth = np.deg2rad(np.arange(0.0, 360.0, step_deg))
+        polar = np.deg2rad(np.arange(0.0, 91.0))
+        azimuth = np.deg2rad(np.arange(0.0, 360.0))
         pol, az = np.meshgrid(polar, azimuth, indexing="ij")
         s = np.sin(pol)
         return np.column_stack(
@@ -168,24 +171,18 @@ def _tangent_refinement(base: np.ndarray, span: float, step: float) -> np.ndarra
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def grid_incident_line(
-    endpoint,
-    axes,
-    step_deg: float = 1.0,
-    rel_tol: float = 5e-4,
-    refine: bool = True,
-) -> tuple[bool, np.ndarray, float]:
+def grid_incident_line(endpoint, axes) -> tuple[bool, np.ndarray, float]:
     """Brute-force oracle: scan unit directions for an all-axes incident line.
 
-    Covers d = 2, 3. A global grid at ``step_deg`` resolution picks
-    candidate directions; with ``refine`` (the default) the best
-    candidates are polished on two levels of finer tangent-plane grids,
-    which sharpens the decision boundary to ~2e-4 so that exactly
-    singular poses separate cleanly from nearby regular ones. Returns
-    (found, best_direction, worst_relative_residual) where the residual
-    of a direction is its largest incidence pairing against any axis,
-    relative to that axis row's norm. Not a production path: pure
-    sampling, independent of the Jacobian/SVD machinery it cross-checks.
+    Covers d = 2, 3. A global grid at 1 degree resolution picks candidate
+    directions; the best candidates are polished on two levels of finer
+    tangent-plane grids, which sharpens the decision boundary to ~2e-4 so
+    that exactly singular poses separate cleanly from nearby regular ones.
+    Returns (found, best_direction, worst_relative_residual) where the
+    residual of a direction is its largest incidence pairing against any
+    axis, relative to that axis row's norm, and found means a residual of
+    at most 5e-4. Not a production path: pure sampling, independent of
+    the Jacobian/SVD machinery it cross-checks.
     """
     rows = pairing_rows(endpoint, axes)
     norms = np.linalg.norm(rows, axis=1)
@@ -199,24 +196,23 @@ def grid_incident_line(
     def residuals(dirs: np.ndarray) -> np.ndarray:
         return np.abs(rows_n @ dirs.T).max(axis=0)
 
-    grid = _direction_grid(len(np.asarray(endpoint)), step_deg)
+    grid = _direction_grid(len(np.asarray(endpoint)))
     worst = residuals(grid)
     order = np.argsort(worst)
     best_dir = grid[order[0]]
     best_val = float(worst[order[0]])
-    if refine:
-        coarse = np.deg2rad(step_deg)
-        for idx in order[:8]:
-            center = grid[idx]
-            for span, step in ((2.0 * coarse, coarse / 10.0), (0.15 * coarse, coarse / 100.0)):
-                local = _tangent_refinement(center, span, step)
-                vals = residuals(local)
-                at = int(np.argmin(vals))
-                if vals[at] < best_val:
-                    best_val = float(vals[at])
-                    best_dir = local[at]
-                center = local[at]
-    return best_val <= rel_tol, best_dir, best_val
+    coarse = np.deg2rad(1.0)
+    for idx in order[:8]:
+        center = grid[idx]
+        for span, step in ((2.0 * coarse, coarse / 10.0), (0.15 * coarse, coarse / 100.0)):
+            local = _tangent_refinement(center, span, step)
+            vals = residuals(local)
+            at = int(np.argmin(vals))
+            if vals[at] < best_val:
+                best_val = float(vals[at])
+                best_dir = local[at]
+            center = local[at]
+    return best_val <= 5e-4, best_dir, best_val
 
 
 def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
@@ -246,7 +242,7 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
         for extra in null_basis[1:]:
             _check_witness(pl, WitnessLine(pl.frame_at.origin, extra), cutoff)
     certificate = RankCertificate(rank, sig, singular, conull)
-    return Verdict(rank, chain.d, singular, certificate, witness, null_directions=null_basis)
+    return Verdict(rank, chain.d, certificate, witness, null_directions=null_basis)
 
 
 def _check_witness(placement, witness: WitnessLine, cutoff: float) -> None:
@@ -269,7 +265,8 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
     of its span, about its origin; each complement coordinate pair {a, b}
     contributes the axis through the origin whose directions are the
     frame vectors plus the remaining complement vectors. C(d-k, 2) points
-    in all; empty once d - k <= 1.
+    in all; empty once d - k <= 1. The rows come from the SVD of the
+    validated frame, so they are not validated again as an ``Axis``.
     """
     d, k = frame.dim, frame.k
     if d - k <= 1:
@@ -279,12 +276,10 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
     else:
         _, _, vh = np.linalg.svd(frame.vecs, full_matrices=True)
         complement = vh[k:]
-    points = []
-    for a, b in itertools.combinations(range(d - k), 2):
-        keep = [complement[c] for c in range(d - k) if c not in (a, b)]
-        dirs = np.vstack([frame.vecs] + [np.array(keep).reshape(-1, d)])
-        points.append(axis_plucker(Axis(d, frame.origin, dirs)))
-    return points
+    return [
+        flat_plucker([frame.origin], [*frame.vecs, *np.delete(complement, pair, axis=0)])
+        for pair in itertools.combinations(range(d - k), 2)
+    ]
 
 
 def _span_verdict(vectors, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
@@ -302,7 +297,6 @@ def _span_verdict(vectors, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = 
     return Verdict(
         certificate.rank - stab_dim,
         full_dim - stab_dim,
-        certificate.deficient,
         certificate,
         witness=certificate.conull,
         mobility=len(vectors) - certificate.rank if cycle else None,
@@ -337,9 +331,7 @@ def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
 
 def axis_plucker_exact(origin, dirs) -> ExteriorVector:
     """Exact Plucker point from rational axis data (directions need not be unit)."""
-    origin = list(origin)
-    rows = [origin + [1]] + [list(v) + [0] for v in dirs]
-    vec = wedge(rows, exact=True)
+    vec = flat_plucker([origin], dirs, exact=True)
     if vec.is_zero():
         raise DegenerateAxisError("axis directions are linearly dependent")
     return vec
@@ -364,10 +356,7 @@ def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = F
     motion exactly when these C(d+1, 2) lines are linearly dependent.
     The conull functional is the skew form annihilating every bar line.
     """
-    vectors = [
-        wedge([list(p) + [1], list(q) + [1]], exact=exact) for p, q in platform.legs
-    ]
-    return _span_verdict(vectors, tol)
+    return _span_verdict([flat_plucker([p, q], exact=exact) for p, q in platform.legs], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +380,9 @@ def twisted_cubic_data(ts=(0, 1, -1, 2, -2, 3)) -> list[tuple[list, list]]:
     return data
 
 
-def twisted_cubic_tangent_vectors(ts=(0, 1, -1, 2, -2, 3), exact: bool = True) -> list[ExteriorVector]:
-    """Tangent lines of the twisted cubic as grade-2 vectors over R^4."""
-    return [
-        wedge([list(p) + [1], list(u) + [0]], exact=exact)
-        for p, u in twisted_cubic_data(ts)
-    ]
+def twisted_cubic_tangent_vectors(ts=(0, 1, -1, 2, -2, 3)) -> list[ExteriorVector]:
+    """Tangent lines of the twisted cubic as exact grade-2 vectors over R^4."""
+    return [flat_plucker([p], [u], exact=True) for p, u in twisted_cubic_data(ts)]
 
 
 def mirror_through_z_axis(p) -> list:
@@ -428,7 +414,7 @@ def bricard_symmetric_lines(seed: int = 0) -> list[tuple[list, list]]:
         # reject coincident line pairs; mobility fixtures want six distinct hinges
         units = []
         for p, u in lines:
-            vec = wedge([list(p) + [1], list(u) + [0]])
+            vec = flat_plucker([p], [u])
             units.append(vec.coeffs / vec.norm())
         distinct = all(
             min(

@@ -76,15 +76,14 @@ class Chain:
 
     ``ref_axes`` holds the n-1 hinge axes in the reference placement
     (theta = 0); ``end_frame`` is the marked k-frame on the last body
-    (k = 0 marks a bare end-point). A cycle stores its closing axis too
-    and carries a (d-2)-frame inside it, so the closure condition is an
-    end-frame equation.
+    (k = 0 marks a bare end-point). A chain is a cycle exactly when it
+    stores a closing axis; a cycle carries a (d-2)-frame inside it, so
+    the closure condition is an end-frame equation.
     """
 
     d: int
     ref_axes: tuple[Axis, ...]
     end_frame: Frame
-    is_cycle: bool = False
     closing_axis: Axis | None = None
     panel: bool = False
 
@@ -104,14 +103,10 @@ class Chain:
             if np.linalg.norm(off) <= 1e-9 * (1.0 + np.linalg.norm(rel)):
                 raise DefinitionError("the end-point must stay off the last axis")
         if self.is_cycle:
-            if self.closing_axis is None:
-                raise DefinitionError("a cycle must store its closing axis")
             if self.closing_axis.dim != self.d:
                 raise DefinitionError("closing axis dimension mismatch")
             if self.end_frame.k != self.d - 2:
                 raise DefinitionError("a cycle carries a (d-2)-frame on the last body")
-        elif self.closing_axis is not None:
-            raise DefinitionError("only cycles store a closing axis")
         if self.panel:
             ring = list(axes) + ([self.closing_axis] if self.is_cycle else [])
             pairs = list(zip(ring, ring[1:]))
@@ -126,6 +121,10 @@ class Chain:
     @property
     def n(self) -> int:
         return len(self.ref_axes) + 1
+
+    @property
+    def is_cycle(self) -> bool:
+        return self.closing_axis is not None
 
     @cached_property
     def ref_generators(self) -> np.ndarray:
@@ -152,7 +151,7 @@ def cycle_chain(axes, panel: bool = False) -> Chain:
     d = axes[0].dim
     closing = axes[-1]
     frame = Frame(d, closing.origin, closing.dirs)
-    return Chain(d, tuple(axes[:-1]), frame, is_cycle=True, closing_axis=closing, panel=panel)
+    return Chain(d, tuple(axes[:-1]), frame, closing_axis=closing, panel=panel)
 
 
 @dataclass(frozen=True, eq=False)

@@ -450,7 +450,8 @@ def _cmd_analyze_cycle(args, sc: Scenario, chain: Chain, tol: float) -> int:
         print(json.dumps(_verdict_json(verdict, exact_verdict), indent=2))
         return 0
     n = len(sc.axes)
-    state = "infinitesimally flexible" if verdict.singular else "rigid"
+    # the state word follows the mobility; JSON "singular" says the span misses a hyperplane
+    state = "infinitesimally flexible" if verdict.mobility > 0 else "rigid"
     print(
         f"cycle of {n} axes in R^{sc.d}: Plucker span rank {verdict.rank} of "
         f"{verdict.full_rank} -> {state}, mobility {verdict.mobility}"

@@ -115,10 +115,8 @@ class ExteriorVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.as_float().coeffs))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if self.exact:
-            return all(x == 0 for x in self.coeffs)
-        return bool(np.all(np.abs(self.coeffs) <= tol))
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
 
     def _require_like(self, other: "ExteriorVector") -> None:
         if not isinstance(other, ExteriorVector):
@@ -421,28 +419,17 @@ def positive_lead(v: np.ndarray) -> np.ndarray:
     return -v if v[np.argmax(np.abs(v))] < 0 else v.copy()
 
 
-def rank_of_span(
-    vectors,
-    expected_rank: int,
-    tol: float = 1e-10,
-    ambient: int | None = None,
-    grade: int | None = None,
-) -> RankCertificate:
+def rank_of_span(vectors, expected_rank: int, tol: float = 1e-10) -> RankCertificate:
     """Rank of the linear span of same-shape exterior vectors.
 
     Float mode applies ``numeric_rank`` to the stacked coefficient rows.
     When every input is exact the rank is computed by exact Gaussian
-    elimination instead and ``singular_values`` stays empty. ``ambient``
-    and ``grade`` are only consulted for an empty input list, where they
-    let a deficient certificate still carry a (trivial) conull.
+    elimination instead and ``singular_values`` stays empty. An empty
+    input list has rank 0 and no conull.
     """
     vectors = list(vectors)
     if not vectors:
-        conull = None
-        if ambient is not None and grade is not None and expected_rank > 0:
-            conull = np.zeros(comb(ambient, grade))
-            conull[0] = 1.0
-        return RankCertificate(0, np.array([]), expected_rank > 0, conull)
+        return RankCertificate(0, np.array([]), expected_rank > 0, None)
     g, m = vectors[0].grade, vectors[0].ambient
     if any(v.grade != g or v.ambient != m for v in vectors):
         raise GradeError("rank_of_span needs vectors of one common grade and ambient")

@@ -4,12 +4,13 @@ projective completion P_d.
 Conventions used throughout the package:
 
 * the homogeneous slot comes last: a point p lifts to (p, 1), a
-  direction v lifts to (v, 0);
+  direction v lifts to (v, 0); ``flat_plucker`` is the one place that
+  writes this lift, and every Plucker point of the package comes from it;
 * a hinge axis is a codimension-two affine subspace, stored as an origin
   plus d-2 orthonormal directions; its Plucker point is the decomposable
-  grade-(d-1) vector lift(origin) ^ lift0(v_1) ^ ... ^ lift0(v_{d-2})
-  over R^{d+1} (for d = 2 an axis is a point and the wedge degenerates
-  to the homogeneous point itself);
+  grade-(d-1) vector (origin, 1) ^ (v_1, 0) ^ ... ^ (v_{d-2}, 0) over
+  R^{d+1} (for d = 2 an axis is a point and the wedge degenerates to the
+  homogeneous point itself);
 * the rotation generator of an axis is the skew matrix
   J[a, b] = -det[dirs; e_a; e_b] / |v_1 ^ ... ^ v_{d-2}|, which pins
   down all rotation signs.
@@ -44,8 +45,7 @@ __all__ = [
     "compose",
     "invert",
     "apply",
-    "lift_point",
-    "lift_dir",
+    "flat_plucker",
     "axis_plucker",
     "line_plucker",
     "incident",
@@ -201,16 +201,15 @@ def apply(iso: Isometry, obj):
     return iso.rot @ p + iso.trans
 
 
-def lift_point(p) -> np.ndarray:
-    """Homogeneous lift (p, 1)."""
-    p = np.asarray(p, dtype=float)
-    return np.append(p, 1.0)
+def flat_plucker(points, dirs=(), exact: bool = False) -> ExteriorVector:
+    """Plucker point of the flat through ``points`` along ``dirs``.
 
-
-def lift_dir(v) -> np.ndarray:
-    """Direction lift (v, 0), a point at infinity."""
-    v = np.asarray(v, dtype=float)
-    return np.append(v, 0.0)
+    The wedge, exact or float as ``wedge`` computes it, of the lifted
+    points (p, 1) and directions (v, 0). Nothing is validated: dependent
+    inputs give the zero vector.
+    """
+    rows = [[*p, 1] for p in points] + [[*v, 0] for v in dirs]
+    return wedge(rows, exact=exact)
 
 
 def axis_plucker(axis: Axis) -> ExteriorVector:
@@ -220,16 +219,14 @@ def axis_plucker(axis: Axis) -> ExteriorVector:
     under re-basing the directions with the same orientation; an
     orientation flip negates it.
     """
-    rows = [lift_point(axis.origin)] + [lift_dir(v) for v in axis.dirs]
-    return wedge(rows)
+    return flat_plucker([axis.origin], axis.dirs)
 
 
 def line_plucker(p, u) -> ExteriorVector:
     """Plucker coordinates of the affine line through p with direction u."""
-    u = np.asarray(u, dtype=float)
     if not np.any(u):
         raise DegenerateLineError("a line needs a nonzero direction")
-    return wedge([lift_point(p), lift_dir(u)])
+    return flat_plucker([p], [u])
 
 
 def incident(line: ExteriorVector, axis_point: ExteriorVector, tol: float = 1e-10) -> bool:
@@ -347,9 +344,9 @@ class AffineSubspace:
     def flat_dim(self) -> int:
         return self.dirs.shape[0]
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         p = np.asarray(p, dtype=float)
-        return bool(np.linalg.norm(p - project_affine(p, self)) <= tol * (1.0 + np.linalg.norm(p)))
+        return bool(np.linalg.norm(p - project_affine(p, self)) <= 1e-9 * (1.0 + np.linalg.norm(p)))
 
 
 def affine_intersection(subspaces) -> AffineSubspace | None:

@@ -33,17 +33,17 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, key)] if key else int(seed))
 
 
-def random_axis(rng: np.random.Generator, d: int, box: float = 1.5) -> Axis:
+def random_axis(rng: np.random.Generator, d: int) -> Axis:
     if d < 2:
         raise DimensionError("axes need ambient dimension >= 2")
-    origin = rng.uniform(-box, box, d)
+    origin = rng.uniform(-1.5, 1.5, d)
     if d == 2:
         return Axis(2, origin, np.zeros((0, 2)))
     return make_axis(d, origin, rng.standard_normal((d - 2, d)))
 
 
-def random_frame(rng: np.random.Generator, d: int, k: int, box: float = 1.5) -> Frame:
-    origin = rng.uniform(-box, box, d)
+def random_frame(rng: np.random.Generator, d: int, k: int) -> Frame:
+    origin = rng.uniform(-1.5, 1.5, d)
     if k == 0:
         return Frame(d, origin, np.zeros((0, d)))
     return make_frame(d, origin, rng.standard_normal((k, d)))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,6 +8,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from hingekit import (
+    Axis,
     Chain,
     Frame,
     Platform,
@@ -44,6 +47,7 @@ from hingekit.sampling import (
     common_line_platform_legs,
     random_axis,
     random_chain,
+    random_frame,
     random_platform_legs,
     rng_from,
     singular_endpoint_chain,
@@ -162,6 +166,21 @@ def test_loose_hinge_stabilizer_is_its_own_axis():
     (point,) = stabilizer_pluckers(f)
     own = axis_plucker(make_axis(4, f.origin, f.vecs))
     assert np.allclose(point.coeffs, own.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in range(2, 7) for k in range(d - 1)])
+def test_stabilizer_points_are_the_plucker_points_of_validated_axes(d, k):
+    """Each stabilizer point equals axis_plucker of an Axis built, and so validated,
+    from the frame vectors and the complement rows it keeps."""
+    frame = random_frame(rng_from(308 + 10 * d + k), d, k)
+    complement = np.eye(d) if k == 0 else np.linalg.svd(frame.vecs, full_matrices=True)[2][k:]
+    points = stabilizer_pluckers(frame)
+    pairs = list(itertools.combinations(range(d - k), 2))
+    assert len(points) == len(pairs)
+    for point, (a, b) in zip(points, pairs):
+        keep = [complement[c] for c in range(d - k) if c not in (a, b)]
+        want = axis_plucker(Axis(d, frame.origin, np.vstack([frame.vecs, *keep]))).coeffs
+        assert np.abs(point.coeffs - want).max() <= 1e-13 * np.linalg.norm(want)
 
 
 def test_frame_and_endpoint_verdicts_agree_for_points():

@@ -25,8 +25,9 @@ from hingekit import (
     rotation_generator,
 )
 import hingekit.chain as chain_module
-from hingekit.analysis import classical_scenario
-from hingekit.chain import panel_spans_ok
+from hingekit.analysis import classical_scenario, cycle_mobility
+from hingekit.chain import cycle_axes_at, panel_spans_ok
+from hingekit.exterior import numeric_rank
 from hingekit.errors import DefinitionError, DimensionError, HingekitError, RigidCycleError, WrongMapError
 from hingekit.geometry import _plucker_to_twist
 from hingekit.sampling import random_axis, random_chain, random_cycle, rng_from
@@ -382,13 +383,38 @@ def test_plucker_to_twist_is_a_signed_permutation_onto_the_twist(d, seed):
     assert np.abs(M @ axis_plucker(axis).coeffs - twist).max() <= 1e-13
 
 
+def _fiber_cycle(family, seed):
+    if family == "bricard-symmetric-six":
+        return cycle_chain(classical_scenario(family, seed=seed))
+    d, n = {"d3n7": (3, 7), "d4n11": (4, 11)}[family]
+    return classical_scenario("generic-cycle", d=d, n=n, seed=seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(["d3n7", "d4n11"]), st.integers(0, 9)),
+        st.tuples(st.just("bricard-symmetric-six"), st.integers(0, 39)),
+    )
+)
+def test_closure_kernel_dimension_is_the_plucker_span_mobility(cycle):
+    """The paper's equivalence along the fiber: the closure differential's kernel
+    has dimension n - rank of the placed axes' Plucker span."""
+    chain = _fiber_cycle(*cycle)
+    for theta in flex_path(chain, 10, 0.01):
+        J = frame_map_jacobian(chain, theta)
+        kernel = J.shape[1] - numeric_rank(J, 1e-10)[0]
+        assert kernel == cycle_mobility(cycle_axes_at(chain, theta)).mobility >= 1
+
+
 def test_cycle_constructor_guards():
     rng = rng_from(116)
     axes = [random_axis(rng, 3) for _ in range(6)]
     c = cycle_chain(axes)
     assert c.is_cycle and c.end_frame.k == 1 and c.closing_axis is axes[-1]
+    # a closing axis makes a cycle, which must carry a (d-2)-frame
     with pytest.raises(DefinitionError):
-        Chain(3, tuple(axes[:5]), Frame(3, axes[5].origin, axes[5].dirs), is_cycle=True)
+        Chain(3, tuple(axes[:5]), Frame(3, axes[5].origin, np.eye(3)[:2]), closing_axis=axes[5])
 
 
 def _same_placement(a, b):

@@ -162,6 +162,25 @@ def test_analyze_cycle_json_output(tmp_path, capsys):
     assert doc["exact"]["rank"] == doc["rank"]
 
 
+@pytest.mark.parametrize(
+    "n, line, flex_code",
+    [
+        ("7", "Plucker span rank 6 of 6 -> infinitesimally flexible, mobility 1", 0),
+        ("5", "Plucker span rank 5 of 6 -> rigid, mobility 0", 3),
+    ],
+)
+def test_analyze_cycle_state_word_follows_the_mobility(capsys, monkeypatch, n, line, flex_code):
+    """A full span can still flex and a deficient one can be rigid; JSON "singular" keeps the span."""
+    text = example_text(capsys, "generic-cycle", "--n", n)
+    code, out, _ = capture(capsys, ["analyze-cycle", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 0 and line in out
+    code, out, _ = capture(capsys, ["analyze-cycle", "-", "--json"], stdin=text, monkeypatch=monkeypatch)
+    assert json.loads(out)["singular"] is (n == "5")
+    code, _, err = capture(capsys, ["flex", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == flex_code
+    assert ("the closure differential has no kernel" in err) is (flex_code == 3)
+
+
 def test_convert_linkage_json_roundtrip(tmp_path, capsys):
     path = tmp_path / "cycle.json"
     path.write_text(example_text(capsys, "generic-cycle", "--n", "6", "--seed", "9"))

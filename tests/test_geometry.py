@@ -12,6 +12,7 @@ from hingekit import (
     axis_plucker,
     common_perpendicular,
     compose,
+    flat_plucker,
     identity_isometry,
     incident,
     invert,
@@ -116,6 +117,19 @@ def test_line_plucker_homogeneity_and_slide():
     c = line_plucker((1, 1, 1), (1, 1, 1))  # same projective line
     na, nc = a.coeffs / a.norm(), c.coeffs / c.norm()
     assert min(np.linalg.norm(na - nc), np.linalg.norm(na + nc)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=1, max_size=d + 1)))
+def test_flat_plucker_of_points_equals_first_point_and_differences(points):
+    """(p, 1) ^ (q, 1) = (p, 1) ^ (q - p, 0), exactly; the float wedge agrees."""
+    exact = flat_plucker(points, exact=True)
+    diffs = [[b - a for a, b in zip(points[0], q)] for q in points[1:]]
+    assert list(flat_plucker(points[:1], diffs, exact=True).coeffs) == list(exact.coeffs)
+    scale = np.prod([np.linalg.norm([*q, 1]) for q in points])
+    want = np.array([float(x) for x in exact.coeffs])
+    assert np.abs(flat_plucker(points).coeffs - want).max() <= 1e-12 * scale
 
 
 def test_line_plucker_rejects_zero_direction():

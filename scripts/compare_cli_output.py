@@ -14,12 +14,14 @@ is a nonzero multiple of 2^31 - 1. A five-axis cycle in R^3 (mobility
 0, though its Plucker span misses a hyperplane) runs through
 ``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
 finds no kernel and exits 3. The error paths are run too: each
-file command on a scenario kind it refuses, and text ``convert-linkage``
+file command on a scenario kind it refuses, text ``convert-linkage``
 on a three-axis cycle in R^4, too short for the canonical edge
-partition. Every invocation runs once against ``src/`` of this
-checkout and once against ``src/`` of REV (extracted with ``git
-archive``). Each side feeds the analyses with its own ``example`` output.
-Exit code, stdout, stderr and every written CSV file must agree;
+partition, one malformed scenario file per schema message of the
+parser, and files carrying top-level keys their kind does not read.
+Every invocation runs once against ``src/`` of this checkout and once
+against ``src/`` of REV (extracted with ``git archive``). Each side
+feeds the analyses with its own ``example`` output. Exit code, stdout,
+stderr and every written CSV file must agree;
 differences are listed and the script exits 1. For each difference it
 says whether only numeric tokens differ, and if so how many numbers
 differ, how many of those are below MAGNITUDE_FLOOR on both sides
@@ -154,6 +156,39 @@ SCENARIOS = {
                    "axes": [{"origin": origin, "dirs": [u]} for origin, u in MODP]},
 }
 
+# malformed scenario files, each run through the analyze command of its kind: one per
+# schema message, then top-level keys that the kind does not read
+_AXIS = {"origin": [0, 0, 0], "dirs": [[0, 0, 1]]}
+_TWO = [_AXIS, {"origin": [1, 0, 0], "dirs": [[0, 1, 0]]}]
+_CYCLE = {"kind": "cycle", "d": 3, "axes": _TWO}
+_CHAIN = {"kind": "chain", "d": 3, "axes": _TWO[:1], "end_frame": {"origin": [1, 1, 1], "vecs": []}}
+_PLATFORM = {"kind": "platform", "d": 2,
+             "legs": [{"p": [1, 0], "q": [2, 0]}, {"p": [0, 1], "q": [0, 3]}, {"p": [1, 1], "q": [2, 2]}]}
+MALFORMED = {
+    "bad-boolean": dict(_CYCLE, axes=[dict(_AXIS, origin=[0, True, 0]), _TWO[1]]),
+    "bad-null": dict(_CYCLE, axes=[dict(_AXIS, origin=[0, None, 0]), _TWO[1]]),
+    "bad-vector": dict(_CYCLE, axes=[dict(_AXIS, origin="0,0,0"), _TWO[1]]),
+    "bad-rows": dict(_CYCLE, axes=[dict(_AXIS, dirs="z"), _TWO[1]]),
+    "bad-entry": dict(_CYCLE, axes=[[0, 0, 0], _TWO[1]]),
+    "bad-entry-key": dict(_CYCLE, axes=[dict(_AXIS, normal=[0, 0, 1]), _TWO[1]]),
+    "bad-origin": dict(_CYCLE, axes=[{"dirs": [[0, 0, 1]]}, _TWO[1]]),
+    "bad-top": [],
+    "bad-kind": dict(_CYCLE, kind="loop"),
+    "bad-d": dict(_CYCLE, d=1),
+    "bad-panel": dict(_CYCLE, panel=1),
+    "bad-dirs": dict(_CYCLE, axes=[dict(_AXIS, dirs=[]), _TWO[1]]),
+    "bad-one-axis": dict(_CYCLE, axes=_TWO[:1]),
+    "bad-vecs": dict(_CHAIN, end_frame={"origin": [1, 1, 1], "vecs": [[1, 0, 0]] * 4}),
+    "bad-legs": dict(_PLATFORM, legs={}),
+    "bad-leg": dict(_PLATFORM, legs=[[[0, 0], [1, 0]]]),
+    "unknown-cycle": dict(_CYCLE, tolerance=1e-3, pannel=True, end_frame=_CHAIN["end_frame"]),
+    "unknown-chain": dict(_CHAIN, legs=[]),
+    "unknown-platform-panel": dict(_PLATFORM, panel=False),
+    "unknown-platform-axes": dict(_PLATFORM, axes=_TWO),
+}
+SCENARIOS.update(MALFORMED)
+_ANALYZE = {"chain": "analyze-chain", "cycle": "analyze-cycle", "platform": "analyze-platform"}
+
 RUNS = [
     ["analyze-chain", "{arm}"], ["analyze-chain", "{arm}", "--json"],
     ["analyze-chain", "{arm-l}", "--json"], ["analyze-chain", "{chain-d3}"],
@@ -194,6 +229,8 @@ RUNS = [
     ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],
     ["convert-linkage", "{desargues}"], ["flex", "{chain-d3}"], ["sweep", "{desargues}"],
     ["convert-linkage", "{cycle-d4n3}"],
+    *([_ANALYZE.get(doc["kind"] if isinstance(doc, dict) else "", "analyze-cycle"), f"{{{tag}}}"]
+      for tag, doc in MALFORMED.items()),
 ]
 
 

@@ -233,14 +233,12 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     conull = None
     null_basis = None
     if singular:
-        nu = positive_lead(u[:, rank])
-        witness = WitnessLine(pl.frame_at.origin, nu)
-        conull = nu
-        # every deficiency direction is a witness, so hand back all of them
+        # every deficiency direction is a witness, so hand back and check all of them
         null_basis = u[:, rank:].T.copy()
-        _check_witness(pl, witness, cutoff)
-        for extra in null_basis[1:]:
-            _check_witness(pl, WitnessLine(pl.frame_at.origin, extra), cutoff)
+        for direction in null_basis:
+            _check_witness(pl, WitnessLine(pl.frame_at.origin, direction), cutoff)
+        conull = positive_lead(null_basis[0])
+        witness = WitnessLine(pl.frame_at.origin, conull)
     certificate = RankCertificate(rank, sig, singular, conull)
     return Verdict(rank, chain.d, certificate, witness, null_directions=null_basis)
 
@@ -412,21 +410,14 @@ def bricard_symmetric_lines(seed: int = 0) -> list[tuple[list, list]]:
             (mirror_through_z_axis(p), mirror_through_z_axis(u)) for p, u in base
         ]
         # reject coincident line pairs; mobility fixtures want six distinct hinges
-        units = []
-        for p, u in lines:
-            vec = flat_plucker([p], [u])
-            units.append(vec.coeffs / vec.norm())
-        distinct = all(
-            min(
-                np.linalg.norm(units[i] - units[j]),
-                np.linalg.norm(units[i] + units[j]),
-            )
-            > 1e-9
-            for i in range(len(units))
-            for j in range(i + 1, len(units))
-        )
-        if distinct:
+        if not any(_coincident(a, b) for a, b in itertools.combinations(lines, 2)):
             return [([int(x) for x in p], [int(x) for x in u]) for p, u in lines]
+
+
+def _coincident(a, b) -> bool:
+    """Whether integer lines (p, u) and (q, v) are one line: u x v = 0 and (q - p) x u = 0."""
+    (p, u), (q, v) = a, b
+    return not np.cross(u, v).any() and not np.cross(np.subtract(q, p), u).any()
 
 
 def chair_hexagon_points(height: float = 0.5) -> np.ndarray:

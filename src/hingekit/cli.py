@@ -7,7 +7,7 @@ Scenario schema (JSON object):
       "d": int,
       "axes": [{"origin": [...], "dirs": [[...], ...]}, ...],   # chain, cycle
       "end_frame": {"origin": [...], "vecs": [[...], ...]},     # chain
-      "panel": bool,                                            # optional
+      "panel": bool,                                            # chain, cycle; optional
       "legs": [{"p": [...], "q": [...]}, ...],                  # platform
       "seed": int,                                              # optional
       "tol": float                                              # optional
@@ -16,13 +16,15 @@ Scenario schema (JSON object):
 Coordinates may be numbers or exact rationals written as strings "a/b";
 rational values survive parsing untouched, which is what --exact runs on.
 
+A top-level key that the scenario's kind does not read is rejected.
+
 Every command but ``example`` reads one scenario file. ``run`` loads and
 builds it once, checks its kind against the ``kinds`` the command declares
 in the parser, and settles the tolerance (--tol, checked, else the
 scenario's "tol", else 1e-10) before the command runs.
 
-Exit codes: 0 success, 2 input error, 3 genericity/degeneracy/provenance
-error, 4 internal consistency error.
+Exit codes: 0 success, 2 input error, 4 internal consistency error, 3 any
+other hingekit error (genericity, degeneracy, provenance, ...).
 """
 
 from __future__ import annotations
@@ -43,13 +45,9 @@ from .chain import Chain, cycle_chain, flex_path, frame_residual
 from .errors import (
     ConsistencyError,
     DefinitionError,
-    DegenerateGeometryError,
     DimensionError,
     GenericityError,
     HingekitError,
-    ProjectionError,
-    ProvenanceError,
-    RigidCycleError,
     ScenarioError,
     ToleranceError,
     WrongMapError,
@@ -135,6 +133,13 @@ def _entry(value, path: str, d: int, key: str) -> tuple[tuple, tuple[tuple, ...]
     return origin, _rows(value.get(key, []), f"{path}.{key}", d)
 
 
+_KIND_KEYS = {
+    "chain": {"kind", "d", "axes", "end_frame", "panel", "seed", "tol"},
+    "cycle": {"kind", "d", "axes", "panel", "seed", "tol"},
+    "platform": {"kind", "d", "legs", "seed", "tol"},
+}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON; errors carry the JSON path."""
     return _load(text)[0]
@@ -156,8 +161,11 @@ def _load(text: str) -> tuple[Scenario, Chain | analysis.Platform]:
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
     kind = doc.get("kind")
-    if kind not in ("chain", "cycle", "platform"):
+    if kind not in _KIND_KEYS:
         raise ScenarioError("kind: expected one of 'chain', 'cycle', 'platform'")
+    unknown = set(doc) - _KIND_KEYS[kind]
+    if unknown:
+        raise ScenarioError(f"top level: unknown keys {sorted(unknown)}")
     d = doc.get("d")
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ScenarioError("d: expected an integer >= 2")
@@ -220,22 +228,16 @@ def scenario_axes(sc: Scenario):
 
 
 def scenario_chain(sc: Scenario) -> Chain:
-    if sc.kind != "chain":
-        raise ScenarioError(f"expected a chain scenario, got kind {sc.kind!r}")
     origin, vecs = sc.end_frame
     frame = make_frame(sc.d, _floats(origin), [_floats(v) for v in vecs])
     return Chain(sc.d, tuple(scenario_axes(sc)), frame, panel=sc.panel)
 
 
 def scenario_cycle_chain(sc: Scenario) -> Chain:
-    if sc.kind != "cycle":
-        raise ScenarioError(f"expected a cycle scenario, got kind {sc.kind!r}")
     return cycle_chain(scenario_axes(sc), panel=sc.panel)
 
 
 def scenario_platform(sc: Scenario) -> analysis.Platform:
-    if sc.kind != "platform":
-        raise ScenarioError(f"expected a platform scenario, got kind {sc.kind!r}")
     return analysis.Platform(sc.d, sc.legs)
 
 
@@ -253,12 +255,13 @@ def _require_exact(sc: Scenario) -> None:
                 raise ScenarioError(f"{path}[{k}]: exact mode needs integers or 'a/b' strings, got a float")
 
 
-def _emit_value(x):
+def _emit(x):
+    """JSON form of parsed values: a tuple becomes a list, a Fraction an int or an 'a/b' string."""
+    if isinstance(x, tuple):
+        return [_emit(v) for v in x]
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
-    if isinstance(x, (int, float)):
-        return x
-    return float(x)
+    return x
 
 
 def emit_scenario(sc: Scenario) -> str:
@@ -271,21 +274,11 @@ def emit_scenario(sc: Scenario) -> str:
     if sc.seed is not None:
         doc["seed"] = sc.seed
     if sc.axes is not None:
-        doc["axes"] = [
-            {"origin": [_emit_value(x) for x in origin], "dirs": [[_emit_value(x) for x in v] for v in dirs]}
-            for origin, dirs in sc.axes
-        ]
+        doc["axes"] = [{"origin": _emit(origin), "dirs": _emit(dirs)} for origin, dirs in sc.axes]
     if sc.end_frame is not None:
-        origin, vecs = sc.end_frame
-        doc["end_frame"] = {
-            "origin": [_emit_value(x) for x in origin],
-            "vecs": [[_emit_value(x) for x in v] for v in vecs],
-        }
+        doc["end_frame"] = {"origin": _emit(sc.end_frame[0]), "vecs": _emit(sc.end_frame[1])}
     if sc.legs is not None:
-        doc["legs"] = [
-            {"p": [_emit_value(x) for x in p], "q": [_emit_value(x) for x in q]}
-            for p, q in sc.legs
-        ]
+        doc["legs"] = [{"p": _emit(p), "q": _emit(q)} for p, q in sc.legs]
     if sc.panel:
         doc["panel"] = True
     if sc.tol is not None:
@@ -338,8 +331,7 @@ def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: in
     for index in range(samples):
         theta = rng_from(seed, index).uniform(0.0, 2.0 * np.pi, chain.n - 1)
         verdict = _verdict_for(chain, theta, tol)
-        sig = verdict.certificate.singular_values
-        sigma_min = float(sig[-1]) if sig.size else 0.0
+        sigma_min = float(verdict.certificate.singular_values[-1])
         rows.append(SweepRow(index, tuple(float(t) for t in theta), verdict.rank, sigma_min, verdict.singular))
     sigmas = [r.sigma_min for r in rows]
     singular_count = sum(1 for r in rows if r.singular)
@@ -389,32 +381,27 @@ def _verdict_json(verdict, exact_verdict=None) -> dict:
         }
     elif verdict.witness is not None:
         # an exact functional is a coprime integer vector; a float would round it
-        emit = _emit_value if verdict.certificate.exact else float
-        out["functional"] = [emit(x) for x in verdict.witness]
+        out["functional"] = _emit(tuple(verdict.witness))
     if exact_verdict is not None:
         out["exact"] = _verdict_json(exact_verdict)
     return out
 
 
-def _print_chain_report(chain: Chain, verdict, out) -> None:
+def _print_chain_report(chain: Chain, verdict) -> None:
     kind = "end-point" if chain.end_frame.k == 0 else f"end-frame (k={chain.end_frame.k})"
     state = "SINGULAR" if verdict.singular else "regular"
     print(
         f"{kind} map of a {chain.n}-body chain in R^{chain.d}: "
-        f"rank {verdict.rank} of {verdict.full_rank} -> {state}",
-        file=out,
+        f"rank {verdict.rank} of {verdict.full_rank} -> {state}"
     )
-    sig = verdict.certificate.singular_values
-    if sig.size:
-        print(f"sigma_min = {sig[-1]:.6e}", file=out)
+    print(f"sigma_min = {verdict.certificate.singular_values[-1]:.6e}")
     if isinstance(verdict.witness, analysis.WitnessLine):
         print(
             f"witness line through {_fmt_vec(verdict.witness.point)} "
-            f"with direction {_fmt_vec(verdict.witness.direction)}",
-            file=out,
+            f"with direction {_fmt_vec(verdict.witness.direction)}"
         )
     elif verdict.witness is not None:
-        print(f"hyperplane functional: {_fmt_vec(verdict.witness)}", file=out)
+        print(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +423,7 @@ def _cmd_analyze_chain(args, sc: Scenario, chain: Chain, tol: float) -> int:
     if args.json:
         print(json.dumps(_verdict_json(verdict), indent=2))
     else:
-        _print_chain_report(chain, verdict, sys.stdout)
+        _print_chain_report(chain, verdict)
     return 0
 
 
@@ -504,15 +491,6 @@ def _linkage_json(lk: linkage_mod.Linkage) -> dict:
     }
 
 
-def linkage_from_json(doc: dict) -> linkage_mod.Linkage:
-    return linkage_mod.Linkage(
-        doc["d"],
-        doc["n"],
-        tuple((v["label"], tuple(float(x) for x in v["coords"])) for v in doc["vertices"]),
-        tuple((e["a"], e["b"], float(e["length"])) for e in doc["edges"]),
-    )
-
-
 def _cmd_convert_linkage(args, sc: Scenario, chain: Chain, tol: float) -> int:
     lk = linkage_mod.cycle_to_linkage([*chain.ref_axes, chain.closing_axis])
     if args.json:
@@ -535,7 +513,7 @@ def _cmd_flex(args, sc: Scenario, chain: Chain, tol: float) -> int:
     drift = None
     try:
         drift = linkage_mod.check_linkage_invariance(chain, path)
-    except (GenericityError, DegenerateGeometryError) as exc:
+    except GenericityError as exc:  # check_linkage_invariance re-raises every build failure as this
         print(f"linkage drift unavailable: {exc}", file=sys.stderr)
     if args.csv:
         lines = ["step," + ",".join(f"theta_{i + 1}" for i in range(chain.n - 1)) + ",residual"]
@@ -734,12 +712,12 @@ def run(argv=None) -> int:
     except (ScenarioError, DefinitionError, DimensionError, WrongMapError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GenericityError, DegenerateGeometryError, RigidCycleError, ProjectionError, ProvenanceError) as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return 3
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
+    except HingekitError as exc:
+        print(f"degenerate input: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

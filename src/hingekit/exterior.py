@@ -134,12 +134,6 @@ class ExteriorVector:
             self.grade, self.ambient, self.as_float().coeffs + other.as_float().coeffs
         )
 
-    def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
-        return self + (-1) * other
-
-    def __neg__(self) -> "ExteriorVector":
-        return (-1) * self
-
     def __mul__(self, scalar) -> "ExteriorVector":
         if self.exact and isinstance(scalar, (int, Fraction)):
             out = np.empty(len(self.coeffs), dtype=object)

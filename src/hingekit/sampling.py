@@ -36,17 +36,11 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
 def random_axis(rng: np.random.Generator, d: int) -> Axis:
     if d < 2:
         raise DimensionError("axes need ambient dimension >= 2")
-    origin = rng.uniform(-1.5, 1.5, d)
-    if d == 2:
-        return Axis(2, origin, np.zeros((0, 2)))
-    return make_axis(d, origin, rng.standard_normal((d - 2, d)))
+    return make_axis(d, rng.uniform(-1.5, 1.5, d), rng.standard_normal((d - 2, d)))
 
 
 def random_frame(rng: np.random.Generator, d: int, k: int) -> Frame:
-    origin = rng.uniform(-1.5, 1.5, d)
-    if k == 0:
-        return Frame(d, origin, np.zeros((0, d)))
-    return make_frame(d, origin, rng.standard_normal((k, d)))
+    return make_frame(d, rng.uniform(-1.5, 1.5, d), rng.standard_normal((k, d)))
 
 
 def random_chain(rng: np.random.Generator, d: int, n: int, k: int = 0) -> Chain:
@@ -91,10 +85,7 @@ def singular_endpoint_chain(
             axes.append(make_axis(d, rng.uniform(-1.0, 1.0, d), np.vstack([w[None, :], extra])))
         else:
             through = anchor + rng.uniform(-1.5, 1.5) * w
-            if d == 2:
-                axes.append(Axis(2, through, np.zeros((0, 2))))
-            else:
-                axes.append(make_axis(d, through, rng.standard_normal((d - 2, d))))
+            axes.append(make_axis(d, through, rng.standard_normal((d - 2, d))))
     return Chain(d, tuple(axes), Frame(d, endpoint, np.zeros((0, d))))
 
 

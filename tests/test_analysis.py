@@ -20,6 +20,7 @@ from hingekit import (
     cycle_mobility_exact,
     endpoint_jacobian,
     endpoint_singularity,
+    flat_plucker,
     forward_kinematics,
     frame_singularity,
     grid_incident_line,
@@ -36,9 +37,11 @@ from hingekit import (
 )
 from hingekit.analysis import (
     WitnessLine,
+    _coincident,
     bricard_symmetric_lines,
     classical_scenario,
     desargues_legs,
+    mirror_through_z_axis,
     twisted_cubic_data,
     twisted_cubic_tangent_vectors,
 )
@@ -253,6 +256,52 @@ def test_bricard_involution_dependence_exact():
         b = wedge([list(tp) + [1], list(tu) + [0]], exact=True)
         sums.append(a + b)
     assert rank_of_span(sums, expected_rank=3).rank <= 2
+
+
+def _coincident_by_float_pluckers(a, b):
+    """Reference rule: unit Plucker points equal up to sign, within 1e-9."""
+    units = []
+    for p, u in (a, b):
+        vec = flat_plucker([p], [u])
+        units.append(vec.coeffs / vec.norm())
+    return min(np.linalg.norm(units[0] - units[1]), np.linalg.norm(units[0] + units[1])) <= 1e-9
+
+
+_COORD = st.integers(-5, 5)
+_POINT = st.lists(_COORD, min_size=3, max_size=3)
+_DIRECTION = _POINT.filter(any)
+
+
+@st.composite
+def _line_sets(draw):
+    """Integer lines with coordinates in [-5, 5], each one independent or derived from an
+    earlier line: moved along itself, reversed, offset in parallel, or mirrored by the
+    half-turn about the z axis. A derived line that leaves the box is skipped."""
+    lines = [(draw(_POINT), draw(_DIRECTION))]
+    for _ in range(draw(st.integers(1, 5))):
+        p, u = draw(st.sampled_from(lines))
+        how = draw(st.sampled_from(["independent", "along", "reversed", "offset", "mirrored"]))
+        if how == "independent":
+            line = (draw(_POINT), draw(_DIRECTION))
+        elif how == "along":
+            t, s = draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2, -1, -2]))
+            line = ([x + t * y for x, y in zip(p, u)], [s * y for y in u])
+        elif how == "reversed":
+            line = (p, [-y for y in u])
+        elif how == "offset":
+            line = ([x + y for x, y in zip(p, draw(_POINT))], u)
+        else:
+            line = (mirror_through_z_axis(p), mirror_through_z_axis(u))
+        if max(map(abs, line[0] + line[1])) <= 5:
+            lines.append(line)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_sets())
+def test_bricard_coincidence_rule_agrees_with_float_pluckers(lines):
+    for a, b in itertools.combinations(lines, 2):
+        assert _coincident(a, b) == _coincident_by_float_pluckers(a, b)
 
 
 def test_generic_cycle_mobility_counts():

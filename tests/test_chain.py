@@ -30,7 +30,14 @@ from hingekit.chain import cycle_axes_at, panel_spans_ok
 from hingekit.exterior import numeric_rank
 from hingekit.errors import DefinitionError, DimensionError, HingekitError, RigidCycleError, WrongMapError
 from hingekit.geometry import _plucker_to_twist
-from hingekit.sampling import random_axis, random_chain, random_cycle, rng_from
+from hingekit.sampling import (
+    random_axis,
+    random_chain,
+    random_cycle,
+    random_frame,
+    rng_from,
+    singular_endpoint_chain,
+)
 
 
 def planar_arm(*lengths):
@@ -264,6 +271,35 @@ def test_off_fiber_theta_and_negative_steps_are_hingekit_errors():
 def test_random_axis_needs_dimension_two():
     with pytest.raises(DimensionError):
         random_axis(rng_from(0), 1)
+
+
+def _same_axis(a, b):
+    return a.dim == b.dim and np.array_equal(a.origin, b.origin) and a.dirs.shape == b.dirs.shape
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_samplers_without_direction_rows_match_the_explicit_constructions(seed):
+    """A zero-row draw leaves the stream alone, so random_axis (d = 2), random_frame
+    (k = 0) and singular_endpoint_chain (d = 2) equal building the empty rows directly
+    and leave the generator in the same state."""
+    new, old = rng_from(seed), rng_from(seed)
+    assert _same_axis(random_axis(new, 2), Axis(2, old.uniform(-1.5, 1.5, 2), np.zeros((0, 2))))
+    for d in (2, 3, 5):
+        frame = random_frame(new, d, 0)
+        origin = old.uniform(-1.5, 1.5, d)
+        assert frame.k == 0 and frame.vecs.shape == (0, d) and np.array_equal(frame.origin, origin)
+    assert new.random() == old.random()
+
+    new, old = rng_from(seed), rng_from(seed)
+    chain = singular_endpoint_chain(new, 2, 5)
+    anchor = old.uniform(-1.0, 1.0, 2)
+    w = old.standard_normal(2)
+    w /= np.linalg.norm(w)
+    endpoint = anchor + old.uniform(0.5, 1.5) * w
+    axes = [Axis(2, anchor + old.uniform(-1.5, 1.5) * w, np.zeros((0, 2))) for _ in range(4)]
+    assert all(_same_axis(a, b) for a, b in zip(chain.ref_axes, axes, strict=True))
+    assert np.array_equal(chain.end_frame.origin, endpoint)
+    assert new.random() == old.random()
 
 
 def test_rigid_cycle_has_no_tangent():

@@ -10,7 +10,6 @@ from hingekit import cli
 from hingekit.cli import (
     Scenario,
     emit_scenario,
-    linkage_from_json,
     parse_scenario,
     run,
     scenario_chain,
@@ -19,7 +18,8 @@ from hingekit.cli import (
     sweep,
     sweep_csv,
 )
-from hingekit.errors import ScenarioError
+from hingekit import analysis
+from hingekit.errors import ConsistencyError, GradeError, ScenarioError
 from hingekit.linkage import cycle_to_linkage
 from hingekit.sampling import random_axis, rng_from
 
@@ -189,10 +189,9 @@ def test_convert_linkage_json_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["d"] == 3 and doc["n"] == 6
     assert len(doc["vertices"]) == 12 and len(doc["edges"]) == 30
-    rebuilt = linkage_from_json(doc)
     sc = parse_scenario(path.read_text())
     direct = cycle_to_linkage(cli.scenario_axes(sc))
-    assert rebuilt == direct
+    assert doc == cli._linkage_json(direct)
 
 
 def test_flex_command(tmp_path, capsys):
@@ -249,6 +248,171 @@ def test_exit_codes(tmp_path, capsys):
 
 
 KIND_EXAMPLES = {"chain": "planar-arm", "cycle": "generic-cycle", "platform": "desargues"}
+KIND_COMMANDS = {"chain": "analyze-chain", "cycle": "analyze-cycle", "platform": "analyze-platform"}
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("cycle", {"tolerance": 1e-3, "pannel": True, "end_frame": {"origin": [0, 0, 0], "vecs": []}}),
+        ("chain", {"legs": []}),
+        ("platform", {"panel": False}),
+        ("platform", {"axes": [], "end_frame": None}),
+    ],
+)
+def test_unknown_top_level_keys_are_rejected(tmp_path, capsys, kind, extra):
+    # unread keys used to be ignored, so a misspelt "tol" ran with the default tolerance
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(dict(json.loads(example_text(capsys, KIND_EXAMPLES[kind])), **extra)))
+    code, out, err = capture(capsys, [KIND_COMMANDS[kind], str(path)])
+    assert (code, out, err) == (2, "", f"error: top level: unknown keys {sorted(extra)}\n")
+
+
+def test_consistency_error_exits_4(tmp_path, capsys, monkeypatch):
+    def disagree(*args):
+        raise ConsistencyError("the witness misses axis 1")
+
+    monkeypatch.setattr(analysis, "_check_witness", disagree)
+    path = tmp_path / "arm.json"
+    path.write_text(example_text(capsys, "planar-arm"))  # singular at theta = 0, so the witness is checked
+    code, out, err = capture(capsys, ["analyze-chain", str(path)])
+    assert (code, out, err) == (4, "", "internal consistency failure: the witness misses axis 1\n")
+
+
+def test_any_other_hingekit_error_exits_3(tmp_path, capsys, monkeypatch):
+    def grade_error(*args, **kwargs):
+        raise GradeError("grades differ")
+
+    monkeypatch.setattr(analysis, "cycle_mobility", grade_error)
+    path = tmp_path / "cycle.json"
+    path.write_text(example_text(capsys, "generic-cycle"))
+    code, out, err = capture(capsys, ["analyze-cycle", str(path)])
+    assert (code, out, err) == (3, "", "degenerate input: grades differ\n")
+
+
+TWO_AXES = [{"origin": [0, 0, 0], "dirs": [[0, 0, 1]]}, {"origin": [1, 0, 0], "dirs": [[0, 1, 0]]}]
+
+
+def _cycle(*axes):
+    return {"kind": "cycle", "d": 3, "axes": [*axes, *TWO_AXES[len(axes):]]}
+
+
+def _axis(**fields):
+    return dict(TWO_AXES[0], **fields)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_cycle(_axis(origin=[0, True, 0])), "axes[0].origin[1]: expected a number, got a boolean"),
+        (_cycle(_axis(origin=[0, None, 0])), "axes[0].origin[1]: expected a number or 'a/b' string"),
+        (_cycle(_axis(origin="0,0,0")), "axes[0].origin: expected an array"),
+        (_cycle(_axis(dirs="z")), "axes[0].dirs: expected an array of vectors"),
+        (_cycle([0, 0, 0]), "axes[0]: expected an object with origin/dirs"),
+        (_cycle(_axis(normal=[0, 0, 1])), "axes[0]: unknown keys ['normal']"),
+        (_cycle({"dirs": [[0, 0, 1]]}), "axes[0].origin: missing"),
+        ([], "top level: expected an object"),
+        (dict(_cycle(), kind="loop"), "kind: expected one of 'chain', 'cycle', 'platform'"),
+        (dict(_cycle(), d=True), "d: expected an integer >= 2"),
+        (dict(_cycle(), panel=1), "panel: expected a boolean"),
+        (_cycle(_axis(dirs=[])), "axes[0].dirs: an axis of R^3 needs 1 directions"),
+        (dict(_cycle(), axes=TWO_AXES[:1]), "axes: a cycle needs at least two axes"),
+        (
+            {"kind": "chain", "d": 3, "axes": TWO_AXES[:1],
+             "end_frame": {"origin": [1, 1, 1], "vecs": [[1, 0, 0]] * 4}},
+            "end_frame.vecs: more vectors than dimensions",
+        ),
+        ({"kind": "platform", "d": 2, "legs": {}}, "legs: expected an array"),
+        ({"kind": "platform", "d": 2, "legs": [[[0, 0], [1, 0]]]}, "legs[0]: expected an object with p and q"),
+    ],
+)
+def test_schema_errors_print_one_line_with_the_json_path(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    command = KIND_COMMANDS.get(doc["kind"] if isinstance(doc, dict) else "cycle", "analyze-cycle")
+    code, out, err = capture(capsys, [command, str(path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _parallel_neighbours(text):
+    """The example cycle with axis 2 parallel to axis 1: it flexes, but has no canonical linkage."""
+    doc = json.loads(text)
+    doc["axes"][1]["dirs"] = doc["axes"][0]["dirs"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["sweep", "-", "--samples", "0"], 2, "error: sweep needs at least one sample\n"),
+        (
+            ["flex", "PARALLEL", "--steps", "2"],
+            0,
+            "linkage drift unavailable: configuration 0 of the path: "
+            "support lines 1 and 2 are parallel; no canonical feet\n",
+        ),
+    ],
+)
+def test_command_stderr_lines(tmp_path, capsys, monkeypatch, argv, code, stderr):
+    text = example_text(capsys, "generic-cycle")
+    path = tmp_path / "parallel.json"
+    path.write_text(_parallel_neighbours(text))
+    argv = [str(path) if a == "PARALLEL" else a for a in argv]
+    assert capture(capsys, argv, stdin=text, monkeypatch=monkeypatch)[::2] == (code, stderr)
+
+
+def _frame_k1_singular(tmp_path):
+    # five parallel axes and a k = 1 frame: the end-frame map has rank 3 of 5 at theta = 0
+    axes = [{"origin": [x, y, 0], "dirs": [[0, 0, 1]]} for x, y in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2))]
+    path = tmp_path / "frame.json"
+    frame = {"origin": [3, 3, 1], "vecs": [[1, 0, 0]]}
+    path.write_text(json.dumps({"kind": "chain", "d": 3, "axes": axes, "end_frame": frame}))
+    return str(path)
+
+
+def test_output_structure_of_each_command(tmp_path, capsys):
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(example_text(capsys, "generic-cycle"))
+    platform = tmp_path / "desargues.json"
+    platform.write_text(example_text(capsys, "desargues"))
+
+    code, out, _ = capture(capsys, ["analyze-platform", str(platform), "--json"])
+    assert code == 0 and set(json.loads(out)) == {"rank", "full_rank", "singular", "sigma_min", "functional"}
+
+    code, out, _ = capture(capsys, ["flex", str(cycle), "--json", "--steps", "2"])
+    doc = json.loads(out)
+    assert code == 0 and list(doc) == ["steps", "step_size", "residuals", "max_edge_drift", "path"]
+    assert len(doc["residuals"]) == len(doc["path"]) == 3 and len(doc["path"][0]) == 6
+
+    code, out, _ = capture(capsys, ["sweep", str(cycle), "--json", "--samples", "3"])
+    keys = ["samples", "seed", "singular_count", "sigma_min_min", "sigma_min_mean"]
+    assert code == 0 and list(json.loads(out)) == keys
+
+    code, out, _ = capture(capsys, ["sweep", str(cycle), "--samples", "3"])
+    lines = out.splitlines()
+    assert code == 0 and lines[0].startswith("swept 3 samples (seed 0): 0 singular, sigma_min in [")
+    thetas = ",".join(f"theta_{i}" for i in range(1, 7))
+    assert lines[1] == f"sample_index,{thetas},rank,sigma_min,singular"
+    assert [row.split(",", 1)[0] for row in lines[2:]] == ["0", "1", "2"]
+
+    code, out, _ = capture(capsys, ["convert-linkage", str(cycle)])
+    first, note, rest = out.split("\n", 2)
+    assert code == 0 and first.startswith("canonical linkage in R^3: 14 vertices, ") and note
+    assert list(json.loads(rest)) == ["d", "n", "vertices", "edges"]
+
+    code, out, _ = capture(capsys, ["analyze-chain", _frame_k1_singular(tmp_path)])
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "end-frame (k=1) map of a 6-body chain in R^3: rank 3 of 5 -> SINGULAR"
+    assert lines[1].startswith("sigma_min = ") and lines[2].startswith("hyperplane functional: [")
+    assert len(lines) == 3
+
+
+def test_emit_scenario_keeps_the_tolerance():
+    legs = [{"p": [1, 0], "q": [2, 0]}, {"p": [0, 1], "q": [0, 3]}, {"p": [1, 1], "q": ["5/2", "5/2"]}]
+    sc = parse_scenario(json.dumps({"kind": "platform", "d": 2, "tol": 1e-6, "legs": legs}))
+    text = emit_scenario(sc)
+    assert list(json.loads(text)) == ["kind", "d", "legs", "tol"] and json.loads(text)["tol"] == 1e-6
+    assert parse_scenario(text) == sc
 
 
 @pytest.mark.parametrize(

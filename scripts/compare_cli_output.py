@@ -13,7 +13,9 @@ on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 is a nonzero multiple of 2^31 - 1. A five-axis cycle in R^3 (mobility
 0, though its Plucker span misses a hyperplane) runs through
 ``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
-finds no kernel and exits 3. The error paths are run too: each
+finds no kernel and exits 3. ``convert-linkage`` runs on two generic
+d=6 cycles of 12 axes, one of which exits 3 because a body simplex
+counts as collapsed. The error paths are run too: each
 file command on a scenario kind it refuses, text ``convert-linkage``
 on a three-axis cycle in R^4, too short for the canonical edge
 partition, one malformed scenario file per schema message of the
@@ -68,6 +70,8 @@ EXAMPLES = {
     "cycle-d4": ["generic-cycle", "--d", "4", "--n", "11"],
     "cycle-d2": ["generic-cycle", "--d", "2", "--n", "5", "--seed", "1"],
     "cycle-d4n3": ["generic-cycle", "--d", "4", "--n", "3"],
+    "cycle-d6n12": ["generic-cycle", "--d", "6", "--n", "12"],
+    "cycle-d6n12-1": ["generic-cycle", "--d", "6", "--n", "12", "--seed", "1"],
 }
 
 # hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,
@@ -213,6 +217,10 @@ RUNS = [
     ["analyze-platform", "{desargues-p}", "--json", "--exact"],
     ["convert-linkage", "{cycle}"], ["convert-linkage", "{cycle-d4}", "--json"],
     ["convert-linkage", "{bricard}", "--json"],
+    # generic d=6 cycles: seed 0 builds its linkage; seed 1 exits 3 because the
+    # collapse rule of simplex_orientations rejects an ill-conditioned simplex
+    ["convert-linkage", "{cycle-d6n12}"], ["convert-linkage", "{cycle-d6n12}", "--json"],
+    ["convert-linkage", "{cycle-d6n12-1}"], ["convert-linkage", "{cycle-d6n12-1}", "--json"],
     ["flex", "{cycle}", "--json"], ["flex", "{cycle}", "--csv", "{out}/flex-cycle.csv"],
     ["flex", "{cycle-5}", "--steps", "4", "--step-size", "0.05"],
     ["flex", "{cycle-d4}", "--json", "--steps", "3"], ["flex", "{bricard}", "--json", "--steps", "3"],

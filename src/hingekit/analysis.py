@@ -440,8 +440,7 @@ def desargues_legs(perturb=0) -> list[tuple[tuple, tuple]]:
     rays = [(1, 0), (0, 1), (1, 1)]
     inner = [Fraction(1), Fraction(1), Fraction(1)]
     outer = [Fraction(2), Fraction(3), Fraction(5, 2)]
-    if not isinstance(perturb, (int, Fraction)):
-        perturb = Fraction(*float(perturb).as_integer_ratio())
+    perturb = Fraction(perturb)
     legs = []
     for idx, (vx, vy) in enumerate(rays):
         p = (inner[idx] * vx, inner[idx] * vy)

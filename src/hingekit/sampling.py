@@ -74,8 +74,7 @@ def singular_endpoint_chain(
     """Chain whose reference pose threads one line through the end-point
     and across every axis (meeting it, or running parallel to it)."""
     anchor = rng.uniform(-1.0, 1.0, d)
-    w = rng.standard_normal(d)
-    w /= np.linalg.norm(w)
+    w = _unit(rng, d)
     endpoint = anchor + rng.uniform(0.5, 1.5) * w
     axes = []
     for _ in range(n - 1):
@@ -91,8 +90,7 @@ def singular_endpoint_chain(
 
 def parallel_axes_chain(rng: np.random.Generator, d: int, n: int) -> Chain:
     """All axes share one direction, so every configuration is singular."""
-    w = rng.standard_normal(d)
-    w /= np.linalg.norm(w)
+    w = _unit(rng, d)
     axes = []
     for _ in range(n - 1):
         extra = rng.standard_normal((d - 3, d))

@@ -495,6 +495,14 @@ def test_desargues_perturbation_is_rigid_exactly():
     assert v.rank == 3 and not v.singular
 
 
+@pytest.mark.parametrize("value", [0.1, -2.5, 1e-300])
+def test_desargues_reads_a_float_perturbation_by_its_exact_binary_value(value):
+    legs = desargues_legs(value)
+    assert legs == desargues_legs(Fraction(*value.as_integer_ratio()))
+    assert legs[0][1] == (2, Fraction(*value.as_integer_ratio()))
+    assert all(type(x) is Fraction for leg in legs for point in leg for x in point)
+
+
 def test_random_spatial_platforms_are_rigid():
     rng = rng_from(314)
     for _ in range(10):

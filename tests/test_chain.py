@@ -27,8 +27,15 @@ from hingekit import (
 import hingekit.chain as chain_module
 from hingekit.analysis import classical_scenario, cycle_mobility
 from hingekit.chain import cycle_axes_at, panel_spans_ok
-from hingekit.exterior import numeric_rank
-from hingekit.errors import DefinitionError, DimensionError, HingekitError, RigidCycleError, WrongMapError
+from hingekit.exterior import numeric_rank, positive_lead
+from hingekit.errors import (
+    DefinitionError,
+    DimensionError,
+    HingekitError,
+    ProjectionError,
+    RigidCycleError,
+    WrongMapError,
+)
 from hingekit.geometry import _plucker_to_twist
 from hingekit.sampling import (
     random_axis,
@@ -247,6 +254,46 @@ def test_flex_projection_is_second_order():
     assert gaps[0] < 0.5 * 2e-2
     # halving the step should shrink the correction by about four
     assert gaps[1] < 0.45 * gaps[0]
+
+
+def _long_step_start():
+    c = classical_scenario("generic-cycle", d=3, n=7, seed=2)
+    return c, positive_lead(fiber_tangent_basis(c, np.zeros(6))[0])
+
+
+def test_flex_cycle_halves_rejected_gauss_newton_steps(monkeypatch):
+    # a step of 1.5 lands far off the fiber: full Gauss-Newton steps overshoot,
+    # so several trials are rejected and halved before the projection converges
+    c, direction = _long_step_start()
+    calls = {"jacobian": 0, "residual": 0}
+    jacobian, residual = chain_module.frame_map_jacobian, chain_module.frame_residual
+
+    def counted_jacobian(*args, **kwargs):
+        calls["jacobian"] += 1
+        return jacobian(*args, **kwargs)
+
+    def counted_residual(*args):
+        calls["residual"] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(chain_module, "frame_map_jacobian", counted_jacobian)
+    monkeypatch.setattr(chain_module, "frame_residual", counted_residual)
+    theta = flex_cycle(c, np.zeros(6), direction, 1.5)
+    # one residual for the start, one for the predictor, then one per trial; each
+    # Gauss-Newton iteration takes one Jacobian and accepts exactly one trial
+    rejected = calls["residual"] - 2 - calls["jacobian"]
+    assert rejected >= 3
+    assert np.linalg.norm(residual(c, theta)) <= 1e-10
+
+
+def test_flex_cycle_gives_up_after_50_gauss_newton_iterations(monkeypatch):
+    # a Jacobian scaled by 10 shrinks every step tenfold: each trial is accepted,
+    # but the residual falls by only a factor 0.9 per iteration
+    c, direction = _long_step_start()
+    jacobian = chain_module.frame_map_jacobian
+    monkeypatch.setattr(chain_module, "frame_map_jacobian", lambda *a, **k: 10 * jacobian(*a, **k))
+    with pytest.raises(ProjectionError, match="within 50 iterations"):
+        flex_cycle(c, np.zeros(6), direction, 0.05)
 
 
 def test_flex_requires_fiber_point():

@@ -210,6 +210,14 @@ def test_flex_command(tmp_path, capsys):
     assert float(rows[-1].rsplit(",", 1)[1]) <= 1e-8
 
 
+def test_flex_with_a_huge_step_exits_3_when_step_halving_stalls(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(example_text(capsys, "generic-cycle"))
+    code, out, err = capture(capsys, ["flex", str(path), "--step-size", "1e308"])
+    assert code == 3 and out == ""
+    assert err == "degenerate input: step halving stalled while projecting onto the fiber\n"
+
+
 def test_cyclohexane_example_is_panel_cycle(capsys):
     text = example_text(capsys, "cyclohexane-panels")
     sc = parse_scenario(text)

@@ -16,7 +16,7 @@ from hingekit import (
     wedge,
 )
 from hingekit.errors import DegenerateGeometryError, DimensionError, GradeError, ToleranceError
-from hingekit.exterior import _echelon, _rank_mod_p, positive_lead
+from hingekit.exterior import _complement_table, _echelon, _rank_mod_p, positive_lead
 
 P31 = (1 << 31) - 1
 
@@ -415,6 +415,10 @@ def exact_rank_inputs(draw):
 @example(([["1/2", 0, 0, 0], [0, "3/5", 0, "1/7"]], 4))  # deficient only after r == len(rows)
 @example(([[0, "1/3", 2], [0, 3, "5/2"], [0, "2/3", 4]], 3))  # an all-zero column
 @example(([[P31, 1], [0, 1]], 2))  # rank 1 mod 2^31 - 1, rank 2 over Q
+# seven columns, so the mod-p check runs: it certifies the identity; the second
+# matrix has rank 6 mod 2^31 - 1 and rank 7 over Q
+@example(([[int(i == j) for j in range(7)] for i in range(7)], 7))
+@example(([[P31 if i == j == 6 else int(i == j) for j in range(7)] for i in range(7)], 7))
 @example(([[2**64 + 1, 3, 2**70], [5, 2**65 - 7, 1], [2**66, 0, 2**64]], 3))  # full, past 2^64
 @example(([[2**64, 2**65 + 2], [2**66, 2**67 + 8]], 2))  # deficient, past 2^64
 @example(([[1, 2], [3, 4], [5, 6]], 2))  # more rows than columns, full rank
@@ -451,3 +455,99 @@ def test_rank_mod_p_never_exceeds_the_echelon_rank(rows):
     vs = [ExteriorVector(1, len(row), np.array([Fraction(x) for x in row], dtype=object))
           for row in rows]
     assert rank_of_span(vs, expected_rank=len(rows[0])).rank == rank
+
+
+# --- exterior arithmetic against the per-mode code it replaced -------------------
+# Before, each operation branched on the arithmetic mode; now the mode only picks
+# the dtype. These are the old branches, kept as references.
+
+
+def _old_as_float(v):
+    if not v.exact:
+        return v
+    return ExteriorVector(v.grade, v.ambient, np.array([float(x) for x in v.coeffs]))
+
+
+def _old_add(u, v):
+    if u.exact and v.exact:
+        return ExteriorVector(u.grade, u.ambient, u.coeffs + v.coeffs)
+    return ExteriorVector(u.grade, u.ambient, _old_as_float(u).coeffs + _old_as_float(v).coeffs)
+
+
+def _old_mul(v, scalar):
+    if v.exact and isinstance(scalar, (int, Fraction)):
+        out = np.empty(len(v.coeffs), dtype=object)
+        out[:] = [scalar * x for x in v.coeffs]
+        return ExteriorVector(v.grade, v.ambient, out)
+    return ExteriorVector(v.grade, v.ambient, float(scalar) * _old_as_float(v).coeffs)
+
+
+def _old_top_pairing(a, b):
+    idx, sgn = _complement_table(a.ambient, a.grade)
+    if a.exact and b.exact:
+        total = Fraction(0)
+        for i in range(len(idx)):
+            term = a.coeffs[i] * b.coeffs[idx[i]]
+            total += -term if sgn[i] < 0 else term
+        return total
+    # the signs were stored as floats
+    return float((_old_as_float(a).coeffs * sgn.astype(float)) @ _old_as_float(b).coeffs[idx])
+
+
+def _old_empty_wedge(ambient, exact):
+    if exact:
+        data = np.empty(1, dtype=object)
+        data[0] = Fraction(1)
+        return ExteriorVector(0, ambient, data)
+    return ExteriorVector(0, ambient, np.ones(1))
+
+
+def _assert_same(new, old):
+    """Equal values: Fractions when exact, the same float bits otherwise."""
+    if isinstance(old, ExteriorVector):
+        assert new.exact == old.exact and new.coeffs.dtype == old.coeffs.dtype
+        if old.exact:
+            assert all(type(x) is Fraction for x in new.coeffs)
+            assert list(new.coeffs) == list(old.coeffs)
+        else:
+            assert new.coeffs.tobytes() == old.coeffs.tobytes()
+    elif type(old) is Fraction:
+        assert type(new) is Fraction and new == old
+    else:
+        assert type(new) is float and np.float64(new).tobytes() == np.float64(old).tobytes()
+
+
+fractions = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))
+bounded_floats = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def exterior_vectors(draw, m, k):
+    size = math.comb(m, k)
+    if draw(st.booleans()):
+        coeffs = np.empty(size, dtype=object)
+        coeffs[:] = draw(st.lists(fractions, min_size=size, max_size=size))
+    else:
+        coeffs = np.array(draw(st.lists(bounded_floats, min_size=size, max_size=size)))
+    return ExteriorVector(k, m, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exterior_arithmetic_matches_the_per_mode_code_it_replaced(data):
+    m = data.draw(st.integers(1, 6), label="m")
+    k = data.draw(st.integers(0, m), label="grade")
+    a, b = data.draw(exterior_vectors(m, k)), data.draw(exterior_vectors(m, k))
+    c = data.draw(exterior_vectors(m, m - k))
+    scalar = data.draw(st.one_of(st.integers(-9, 9), fractions, st.floats(-1e3, 1e3)))
+    _assert_same(a + b, _old_add(a, b))
+    _assert_same(a * scalar, _old_mul(a, scalar))
+    _assert_same(scalar * a, _old_mul(a, scalar))
+    _assert_same(a.as_float(), _old_as_float(a))
+    _assert_same(top_pairing(a, c), _old_top_pairing(a, c))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_empty_wedge_matches_the_object_filled_one(exact):
+    for m in range(1, 7):
+        _assert_same(wedge([], ambient=m, exact=exact), _old_empty_wedge(m, exact))

@@ -116,6 +116,23 @@ def test_global_isometry_preserves_lengths():
         assert abs(L - L2) < 1e-12
 
 
+def test_d6_cycle_cuts_planes_and_keeps_its_lengths_under_a_rigid_motion():
+    # even d >= 6 projects onto the plane cut by k - 1 = 2 consecutive axes
+    c = classical_scenario("generic-cycle", d=6, n=12, seed=0)
+    axes = cycle_axes_at(c, np.zeros(11))
+    base = cycle_to_linkage(axes)
+    split = moduli_invariants(base)
+    assert (len(base.vertices), len(base.edges)) == (24, 132)
+    assert (len(split.independent), len(split.dependent)) == (108, 24)
+    axis = make_axis(6, (0.2, 0.4, -0.3, 0.1, 0.5, -0.7),
+                     [(1, 0, 2, 0, 0, 1), (0, 1, 0, 1, 0, 0), (0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 0, -1)])
+    g = rotate_about(axis, 0.9)
+    moved = cycle_to_linkage([apply(g, a) for a in axes])
+    for (a, b, L), (a2, b2, L2) in zip(base.edges, moved.edges):
+        assert (a, b) == (a2, b2)
+        assert abs(L - L2) <= 1e-12 * L
+
+
 def test_rescaled_cycle_scales_every_invariant():
     rng = rng_from(405)
     axes = [random_axis(rng, 3) for _ in range(6)]
@@ -196,6 +213,16 @@ def test_genericity_failure_names_the_window():
     with pytest.raises(GenericityError) as err:
         cycle_to_linkage([a1, a2] + others)
     assert "1" in str(err.value) and "2" in str(err.value)
+
+
+def test_even_d_window_that_misses_its_point_is_named():
+    # two consecutive axes of R^4 in parallel planes: they share no point
+    a1 = make_axis(4, (0, 0, 0, 0), [(1, 0, 0, 0), (0, 1, 0, 0)])
+    a2 = make_axis(4, (0, 0, 1, 0), [(1, 0, 0, 0), (0, 1, 0, 0)])
+    rng = rng_from(410)
+    others = [random_axis(rng, 4) for _ in range(4)]
+    with pytest.raises(GenericityError, match=r"axes 1\.\.2 \(cyclic\) should cut a point, got empty"):
+        cycle_to_linkage([a1, a2] + others)
 
 
 def test_invariance_check_reports_failing_configuration():

@@ -15,11 +15,14 @@ is a nonzero multiple of 2^31 - 1. A five-axis cycle in R^3 (mobility
 ``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
 finds no kernel and exits 3. ``convert-linkage`` runs on two generic
 d=6 cycles of 12 axes, one of which exits 3 because a body simplex
-counts as collapsed. The error paths are run too: each
-file command on a scenario kind it refuses, text ``convert-linkage``
-on a three-axis cycle in R^4, too short for the canonical edge
-partition, one malformed scenario file per schema message of the
-parser, and files carrying top-level keys their kind does not read.
+counts as collapsed, and in text and ``--json`` form on a planar
+polygon, on a two-point polygon (two p1-p2 edges), on a d=5 cycle of 10
+axes (support lines cut by k = 2 axes) and on a four-axis cycle in R^5,
+too short for the canonical edges. The error paths are run too: each
+file command on a scenario kind it refuses, ``convert-linkage`` in text
+and ``--json`` form on a three-axis cycle in R^4, also too short, one
+malformed scenario file per schema message of the parser, and files
+carrying top-level keys their kind does not read.
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -72,6 +75,9 @@ EXAMPLES = {
     "cycle-d4n3": ["generic-cycle", "--d", "4", "--n", "3"],
     "cycle-d6n12": ["generic-cycle", "--d", "6", "--n", "12"],
     "cycle-d6n12-1": ["generic-cycle", "--d", "6", "--n", "12", "--seed", "1"],
+    "cycle-d2n2": ["generic-cycle", "--d", "2", "--n", "2"],
+    "cycle-d5n10": ["generic-cycle", "--d", "5", "--n", "10"],
+    "cycle-d5n4": ["generic-cycle", "--d", "5", "--n", "4"],
 }
 
 # hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,
@@ -221,6 +227,8 @@ RUNS = [
     # collapse rule of simplex_orientations rejects an ill-conditioned simplex
     ["convert-linkage", "{cycle-d6n12}"], ["convert-linkage", "{cycle-d6n12}", "--json"],
     ["convert-linkage", "{cycle-d6n12-1}"], ["convert-linkage", "{cycle-d6n12-1}", "--json"],
+    *(["convert-linkage", f"{{{tag}}}", *flag]
+      for tag in ("cycle-d2", "cycle-d2n2", "cycle-d5n10", "cycle-d5n4") for flag in ([], ["--json"])),
     ["flex", "{cycle}", "--json"], ["flex", "{cycle}", "--csv", "{out}/flex-cycle.csv"],
     ["flex", "{cycle-5}", "--steps", "4", "--step-size", "0.05"],
     ["flex", "{cycle-d4}", "--json", "--steps", "3"], ["flex", "{bricard}", "--json", "--steps", "3"],
@@ -236,7 +244,7 @@ RUNS = [
     # error paths: a scenario kind the command refuses, and a cycle too short to partition
     ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],
     ["convert-linkage", "{desargues}"], ["flex", "{chain-d3}"], ["sweep", "{desargues}"],
-    ["convert-linkage", "{cycle-d4n3}"],
+    ["convert-linkage", "{cycle-d4n3}"], ["convert-linkage", "{cycle-d4n3}", "--json"],
     *([_ANALYZE.get(doc["kind"] if isinstance(doc, dict) else "", "analyze-cycle"), f"{{{tag}}}"]
       for tag, doc in MALFORMED.items()),
 ]

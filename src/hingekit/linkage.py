@@ -1,21 +1,22 @@
 """Canonical conversion of generic hinged cycles into bar-joint linkages.
 
-For a generic n-cycle in R^d (d >= 3) the construction yields 2n
-vertices and (2d - 1) n edges, the 1-skeleton of n d-simplices glued in
-a ring, consecutive ones sharing a (d-2)-face. Odd d places two
+For a generic n-cycle in R^d (d >= 3, n > 2 floor(d/2)) the construction
+yields 2n vertices and (2d - 1) n edges, the 1-skeleton of n d-simplices
+glued in a ring, consecutive ones sharing a (d-2)-face. Odd d places two
 perpendicular feet on each line cut out by k = (d-1)/2 consecutive axes;
 even d pairs each point cut out by k = d/2 consecutive axes with the
 orthogonal projection of its successor onto the previous (k-1)-fold
-intersection plane. Vertex labels encode provenance (support index plus
-role), so linkages built at different configurations of one cycle are
-comparable edge by edge.
+intersection plane. d = 2 gives the polygon: n vertices, n edges.
 
+Vertex 2i + r is role r (0: foot- or p, 1: foot+ or q) on support i + 1;
+for d = 2 vertex i is p(i+1). Vertex and edge orders are numeric, and
+``_labels`` alone writes the labels, whose provenance (support index plus
+role) makes linkages of one cycle comparable edge by edge.
 All indices are cyclic mod n; labels are 1-based.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -43,8 +44,6 @@ __all__ = [
     "linkage_at",
 ]
 
-_LABEL = re.compile(r"^(foot[-+]|[pq])(\d+)$")
-
 
 @dataclass(frozen=True)
 class Linkage:
@@ -66,27 +65,36 @@ class Linkage:
 
     def simplices(self) -> tuple[tuple[str, ...], ...]:
         """Vertex labels of each body simplex, in a fixed window order."""
-        return _simplices(self.d, self.n)
+        return _labelled_simplices(self.d, self.n)
 
 
 @lru_cache(maxsize=64)  # one entry per (d, n) in use
-def _simplices(d: int, n: int) -> tuple[tuple[str, ...], ...]:
-    """The labels of ``Linkage.simplices``; they depend only on (d, n)."""
+def _labels(d: int, n: int) -> tuple[str, ...]:
+    """The label of each vertex number."""
+    roles = ("p",) if d == 2 else ("foot-", "foot+") if d % 2 else ("p", "q")
+    return tuple(f"{role}{i + 1}" for i in range(n) for role in roles)
+
+
+@lru_cache(maxsize=64)  # one entry per (d, n) in use
+def _simplices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex numbers of each body simplex; they depend only on (d, n)."""
     if d == 2:
         return ()
+    k = d // 2
     out = []
-    if d % 2:
-        k = (d - 1) // 2
-        for body in range(n):
-            window = [(body - k + 1 + t) % n for t in range(k + 1)]
-            out.append(tuple(f"foot{sign}{i + 1}" for i in window for sign in ("-", "+")))
-    else:
-        k = d // 2
-        for body in range(n):
-            ps = [(body - k + 1 + t) % n for t in range(k + 1)]
-            qs = [(body - k + 2 + t) % n for t in range(k)]
-            out.append(tuple([f"p{i + 1}" for i in ps] + [f"q{i + 1}" for i in qs]))
+    for body in range(n):
+        window = [(body - k + 1 + t) % n for t in range(k + 1)]
+        if d % 2:
+            out.append(tuple(2 * i + r for i in window for r in (0, 1)))
+        else:
+            out.append(tuple([2 * i for i in window] + [2 * i + 1 for i in window[1:]]))
     return tuple(out)
+
+
+@lru_cache(maxsize=64)  # one entry per (d, n) in use
+def _labelled_simplices(d: int, n: int) -> tuple[tuple[str, ...], ...]:
+    labels = _labels(d, n)
+    return tuple(tuple(labels[v] for v in simplex) for simplex in _simplices(d, n))
 
 
 @dataclass(frozen=True)
@@ -98,40 +106,13 @@ class ModuliPartition:
     note: str
 
 
-def _label_key(label: str) -> tuple[int, int]:
-    role, idx = _LABEL.match(label).groups()
-    return int(idx), {"foot-": 0, "foot+": 1, "p": 0, "q": 1}[role]
-
-
-def _pair_key(pair) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Sort key of a label pair, or of an edge (label_a, label_b, length)."""
-    return _label_key(pair[0]), _label_key(pair[1])
-
-
 @lru_cache(maxsize=64)  # one entry per (d, n) in use
-def _edge_order(d: int, n: int) -> tuple[tuple[str, str], ...]:
-    """Label pairs of all body-simplex edges, each pair and the list sorted by label key."""
-    pairs = dict.fromkeys(
-        _norm_pair(a, b)
-        for simplex in _simplices(d, n)
-        for a, b in combinations(simplex, 2)
-    )
-    return tuple(sorted(pairs, key=_pair_key))
-
-
-def _edges_from_simplices(d: int, n: int, positions) -> tuple[tuple[str, str, float], ...]:
-    """Edges of the 1-skeleta of the body simplices, with their realized lengths.
-
-    The order and labels depend only on (d, n), so they come from the
-    cached ``_edge_order``; only the lengths are computed from
-    ``positions`` (label -> point).
-    """
-    lengths = []
-    for a, b in _edge_order(d, n):
-        # the arithmetic of np.linalg.norm on a vector, without its overhead
-        v = positions[a] - positions[b]
-        lengths.append((a, b, sqrt(v.dot(v))))
-    return tuple(lengths)
+def _edge_order(d: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted vertex pairs (a < b) of the body-simplex edges or polygon sides."""
+    if d == 2:
+        return tuple(sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n)))
+    pairs = {pair for simplex in _simplices(d, n) for pair in combinations(sorted(simplex), 2)}
+    return tuple(sorted(pairs))
 
 
 def _intersection_flat(axes, start: int, count: int, want_dim: int, what: str):
@@ -154,48 +135,46 @@ def _scale(axes) -> float:
 def cycle_to_linkage(axes) -> Linkage:
     """Canonical bar-joint linkage of a generic cycle of axes.
 
-    Raises GenericityError when an intersection window has the wrong
-    dimension (naming the offending axes) and DegenerateSimplexError when
-    canonical points collapse. d = 2 falls through to the plain polygon
-    on the axis points.
+    Raises GenericityError when the cycle has too few axes for the
+    canonical edges (n <= 2 floor(d/2), d >= 3) or an intersection window
+    has the wrong dimension (naming the offending axes), and
+    DegenerateSimplexError when canonical points collapse. d = 2 falls
+    through to the plain polygon on the axis points.
     """
     axes = list(axes)
     n = len(axes)
     d = axes[0].dim
+    if d > 2 and n <= 2 * (d // 2):
+        raise GenericityError(
+            f"a cycle in R^{d} needs at least {2 * (d // 2) + 1} axes for the "
+            f"canonical linkage, got {n}"
+        )
     if d == 2:
-        return _polygon_linkage(axes)
-    if d % 2:
+        positions = np.array([a.origin for a in axes])
+        for i in range(n):
+            if np.linalg.norm(positions[(i + 1) % n] - positions[i]) <= 1e-12:
+                raise DegenerateSimplexError(
+                    f"polygon vertices {i + 1} and {(i + 1) % n + 1} coincide"
+                )
+    elif d % 2:
         positions = _odd_vertex_positions(axes, d)
     else:
         positions = _even_vertex_positions(axes, d)
-    vertices = tuple(
-        (label, tuple(float(x) for x in positions[label]))
-        for label in sorted(positions, key=_label_key)
-    )
-    linkage = Linkage(d, n, vertices, _edges_from_simplices(d, n, positions))
+    labels = _labels(d, n)
+    edges = []
+    for a, b in _edge_order(d, n):
+        # the arithmetic of np.linalg.norm on a vector, without its overhead
+        v = positions[a] - positions[b]
+        edges.append((labels[a], labels[b], sqrt(v.dot(v))))
+    vertices = tuple(zip(labels, map(tuple, positions.tolist())))
+    linkage = Linkage(d, n, vertices, tuple(edges))
     for sign in simplex_orientations(linkage):
         if sign == 0:
             raise DegenerateSimplexError("a body simplex has collapsed (zero volume)")
     return linkage
 
 
-def _polygon_linkage(axes) -> Linkage:
-    n = len(axes)
-    vertices = tuple(
-        (f"p{i + 1}", tuple(float(x) for x in axes[i].origin)) for i in range(n)
-    )
-    edges = []
-    for i in range(n):
-        j = (i + 1) % n
-        length = float(np.linalg.norm(axes[j].origin - axes[i].origin))
-        if length <= 1e-12:
-            raise DegenerateSimplexError(f"polygon vertices {i + 1} and {j + 1} coincide")
-        edges.append((*_norm_pair(f"p{i + 1}", f"p{j + 1}"), length))
-    edges.sort(key=_pair_key)
-    return Linkage(2, n, vertices, tuple(edges))
-
-
-def _odd_vertex_positions(axes, d: int) -> dict[str, np.ndarray]:
+def _odd_vertex_positions(axes, d: int) -> np.ndarray:
     n = len(axes)
     k = (d - 1) // 2
     lines = []
@@ -205,20 +184,18 @@ def _odd_vertex_positions(axes, d: int) -> dict[str, np.ndarray]:
         else:
             flat = _intersection_flat(axes, i, k, 1, "line")
             lines.append((flat.origin, flat.dirs[0]))
-    positions: dict[str, np.ndarray] = {}
+    positions = np.empty((2 * n, d))
     for i in range(n):
         j = (i + 1) % n
         try:
-            foot_here, foot_next = common_perpendicular(lines[i], lines[j])
+            positions[2 * i + 1], positions[2 * j] = common_perpendicular(lines[i], lines[j])
         except ParallelLinesError as exc:
             raise GenericityError(
                 f"support lines {i + 1} and {j + 1} are parallel; no canonical feet"
             ) from exc
-        positions[f"foot+{i + 1}"] = foot_here
-        positions[f"foot-{j + 1}"] = foot_next
     scale = _scale(axes)
     for i in range(n):
-        gap = np.linalg.norm(positions[f"foot+{i + 1}"] - positions[f"foot-{i + 1}"])
+        gap = np.linalg.norm(positions[2 * i + 1] - positions[2 * i])
         if gap <= 1e-10 * scale:
             raise DegenerateSimplexError(
                 f"the two canonical feet on support line {i + 1} coincide"
@@ -226,7 +203,7 @@ def _odd_vertex_positions(axes, d: int) -> dict[str, np.ndarray]:
     return positions
 
 
-def _even_vertex_positions(axes, d: int) -> dict[str, np.ndarray]:
+def _even_vertex_positions(axes, d: int) -> np.ndarray:
     n = len(axes)
     k = d // 2
     points = []
@@ -237,7 +214,7 @@ def _even_vertex_positions(axes, d: int) -> dict[str, np.ndarray]:
             planes.append(axes[i])
         else:
             planes.append(_intersection_flat(axes, i, k - 1, 2, "plane"))
-    positions: dict[str, np.ndarray] = {}
+    positions = np.empty((2 * n, d))
     scale = _scale(axes)
     for i in range(n):
         j = (i + 1) % n
@@ -246,8 +223,8 @@ def _even_vertex_positions(axes, d: int) -> dict[str, np.ndarray]:
             raise DegenerateSimplexError(
                 f"point {j + 1} already lies on plane {i + 1}; projection degenerates"
             )
-        positions[f"p{i + 1}"] = points[i]
-        positions[f"q{i + 1}"] = q
+        positions[2 * i] = points[i]
+        positions[2 * i + 1] = q
     return positions
 
 
@@ -257,11 +234,12 @@ def simplex_orientations(linkage: Linkage) -> tuple[int, ...]:
     A simplex counts as collapsed when |det| of its edge vectors is at most
     1e-10 times their Hadamard bound, the product of the edge lengths.
     """
-    simplices = linkage.simplices()
+    simplices = _simplices(linkage.d, linkage.n)
     if not simplices:
         return ()
     coords = dict(linkage.vertices)
-    points = np.array([[coords[label] for label in simplex] for simplex in simplices])
+    positions = np.array([coords[label] for label in _labels(linkage.d, linkage.n)])
+    points = positions[np.array(simplices)]
     mats = points[:, 1:] - points[:, :1]
     dets = np.linalg.det(mats)
     hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
@@ -286,46 +264,36 @@ def moduli_invariants(linkage: Linkage) -> ModuliPartition:
         return ModuliPartition(
             linkage.edges, (), "planar polygon: the edge lengths themselves"
         )
-    dependent_keys: list[tuple[str, str]] = []
     if d % 2:
-        for i in range(n):
-            j = (i + 1) % n
-            dependent_keys.append(_norm_pair(f"foot-{i + 1}", f"foot-{j + 1}"))
-            dependent_keys.append(_norm_pair(f"foot+{i + 1}", f"foot+{j + 1}"))
+        pairs = [(2 * i + r, 2 * ((i + 1) % n) + r) for i in range(n) for r in (0, 1)]
         note = (
             "dependent: like-signed feet across consecutive support lines "
             "(right angles at the perpendicular feet fix them)"
         )
     else:
-        for i in range(n):
-            j = (i + 1) % n
-            h = (i - 1) % n
-            dependent_keys.append(_norm_pair(f"p{i + 1}", f"p{j + 1}"))
-            dependent_keys.append(_norm_pair(f"p{h + 1}", f"p{j + 1}"))
+        pairs = [(2 * h, 2 * ((i + 1) % n)) for i in range(n) for h in (i, (i - 1) % n)]
         note = (
             "dependent: point pairs subtending the right angle at each "
             "projection vertex"
         )
-    wanted = set(dependent_keys)
-    if len(wanted) != 2 * n:
+    keys = sorted({tuple(sorted(pair)) for pair in pairs})
+    if len(keys) != 2 * n:
         raise ProvenanceError(
             "dependent edges collide; the canonical partition needs a larger cycle"
         )
+    labels = _labels(d, n)
+    wanted = dict.fromkeys((labels[a], labels[b]) for a, b in keys)
     by_key = {(a, b): (a, b, length) for a, b, length in linkage.edges}
     missing = [key for key in wanted if key not in by_key]
     if missing:
         raise ProvenanceError(f"canonical dependent edges missing from linkage: {missing}")
-    dependent = tuple(by_key[key] for key in sorted(wanted, key=_pair_key))
+    dependent = tuple(by_key[key] for key in wanted)
     independent = tuple(e for e in linkage.edges if (e[0], e[1]) not in wanted)
     if len(independent) != (2 * d - 3) * n:
         raise ProvenanceError(
             f"expected {(2 * d - 3) * n} independent edges, found {len(independent)}"
         )
     return ModuliPartition(independent, dependent, note)
-
-
-def _norm_pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if _label_key(a) <= _label_key(b) else (b, a)
 
 
 def linkage_at(chain: Chain, theta) -> Linkage:

@@ -454,6 +454,29 @@ def test_convert_linkage_on_a_cycle_too_short_to_partition_exits_3(tmp_path, cap
     assert code == 3 and out == "" and err.startswith("degenerate input: ")
 
 
+@pytest.mark.parametrize("d, n, least", [(4, 3, 5), (5, 4, 5)])
+def test_convert_linkage_json_on_a_short_cycle_names_the_least_axis_count(tmp_path, capsys, d, n, least):
+    path = tmp_path / "short.json"
+    path.write_text(example_text(capsys, "generic-cycle", "--d", str(d), "--n", str(n)))
+    message = f"a cycle in R^{d} needs at least {least} axes for the canonical linkage, got {n}"
+    assert capture(capsys, ["convert-linkage", str(path), "--json"]) == (
+        3, "", f"degenerate input: {message}\n"
+    )
+
+
+def test_flex_on_a_mobile_short_cycle_reports_drift_unavailable(tmp_path, capsys):
+    # two coincident axes in R^3 turn about their common line: a flex, but no linkage
+    axis = {"origin": [0, 0, 0], "dirs": [[0, 0, 1]]}
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps({"kind": "cycle", "d": 3, "axes": [axis, axis]}))
+    code, out, err = capture(capsys, ["flex", str(path), "--steps", "2"])
+    assert code == 0 and out.startswith("flexed a 2-axis cycle")
+    assert err == (
+        "linkage drift unavailable: configuration 0 of the path: "
+        "a cycle in R^3 needs at least 3 axes for the canonical linkage, got 2\n"
+    )
+
+
 def test_sweep_determinism_and_workers(tmp_path, capsys):
     arm_text = example_text(capsys, "planar-arm")
     sc = parse_scenario(arm_text)

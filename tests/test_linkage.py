@@ -1,5 +1,10 @@
+import re
+from math import sqrt
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hingekit import (
     Linkage,
@@ -16,8 +21,21 @@ from hingekit import (
     rotate_about,
     simplex_orientations,
 )
-from hingekit.errors import GenericityError, ProvenanceError
-from hingekit.linkage import _edge_order, _edges_from_simplices, _label_key, _simplices
+from hingekit.errors import (
+    DegenerateSimplexError,
+    GenericityError,
+    ParallelLinesError,
+    ProvenanceError,
+)
+from hingekit.geometry import common_perpendicular, project_affine
+from hingekit.linkage import (
+    ModuliPartition,
+    _edge_order,
+    _intersection_flat,
+    _labels,
+    _scale,
+    _simplices,
+)
 from hingekit.sampling import random_axis, random_cycle, rng_from
 
 
@@ -254,6 +272,23 @@ def test_moduli_provenance_guard():
         moduli_invariants(doctored)
 
 
+_LABEL = re.compile(r"^(foot[-+]|[pq])(\d+)$")
+
+
+def _label_key(label):
+    # the sort key of the label-keyed construction: (support index, role)
+    role, idx = _LABEL.match(label).groups()
+    return int(idx), {"foot-": 0, "foot+": 1, "p": 0, "q": 1}[role]
+
+
+def _pair_key(pair):
+    return _label_key(pair[0]), _label_key(pair[1])
+
+
+def _norm_pair(a, b):
+    return (a, b) if _label_key(a) <= _label_key(b) else (b, a)
+
+
 def _uncached_edges(d, n, positions):
     # the edge list as built before the order was cached: a dict of
     # label-sorted pairs over every simplex, then one sort by label key
@@ -276,9 +311,181 @@ def test_cached_edge_order_equals_the_uncached_edge_list(d, n):
     rng = np.random.default_rng(100 * d + n)
     positions = {label: rng.normal(size=d) for label in sorted(labels)}
     expected = _uncached_edges(d, n, positions)
-    assert _edge_order(d, n) == tuple((a, b) for a, b, _ in expected)
-    assert _edges_from_simplices(d, n, positions) == expected
+    names = _labels(d, n)
+    assert tuple((names[a], names[b]) for a, b in _edge_order(d, n)) == tuple(
+        (a, b) for a, b, _ in expected
+    )
     assert len(expected) == (2 * d - 1) * n
+
+
+def _reference_simplices(d, n):
+    # the label tuples of each body simplex, written out per role
+    if d == 2:
+        return ()
+    out = []
+    k = d // 2
+    for body in range(n):
+        window = [(body - k + 1 + t) % n for t in range(k + 1)]
+        if d % 2:
+            out.append(tuple(f"foot{sign}{i + 1}" for i in window for sign in ("-", "+")))
+        else:
+            out.append(tuple([f"p{i + 1}" for i in window] + [f"q{i + 1}" for i in window[1:]]))
+    return tuple(out)
+
+
+def _reference_positions(axes, d):
+    # label -> point, filled support by support
+    n = len(axes)
+    positions = {}
+    scale = _scale(axes)
+    if d % 2:
+        k = (d - 1) // 2
+        lines = []
+        for i in range(n):
+            flat = axes[i] if k == 1 else _intersection_flat(axes, i, k, 1, "line")
+            lines.append((flat.origin, flat.dirs[0]))
+        for i in range(n):
+            j = (i + 1) % n
+            try:
+                positions[f"foot+{i + 1}"], positions[f"foot-{j + 1}"] = common_perpendicular(
+                    lines[i], lines[j]
+                )
+            except ParallelLinesError as exc:
+                raise GenericityError(
+                    f"support lines {i + 1} and {j + 1} are parallel; no canonical feet"
+                ) from exc
+        for i in range(n):
+            gap = np.linalg.norm(positions[f"foot+{i + 1}"] - positions[f"foot-{i + 1}"])
+            if gap <= 1e-10 * scale:
+                raise DegenerateSimplexError(
+                    f"the two canonical feet on support line {i + 1} coincide"
+                )
+        return positions
+    k = d // 2
+    points = [_intersection_flat(axes, i, k, 0, "point").origin for i in range(n)]
+    planes = [
+        axes[i] if k == 2 else _intersection_flat(axes, i, k - 1, 2, "plane") for i in range(n)
+    ]
+    for i in range(n):
+        j = (i + 1) % n
+        q = project_affine(points[j], planes[i])
+        if np.linalg.norm(q - points[j]) <= 1e-10 * scale:
+            raise DegenerateSimplexError(
+                f"point {j + 1} already lies on plane {i + 1}; projection degenerates"
+            )
+        positions[f"p{i + 1}"], positions[f"q{i + 1}"] = points[i], q
+    return positions
+
+
+def _reference_orientations(lk):
+    simplices = _reference_simplices(lk.d, lk.n)
+    if not simplices:
+        return ()
+    coords = dict(lk.vertices)
+    points = np.array([[coords[label] for label in simplex] for simplex in simplices])
+    mats = points[:, 1:] - points[:, :1]
+    dets = np.linalg.det(mats)
+    hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
+    return tuple(
+        0 if abs(det) <= 1e-10 * bound else (1 if det > 0 else -1)
+        for det, bound in zip(dets, hadamard)
+    )
+
+
+def _reference_linkage(axes):
+    # cycle_to_linkage from label-keyed positions, with the labels sorted by
+    # the regex key; short cycles fall through to whatever the geometry gives
+    n, d = len(axes), axes[0].dim
+    if d == 2:
+        vertices = tuple((f"p{i + 1}", tuple(float(x) for x in axes[i].origin)) for i in range(n))
+        edges = []
+        for i in range(n):
+            j = (i + 1) % n
+            length = float(np.linalg.norm(axes[j].origin - axes[i].origin))
+            if length <= 1e-12:
+                raise DegenerateSimplexError(f"polygon vertices {i + 1} and {j + 1} coincide")
+            edges.append((*_norm_pair(f"p{i + 1}", f"p{j + 1}"), length))
+        return Linkage(2, n, vertices, tuple(sorted(edges, key=_pair_key)))
+    positions = _reference_positions(axes, d)
+    vertices = tuple(
+        (label, tuple(float(x) for x in positions[label]))
+        for label in sorted(positions, key=_label_key)
+    )
+    pairs = dict.fromkeys(
+        _norm_pair(s[i], s[j])
+        for s in _reference_simplices(d, n)
+        for i in range(len(s))
+        for j in range(i + 1, len(s))
+    )
+    edges = []
+    for a, b in sorted(pairs, key=_pair_key):
+        v = positions[a] - positions[b]
+        edges.append((a, b, sqrt(v.dot(v))))
+    lk = Linkage(d, n, vertices, tuple(edges))
+    if 0 in _reference_orientations(lk):
+        raise DegenerateSimplexError("a body simplex has collapsed (zero volume)")
+    return lk
+
+
+def _reference_moduli(lk):
+    d, n = lk.d, lk.n
+    if d == 2:
+        return ModuliPartition(lk.edges, (), "planar polygon: the edge lengths themselves")
+    keys = []
+    note = (
+        "dependent: like-signed feet across consecutive support lines "
+        "(right angles at the perpendicular feet fix them)"
+        if d % 2
+        else "dependent: point pairs subtending the right angle at each projection vertex"
+    )
+    for i in range(n):
+        j, h = (i + 1) % n, (i - 1) % n
+        if d % 2:
+            keys += [
+                _norm_pair(f"foot-{i + 1}", f"foot-{j + 1}"),
+                _norm_pair(f"foot+{i + 1}", f"foot+{j + 1}"),
+            ]
+        else:
+            keys += [_norm_pair(f"p{i + 1}", f"p{j + 1}"), _norm_pair(f"p{h + 1}", f"p{j + 1}")]
+    wanted = set(keys)
+    if len(wanted) != 2 * n:
+        raise ProvenanceError("dependent edges collide; the canonical partition needs a larger cycle")
+    by_key = {(a, b): (a, b, length) for a, b, length in lk.edges}
+    dependent = tuple(by_key[key] for key in sorted(wanted, key=_pair_key))
+    independent = tuple(e for e in lk.edges if (e[0], e[1]) not in wanted)
+    if len(independent) != (2 * d - 3) * n:
+        raise ProvenanceError(f"expected {(2 * d - 3) * n} independent edges, found {len(independent)}")
+    return ModuliPartition(independent, dependent, note)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (GenericityError, DegenerateSimplexError, ProvenanceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dn=st.integers(2, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, 2 * d + 2))),
+    seed=st.integers(0, 2**16),
+    theta=st.sampled_from([0.0, 0.3]),
+)
+def test_numbered_linkage_matches_the_label_keyed_reference(dn, seed, theta):
+    d, n = dn
+    c = classical_scenario("generic-cycle", d=d, n=n, seed=seed)
+    axes = cycle_axes_at(c, np.full(n - 1, theta))
+    if d > 2 and n <= 2 * (d // 2):
+        with pytest.raises(GenericityError, match=rf"needs at least {2 * (d // 2) + 1} axes"):
+            cycle_to_linkage(axes)
+        return
+    got, want = _outcome(cycle_to_linkage, axes), _outcome(_reference_linkage, axes)
+    assert got == want
+    if want.startswith("Linkage("):
+        lk = cycle_to_linkage(axes)
+        assert lk.simplices() == _reference_simplices(d, n)
+        assert simplex_orientations(lk) == _reference_orientations(lk)
+        assert _outcome(moduli_invariants, lk) == _outcome(_reference_moduli, lk)
 
 
 def test_edge_order_cache_is_bounded_and_reused():
@@ -346,3 +553,84 @@ def test_collapse_rule_reads_the_same_batched():
 def test_simplex_labels_are_cached_per_dimension_and_size():
     assert _simplices.cache_info().maxsize is not None
     assert Linkage(4, 9, (), ()).simplices() is Linkage(4, 9, (), ()).simplices()
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (3, 3), (4, 4), (4, 5), (5, 4), (5, 5)])
+def test_cycles_with_too_few_axes_are_refused_before_any_geometry(d, n):
+    rng = rng_from(420 + 10 * d + n)
+    axes = [random_axis(rng, d) for _ in range(n)]
+    least = 2 * (d // 2) + 1
+    if n < least:
+        with pytest.raises(
+            GenericityError,
+            match=rf"^a cycle in R\^{d} needs at least {least} axes for the canonical linkage, got {n}$",
+        ):
+            cycle_to_linkage(axes)
+    else:
+        lk = cycle_to_linkage(axes)
+        assert (len(lk.vertices), len(lk.edges)) == (2 * n, (2 * d - 1) * n)
+
+
+def test_the_short_cycle_bound_is_where_the_canonical_edges_appear():
+    # n > 2 floor(d/2) exactly when the simplices give (2d - 1) n distinct edges
+    # and the moduli split finds its 2n dependent ones
+    for d in range(3, 10):
+        for n in range(2, 30):
+            names = _labels(d, n)
+            edges = tuple((names[a], names[b], 1.0) for a, b in _edge_order(d, n))
+            try:
+                moduli_invariants(Linkage(d, n, (), edges))
+                splits = True
+            except ProvenanceError:
+                splits = False
+            long_enough = n > 2 * (d // 2)
+            assert (len(edges) == (2 * d - 1) * n) == splits == long_enough, (d, n)
+
+
+def test_collapsed_simplex_is_refused():
+    # pins the 1e-10 Hadamard rule: this d = 6 cycle has a simplex it calls collapsed
+    c = classical_scenario("generic-cycle", d=6, n=12, seed=1)
+    with pytest.raises(DegenerateSimplexError, match=r"^a body simplex has collapsed \(zero volume\)$"):
+        linkage_at(c, np.zeros(c.n - 1))
+
+
+@pytest.mark.parametrize(
+    "pts, pair",
+    [([(0, 0), (1, 0), (1, 0), (0, 1)], "2 and 3"), ([(0, 0), (1, 0), (0, 1), (0, 0)], "4 and 1")],
+)
+def test_polygon_with_coincident_neighbours_names_them_in_cycle_order(pts, pair):
+    with pytest.raises(DegenerateSimplexError, match=rf"^polygon vertices {pair} coincide$"):
+        cycle_to_linkage([make_axis(2, p, []) for p in pts])
+
+
+def test_odd_d_axes_through_one_point_have_coincident_feet():
+    axes = [make_axis(3, (0, 0, 0), [v]) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    with pytest.raises(
+        DegenerateSimplexError, match=r"^the two canonical feet on support line 1 coincide$"
+    ):
+        cycle_to_linkage(axes)
+
+
+def test_even_d_point_already_on_the_projection_plane_is_refused():
+    # planes 1, 2 and 3 of R^4 pass through the origin, so points 1 and 2 are
+    # both the origin and point 2 lies on plane 1
+    rng = rng_from(421)
+    axes = [make_axis(4, np.zeros(4), rng.standard_normal((2, 4))) for _ in range(3)]
+    axes += [random_axis(rng, 4) for _ in range(2)]
+    with pytest.raises(
+        DegenerateSimplexError,
+        match=r"^point 2 already lies on plane 1; projection degenerates$",
+    ):
+        cycle_to_linkage(axes)
+
+
+def test_polygon_has_no_simplices_or_orientations():
+    lk = cycle_to_linkage([make_axis(2, p, []) for p in [(0, 0), (2, 0), (1, 1)]])
+    assert _simplices(2, 3) == () and lk.simplices() == ()
+    assert simplex_orientations(lk) == ()
+
+
+def test_two_point_polygon_keeps_both_sides():
+    lk = cycle_to_linkage([make_axis(2, (0, 0), []), make_axis(2, (3, 4), [])])
+    assert lk.vertices == (("p1", (0.0, 0.0)), ("p2", (3.0, 4.0)))
+    assert lk.edges == (("p1", "p2", 5.0), ("p1", "p2", 5.0))

@@ -10,7 +10,12 @@ frame chains (one of them singular at theta = 0), and ``analyze-cycle
 --exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
 on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 21st axis (full rank), and on six axes in R^3 whose Plucker determinant
-is a nonzero multiple of 2^31 - 1. A five-axis cycle in R^3 (mobility
+is a nonzero multiple of 2^31 - 1. ``analyze-* --exact`` in text and
+``--json`` form also runs on a d=5 cycle of 15 axes with two ``a/b``
+coordinates, on four collinear points in R^2 (one with an ``a/b``
+coordinate), on a d=3 platform with one ``a/b`` coordinate, and on a d=4
+cycle with one coordinate of 2^20 + 1 that sends the call past the int64
+guard of the batched exact wedge. A five-axis cycle in R^3 (mobility
 0, though its Plucker span misses a hyperplane) runs through
 ``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
 finds no kernel and exits 3. ``convert-linkage`` runs on two generic
@@ -149,7 +154,32 @@ _P = (1 << 31) - 1
 _rows = [_plucker3(o, u) for o, u in MODP[:5]]
 _d0, _d1 = (int(_det(_rows + [_plucker3([x, *MODP[5][0][1:]], MODP[5][1])])) for x in (0, 1))
 MODP[5][0][0] = -_d0 * pow(_d1 - _d0, -1, _P) % _P
+# fixtures for branches of the batched exact wedge: j = 4 with a/b entries (d=5, 15 axes),
+# j = 1 (d=2, four collinear points, one of them rational), a d=3 platform with one a/b
+# coordinate, and a d=4 cycle with one coordinate of 2^20 + 1 whose axis has its other
+# coordinates between 30 and 50 in size, so the product of that axis's row norms passes
+# 2^31 and the whole call takes the Python-int route
+_rng = random.Random(623)
+D5N15 = [{"origin": [_rng.randint(-9, 9) for _ in range(5)],
+          "dirs": [[_rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]} for _ in range(15)]
+D5N15[3]["dirs"][1][2] = "5/4"
+D5N15[11]["origin"][0] = "-7/3"
+_rng = random.Random(624)
+D3_LEGS = [{"p": [_rng.randint(-9, 9) for _ in range(3)], "q": [_rng.randint(-9, 9) for _ in range(3)]}
+           for _ in range(6)]
+D3_LEGS[2]["q"][1] = "2/3"
+_rng = random.Random(625)
+D4_BIG = [{"origin": [_rng.randint(-9, 9) for _ in range(4)],
+           "dirs": [[_rng.randint(-9, 9) for _ in range(4)] for _ in range(2)]} for _ in range(10)]
+D4_BIG[4] = {"origin": [_rng.choice((-1, 1)) * _rng.randint(30, 50) for _ in range(4)],
+             "dirs": [[2**20 + 1, *(_rng.choice((-1, 1)) * _rng.randint(30, 50) for _ in range(3))],
+                      [_rng.choice((-1, 1)) * _rng.randint(30, 50) for _ in range(4)]]}
 SCENARIOS = {
+    "cycle-d5-ab": {"kind": "cycle", "d": 5, "axes": D5N15},
+    "cycle-d2-ab": {"kind": "cycle", "d": 2, "axes": [{"origin": o, "dirs": []}
+                                                      for o in ([0, 0], ["1/2", 1], [1, 2], [-2, -4])]},
+    "platform-d3": {"kind": "platform", "d": 3, "legs": D3_LEGS},
+    "cycle-d4-big": {"kind": "cycle", "d": 4, "axes": D4_BIG},
     "chain-d3": {"kind": "chain", "d": 3, "axes": AXES[:4],
                  "end_frame": {"origin": [1.5, -0.2, 0.9], "vecs": []}},
     "frame-k1": {"kind": "chain", "d": 3, "axes": AXES,
@@ -217,6 +247,8 @@ RUNS = [
     ["analyze-cycle", "{cycle-d6n21}", "--exact"], ["analyze-cycle", "{cycle-d6n21}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-modp}", "--exact"], ["analyze-cycle", "{cycle-modp}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-d2}", "--json"], ["analyze-cycle", "{cycle}", "--exact"],
+    *([_ANALYZE[SCENARIOS[tag]["kind"]], f"{{{tag}}}", "--exact", *flag]
+      for tag in ("cycle-d5-ab", "cycle-d2-ab", "platform-d3", "cycle-d4-big") for flag in ([], ["--json"])),
     ["analyze-cycle", "{cycle-n5}"], ["analyze-cycle", "{cycle-n5}", "--json"], ["flex", "{cycle-n5}"],
     ["analyze-platform", "{desargues}"], ["analyze-platform", "{desargues}", "--exact"],
     ["analyze-platform", "{desargues}", "--json", "--exact"],

@@ -29,7 +29,8 @@ from .errors import (
     WrongMapError,
 )
 from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, rank_of_span, top_pairing
-from .geometry import Axis, Frame, axis_plucker, flat_plucker, line_plucker, make_axis
+from .exterior import _exact_minor_rows, _integer_rank
+from .geometry import Axis, Frame, _lift, axis_plucker, flat_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
 __all__ = [
@@ -283,15 +284,20 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
 def _span_verdict(vectors, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
     """Rank verdict on a span of vectors over R^{d+1} of generic dimension C(d+1, 2).
 
-    Both ranks are reduced by ``stab_dim``, the dimension of a stabilizer
-    span included among the vectors. The witness is the certificate's
-    conull functional; a cycle also reports its mobility n - rank.
+    ``vectors`` is a list of exterior vectors, or an int64 array of exact
+    integer coefficient rows. Both ranks are reduced by ``stab_dim``, the
+    dimension of a stabilizer span included among the vectors. The witness
+    is the certificate's conull functional; a cycle also reports its
+    mobility n - rank.
     """
-    vectors = list(vectors)
     if cycle and len(vectors) < 2:
         raise DefinitionError("a cycle needs at least two axes")
-    full_dim = comb(vectors[0].ambient, 2)
-    certificate = rank_of_span(vectors, expected_rank=full_dim, tol=tol)
+    if isinstance(vectors, np.ndarray):
+        full_dim = vectors.shape[1]
+        certificate = _integer_rank(vectors, full_dim)
+    else:
+        full_dim = comb(vectors[0].ambient, 2)
+        certificate = rank_of_span(vectors, expected_rank=full_dim, tol=tol)
     return Verdict(
         certificate.rank - stab_dim,
         full_dim - stab_dim,
@@ -340,10 +346,17 @@ def cycle_mobility_exact(raw_axes) -> Verdict:
 
     Plucker points only depend projectively on a spanning set, so the
     directions are wedged as given, without orthonormalization; this
-    keeps every coefficient rational and the rank exact.
+    keeps every coefficient rational and the rank exact. All the axes are
+    wedged in one int64 batch when its guard allows, else one at a time in
+    Python ints.
     """
-    vectors = [axis_plucker_exact(origin, dirs) for origin, dirs in raw_axes]
-    return _span_verdict(vectors, cycle=True)
+    raw_axes = list(raw_axes)
+    rows = _exact_minor_rows([_lift([origin], dirs) for origin, dirs in raw_axes])
+    if rows is None:
+        return _span_verdict([axis_plucker_exact(origin, dirs) for origin, dirs in raw_axes], cycle=True)
+    if not rows.any(axis=1).all():
+        raise DegenerateAxisError("axis directions are linearly dependent")
+    return _span_verdict(rows, cycle=True)
 
 
 def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = False) -> Verdict:
@@ -353,7 +366,11 @@ def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = F
     vector over R^{d+1}; the platform admits a nontrivial infinitesimal
     motion exactly when these C(d+1, 2) lines are linearly dependent.
     The conull functional is the skew form annihilating every bar line.
+    With ``exact`` the bar lines are wedged as in ``cycle_mobility_exact``.
     """
+    rows = _exact_minor_rows([_lift([p, q]) for p, q in platform.legs]) if exact else None
+    if rows is not None:
+        return _span_verdict(rows)
     return _span_verdict([flat_plucker([p, q], exact=exact) for p, q in platform.legs], tol)
 
 

@@ -201,6 +201,11 @@ def apply(iso: Isometry, obj):
     return iso.rot @ p + iso.trans
 
 
+def _lift(points, dirs=()) -> list[list]:
+    """Homogeneous rows of a flat: (p, 1) for each point, (v, 0) for each direction."""
+    return [[*p, 1] for p in points] + [[*v, 0] for v in dirs]
+
+
 def flat_plucker(points, dirs=(), exact: bool = False) -> ExteriorVector:
     """Plucker point of the flat through ``points`` along ``dirs``.
 
@@ -208,8 +213,7 @@ def flat_plucker(points, dirs=(), exact: bool = False) -> ExteriorVector:
     points (p, 1) and directions (v, 0). Nothing is validated: dependent
     inputs give the zero vector.
     """
-    rows = [[*p, 1] for p in points] + [[*v, 0] for v in dirs]
-    return wedge(rows, exact=exact)
+    return wedge(_lift(points, dirs), exact=exact)
 
 
 def axis_plucker(axis: Axis) -> ExteriorVector:

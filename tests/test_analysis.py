@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from math import comb
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from hingekit import (
@@ -38,6 +38,7 @@ from hingekit import (
 from hingekit.analysis import (
     WitnessLine,
     _coincident,
+    axis_plucker_exact,
     bricard_symmetric_lines,
     classical_scenario,
     desargues_legs,
@@ -45,7 +46,9 @@ from hingekit.analysis import (
     twisted_cubic_data,
     twisted_cubic_tangent_vectors,
 )
-from hingekit.errors import DegenerateLegError, DefinitionError, ScenarioError
+from hingekit.errors import DegenerateLegError, DefinitionError, HingekitError, ScenarioError
+from hingekit.exterior import _exact_minor_rows
+from hingekit.geometry import _lift
 from hingekit.sampling import (
     common_line_platform_legs,
     random_axis,
@@ -535,3 +538,139 @@ def test_platform_leg_count_and_degeneracy_guards():
 def test_scenario_dispatch_unknown_name():
     with pytest.raises(ScenarioError):
         classical_scenario("heptagonal-nonsense")
+
+
+# --- exact verdicts: one int64 batch against the per-axis route ---------------------
+
+
+def _per_axis_outcome(flats, cycle):
+    """Rank, mobility and conull from one Python-int wedge per flat, or the error raised.
+
+    This is the route the exact cycle and platform verdicts took before their
+    Plucker points were batched, and the one they fall back to past the
+    int64 guard: ``axis_plucker_exact`` per cycle axis, ``flat_plucker`` per
+    platform leg, then the exact ``rank_of_span``.
+    """
+    try:
+        if cycle:
+            vectors = [axis_plucker_exact(origin, dirs) for origin, dirs in flats]
+            if len(vectors) < 2:
+                raise DefinitionError("a cycle needs at least two axes")
+        else:
+            vectors = [flat_plucker(points, exact=True) for points in flats]
+        cert = rank_of_span(vectors, expected_rank=comb(vectors[0].ambient, 2))
+    except HingekitError as exc:
+        return type(exc), str(exc)
+    conull = None if cert.conull is None else list(cert.conull)
+    return cert.rank, len(vectors) - cert.rank if cycle else None, conull
+
+
+def _verdict_outcome(verdict, *args, **kwargs):
+    try:
+        v = verdict(*args, **kwargs)
+    except HingekitError as exc:
+        return type(exc), str(exc)
+    assert v.certificate.exact
+    return v.rank, v.mobility, None if v.witness is None else list(v.witness)
+
+
+small = st.integers(-9, 9)
+fraction = st.builds(Fraction, small, st.integers(2, 9))
+huge = st.integers(-(2**40), 2**40)
+
+
+def _sprinkle(draw, rows, ratios):
+    """Replace a few drawn coordinates by drawn ``ratios``, and a few drawn rows by
+    integers up to 2^40, which puts most of those inputs past the int64 guard."""
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(ratios)
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[:] = [draw(huge) for _ in row]
+
+
+@st.composite
+def exact_cycles(draw):
+    d = draw(st.integers(2, 7), label="d")
+    n = draw(st.integers(2, comb(d + 1, 2) + 1), label="n")
+    vec = st.lists(small, min_size=d, max_size=d)
+    raw = [(draw(vec), [draw(vec) for _ in range(d - 2)]) for _ in range(n)]
+    _sprinkle(draw, [row for origin, dirs in raw for row in (origin, *dirs)], fraction | fraction.map(str))
+    dependence = draw(st.sampled_from(["none", "repeat", "degenerate"]), label="dependence")
+    if dependence == "repeat":  # a second copy of an axis, its first direction scaled
+        origin, dirs = raw[draw(st.integers(0, n - 1))]
+        if dirs:
+            dirs = [[3 * Fraction(x) for x in dirs[0]], *dirs[1:]]
+        raw[draw(st.integers(0, n - 1))] = (origin, dirs)
+    elif dependence == "degenerate" and d >= 3:  # directions that span too little
+        origin, dirs = raw[draw(st.integers(0, n - 1))]
+        dirs[-1] = [-2 * Fraction(x) for x in dirs[0]] if d >= 4 else [0] * d
+    return raw
+
+
+_AXES_R3 = [([1, 2, 0], [[1, -1, 2]]), ([0, 3, 1], [[2, 1, 0]]), ([-2, 0, 1], [[1, 3, -1]]),
+            ([1, -1, 4], [[0, 2, 1]]), ([3, 0, -2], [[1, 1, 1]])]
+# Hadamard products (|p|^2 + 1) * |v|^2 of the first axis: 2^62 - 2^32 + 2, just below
+# the int64 guard, and 2^62 + 1, just above it
+BELOW_GUARD = [([2**31 - 1, 0, 0], [[0, 1, 0]])] + _AXES_R3
+ABOVE_GUARD = [([2**31, 0, 0], [[0, 1, 0]])] + _AXES_R3
+# two entries near 2^40 in R^4: an unguarded int64 elimination overflows on this axis
+OVERFLOWING = [([2**40 - 3, 5, -(2**40) + 7, 2], [[2**40, -3, 1, 2**39 + 1], [4, -1, 2, 3]]),
+               ([1, 0, 2, -1], [[0, 1, 1, 3], [2, -2, 0, 1]]),
+               ([0, 3, -1, 2], [[1, 1, 0, -1], [3, 0, 2, 2]])]
+
+
+def test_batch_guard_sits_at_the_hadamard_bound():
+    """Just below the bound the batch computes; just above it, and past it, it declines."""
+    lifted = lambda raw: [_lift([origin], dirs) for origin, dirs in raw]
+    assert _exact_minor_rows(lifted(BELOW_GUARD)) is not None
+    assert _exact_minor_rows(lifted(ABOVE_GUARD)) is None
+    assert _exact_minor_rows(lifted(OVERFLOWING)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_cycles())
+@example(BELOW_GUARD)
+@example(ABOVE_GUARD)
+@example(OVERFLOWING)
+@example([([0, 0, 0], [[0, 0, 1]]), ([1, 0, 0], [[0, 0, 0]]), ([2, 0, 0], [[1, 0, 0]])])  # degenerate 2nd
+@example([([Fraction(1, 3), 2], []), ([0, "-5/7"], []), ([1, 1], [])])  # d = 2: points, j = 1
+@example([([0, 0, 0], [[0, 0, 1]]), ([1, 0], [[0, 1]])])  # axes of R^3 and R^2: no batch
+@example([([0, 0], [[1, 0], [0, 1], [1, 1]]), ([1, 0], [])])  # j > m: no batch
+def test_batched_exact_cycle_verdict_equals_the_per_axis_route(raw):
+    """Rank, mobility and the Fraction conull match, or the same error type and message."""
+    assert _verdict_outcome(cycle_mobility_exact, raw) == _per_axis_outcome(raw, cycle=True)
+
+
+@st.composite
+def exact_platforms(draw):
+    d = draw(st.integers(2, 4), label="d")
+    vec = st.lists(small, min_size=d, max_size=d)
+    legs = [[draw(vec), draw(vec)] for _ in range(comb(d + 1, 2))]
+    _sprinkle(draw, [point for leg in legs for point in leg], fraction)  # Platform reads floats
+    if draw(st.booleans()):  # a leg along the line of another: the bar lines are dependent
+        p, q = legs[0]
+        legs[draw(st.integers(1, len(legs) - 1))] = [q, [2 * b - a for a, b in zip(p, q)]]
+    assume(all(any(float(a) != float(b) for a, b in zip(p, q)) for p, q in legs))
+    return Platform(d, tuple(legs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_platforms())
+def test_batched_exact_platform_verdict_equals_the_per_leg_route(platform):
+    got = _verdict_outcome(platform_flexibility, platform, exact=True)
+    assert got == _per_axis_outcome(platform.legs, cycle=False)
+
+
+def test_exact_batch_scales_a_fraction_coordinate_instead_of_truncating_it():
+    """Two parallel z-axes through (0, 0, 0) and (1/2, 0, 0), plus four generic axes.
+
+    An int64 cast of the 1/2 would truncate it to 0 and make the first two
+    Plucker points coincide, which lowers the exact rank from 6 to 5.
+    """
+    raw = [([0, 0, 0], [[0, 0, 1]]), ([Fraction(1, 2), 0, 0], [[0, 0, 1]])] + _AXES_R3[:4]
+    v = cycle_mobility_exact(raw)
+    assert (v.rank, v.mobility, v.witness) == (6, 0, None)
+    truncated = cycle_mobility_exact([raw[0], ([0, 0, 0], [[0, 0, 1]])] + raw[2:])
+    assert (truncated.rank, truncated.mobility) == (5, 1)

@@ -15,7 +15,11 @@ is a nonzero multiple of 2^31 - 1. ``analyze-* --exact`` in text and
 coordinates, on four collinear points in R^2 (one with an ``a/b``
 coordinate), on a d=3 platform with one ``a/b`` coordinate, and on a d=4
 cycle with one coordinate of 2^20 + 1 that sends the call past the int64
-guard of the batched exact wedge. A five-axis cycle in R^3 (mobility
+guard of the exact minor kernel, onto Python ints. ``analyze-cycle
+--exact --json`` also runs on a d=6 cycle of 20 axes with one coordinate
+of 2^31 + 11, past the guard, and ``analyze-platform --exact`` on a d=2
+platform whose first leg has rational endpoints 10^-20 apart, which a
+float comparison would call coincident. A five-axis cycle in R^3 (mobility
 0, though its Plucker span misses a hyperplane) runs through
 ``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
 finds no kernel and exits 3. ``convert-linkage`` runs on two generic
@@ -158,7 +162,7 @@ MODP[5][0][0] = -_d0 * pow(_d1 - _d0, -1, _P) % _P
 # j = 1 (d=2, four collinear points, one of them rational), a d=3 platform with one a/b
 # coordinate, and a d=4 cycle with one coordinate of 2^20 + 1 whose axis has its other
 # coordinates between 30 and 50 in size, so the product of that axis's row norms passes
-# 2^31 and the whole call takes the Python-int route
+# 2^31 and the minors are eliminated in Python ints
 _rng = random.Random(623)
 D5N15 = [{"origin": [_rng.randint(-9, 9) for _ in range(5)],
           "dirs": [[_rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]} for _ in range(15)]
@@ -174,7 +178,18 @@ D4_BIG = [{"origin": [_rng.randint(-9, 9) for _ in range(4)],
 D4_BIG[4] = {"origin": [_rng.choice((-1, 1)) * _rng.randint(30, 50) for _ in range(4)],
              "dirs": [[2**20 + 1, *(_rng.choice((-1, 1)) * _rng.randint(30, 50) for _ in range(3))],
                       [_rng.choice((-1, 1)) * _rng.randint(30, 50) for _ in range(4)]]}
+# twenty axes in R^6 with one coordinate of 2^31 + 11, past the int64 guard: Plucker
+# rank 20 of 21 with a big-integer functional; and a d=2 platform whose first leg runs
+# from 1/3 to 1/3 + 10^-20, distinct only as rationals
+_rng = random.Random(626)
+D6_BIG = [{"origin": [_rng.randint(-4, 4) for _ in range(6)],
+           "dirs": [[_rng.randint(-4, 4) for _ in range(6)] for _ in range(4)]} for _ in range(20)]
+D6_BIG[5]["dirs"][1][3] = 2**31 + 11
+CLOSE_LEGS = [{"p": ["1/3", 0], "q": [f"{10**20 + 3}/{3 * 10**20}", 0]},
+              {"p": [0, 1], "q": [0, 2]}, {"p": [1, 1], "q": [2, 3]}]
 SCENARIOS = {
+    "cycle-d6-big": {"kind": "cycle", "d": 6, "axes": D6_BIG},
+    "platform-close": {"kind": "platform", "d": 2, "legs": CLOSE_LEGS},
     "cycle-d5-ab": {"kind": "cycle", "d": 5, "axes": D5N15},
     "cycle-d2-ab": {"kind": "cycle", "d": 2, "axes": [{"origin": o, "dirs": []}
                                                       for o in ([0, 0], ["1/2", 1], [1, 2], [-2, -4])]},
@@ -249,6 +264,7 @@ RUNS = [
     ["analyze-cycle", "{cycle-d2}", "--json"], ["analyze-cycle", "{cycle}", "--exact"],
     *([_ANALYZE[SCENARIOS[tag]["kind"]], f"{{{tag}}}", "--exact", *flag]
       for tag in ("cycle-d5-ab", "cycle-d2-ab", "platform-d3", "cycle-d4-big") for flag in ([], ["--json"])),
+    ["analyze-cycle", "{cycle-d6-big}", "--exact", "--json"], ["analyze-platform", "{platform-close}", "--exact"],
     ["analyze-cycle", "{cycle-n5}"], ["analyze-cycle", "{cycle-n5}", "--json"], ["flex", "{cycle-n5}"],
     ["analyze-platform", "{desargues}"], ["analyze-platform", "{desargues}", "--exact"],
     ["analyze-platform", "{desargues}", "--json", "--exact"],

@@ -29,7 +29,7 @@ from .errors import (
     WrongMapError,
 )
 from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, rank_of_span, top_pairing
-from .exterior import _exact_minor_rows, _integer_rank
+from .exterior import _exact_minor_rows, _integer_rank, _to_fraction
 from .geometry import Axis, Frame, _lift, axis_plucker, flat_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
@@ -101,8 +101,9 @@ class Verdict:
 class Platform:
     """Two rigid bodies joined by C(d+1, 2) bars.
 
-    Leg endpoints may be floats or rationals (int / Fraction); rational
-    legs allow the exact verdict path.
+    Leg endpoints may be floats or rationals (int, Fraction or 'a/b'
+    string); rational legs allow the exact verdict path. A leg's endpoints
+    are compared as rationals when all its coordinates are, else as floats.
     """
 
     d: int
@@ -116,7 +117,10 @@ class Platform:
         for i, (p, q) in enumerate(legs):
             if len(p) != self.d or len(q) != self.d:
                 raise DefinitionError(f"leg {i + 1}: endpoints must be points of R^{self.d}")
-            if all(float(a) == float(b) for a, b in zip(p, q)):
+            ends = [[_to_fraction(x) for x in v] for v in (p, q)]
+            if any(isinstance(x, (float, np.floating)) for x in p + q):
+                ends = [list(map(float, v)) for v in ends]
+            if ends[0] == ends[1]:
                 raise DegenerateLegError(f"leg {i + 1} has coincident endpoints")
         object.__setattr__(self, "legs", legs)
 
@@ -284,11 +288,11 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
 def _span_verdict(vectors, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
     """Rank verdict on a span of vectors over R^{d+1} of generic dimension C(d+1, 2).
 
-    ``vectors`` is a list of exterior vectors, or an int64 array of exact
-    integer coefficient rows. Both ranks are reduced by ``stab_dim``, the
-    dimension of a stabilizer span included among the vectors. The witness
-    is the certificate's conull functional; a cycle also reports its
-    mobility n - rank.
+    ``vectors`` is a list of exterior vectors, or an integer array, int64
+    or object, of exact coefficient rows. Both ranks are reduced by
+    ``stab_dim``, the dimension of a stabilizer span included among the
+    vectors. The witness is the certificate's conull functional; a cycle
+    also reports its mobility n - rank.
     """
     if cycle and len(vectors) < 2:
         raise DefinitionError("a cycle needs at least two axes")
@@ -347,13 +351,9 @@ def cycle_mobility_exact(raw_axes) -> Verdict:
     Plucker points only depend projectively on a spanning set, so the
     directions are wedged as given, without orthonormalization; this
     keeps every coefficient rational and the rank exact. All the axes are
-    wedged in one int64 batch when its guard allows, else one at a time in
-    Python ints.
+    wedged in one batch of ``_exact_minor_rows``.
     """
-    raw_axes = list(raw_axes)
     rows = _exact_minor_rows([_lift([origin], dirs) for origin, dirs in raw_axes])
-    if rows is None:
-        return _span_verdict([axis_plucker_exact(origin, dirs) for origin, dirs in raw_axes], cycle=True)
     if not rows.any(axis=1).all():
         raise DegenerateAxisError("axis directions are linearly dependent")
     return _span_verdict(rows, cycle=True)
@@ -368,10 +368,9 @@ def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = F
     The conull functional is the skew form annihilating every bar line.
     With ``exact`` the bar lines are wedged as in ``cycle_mobility_exact``.
     """
-    rows = _exact_minor_rows([_lift([p, q]) for p, q in platform.legs]) if exact else None
-    if rows is not None:
-        return _span_verdict(rows)
-    return _span_verdict([flat_plucker([p, q], exact=exact) for p, q in platform.legs], tol)
+    if exact:
+        return _span_verdict(_exact_minor_rows([_lift([p, q]) for p, q in platform.legs]))
+    return _span_verdict([flat_plucker([p, q]) for p, q in platform.legs], tol)
 
 
 # ---------------------------------------------------------------------------

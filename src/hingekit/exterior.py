@@ -10,20 +10,19 @@ Float coefficients live in a float64 array; exact ones are
 ``fractions.Fraction`` entries in an object array, produced by
 ``wedge(..., exact=True)``, that never round. The mode picks the dtype,
 not the code path: sums, scalar multiples and ``top_pairing`` (one
-signed dot product) are the same array expressions in both. Both exact
-kernels reduce integer-scaled inputs (each vector times the lcm of its
-denominators) by one fraction-free (Bareiss) elimination in Python ints,
-``_echelon``. A wedge coefficient is an integer minor read off that
-echelon form over the product of the scales. A full rank of a matrix
-wider than six columns is certified modulo the prime 2^31 - 1 first, in
-int64; every other rank, and every conull, comes from the echelon form.
+signed dot product) are the same array expressions in both.
 
-The exact cycle and platform verdicts take all minors of all their flats
-in one Bareiss elimination in int64 (``_exact_minor_rows``), while
-Hadamard's bound keeps its products below 2^62, and pass the integer rows
-to the rank test. A single ``wedge(exact=True)`` keeps the echelon route:
-for one matrix numpy's per-call overhead costs more than the minors (a
-batch of one takes 60 against 26 us at d=3, 133 against 108 us at d=6).
+Every exact minor comes from one kernel, ``_exact_minor_rows``: the
+inputs are scaled to integers (each vector times the lcm of its
+denominators) and one fraction-free (Bareiss) elimination, vectorized
+over all the j x j minors of a batch of matrices, computes them. It runs
+in int64 while Hadamard's bound keeps its products below 2^62, and on
+Python ints otherwise; the guard picks only the dtype. An exact wedge is
+its single row over the product of the scales; the exact cycle and
+platform verdicts pass the integer rows of all their flats to the rank
+test. A full rank of a matrix wider than six columns is certified modulo
+the prime 2^31 - 1 first, in int64; every other rank, and every conull,
+comes from the fraction-free echelon form ``_echelon`` in Python ints.
 """
 
 from __future__ import annotations
@@ -157,25 +156,22 @@ def _integer_scaled(values) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in pairs], scale
 
 
-def _echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+def _echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer matrix.
 
-    Returns ``(rows, pivots, prev, sign)``: row i has its pivot in column
-    ``pivots[i]``, the pivot rows hold ``prev`` (the last pivot) times the
-    reduced row echelon form, and ``sign`` is the parity of the row swaps,
-    so a square matrix of full rank has determinant ``sign * prev``. Every
-    division is exact; ``mat`` is overwritten.
+    Returns ``(rows, pivots, prev)``: row i has its pivot in column
+    ``pivots[i]``, and the pivot rows hold ``prev`` (the last pivot) times
+    the reduced row echelon form. Every division is exact; ``mat`` is
+    overwritten.
     """
     pivots: list[int] = []
-    prev, sign = 1, 1
+    prev = 1
     for c in range(len(mat[0])):
         r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-            sign = -sign
+        mat[r], mat[piv] = mat[piv], mat[r]
         top = mat[r]
         pivot = top[c]
         for i in range(len(mat)):
@@ -186,20 +182,7 @@ def _echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
         pivots.append(c)
         if len(pivots) == len(mat):
             break
-    return mat, pivots, prev, sign
-
-
-@lru_cache(maxsize=256)  # generic inputs all share the leading-pivot plan
-def _minor_plan(m: int, pivots: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
-    """Per j-subset S of range(m): the Laplace sign of expanding along the pivot
-    columns in S, the rows whose pivot is not in S, and S's non-pivot columns."""
-    row_of = {p: i for i, p in enumerate(pivots)}
-    plan = []
-    for S in subsets(m, len(pivots)):
-        odd = sum(row_of[c] + pos for pos, c in enumerate(S) if c in row_of) % 2
-        rows = tuple(i for i, p in enumerate(pivots) if p not in S)
-        plan.append((-1 if odd else 1, rows, tuple(c for c in S if c not in row_of)))
-    return tuple(plan)
+    return mat, pivots, prev
 
 
 def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorVector:
@@ -210,9 +193,8 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
     multilinear and alternating. With ``exact=True`` the inputs are read
     as rationals (int, Fraction, 'a/b' strings, or floats through their
     exact binary value) and the coefficients come out as Fractions: the
-    inputs are reduced to one fraction-free echelon form F with pivot
-    columns P, and the minor on S is a determinant of F on the columns
-    of S outside P, at most min(j, m - j) of them.
+    integer minors of ``_exact_minor_rows`` over the product of the
+    inputs' scales.
 
     An empty input list is the scalar 1 of grade 0; it then needs an
     explicit ``ambient``.
@@ -230,32 +212,13 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
         raise DimensionError(f"inputs of length {m} do not live in R^{ambient}")
     if j > m:
         raise GradeError(f"cannot wedge {j} vectors in R^{m}")
-    index = subsets(m, j)
     if exact:
         ints, scales = zip(*map(_integer_scaled, vecs))
         den = math.prod(scales)
-        out = np.empty(len(index), dtype=object)
-        rows, pivots, prev, sign = _echelon(list(ints))
-        if len(pivots) < j:
-            out.fill(Fraction(0))
-            return ExteriorVector(j, m, out)
-        # minor_S = sign * eps * det(rows[rr, cc]) / prev^(k-1) with k = len(cc), exact
-        for pos, (eps, rr, cc) in enumerate(_minor_plan(m, tuple(pivots))):
-            k = len(cc)
-            if k == 0:
-                det = prev
-            elif k == 1:
-                det = rows[rr[0]][cc[0]]
-            elif k == 2:
-                a, b = rows[rr[0]], rows[rr[1]]
-                det = (a[cc[0]] * b[cc[1]] - a[cc[1]] * b[cc[0]]) // prev
-            else:
-                _, bp, bprev, bsign = _echelon([[rows[r][c] for c in cc] for r in rr])
-                det = bsign * bprev // prev ** (k - 1) if len(bp) == k else 0
-            out[pos] = Fraction(sign * eps * det, den)
-        return ExteriorVector(j, m, out)
+        coeffs = [Fraction(x, den) for x in _exact_minor_rows([ints])[0].tolist()]
+        return ExteriorVector(j, m, np.array(coeffs))
     mat = np.array(vecs, dtype=float).T  # columns are the inputs
-    minors = mat[np.array(index), :]  # (C(m,j), j, j) row selections
+    minors = mat[np.array(subsets(m, j)), :]  # (C(m,j), j, j) row selections
     return ExteriorVector(j, m, np.linalg.det(minors))
 
 
@@ -266,29 +229,36 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
 _INT64_HADAMARD_SQUARED = 2.0**62 * (1 - 2.0**-40)
 
 
-def _exact_minor_rows(mats) -> np.ndarray | None:
-    """Every j x j minor of each j x m rational matrix in ``mats``, as int64 rows.
+def _exact_minor_rows(mats) -> np.ndarray:
+    """Every j x j minor of each j x m rational matrix in ``mats``, as integer rows.
 
     Row i, in ``subsets(m, j)`` order, is ``wedge(mats[i], exact=True)``
     times the product of its rows' integer scales (a row of ints is taken as
     it is: an int64 cast would truncate a Fraction). One Bareiss elimination,
     vectorized over all the minors with a pivot swap per minor, computes
-    them. Returns None, and the caller takes the Python-int route, which
-    raises what it always raised, when the matrices are not all j x m with
-    j <= m, a value does not convert, or a matrix fails the Hadamard guard.
+    them: in int64 when every matrix passes the Hadamard guard, else on an
+    object array of Python ints. Ragged rows raise DimensionError, j > m and
+    matrices of different shapes GradeError; no matrices give no rows.
     """
     try:
         a = np.array(mats)
-        if a.dtype != np.int64:  # a Fraction, an 'a/b' string, a float or an int past int64
-            a = np.array([[r if all(type(x) is int for x in r) else _integer_scaled(r)[0] for r in mat]
-                          for mat in mats])
-    except (ArithmeticError, TypeError, ValueError):
-        return None
-    if a.dtype != np.int64 or a.ndim != 3 or a.shape[1] > a.shape[2]:
-        return None
-    sq = np.square(a, dtype=float).sum(axis=2)
-    if not (np.prod(np.maximum(sq, 1.0), axis=1) < _INT64_HADAMARD_SQUARED).all():
-        return None
+    except ValueError:  # ragged
+        a = None
+    if a is None or a.dtype != np.int64 or a.ndim != 3 or a.shape[1] > a.shape[2]:
+        for mat in mats:
+            if any(len(row) != len(mat[0]) for row in mat):
+                raise DimensionError("wedge inputs must all share one length")
+            if len(mat) > len(mat[0]):
+                raise GradeError(f"cannot wedge {len(mat)} vectors in R^{len(mat[0])}")
+        if len({(len(mat), len(mat[0])) for mat in mats}) > 1:
+            raise GradeError("rank_of_span needs vectors of one common grade and ambient")
+        a = np.array([[row if all(type(x) is int for x in row) else _integer_scaled(row)[0] for row in mat]
+                      for mat in mats] or np.zeros((0, 1, 1), dtype=np.int64))  # no matrices: no rows
+    if a.dtype == np.int64:
+        sq = np.square(a, dtype=float).sum(axis=2)
+        fits = (np.prod(np.maximum(sq, 1.0), axis=1) < _INT64_HADAMARD_SQUARED).all()
+    if a.dtype != np.int64 or not fits:  # an entry past int64, or a matrix past the guard
+        a = a.astype(object)
     n, j, m = a.shape
     # a[r, c, k]: row r, column c of minor k (k runs over subsets within each matrix)
     a = a[:, :, np.array(subsets(m, j))].transpose(1, 3, 0, 2).reshape(j, j, -1)
@@ -303,7 +273,7 @@ def _exact_minor_rows(mats) -> np.ndarray | None:
         top = a[c, c]
         a[c + 1:, c + 1:] = (a[c + 1:, c + 1:] * top - a[c + 1:, c, None] * a[c, None, c + 1:]) // prev
         prev = np.where(top != 0, top, 1)  # after a zero column every later entry is 0
-    return (sign * a[-1, -1]).reshape(n, -1)
+    return (sign * a[-1, -1]).reshape(n, comb(m, j))
 
 
 @lru_cache(maxsize=None)
@@ -372,8 +342,8 @@ _MOD_P_ABOVE_COLUMNS = 6
 
 
 def _rank_mod_p(rows) -> int:
-    """Rank modulo ``_P`` of an integer matrix (an int64 array or rows of ints of
-    any size), by fraction-free elimination in int64."""
+    """Rank modulo ``_P`` of an integer matrix (an int64 or object array, or rows
+    of ints of any size), by fraction-free elimination in int64."""
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     a = (a % _P).astype(np.int64)
     rank = 0
@@ -390,7 +360,7 @@ def _rank_mod_p(rows) -> int:
 
 
 def _integer_rank(rows, expected_rank: int) -> RankCertificate:
-    """Exact rank and conull of integer rows: lists of ints or an int64 array.
+    """Exact rank and conull of integer rows: lists, or an int64 or object array.
 
     Scaling a row changes neither the rank nor the null space. Past
     ``_MOD_P_ABOVE_COLUMNS`` columns ``_rank_mod_p`` certifies a full rank; any
@@ -400,7 +370,7 @@ def _integer_rank(rows, expected_rank: int) -> RankCertificate:
     ncols = len(rows[0])
     if len(rows) >= ncols > _MOD_P_ABOVE_COLUMNS and _rank_mod_p(rows) == ncols:
         return RankCertificate(ncols, np.array([]), ncols < expected_rank, None, exact=True)
-    mat, pivots, prev, _ = _echelon(rows.tolist() if isinstance(rows, np.ndarray) else rows)
+    mat, pivots, prev = _echelon(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     rank = len(pivots)
     deficient = rank < expected_rank
     conull = None

@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from hingekit import (
     Axis,
     Chain,
+    ExteriorVector,
     Frame,
     Platform,
     apply,
@@ -38,7 +39,6 @@ from hingekit import (
 from hingekit.analysis import (
     WitnessLine,
     _coincident,
-    axis_plucker_exact,
     bricard_symmetric_lines,
     classical_scenario,
     desargues_legs,
@@ -46,7 +46,15 @@ from hingekit.analysis import (
     twisted_cubic_data,
     twisted_cubic_tangent_vectors,
 )
-from hingekit.errors import DegenerateLegError, DefinitionError, HingekitError, ScenarioError
+from hingekit.errors import (
+    DefinitionError,
+    DegenerateAxisError,
+    DegenerateLegError,
+    DimensionError,
+    GradeError,
+    HingekitError,
+    ScenarioError,
+)
 from hingekit.exterior import _exact_minor_rows
 from hingekit.geometry import _lift
 from hingekit.sampling import (
@@ -540,24 +548,71 @@ def test_scenario_dispatch_unknown_name():
         classical_scenario("heptagonal-nonsense")
 
 
-# --- exact verdicts: one int64 batch against the per-axis route ---------------------
+_OTHER_LEGS = (((0, 1), (0, 2)), ((1, 1), (2, 3)))
+
+
+def test_platform_tells_rational_leg_ends_10_to_the_minus_20_apart():
+    """Two endpoints that differ only past float resolution are two points as rationals;
+    a leg with a float coordinate is still compared in floats."""
+    third = Fraction(1, 3)
+    close = Platform(2, (((third, 0), (third + Fraction(1, 10**20), 0)), *_OTHER_LEGS))
+    assert platform_flexibility(close, exact=True).rank == 3
+    with pytest.raises(DegenerateLegError):
+        Platform(2, (((0.1, 0), (Fraction(1, 10), 0)), *_OTHER_LEGS))
+
+
+def test_platform_reads_an_a_b_string_leg_as_a_rational():
+    """The three bar lines meet at (0, -1): flexible, with the same functional whether
+    the first leg is written with 'a/b' strings or Fractions."""
+    strings = Platform(2, ((("1/3", 0), (1, "2")), *_OTHER_LEGS))
+    fractions = Platform(2, (((Fraction(1, 3), 0), (1, 2)), *_OTHER_LEGS))
+    outcome = _verdict_outcome(platform_flexibility, strings, exact=True)
+    assert outcome[:2] == (2, None) and outcome == _verdict_outcome(platform_flexibility, fractions, exact=True)
+    with pytest.raises(DegenerateLegError):
+        Platform(2, ((("1/2", 0), (Fraction(1, 2), 0)), *_OTHER_LEGS))
+
+
+# --- exact verdicts: one batch of the minor kernel against Fraction minors ----------
+
+
+def _fraction_minors(rows):
+    """Every j x j minor of j rational rows, in ``subsets(m, j)`` order, as Fractions:
+    Laplace expansion along the top row over the rows scaled to integers."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    columns = range(len(rows[0]))
+    minors = {(): 1}  # minors of the k rows below, keyed by their columns
+    for k, (row, scale) in enumerate(zip(rows[::-1], scales[::-1]), 1):
+        ints = [int(x * scale) for x in row]
+        minors = {cols: sum((-1) ** i * ints[c] * minors[cols[:i] + cols[i + 1:]] for i, c in enumerate(cols))
+                  for cols in itertools.combinations(columns, k)}
+    return [Fraction(minors[cols], prod(scales)) for cols in itertools.combinations(columns, len(rows))]
 
 
 def _per_axis_outcome(flats, cycle):
-    """Rank, mobility and conull from one Python-int wedge per flat, or the error raised.
+    """Rank, mobility and conull from the Fraction minors of each lifted flat, or the
+    error raised.
 
-    This is the route the exact cycle and platform verdicts took before their
-    Plucker points were batched, and the one they fall back to past the
-    int64 guard: ``axis_plucker_exact`` per cycle axis, ``flat_plucker`` per
-    platform leg, then the exact ``rank_of_span``.
+    Independent of the exact minor kernel under test: each Plucker point is
+    read off ``_fraction_minors`` and the exact ``rank_of_span`` decides.
+    The shape errors come first, with the messages of ``wedge`` and
+    ``rank_of_span``, then a degenerate axis and a cycle of fewer than two.
     """
     try:
-        if cycle:
-            vectors = [axis_plucker_exact(origin, dirs) for origin, dirs in flats]
-            if len(vectors) < 2:
-                raise DefinitionError("a cycle needs at least two axes")
-        else:
-            vectors = [flat_plucker(points, exact=True) for points in flats]
+        lifted = [_lift([origin], dirs) for origin, dirs in flats] if cycle else [_lift(f) for f in flats]
+        for rows in lifted:
+            if any(len(row) != len(rows[0]) for row in rows):
+                raise DimensionError("wedge inputs must all share one length")
+            if len(rows) > len(rows[0]):
+                raise GradeError(f"cannot wedge {len(rows)} vectors in R^{len(rows[0])}")
+        if len({(len(rows), len(rows[0])) for rows in lifted}) > 1:
+            raise GradeError("rank_of_span needs vectors of one common grade and ambient")
+        vectors = [ExteriorVector(len(rows), len(rows[0]), np.array(_fraction_minors(rows), dtype=object))
+                   for rows in lifted]
+        if cycle and any(v.is_zero() for v in vectors):
+            raise DegenerateAxisError("axis directions are linearly dependent")
+        if cycle and len(vectors) < 2:
+            raise DefinitionError("a cycle needs at least two axes")
         cert = rank_of_span(vectors, expected_rank=comb(vectors[0].ambient, 2))
     except HingekitError as exc:
         return type(exc), str(exc)
@@ -622,11 +677,13 @@ OVERFLOWING = [([2**40 - 3, 5, -(2**40) + 7, 2], [[2**40, -3, 1, 2**39 + 1], [4,
 
 
 def test_batch_guard_sits_at_the_hadamard_bound():
-    """Just below the bound the batch computes; just above it, and past it, it declines."""
-    lifted = lambda raw: [_lift([origin], dirs) for origin, dirs in raw]
-    assert _exact_minor_rows(lifted(BELOW_GUARD)) is not None
-    assert _exact_minor_rows(lifted(ABOVE_GUARD)) is None
-    assert _exact_minor_rows(lifted(OVERFLOWING)) is None
+    """Just below the bound the batch runs in int64; just above it, and past it, on an
+    object array of Python ints. Every row is the Fraction minors of its matrix."""
+    for raw, dtype in ((BELOW_GUARD, np.int64), (ABOVE_GUARD, object), (OVERFLOWING, object)):
+        lifted = [_lift([origin], dirs) for origin, dirs in raw]
+        rows = _exact_minor_rows(lifted)
+        assert rows.dtype == dtype
+        assert [row.tolist() for row in rows] == [_fraction_minors(mat) for mat in lifted]
 
 
 @settings(max_examples=150, deadline=None)
@@ -636,8 +693,9 @@ def test_batch_guard_sits_at_the_hadamard_bound():
 @example(OVERFLOWING)
 @example([([0, 0, 0], [[0, 0, 1]]), ([1, 0, 0], [[0, 0, 0]]), ([2, 0, 0], [[1, 0, 0]])])  # degenerate 2nd
 @example([([Fraction(1, 3), 2], []), ([0, "-5/7"], []), ([1, 1], [])])  # d = 2: points, j = 1
-@example([([0, 0, 0], [[0, 0, 1]]), ([1, 0], [[0, 1]])])  # axes of R^3 and R^2: no batch
-@example([([0, 0], [[1, 0], [0, 1], [1, 1]]), ([1, 0], [])])  # j > m: no batch
+@example([([0, 0, 0], [[0, 0, 1]]), ([1, 0], [[0, 1]])])  # axes of R^3 and R^2: GradeError
+@example([([0, 0], [[1, 0], [0, 1], [1, 1]]), ([1, 0], [])])  # j > m: GradeError
+@example([([0, 0, 0], [[0, 1]]), ([1, 0, 0], [[0, 0, 1]])])  # ragged rows: DimensionError
 def test_batched_exact_cycle_verdict_equals_the_per_axis_route(raw):
     """Rank, mobility and the Fraction conull match, or the same error type and message."""
     assert _verdict_outcome(cycle_mobility_exact, raw) == _per_axis_outcome(raw, cycle=True)
@@ -648,11 +706,11 @@ def exact_platforms(draw):
     d = draw(st.integers(2, 4), label="d")
     vec = st.lists(small, min_size=d, max_size=d)
     legs = [[draw(vec), draw(vec)] for _ in range(comb(d + 1, 2))]
-    _sprinkle(draw, [point for leg in legs for point in leg], fraction)  # Platform reads floats
+    _sprinkle(draw, [point for leg in legs for point in leg], fraction | fraction.map(str))
     if draw(st.booleans()):  # a leg along the line of another: the bar lines are dependent
         p, q = legs[0]
-        legs[draw(st.integers(1, len(legs) - 1))] = [q, [2 * b - a for a, b in zip(p, q)]]
-    assume(all(any(float(a) != float(b) for a, b in zip(p, q)) for p, q in legs))
+        legs[draw(st.integers(1, len(legs) - 1))] = [q, [2 * Fraction(b) - Fraction(a) for a, b in zip(p, q)]]
+    assume(all(any(Fraction(a) != Fraction(b) for a, b in zip(p, q)) for p, q in legs))
     return Platform(d, tuple(legs))
 
 

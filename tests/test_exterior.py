@@ -387,6 +387,12 @@ def exact_wedge_inputs(draw):
         [3, 0, 2, -1, 2, 5, -1, 2],
     ]
 )
+# entries near 2^40 put these past the int64 guard, so the minors run on Python ints
+@example([[2**40 - 3, 5, -(2**40) + 7, 2, 1], [2**40, -3, 1, 2**39 + 1, 0]])
+@example(  # a zero leading entry, so a pivot swap on the object array, and a/b entries
+    [[0, 2**40 + 1, "1/3", -(2**41)], [2**40 - 5, 7, 2**39, "5/2"], [3, -(2**40), 1, 2**40 + 3]]
+)
+@example([[2**40, 2**40 + 1, 3], [2**41, 2**41 + 2, 6]])  # dependent inputs: every minor 0
 def test_exact_wedge_matches_fraction_minors(vecs):
     v = wedge(vecs, exact=True)
     assert v.exact

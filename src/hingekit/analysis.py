@@ -117,10 +117,8 @@ class Platform:
         for i, (p, q) in enumerate(legs):
             if len(p) != self.d or len(q) != self.d:
                 raise DefinitionError(f"leg {i + 1}: endpoints must be points of R^{self.d}")
-            ends = [[_to_fraction(x) for x in v] for v in (p, q)]
-            if any(isinstance(x, (float, np.floating)) for x in p + q):
-                ends = [list(map(float, v)) for v in ends]
-            if ends[0] == ends[1]:
+            conv = float if any(isinstance(x, (float, np.floating)) for x in p + q) else _to_fraction
+            if [*map(conv, p)] == [*map(conv, q)]:
                 raise DegenerateLegError(f"leg {i + 1} has coincident endpoints")
         object.__setattr__(self, "legs", legs)
 

@@ -252,8 +252,14 @@ def _exact_minor_rows(mats) -> np.ndarray:
                 raise GradeError(f"cannot wedge {len(mat)} vectors in R^{len(mat[0])}")
         if len({(len(mat), len(mat[0])) for mat in mats}) > 1:
             raise GradeError("rank_of_span needs vectors of one common grade and ambient")
-        a = np.array([[row if all(type(x) is int for x in row) else _integer_scaled(row)[0] for row in mat]
-                      for mat in mats] or np.zeros((0, 1, 1), dtype=np.int64))  # no matrices: no rows
+        rows = [[row if all(type(x) is int for x in row) else _integer_scaled(row)[0] for row in mat]
+                for mat in mats]
+        # built as objects: numpy would type ints past 2^63 next to negative ones float64
+        a = np.array(rows or np.zeros((0, 1, 1), dtype=np.int64), dtype=object)  # no matrices: no rows
+        try:
+            a = a.astype(np.int64)
+        except OverflowError:  # an entry past int64 keeps the object array
+            pass
     if a.dtype == np.int64:
         sq = np.square(a, dtype=float).sum(axis=2)
         fits = (np.prod(np.maximum(sq, 1.0), axis=1) < _INT64_HADAMARD_SQUARED).all()

@@ -696,6 +696,9 @@ def test_batch_guard_sits_at_the_hadamard_bound():
 @example([([0, 0, 0], [[0, 0, 1]]), ([1, 0], [[0, 1]])])  # axes of R^3 and R^2: GradeError
 @example([([0, 0], [[1, 0], [0, 1], [1, 1]]), ([1, 0], [])])  # j > m: GradeError
 @example([([0, 0, 0], [[0, 1]]), ([1, 0, 0], [[0, 0, 1]])])  # ragged rows: DimensionError
+@example(  # ints past 2^63 next to negative ones, which float64 would round to one axis
+    [([2**63 + 1, -1, 0], [[0, 1, 0]]), ([2**63, -1, 0], [[0, 1, 0]])] + _AXES_R3[:3]
+)
 def test_batched_exact_cycle_verdict_equals_the_per_axis_route(raw):
     """Rank, mobility and the Fraction conull match, or the same error type and message."""
     assert _verdict_outcome(cycle_mobility_exact, raw) == _per_axis_outcome(raw, cycle=True)
@@ -716,6 +719,9 @@ def exact_platforms(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(exact_platforms())
+@example(  # ints past 2^63 next to negative ones, which float64 would round to one leg
+    Platform(2, (([2**63 + 1, -1], [0, 0]), ([2**63, -1], [0, 0]), ([0, 2], [3, -1])))
+)
 def test_batched_exact_platform_verdict_equals_the_per_leg_route(platform):
     got = _verdict_outcome(platform_flexibility, platform, exact=True)
     assert got == _per_axis_outcome(platform.legs, cycle=False)

@@ -393,6 +393,8 @@ def exact_wedge_inputs(draw):
     [[0, 2**40 + 1, "1/3", -(2**41)], [2**40 - 5, 7, 2**39, "5/2"], [3, -(2**40), 1, 2**40 + 3]]
 )
 @example([[2**40, 2**40 + 1, 3], [2**41, 2**41 + 2, 6]])  # dependent inputs: every minor 0
+# an entry in [2^63, 2^64) next to a negative one: numpy would type them float64
+@example([[2**63, -1], [1, 1]])
 def test_exact_wedge_matches_fraction_minors(vecs):
     v = wedge(vecs, exact=True)
     assert v.exact

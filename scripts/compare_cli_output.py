@@ -19,8 +19,11 @@ guard of the exact minor kernel, onto Python ints. ``analyze-cycle
 --exact --json`` also runs on a d=6 cycle of 20 axes with one coordinate
 of 2^31 + 11, past the guard, and ``analyze-platform --exact`` on a d=2
 platform whose first leg has rational endpoints 10^-20 apart, which a
-float comparison would call coincident. A five-axis cycle in R^3 (mobility
-0, though its Plucker span misses a hyperplane) runs through
+float comparison would call coincident. Float ``analyze-cycle`` in text
+and ``--json`` form runs on a generic d=7 cycle of 28 axes, the largest
+stacked determinant of the float minor kernel (28 minors of 6 x 6 per
+axis). A five-axis cycle in R^3 (mobility 0, though its Plucker span
+misses a hyperplane) runs through
 ``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
 finds no kernel and exits 3. ``convert-linkage`` runs on two generic
 d=6 cycles of 12 axes, one of which exits 3 because a body simplex
@@ -87,6 +90,7 @@ EXAMPLES = {
     "cycle-d2n2": ["generic-cycle", "--d", "2", "--n", "2"],
     "cycle-d5n10": ["generic-cycle", "--d", "5", "--n", "10"],
     "cycle-d5n4": ["generic-cycle", "--d", "5", "--n", "4"],
+    "cycle-d7n28": ["generic-cycle", "--d", "7", "--n", "28", "--seed", "3"],
 }
 
 # hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,
@@ -262,6 +266,8 @@ RUNS = [
     ["analyze-cycle", "{cycle-d6n21}", "--exact"], ["analyze-cycle", "{cycle-d6n21}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-modp}", "--exact"], ["analyze-cycle", "{cycle-modp}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-d2}", "--json"], ["analyze-cycle", "{cycle}", "--exact"],
+    # the largest stacked float determinant: 28 axes of R^7, each a batch of 28 minors of 6 x 6
+    ["analyze-cycle", "{cycle-d7n28}"], ["analyze-cycle", "{cycle-d7n28}", "--json"],
     *([_ANALYZE[SCENARIOS[tag]["kind"]], f"{{{tag}}}", "--exact", *flag]
       for tag in ("cycle-d5-ab", "cycle-d2-ab", "platform-d3", "cycle-d4-big") for flag in ([], ["--json"])),
     ["analyze-cycle", "{cycle-d6-big}", "--exact", "--json"], ["analyze-platform", "{platform-close}", "--exact"],

@@ -28,8 +28,8 @@ from .errors import (
     ScenarioError,
     WrongMapError,
 )
-from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, rank_of_span, top_pairing
-from .exterior import _exact_minor_rows, _integer_rank, _to_fraction
+from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, top_pairing
+from .exterior import _exact_minor_rows, _minor_rows, _rank_rows, _to_fraction
 from .geometry import Axis, Frame, _lift, axis_plucker, flat_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
@@ -101,9 +101,9 @@ class Verdict:
 class Platform:
     """Two rigid bodies joined by C(d+1, 2) bars.
 
-    Leg endpoints may be floats or rationals (int, Fraction or 'a/b'
-    string); rational legs allow the exact verdict path. A leg's endpoints
-    are compared as rationals when all its coordinates are, else as floats.
+    Leg endpoints may be floats or rationals (int, Fraction, or an 'a/b'
+    string, read as a Fraction); rational legs allow the exact verdict path.
+    A leg's endpoints are compared as rationals when all its coordinates are, else as floats.
     """
 
     d: int
@@ -111,16 +111,21 @@ class Platform:
 
     def __post_init__(self):
         want = comb(self.d + 1, 2)
-        legs = tuple((tuple(p), tuple(q)) for p, q in self.legs)
+        legs = [(tuple(p), tuple(q)) for p, q in self.legs]
         if len(legs) != want:
             raise DefinitionError(f"a platform in R^{self.d} needs exactly {want} legs")
         for i, (p, q) in enumerate(legs):
             if len(p) != self.d or len(q) != self.d:
                 raise DefinitionError(f"leg {i + 1}: endpoints must be points of R^{self.d}")
+            try:
+                legs[i] = p, q = tuple(tuple(_to_fraction(x) if isinstance(x, str) else x for x in pt)
+                                       for pt in (p, q))
+            except (ValueError, ZeroDivisionError):
+                raise DefinitionError(f"leg {i + 1}: a string coordinate is not a finite rational") from None
             conv = float if any(isinstance(x, (float, np.floating)) for x in p + q) else _to_fraction
             if [*map(conv, p)] == [*map(conv, q)]:
                 raise DegenerateLegError(f"leg {i + 1} has coincident endpoints")
-        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "legs", tuple(legs))
 
 
 def pairing_rows(endpoint, axes) -> np.ndarray:
@@ -283,30 +288,19 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
     ]
 
 
-def _span_verdict(vectors, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
-    """Rank verdict on a span of vectors over R^{d+1} of generic dimension C(d+1, 2).
+def _span_verdict(rows: np.ndarray, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
+    """Rank verdict on stacked Plucker rows over R^{d+1}, of generic dimension C(d+1, 2).
 
-    ``vectors`` is a list of exterior vectors, or an integer array, int64
-    or object, of exact coefficient rows. Both ranks are reduced by
-    ``stab_dim``, the dimension of a stabilizer span included among the
-    vectors. The witness is the certificate's conull functional; a cycle
-    also reports its mobility n - rank.
+    One row per axis, leg or stabilizer point; the dtype picks the rank rule
+    of ``_rank_rows``. Both ranks are reduced by ``stab_dim``, the dimension
+    of a stabilizer span among the rows. The witness is the certificate's
+    conull functional; a cycle also reports its mobility n - rank.
     """
-    if cycle and len(vectors) < 2:
+    if cycle and len(rows) < 2:
         raise DefinitionError("a cycle needs at least two axes")
-    if isinstance(vectors, np.ndarray):
-        full_dim = vectors.shape[1]
-        certificate = _integer_rank(vectors, full_dim)
-    else:
-        full_dim = comb(vectors[0].ambient, 2)
-        certificate = rank_of_span(vectors, expected_rank=full_dim, tol=tol)
-    return Verdict(
-        certificate.rank - stab_dim,
-        full_dim - stab_dim,
-        certificate,
-        witness=certificate.conull,
-        mobility=len(vectors) - certificate.rank if cycle else None,
-    )
+    cert = _rank_rows(rows, rows.shape[1], tol)
+    mobility = len(rows) - cert.rank if cycle else None
+    return Verdict(cert.rank - stab_dim, rows.shape[1] - stab_dim, cert, cert.conull, mobility)
 
 
 def frame_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
@@ -321,7 +315,8 @@ def frame_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     """
     pl = forward_kinematics(chain, theta)
     columns = frame_columns(chain, theta, placement=pl) + stabilizer_pluckers(pl.frame_at)
-    return _span_verdict(columns, tol, stab_dim=comb(chain.d - chain.end_frame.k, 2))
+    rows = np.array([v.coeffs for v in columns])
+    return _span_verdict(rows, tol, stab_dim=comb(chain.d - chain.end_frame.k, 2))
 
 
 def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
@@ -330,9 +325,10 @@ def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
     The space of closure-compatible rotation speeds has dimension
     n - rank(span); for n = C(d+1, 2) a deficient span means an
     infinitesimally flexible cycle. The conull functional is the
-    hyperplane section containing all axis points.
+    hyperplane section containing all axis points. All the axes are wedged
+    in one batch of ``_minor_rows``.
     """
-    return _span_verdict([axis_plucker(a) for a in axes], tol, cycle=True)
+    return _span_verdict(_minor_rows([_lift([a.origin], a.dirs) for a in axes]), tol, cycle=True)
 
 
 def axis_plucker_exact(origin, dirs) -> ExteriorVector:
@@ -364,11 +360,10 @@ def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = F
     vector over R^{d+1}; the platform admits a nontrivial infinitesimal
     motion exactly when these C(d+1, 2) lines are linearly dependent.
     The conull functional is the skew form annihilating every bar line.
-    With ``exact`` the bar lines are wedged as in ``cycle_mobility_exact``.
+    Either mode wedges all the legs in one kernel call, as the cycle verdicts do.
     """
-    if exact:
-        return _span_verdict(_exact_minor_rows([_lift([p, q]) for p, q in platform.legs]))
-    return _span_verdict([flat_plucker([p, q]) for p, q in platform.legs], tol)
+    kernel = _exact_minor_rows if exact else _minor_rows
+    return _span_verdict(kernel([_lift([p, q]) for p, q in platform.legs]), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,19 @@ A grade-k vector is stored densely: one coefficient per k-subset of
 ``e_a ^ e_b`` sits at ``coeffs[subset_index(m, (a, b))]``.
 
 Float coefficients live in a float64 array; exact ones are
-``fractions.Fraction`` entries in an object array, produced by
-``wedge(..., exact=True)``, that never round. The mode picks the dtype,
-not the code path: sums, scalar multiples and ``top_pairing`` (one
-signed dot product) are the same array expressions in both.
+``fractions.Fraction`` entries in an object array that never round. The
+mode picks the dtype, not the code path: sums, scalar multiples and
+``top_pairing`` (one signed dot product) are the same array expressions in
+both.
 
-Every exact minor comes from one kernel, ``_exact_minor_rows``: the
-inputs are scaled to integers (each vector times the lcm of its
-denominators) and one fraction-free (Bareiss) elimination, vectorized
-over all the j x j minors of a batch of matrices, computes them. It runs
-in int64 while Hadamard's bound keeps its products below 2^62, and on
-Python ints otherwise; the guard picks only the dtype. An exact wedge is
-its single row over the product of the scales; the exact cycle and
-platform verdicts pass the integer rows of all their flats to the rank
-test. A full rank of a matrix wider than six columns is certified modulo
-the prime 2^31 - 1 first, in int64; every other rank, and every conull,
-comes from the fraction-free echelon form ``_echelon`` in Python ints.
+Every minor comes from one kernel per arithmetic, over all the j x j minors
+of a batch of matrices in ``wedge``'s orientation: ``_minor_rows``, one
+stacked float ``np.linalg.det``, and ``_exact_minor_rows``, one fraction-free
+(Bareiss) elimination of the rows scaled to integers, in int64 while
+Hadamard's bound keeps its products below 2^62, else on Python ints. A wedge
+is row 0 of its kernel; a verdict passes all its rows to ``_rank_rows``,
+whose dtype picks ``numeric_rank`` or the exact rule: a full rank of more
+than six columns certified modulo 2^31 - 1, else the ``_echelon`` form.
 """
 
 from __future__ import annotations
@@ -190,11 +187,11 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
 
     The coefficient on a subset S is the j x j minor taken from rows S of
     the matrix whose columns are the inputs, which makes the result
-    multilinear and alternating. With ``exact=True`` the inputs are read
-    as rationals (int, Fraction, 'a/b' strings, or floats through their
-    exact binary value) and the coefficients come out as Fractions: the
-    integer minors of ``_exact_minor_rows`` over the product of the
-    inputs' scales.
+    multilinear and alternating: row 0 of ``_minor_rows``. With
+    ``exact=True`` the inputs are read as rationals (int, Fraction, 'a/b'
+    strings, or floats through their exact binary value) and the
+    coefficients come out as Fractions: the integer minors of
+    ``_exact_minor_rows`` over the product of the inputs' scales.
 
     An empty input list is the scalar 1 of grade 0; it then needs an
     explicit ``ambient``.
@@ -210,16 +207,39 @@ def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorV
         raise DimensionError("wedge inputs must all share one length")
     if ambient is not None and ambient != m:
         raise DimensionError(f"inputs of length {m} do not live in R^{ambient}")
-    if j > m:
-        raise GradeError(f"cannot wedge {j} vectors in R^{m}")
-    if exact:
-        ints, scales = zip(*map(_integer_scaled, vecs))
-        den = math.prod(scales)
-        coeffs = [Fraction(x, den) for x in _exact_minor_rows([ints])[0].tolist()]
-        return ExteriorVector(j, m, np.array(coeffs))
-    mat = np.array(vecs, dtype=float).T  # columns are the inputs
-    minors = mat[np.array(subsets(m, j)), :]  # (C(m,j), j, j) row selections
-    return ExteriorVector(j, m, np.linalg.det(minors))
+    if not exact:
+        return ExteriorVector(j, m, _minor_rows([vecs])[0])
+    row = _exact_minor_rows([vecs])[0].astype(object)
+    return ExteriorVector(j, m, row * Fraction(1, math.prod(_integer_scaled(v)[1] for v in vecs)))
+
+
+def _check_shapes(mats) -> None:
+    """Raise the shape error, if any, of a batch of j x m matrices: ragged, j > m, two shapes."""
+    for mat in mats:
+        if any(len(row) != len(mat[0]) for row in mat):
+            raise DimensionError("wedge inputs must all share one length")
+        if len(mat) > len(mat[0]):
+            raise GradeError(f"cannot wedge {len(mat)} vectors in R^{len(mat[0])}")
+    if len({(len(mat), len(mat[0])) for mat in mats}) > 1:
+        raise GradeError("rank_of_span needs vectors of one common grade and ambient")
+
+
+def _minor_rows(mats) -> np.ndarray:
+    """Every j x j minor of each j x m matrix in ``mats``, as float rows.
+
+    Row i, in ``subsets(m, j)`` order, is ``wedge(mats[i]).coeffs``: one
+    stacked ``np.linalg.det`` over rows S of each transposed matrix. Shape
+    errors come from ``_check_shapes``; no matrices give no rows.
+    """
+    try:
+        a = np.array(mats or np.zeros((0, 1, 1)), dtype=float)
+    except ValueError:  # a shape error, else the entry float() refused
+        _check_shapes(mats)
+        raise
+    if a.ndim != 3 or a.shape[1] > a.shape[2]:
+        _check_shapes(mats)
+    j, m = a.shape[1:]
+    return np.linalg.det(a.transpose(0, 2, 1)[:, np.array(subsets(m, j))])
 
 
 # Each entry the batched Bareiss elimination forms is a minor of one input matrix, so
@@ -232,26 +252,18 @@ _INT64_HADAMARD_SQUARED = 2.0**62 * (1 - 2.0**-40)
 def _exact_minor_rows(mats) -> np.ndarray:
     """Every j x j minor of each j x m rational matrix in ``mats``, as integer rows.
 
-    Row i, in ``subsets(m, j)`` order, is ``wedge(mats[i], exact=True)``
-    times the product of its rows' integer scales (a row of ints is taken as
-    it is: an int64 cast would truncate a Fraction). One Bareiss elimination,
-    vectorized over all the minors with a pivot swap per minor, computes
-    them: in int64 when every matrix passes the Hadamard guard, else on an
-    object array of Python ints. Ragged rows raise DimensionError, j > m and
-    matrices of different shapes GradeError; no matrices give no rows.
+    Row i is ``wedge(mats[i], exact=True)`` times the product of its rows'
+    integer scales (a row of ints is taken as it is: an int64 cast would
+    truncate a Fraction), from one Bareiss elimination vectorized over all
+    the minors with a pivot swap per minor: in int64 when every matrix passes
+    the Hadamard guard, else on Python ints. Shapes as in ``_minor_rows``.
     """
     try:
         a = np.array(mats)
     except ValueError:  # ragged
         a = None
     if a is None or a.dtype != np.int64 or a.ndim != 3 or a.shape[1] > a.shape[2]:
-        for mat in mats:
-            if any(len(row) != len(mat[0]) for row in mat):
-                raise DimensionError("wedge inputs must all share one length")
-            if len(mat) > len(mat[0]):
-                raise GradeError(f"cannot wedge {len(mat)} vectors in R^{len(mat[0])}")
-        if len({(len(mat), len(mat[0])) for mat in mats}) > 1:
-            raise GradeError("rank_of_span needs vectors of one common grade and ambient")
+        _check_shapes(mats)
         rows = [[row if all(type(x) is int for x in row) else _integer_scaled(row)[0] for row in mat]
                 for mat in mats]
         # built as objects: numpy would type ints past 2^63 next to negative ones float64
@@ -365,37 +377,6 @@ def _rank_mod_p(rows) -> int:
     return rank
 
 
-def _integer_rank(rows, expected_rank: int) -> RankCertificate:
-    """Exact rank and conull of integer rows: lists, or an int64 or object array.
-
-    Scaling a row changes neither the rank nor the null space. Past
-    ``_MOD_P_ABOVE_COLUMNS`` columns ``_rank_mod_p`` certifies a full rank; any
-    other outcome, full rank that the prime happens to divide included, is
-    decided by the ``_echelon`` form, which also gives the conull.
-    """
-    ncols = len(rows[0])
-    if len(rows) >= ncols > _MOD_P_ABOVE_COLUMNS and _rank_mod_p(rows) == ncols:
-        return RankCertificate(ncols, np.array([]), ncols < expected_rank, None, exact=True)
-    mat, pivots, prev = _echelon(rows.tolist() if isinstance(rows, np.ndarray) else rows)
-    rank = len(pivots)
-    deficient = rank < expected_rank
-    conull = None
-    if deficient and rank < ncols:
-        free = next(c for c in range(ncols) if c not in pivots)
-        ints = [0] * ncols
-        ints[free] = prev
-        for row, pc in enumerate(pivots):
-            ints[pc] = -mat[row][free]
-        g = math.gcd(*ints)
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            g = -g
-        conull = np.empty(ncols, dtype=object)
-        conull[:] = [Fraction(x // g) for x in ints]
-        conull.setflags(write=False)
-    return RankCertificate(rank, np.array([]), deficient, conull, exact=True)
-
-
 def check_tolerance(tol: float) -> float:
     """Return ``tol`` if it is a finite number > 0, else raise ToleranceError."""
     if not (math.isfinite(tol) and tol > 0):
@@ -432,27 +413,51 @@ def positive_lead(v: np.ndarray) -> np.ndarray:
     return -v if v[np.argmax(np.abs(v))] < 0 else v.copy()
 
 
-def rank_of_span(vectors, expected_rank: int, tol: float = 1e-10) -> RankCertificate:
-    """Rank of the linear span of same-shape exterior vectors.
+def _rank_rows(rows: np.ndarray, expected_rank: int, tol: float) -> RankCertificate:
+    """Rank and conull of stacked coefficient rows; the dtype picks the rank rule.
 
-    Float mode applies ``numeric_rank`` to the stacked coefficient rows.
-    When every input is exact the rank is computed by exact Gaussian
-    elimination instead and ``singular_values`` stays empty. An empty
-    input list has rank 0 and no conull.
+    Float rows take ``numeric_rank`` and a read-only unit conull from
+    ``positive_lead``. Integer rows (int64 or object) are exact: a full rank
+    past ``_MOD_P_ABOVE_COLUMNS`` columns is certified by ``_rank_mod_p``, any
+    other outcome by the ``_echelon`` form, which also gives the coprime conull.
+    """
+    ncols, conull = rows.shape[1], None
+    if rows.dtype == float:
+        rank, _, _, sig, vh = numeric_rank(rows, tol)
+        if rank < min(expected_rank, ncols):
+            conull = positive_lead(vh[rank])
+    elif len(rows) >= ncols > _MOD_P_ABOVE_COLUMNS and _rank_mod_p(rows) == ncols:
+        rank, sig = ncols, np.array([])
+    else:
+        mat, pivots, prev = _echelon(rows.tolist())
+        rank, sig = len(pivots), np.array([])
+        if rank < min(expected_rank, ncols):
+            free = next(c for c in range(ncols) if c not in pivots)
+            ints = [0] * ncols
+            ints[free] = prev
+            for row, pc in enumerate(pivots):
+                ints[pc] = -mat[row][free]
+            g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+            conull = np.array([Fraction(x // g) for x in ints])
+    if conull is not None:
+        conull.setflags(write=False)
+    return RankCertificate(rank, sig, rank < expected_rank, conull, rows.dtype != float)
+
+
+def rank_of_span(vectors, expected_rank: int, tol: float = 1e-10) -> RankCertificate:
+    """Rank of the linear span of same-shape exterior vectors, by ``_rank_rows``.
+
+    When every input is exact its rows are scaled to integers and the rank
+    is exact, with ``singular_values`` empty; else the rows are floats. An
+    empty input list has rank 0 and no conull.
     """
     vectors = list(vectors)
     if not vectors:
         return RankCertificate(0, np.array([]), expected_rank > 0, None)
-    g, m = vectors[0].grade, vectors[0].ambient
-    if any(v.grade != g or v.ambient != m for v in vectors):
+    if len({(v.grade, v.ambient) for v in vectors}) > 1:
         raise GradeError("rank_of_span needs vectors of one common grade and ambient")
     if all(v.exact for v in vectors):
-        return _integer_rank([_integer_scaled(v.coeffs)[0] for v in vectors], expected_rank)
-    rows = np.array([v.as_float().coeffs for v in vectors])
-    rank, _, _, sig, vh = numeric_rank(rows, tol)
-    deficient = rank < expected_rank
-    conull = None
-    if deficient and rank < rows.shape[1]:
-        conull = positive_lead(vh[rank])
-        conull.setflags(write=False)
-    return RankCertificate(rank, sig, deficient, conull)
+        rows = np.array([_integer_scaled(v.coeffs)[0] for v in vectors], dtype=object)
+    else:
+        rows = np.array([v.as_float().coeffs for v in vectors])
+    return _rank_rows(rows, expected_rank, tol)

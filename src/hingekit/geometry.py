@@ -4,8 +4,8 @@ projective completion P_d.
 Conventions used throughout the package:
 
 * the homogeneous slot comes last: a point p lifts to (p, 1), a
-  direction v lifts to (v, 0); ``flat_plucker`` is the one place that
-  writes this lift, and every Plucker point of the package comes from it;
+  direction v lifts to (v, 0); ``_lift`` is the one place that writes
+  this lift, and every Plucker point of the package is a wedge of it;
 * a hinge axis is a codimension-two affine subspace, stored as an origin
   plus d-2 orthonormal directions; its Plucker point is the decomposable
   grade-(d-1) vector (origin, 1) ^ (v_1, 0) ^ ... ^ (v_{d-2}, 0) over

@@ -23,6 +23,7 @@ from hingekit import (
     endpoint_singularity,
     flat_plucker,
     forward_kinematics,
+    frame_columns,
     frame_singularity,
     grid_incident_line,
     incident,
@@ -55,7 +56,7 @@ from hingekit.errors import (
     HingekitError,
     ScenarioError,
 )
-from hingekit.exterior import _exact_minor_rows
+from hingekit.exterior import _exact_minor_rows, _minor_rows, numeric_rank, positive_lead
 from hingekit.geometry import _lift
 from hingekit.sampling import (
     common_line_platform_legs,
@@ -572,6 +573,25 @@ def test_platform_reads_an_a_b_string_leg_as_a_rational():
         Platform(2, ((("1/2", 0), (Fraction(1, 2), 0)), *_OTHER_LEGS))
 
 
+def test_float_platform_verdict_reads_an_a_b_string_leg():
+    """The string is read as a Fraction when the platform is built, so the float verdict
+    is the one of the Fraction leg; a leg with a float coordinate is still compared in
+    floats, the string included."""
+    strings = Platform(2, ((("1/3", 0), (1, "2")), *_OTHER_LEGS))
+    assert strings.legs[0] == ((Fraction(1, 3), 0), (1, Fraction(2)))
+    fractions = Platform(2, (((Fraction(1, 3), 0), (1, 2)), *_OTHER_LEGS))
+    got = platform_flexibility(strings)
+    assert got.rank == 2 and _float_outcome(got) == _float_outcome(platform_flexibility(fractions))
+    with pytest.raises(DegenerateLegError, match="leg 1 has coincident endpoints"):
+        Platform(2, ((("1/10", 0.0), (0.1, 0)), *_OTHER_LEGS))
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", "inf"])
+def test_platform_refuses_a_string_that_is_not_a_finite_rational(bad):
+    with pytest.raises(DefinitionError, match="^leg 2: a string coordinate is not a finite rational$"):
+        Platform(2, (((0, 0), (1, 0)), ((0, bad), (0, 2)), ((1, 1), (2, 3))))
+
+
 # --- exact verdicts: one batch of the minor kernel against Fraction minors ----------
 
 
@@ -738,3 +758,108 @@ def test_exact_batch_scales_a_fraction_coordinate_instead_of_truncating_it():
     assert (v.rank, v.mobility, v.witness) == (6, 0, None)
     truncated = cycle_mobility_exact([raw[0], ([0, 0, 0], [[0, 0, 1]])] + raw[2:])
     assert (truncated.rank, truncated.mobility) == (5, 1)
+
+
+# --- float verdicts: one batch of the float minor kernel against the per-axis route --
+
+
+def _det_minors(mat) -> np.ndarray:
+    """Every j x j minor of one j x m matrix, one ``np.linalg.det`` per minor, taken from
+    rows S of its transpose: the float wedge written one matrix at a time."""
+    cols = np.array(mat, dtype=float).T
+    return np.array([np.linalg.det(cols[list(s), :]) for s in itertools.combinations(range(len(cols)), len(mat))])
+
+
+@st.composite
+def float_flat_batches(draw):
+    """Lifted axes of R^d, d = 2..7, from a seeded stream: float or small-integer
+    coordinates, with a repeated axis, a dependent direction or neither."""
+    d = draw(st.integers(2, 7), label="d")
+    n = draw(st.integers(1, comb(d + 1, 2) + 1), label="n")
+    rng = rng_from(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="integer coordinates"):
+        raw = [(rng.integers(-3, 4, d), rng.integers(-3, 4, (d - 2, d))) for _ in range(n)]
+    else:
+        raw = [(rng.uniform(-2, 2, d), rng.uniform(-2, 2, (d - 2, d))) for _ in range(n)]
+    dependence = draw(st.sampled_from(["none", "repeat", "degenerate"]), label="dependence")
+    k = draw(st.integers(0, n - 1), label="axis")
+    if dependence == "repeat":
+        raw[k] = raw[draw(st.integers(0, n - 1), label="copied axis")]
+    elif dependence == "degenerate" and d >= 3:
+        raw[k][1][-1] = -2 * raw[k][1][0] if d >= 4 else 0
+    return [_lift([origin], dirs) for origin, dirs in raw]
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_flat_batches())
+def test_float_minor_kernel_equals_one_determinant_per_minor(mats):
+    """Row i of the stacked kernel is the per-minor determinant of matrix i, bit for bit,
+    and the float wedge is row 0 of a batch of one."""
+    rows = _minor_rows(mats)
+    want = np.array([_det_minors(mat) for mat in mats])
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    assert wedge(mats[0]).coeffs.tobytes() == want[0].tobytes()
+
+
+def _list_route(points, tol: float = 1e-10):
+    """The float rank test on a list of Plucker points as ``rank_of_span`` ran it before
+    the rows were stacked once: ``numeric_rank``, then the ``positive_lead`` conull."""
+    rows = np.array(points)
+    rank, _, _, sig, vh = numeric_rank(rows, tol)
+    conull = positive_lead(vh[rank]) if rank < rows.shape[1] else None
+    return rank, sig.tobytes(), None if conull is None else conull.tobytes()
+
+
+def _float_outcome(v):
+    """Rank, singular values and conull bits of a float span verdict, whose conull is read-only."""
+    assert not v.certificate.exact
+    assert v.witness is None or not v.witness.flags.writeable
+    return v.certificate.rank, v.certificate.singular_values.tobytes(), None if v.witness is None else v.witness.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(["cycle", "platform", "frame"]),
+    d=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_float_span_verdicts_equal_the_per_axis_list_route(case, d, seed, data):
+    """Cycle, platform and frame verdicts read the rank, singular values and conull of
+    the per-axis (per-leg, per-column) route bit for bit, dependent inputs included."""
+    rng = rng_from(seed)
+    if case == "cycle":
+        n = data.draw(st.integers(2, comb(d + 1, 2) + 1), label="n")
+        axes = [random_axis(rng, d) for _ in range(n)]
+        if data.draw(st.booleans(), label="repeat an axis"):
+            axes[data.draw(st.integers(0, n - 1))] = axes[0]
+        got = cycle_mobility(axes)
+        points = [_det_minors(_lift([a.origin], a.dirs)) for a in axes]
+        assert got.mobility == n - got.certificate.rank
+    elif case == "platform":
+        d = min(d, 4)
+        dependent = data.draw(st.booleans(), label="common line")
+        legs = (common_line_platform_legs if dependent else random_platform_legs)(rng, d, comb(d + 1, 2))
+        got = platform_flexibility(Platform(d, tuple(legs)))
+        points = [_det_minors(_lift([p, q])) for p, q in legs]
+    else:
+        d = min(d, 5)
+        n = data.draw(st.integers(2, 8), label="n")
+        chain = random_chain(rng, d, n, k=data.draw(st.integers(0, d - 2), label="k"))
+        theta = rng.uniform(0, 2 * np.pi, n - 1)
+        pl = forward_kinematics(chain, theta)
+        got = frame_singularity(chain, theta)
+        points = [v.coeffs for v in frame_columns(chain, theta, placement=pl) + stabilizer_pluckers(pl.frame_at)]
+    assert _float_outcome(got) == _list_route(points)
+
+
+def test_float_cycle_verdict_keeps_its_error_contract():
+    """Axes of two ambients raise the rank_of_span message, in any order, not numpy's
+    shape error; zero or one axis are ``test_cycle_verdicts_need_two_axes``."""
+    r3 = make_axis(3, (0, 0, 0), [(0, 0, 1)])
+    r4 = make_axis(4, (0, 0, 0, 0), [(0, 0, 1, 0), (0, 1, 0, 0)])
+    r2 = make_axis(2, (1, 0), np.zeros((0, 2)))
+    for axes in ([r3, r4], [r4, r3], [r3, r3, r2]):
+        with pytest.raises(GradeError, match="^rank_of_span needs vectors of one common grade and ambient$"):
+            cycle_mobility(axes)
+    assert _minor_rows([]).shape == (0, 1)

@@ -60,6 +60,21 @@ def test_wedge_shape_errors():
         wedge([(1, 0), (0, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_wedge_shape_messages_keep_their_order(exact):
+    """Ragged inputs come before a wrong ambient, which comes before j > m; j > m comes
+    before reading the entries. The minor kernels share the check that raises them."""
+    with pytest.raises(DimensionError, match="^wedge inputs must all share one length$"):
+        wedge([(1, 0), (1, 0, 0)], ambient=3, exact=exact)
+    with pytest.raises(DimensionError, match=r"^inputs of length 2 do not live in R\^3$"):
+        wedge([(1, 0), (0, 1), (1, 1)], ambient=3, exact=exact)
+    for vecs in ([(1, 0), (0, 1), (1, 1)], [("abc", 0), (0, 1), (1, 1)]):
+        with pytest.raises(GradeError, match=r"^cannot wedge 3 vectors in R\^2$"):
+            wedge(vecs, exact=exact)
+    with pytest.raises(ValueError, match="'abc'"):
+        wedge([("abc", 0), (0, 1)], exact=exact)
+
+
 vectors_st = st.integers(min_value=-5, max_value=5)
 
 

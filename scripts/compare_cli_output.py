@@ -33,8 +33,11 @@ axes (support lines cut by k = 2 axes) and on a four-axis cycle in R^5,
 too short for the canonical edges. The error paths are run too: each
 file command on a scenario kind it refuses, ``convert-linkage`` in text
 and ``--json`` form on a three-axis cycle in R^4, also too short, one
-malformed scenario file per schema message of the parser, and files
-carrying top-level keys their kind does not read.
+malformed scenario file per schema message of the parser, files
+carrying top-level keys their kind does not read, a d=4 cycle whose
+second axis has dependent directions, and two d=4 cycles that pair such
+an axis with one whose 1e308-scale directions are not orthonormal after
+the QR, in both orders (the first bad axis in input order is reported).
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -216,13 +219,21 @@ SCENARIOS = {
 }
 
 # malformed scenario files, each run through the analyze command of its kind: one per
-# schema message, then top-level keys that the kind does not read
+# schema message, top-level keys that the kind does not read, then degenerate directions
 _AXIS = {"origin": [0, 0, 0], "dirs": [[0, 0, 1]]}
 _TWO = [_AXIS, {"origin": [1, 0, 0], "dirs": [[0, 1, 0]]}]
 _CYCLE = {"kind": "cycle", "d": 3, "axes": _TWO}
 _CHAIN = {"kind": "chain", "d": 3, "axes": _TWO[:1], "end_frame": {"origin": [1, 1, 1], "vecs": []}}
 _PLATFORM = {"kind": "platform", "d": 2,
              "legs": [{"p": [1, 0], "q": [2, 0]}, {"p": [0, 1], "q": [0, 3]}, {"p": [1, 1], "q": [2, 2]}]}
+_PLANE4, _DEPENDENT4 = [[0, 1, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 0], [2, 0, 0, 0]]
+_HUGE4 = [[1e308] * 4, [1e308, -1e308, 1e308, -1e308]]
+
+
+def _cycle4(*dirs):
+    return {"kind": "cycle", "d": 4, "axes": [{"origin": [i, 0, 0, 0], "dirs": rows} for i, rows in enumerate(dirs)]}
+
+
 MALFORMED = {
     "bad-boolean": dict(_CYCLE, axes=[dict(_AXIS, origin=[0, True, 0]), _TWO[1]]),
     "bad-null": dict(_CYCLE, axes=[dict(_AXIS, origin=[0, None, 0]), _TWO[1]]),
@@ -244,6 +255,9 @@ MALFORMED = {
     "unknown-chain": dict(_CHAIN, legs=[]),
     "unknown-platform-panel": dict(_PLATFORM, panel=False),
     "unknown-platform-axes": dict(_PLATFORM, axes=_TWO),
+    "dependent-axis": _cycle4(_PLANE4, _DEPENDENT4, _PLANE4),
+    "huge-then-dependent": _cycle4(_HUGE4, _DEPENDENT4, _PLANE4),
+    "dependent-then-huge": _cycle4(_DEPENDENT4, _HUGE4, _PLANE4),
 }
 SCENARIOS.update(MALFORMED)
 _ANALYZE = {"chain": "analyze-chain", "cycle": "analyze-cycle", "platform": "analyze-platform"}

@@ -27,6 +27,7 @@ from .geometry import (
     incident,
     invert,
     line_plucker,
+    make_axes,
     make_axis,
     make_frame,
     project_affine,

@@ -45,6 +45,7 @@ from .chain import Chain, cycle_chain, flex_path, frame_residual
 from .errors import (
     ConsistencyError,
     DefinitionError,
+    DegenerateAxisError,
     DimensionError,
     GenericityError,
     HingekitError,
@@ -53,7 +54,7 @@ from .errors import (
     WrongMapError,
 )
 from .exterior import check_tolerance
-from .geometry import make_axis, make_frame
+from .geometry import make_axes, make_frame
 from .sampling import rng_from
 
 __all__ = [
@@ -222,14 +223,24 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
 
 
+def _at(path: str, build, *args):
+    """build(*args), with the JSON path of a bad axis or end frame in front of its error."""
+    try:
+        return build(*args)
+    except DegenerateAxisError as exc:
+        raise DegenerateAxisError(f"{path.format(exc.index)}: {exc}") from None
+
+
 def scenario_axes(sc: Scenario):
-    """Orthonormalized Axis objects for a chain or cycle scenario."""
-    return [make_axis(sc.d, _floats(origin), [_floats(v) for v in dirs]) for origin, dirs in sc.axes]
+    """Orthonormalized Axis objects for a chain or cycle scenario, built in one stacked pass."""
+    origins = np.array([_floats(origin) for origin, _ in sc.axes])
+    dirs = np.array([[_floats(v) for v in dirs] for _, dirs in sc.axes]).reshape(len(sc.axes), sc.d - 2, sc.d)
+    return _at("axes[{}].dirs", make_axes, sc.d, origins, dirs)
 
 
 def scenario_chain(sc: Scenario) -> Chain:
     origin, vecs = sc.end_frame
-    frame = make_frame(sc.d, _floats(origin), [_floats(v) for v in vecs])
+    frame = _at("end_frame.vecs", make_frame, sc.d, _floats(origin), [_floats(v) for v in vecs])
     return Chain(sc.d, tuple(scenario_axes(sc)), frame, panel=sc.panel)
 
 

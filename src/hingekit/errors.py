@@ -18,7 +18,15 @@ class DegenerateGeometryError(HingekitError):
 
 
 class DegenerateAxisError(DegenerateGeometryError):
-    pass
+    """Axis directions or frame vectors that are dependent or not orthonormal.
+
+    ``index`` is the position of the offending item when a stack of them was
+    checked at once, else None.
+    """
+
+    def __init__(self, *args, index: int | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class DegenerateLineError(DegenerateGeometryError):

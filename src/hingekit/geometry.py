@@ -40,6 +40,7 @@ __all__ = [
     "Isometry",
     "AffineSubspace",
     "make_axis",
+    "make_axes",
     "make_frame",
     "identity_isometry",
     "compose",
@@ -152,28 +153,63 @@ class Isometry:
         return self.trans.shape[0]
 
 
-def _gram_schmidt(raw: np.ndarray, what: str) -> np.ndarray:
-    """Orthonormalize rows in order; rejects dependent inputs."""
-    if raw.shape[0] == 0:
+def _orthonormalize(raw: np.ndarray, what: str) -> np.ndarray:
+    """Orthonormalize the rows of each (k, d) item of an (n, k, d) stack, in order.
+
+    One QR over the stack, with R's diagonal made positive. The first bad
+    item in input order raises DegenerateAxisError with its ``index``: its
+    rows are dependent (some |R_jj| <= 1e-10 max |item|), or else its result
+    is not orthonormal within ORTHONORMAL_TOL. For k >= 2 each result item
+    is Fortran-ordered, the transpose of a C-ordered block.
+    """
+    if raw.shape[1] == 0:
         return raw
-    q, r = np.linalg.qr(raw.T)
-    diag = np.diag(r)
-    scale = np.max(np.abs(raw)) or 1.0
-    if np.any(np.abs(diag) <= 1e-10 * scale):
-        raise DegenerateAxisError(f"{what} are linearly dependent")
-    return (q * np.sign(diag)).T
+    q, r = np.linalg.qr(raw.swapaxes(1, 2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    # an all-zero item has a zero diagonal, so it is dependent at any scale
+    dependent = (np.abs(diag) <= 1e-10 * np.abs(raw).max(axis=(1, 2))[:, None]).any(axis=1)
+    rows = (q * np.sign(diag)[:, None, :]).swapaxes(1, 2)
+    gram = rows @ rows.swapaxes(1, 2)
+    # the rule of _check_orthonormal_rows, per item; it rejects NaN and inf too
+    bad = dependent | ~(np.abs(gram - _eye(gram.shape[1])).max(axis=(1, 2)) <= ORTHONORMAL_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        problem = "are linearly dependent" if dependent[i] else "must be orthonormal within 1e-12"
+        raise DegenerateAxisError(f"{what} {problem}", index=i)
+    return rows
+
+
+def make_axes(dim: int, origins, raw_dirs) -> list[Axis]:
+    """Axes through origins[i] spanned by raw_dirs[i], each orthonormalized in order.
+
+    ``origins`` is (n, dim) and ``raw_dirs`` (n, dim - 2, dim). The directions
+    are orthonormalized and checked as one stack, by the rules of
+    ``make_axis``; the first bad axis raises DegenerateAxisError with its
+    position as ``index``. The Axis objects are not checked again.
+    """
+    origins = np.asarray(origins, dtype=float)
+    raw = np.asarray(raw_dirs, dtype=float)
+    if dim < 2 or origins.shape != raw.shape[:1] + (dim,) or raw.shape[1:] != (dim - 2, dim):
+        raise DimensionError(f"axes of R^{dim} need (n, {dim}) origins and (n, {dim - 2}, {dim}) directions")
+    axes = []
+    for origin, dirs in zip(origins, _orthonormalize(raw, "axis directions")):
+        axis = object.__new__(Axis)
+        for name, value in (("dim", dim), ("origin", _frozen(origin)), ("dirs", _frozen(dirs))):
+            object.__setattr__(axis, name, value)
+        axes.append(axis)
+    return axes
 
 
 def make_axis(dim: int, origin, raw_dirs) -> Axis:
     """Axis through ``origin`` spanned by ``raw_dirs``, orthonormalized in order."""
-    raw = np.array(list(raw_dirs), dtype=float).reshape(-1, dim)
-    return Axis(dim, np.asarray(origin, dtype=float), _gram_schmidt(raw, "axis directions"))
+    raw = np.array(list(raw_dirs), dtype=float).reshape(-1, dim)[None]
+    return Axis(dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "axis directions")[0])
 
 
 def make_frame(dim: int, origin, raw_vecs) -> Frame:
     """Frame at ``origin`` with vectors orthonormalized in order (may be empty)."""
-    raw = np.array(list(raw_vecs), dtype=float).reshape(-1, dim)
-    return Frame(dim, np.asarray(origin, dtype=float), _gram_schmidt(raw, "frame vectors"))
+    raw = np.array(list(raw_vecs), dtype=float).reshape(-1, dim)[None]
+    return Frame(dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "frame vectors")[0])
 
 
 def identity_isometry(dim: int) -> Isometry:

@@ -342,6 +342,37 @@ def test_schema_errors_print_one_line_with_the_json_path(tmp_path, capsys, doc, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+_PLANE = [[0, 1, 0, 0], [0, 0, 1, 0]]
+_DEPENDENT = [[1, 0, 0, 0], [2, 0, 0, 0]]
+_HUGE = [[1e308] * 4, [1e308, -1e308, 1e308, -1e308]]  # its QR overflows: not orthonormal
+
+
+def _d4_cycle(*dirs):
+    return {"kind": "cycle", "d": 4, "axes": [{"origin": [i, 0, 0, 0], "dirs": rows} for i, rows in enumerate(dirs)]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_d4_cycle(_PLANE, _DEPENDENT, _PLANE), "axes[1].dirs: axis directions are linearly dependent"),
+        # the first bad axis in input order is reported, whichever check it fails
+        (_d4_cycle(_HUGE, _DEPENDENT, _PLANE), "axes[0].dirs: axis directions must be orthonormal within 1e-12"),
+        (_d4_cycle(_DEPENDENT, _HUGE, _PLANE), "axes[0].dirs: axis directions are linearly dependent"),
+        # a chain builds its end frame before its axes
+        (
+            {"kind": "chain", "d": 3, "axes": [_axis(dirs=[[0, 0, 0]])],
+             "end_frame": {"origin": [1, 1, 1], "vecs": [[1, 0, 0], [2, 0, 0]]}},
+            "end_frame.vecs: frame vectors are linearly dependent",
+        ),
+    ],
+)
+def test_degenerate_directions_are_rejected_with_their_json_path(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = capture(capsys, [KIND_COMMANDS[doc["kind"]], str(path)])
+    assert (code, out, err) == (2, "", f"error: semantic error: {message}\n")
+
+
 def _parallel_neighbours(text):
     """The example cycle with axis 2 parallel to axis 1: it flexes, but has no canonical linkage."""
     doc = json.loads(text)
@@ -670,11 +701,11 @@ def test_samplers_with_one_body_fail_instead_of_hanging():
 def test_analyze_cycle_builds_each_axis_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cycle.json"
     path.write_text(example_text(capsys, "generic-cycle"))
-    calls = []
-    make_axis = cli.make_axis
-    monkeypatch.setattr(cli, "make_axis", lambda *a: calls.append(a) or make_axis(*a))
+    built = []
+    make_axes = cli.make_axes
+    monkeypatch.setattr(cli, "make_axes", lambda *a: built.append(make_axes(*a)) or built[-1])
     code, _, _ = capture(capsys, ["analyze-cycle", str(path)])
-    assert code == 0 and len(calls) == 7
+    assert code == 0 and [len(axes) for axes in built] == [7]
 
 
 # Nine integer axes in R^4 (numpy default_rng(0) draws from [-9, 9]): the Plucker

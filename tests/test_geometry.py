@@ -17,13 +17,20 @@ from hingekit import (
     incident,
     invert,
     line_plucker,
+    make_axes,
     make_axis,
     make_frame,
     project_affine,
     rotate_about,
     rotation_generator,
 )
-from hingekit.errors import DefinitionError, DegenerateAxisError, DegenerateLineError, ParallelLinesError
+from hingekit.errors import (
+    DefinitionError,
+    DegenerateAxisError,
+    DegenerateLineError,
+    DimensionError,
+    ParallelLinesError,
+)
 
 
 def point_axis(x, y):
@@ -67,6 +74,98 @@ def test_axis_validates_orthonormality():
 def test_orthonormality_check_rejects_non_finite_rows(build, bad):
     with pytest.raises(DegenerateAxisError, match="orthonormal"):
         build(3, np.zeros(3), np.array([[0.0, bad, 1.0]]))
+
+
+def _gram_schmidt_reference(raw, what):
+    """The per-matrix orthonormalizer that ``make_axes`` stacks: one QR per axis."""
+    if raw.shape[0] == 0:
+        return raw
+    q, r = np.linalg.qr(raw.T)
+    diag = np.diag(r)
+    scale = np.max(np.abs(raw)) or 1.0
+    if np.any(np.abs(diag) <= 1e-10 * scale):
+        raise DegenerateAxisError(f"{what} are linearly dependent")
+    return (q * np.sign(diag)).T
+
+
+def _per_axis_reference(d, origins, raws):
+    """Axes built one at a time, each checked by the public Axis constructor, or
+    (index, type, message) of the first axis that fails."""
+    axes = []
+    for i, (origin, raw) in enumerate(zip(origins, raws)):
+        try:
+            axes.append(Axis(d, origin, _gram_schmidt_reference(raw, "axis directions")))
+        except DegenerateAxisError as exc:
+            return i, type(exc), str(exc)
+    return axes
+
+
+@st.composite
+def _axis_stacks(draw):
+    """(d, origins, raws) for d = 2..7 and n = 1..21 axes: generic directions, except
+    for up to three axes with a zero row, a row proportional to another one,
+    1e308-scale entries or 1e-300-scale entries."""
+    d = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 21))
+    kinds = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(("zero", "dependent", "huge", "tiny")),
+                                 max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origins = rng.uniform(-2, 2, (n, d))
+    raws = rng.standard_normal((n, d - 2, d))
+    for i, kind in kinds.items() if d > 2 else ():
+        raw, j = raws[i], rng.integers(d - 2)
+        if kind == "zero":
+            raw[j] = 0.0
+        elif kind == "dependent" and d > 3:
+            raw[j] = rng.uniform(-3, 3) * raw[(j + 1) % (d - 2)]
+        elif kind == "huge":
+            raw[:] = np.sign(raw) * 1e308
+        elif kind == "tiny":
+            raw *= 1e-300
+    return d, origins, raws
+
+
+@settings(max_examples=150, deadline=None)
+@given(_axis_stacks())
+def test_make_axes_is_bit_identical_to_one_axis_at_a_time(stack):
+    d, origins, raws = stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _per_axis_reference(d, origins, raws)
+        try:
+            got = make_axes(d, origins, raws)
+        except DegenerateAxisError as exc:
+            got = exc.index, type(exc), str(exc)
+        singles = []
+        for origin, raw in zip(origins, raws):
+            try:
+                singles.append(make_axis(d, origin, raw))
+            except DegenerateAxisError as exc:
+                singles.append((type(exc), str(exc)))
+    if isinstance(expected, tuple):
+        assert got == expected
+        assert singles[expected[0]] == expected[1:]
+        return
+    for want, stacked, single in zip(expected, got, singles):
+        for axis in (stacked, single):
+            assert axis.dim == d
+            assert axis.origin.tobytes() == want.origin.tobytes()
+            assert axis.dirs.shape == want.dirs.shape and axis.dirs.strides == want.dirs.strides
+            assert axis.dirs.tobytes(order="A") == want.dirs.tobytes(order="A")
+            for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "WRITEABLE", "OWNDATA"):
+                assert axis.dirs.flags[flag] == want.dirs.flags[flag]
+                assert axis.origin.flags[flag] == want.origin.flags[flag]
+            if d >= 4:
+                assert axis.dirs.flags.f_contiguous and not axis.dirs.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "dim, origins, dirs",
+    [(1, np.zeros((2, 1)), np.zeros((2, 0, 1))), (3, np.zeros((2, 3)), np.zeros((3, 1, 3))),
+     (3, np.zeros((2, 3)), np.zeros((2, 2, 3))), (4, np.zeros((2, 3)), np.zeros((2, 2, 4)))],
+)
+def test_make_axes_rejects_stacks_of_the_wrong_shape(dim, origins, dirs):
+    with pytest.raises(DimensionError, match=f"axes of R\\^{dim} need"):
+        make_axes(dim, origins, dirs)
 
 
 # --- plucker coordinates ------------------------------------------------------

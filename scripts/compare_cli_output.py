@@ -6,7 +6,10 @@ flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
 ``convert-linkage``, ``flex`` in text, ``--json`` and ``--csv`` form (one
 of them ten steps along a Bricard fiber whose closure Jacobian has a
 singular value near 1e-11), ``sweep`` CSV on end-point, cycle and k=1
-frame chains (one of them singular at theta = 0), and ``analyze-cycle
+frame chains (one of them singular at theta = 0), ``analyze-chain`` in
+text and ``--json`` form and ``sweep`` CSV on a d=4 chain of seven axes
+that share one direction (every sample singular, so every row runs the
+witness check), and ``analyze-cycle
 --exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
 on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 21st axis (full rank), and on six axes in R^3 whose Plucker determinant
@@ -194,7 +197,14 @@ D6_BIG = [{"origin": [_rng.randint(-4, 4) for _ in range(6)],
 D6_BIG[5]["dirs"][1][3] = 2**31 + 11
 CLOSE_LEGS = [{"p": ["1/3", 0], "q": [f"{10**20 + 3}/{3 * 10**20}", 0]},
               {"p": [0, 1], "q": [0, 2]}, {"p": [1, 1], "q": [2, 3]}]
+# seven axes in R^4 that all contain the direction (1, 2, 2, 0): every configuration of the
+# chain is singular, so each verdict checks its witness line against every placed axis
+_rng = random.Random(627)
+PARALLEL4 = [{"origin": [round(_rng.uniform(-1, 1), 3) for _ in range(4)],
+              "dirs": [[1, 2, 2, 0], [round(_rng.uniform(-1, 1), 3) for _ in range(4)]]} for _ in range(7)]
 SCENARIOS = {
+    "chain-parallel-d4": {"kind": "chain", "d": 4, "axes": PARALLEL4,
+                          "end_frame": {"origin": [0.3, -0.7, 0.5, 0.2], "vecs": []}},
     "cycle-d6-big": {"kind": "cycle", "d": 6, "axes": D6_BIG},
     "platform-close": {"kind": "platform", "d": 2, "legs": CLOSE_LEGS},
     "cycle-d5-ab": {"kind": "cycle", "d": 5, "axes": D5N15},
@@ -309,6 +319,8 @@ RUNS = [
     ["sweep", "{frame-k1}", "--samples", "10", "--seed", "9", "--csv", "{out}/sweep-frame.csv"],
     ["sweep", "{frame-k1}", "--samples", "6", "--workers", "2"],
     ["sweep", "{frame-singular}", "--samples", "3"],
+    ["analyze-chain", "{chain-parallel-d4}"], ["analyze-chain", "{chain-parallel-d4}", "--json"],
+    ["sweep", "{chain-parallel-d4}", "--samples", "25", "--seed", "4", "--csv", "{out}/sweep-parallel.csv"],
     # error paths: a scenario kind the command refuses, and a cycle too short to partition
     ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],
     ["convert-linkage", "{desargues}"], ["flex", "{chain-d3}"], ["sweep", "{desargues}"],

@@ -29,7 +29,7 @@ from .errors import (
     WrongMapError,
 )
 from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, top_pairing
-from .exterior import _exact_minor_rows, _minor_rows, _rank_rows, _to_fraction
+from .exterior import _complement_table, _exact_minor_rows, _minor_rows, _rank_rows, _to_fraction
 from .geometry import Axis, Frame, _lift, axis_plucker, flat_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
@@ -53,7 +53,6 @@ __all__ = [
     "chair_hexagon_points",
     "desargues_legs",
     "planar_arm_chain",
-    "axis_plucker_exact",
 ]
 
 SCENARIO_NAMES = (
@@ -243,25 +242,29 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     if singular:
         # every deficiency direction is a witness, so hand back and check all of them
         null_basis = u[:, rank:].T.copy()
-        for direction in null_basis:
-            _check_witness(pl, WitnessLine(pl.frame_at.origin, direction), cutoff)
+        _check_witness(pl, null_basis, cutoff)
         conull = positive_lead(null_basis[0])
         witness = WitnessLine(pl.frame_at.origin, conull)
     certificate = RankCertificate(rank, sig, singular, conull)
     return Verdict(rank, chain.d, certificate, witness, null_directions=null_basis)
 
 
-def _check_witness(placement, witness: WitnessLine, cutoff: float) -> None:
-    line = line_plucker(witness.point, witness.direction)
-    for i, axis in enumerate(placement.axes_at):
-        alpha = axis_plucker(axis)
-        bound = 8.0 * cutoff + 1e-12 * line.norm() * alpha.norm()
-        pairing = abs(top_pairing(line, alpha))
-        if pairing > bound:
-            raise ConsistencyError(
-                f"rank verdict says singular but the witness misses axis {i + 1} "
-                f"(pairing {pairing:.3e} > bound {bound:.3e})"
-            )
+def _check_witness(placement, null_basis: np.ndarray, cutoff: float) -> None:
+    """Raise unless the line through the end-point along each null direction meets each placed axis:
+    their top pairing, one signed product of two ``_minor_rows`` batches, is within
+    8 cutoff + 1e-12 |line| |axis|. The first miss in (direction, axis) order is named."""
+    lines = _minor_rows([_lift([placement.frame_at.origin], [v]) for v in null_basis])
+    axes = _minor_rows([_lift([a.origin], a.dirs) for a in placement.axes_at])
+    idx, sgn = _complement_table(placement.frame_at.dim + 1, 2)
+    pairing = np.abs((lines * sgn) @ axes[:, idx].T)
+    bound = 8.0 * cutoff + 1e-12 * np.outer(np.linalg.norm(lines, axis=1), np.linalg.norm(axes, axis=1))
+    missed = pairing > bound
+    if missed.any():
+        r, i = np.unravel_index(missed.argmax(), missed.shape)
+        raise ConsistencyError(
+            f"rank verdict says singular but the witness misses axis {i + 1} "
+            f"(pairing {pairing[r, i]:.3e} > bound {bound[r, i]:.3e})"
+        )
 
 
 def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
@@ -329,14 +332,6 @@ def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
     in one batch of ``_minor_rows``.
     """
     return _span_verdict(_minor_rows([_lift([a.origin], a.dirs) for a in axes]), tol, cycle=True)
-
-
-def axis_plucker_exact(origin, dirs) -> ExteriorVector:
-    """Exact Plucker point from rational axis data (directions need not be unit)."""
-    vec = flat_plucker([origin], dirs, exact=True)
-    if vec.is_zero():
-        raise DegenerateAxisError("axis directions are linearly dependent")
-    return vec
 
 
 def cycle_mobility_exact(raw_axes) -> Verdict:

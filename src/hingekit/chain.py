@@ -10,9 +10,8 @@ generator R_i J_i R_i^T: the reference generator J_i conjugated by the
 rotation part R_i of g_i, rescaled to the Frobenius norm sqrt(2) of a
 unit-speed generator so rounding drift does not compound along the
 chain. Jacobian columns and Plucker points of the placed axes are read
-off these generators and the placed axis origins; the placed ``Axis``
-objects themselves are built, and validated, only when something reads
-``Placement.axes_at``.
+off these generators and the placed axis origins. Placed axes and frames
+are moved from checked ones by these rotations and not checked again.
 
 A ``Placement`` is immutable, and placing the same chain object at the
 same configuration as the call before returns the same ``Placement``.
@@ -32,9 +31,10 @@ from .geometry import (
     Axis,
     Frame,
     Isometry,
+    _moved,
     _plucker_to_twist,
     _rodrigues,
-    apply,
+    _unchecked,
     compose,
     identity_isometry,
     rotation_generator,
@@ -150,7 +150,7 @@ def cycle_chain(axes, panel: bool = False) -> Chain:
         raise DefinitionError("a cycle needs at least two axes")
     d = axes[0].dim
     closing = axes[-1]
-    frame = Frame(d, closing.origin, closing.dirs)
+    frame = _unchecked(Frame, d, closing.origin, closing.dirs)
     return Chain(d, tuple(axes[:-1]), frame, closing_axis=closing, panel=panel)
 
 
@@ -176,13 +176,9 @@ class Placement:
 
     @cached_property
     def axes_at(self) -> tuple[Axis, ...]:
-        """The placed axes, built and validated on first read.
-
-        Forward kinematics and the closure maps read only ``origins`` and
-        ``generators``; the witness check, ``cycle_axes_at`` and the
-        linkage read these.
-        """
-        return tuple(apply(g, axis) for g, axis in zip(self.body_isometries, self.ref_axes))
+        """The placed axes, built on first read: the closure maps read only ``origins``
+        and ``generators``; the witness check, ``cycle_axes_at`` and the linkage read these."""
+        return tuple(_moved(g, axis) for g, axis in zip(self.body_isometries, self.ref_axes))
 
 
 def _as_config(chain: Chain, theta) -> np.ndarray:
@@ -241,7 +237,7 @@ def _place(chain: Chain, theta: np.ndarray) -> Placement:
     generators = np.array(generators)
     generators.setflags(write=False)
     return Placement(
-        origins, apply(g, chain.end_frame), tuple(isometries), generators, chain.ref_axes
+        origins, _moved(g, chain.end_frame), tuple(isometries), generators, chain.ref_axes
     )
 
 
@@ -379,7 +375,7 @@ def cycle_axes_at(chain: Chain, theta) -> list[Axis]:
     if not chain.is_cycle:
         raise WrongMapError("cycle_axes_at needs a cycle")
     pl = forward_kinematics(chain, theta)
-    return list(pl.axes_at) + [apply(pl.body_isometries[-1], chain.closing_axis)]
+    return list(pl.axes_at) + [_moved(pl.body_isometries[-1], chain.closing_axis)]
 
 
 def generic_fiber_dimension(d: int, k: int, n: int) -> int:

@@ -88,23 +88,26 @@ class Scenario:
     tol: float | None = None
 
 
-def _num(value, path: str):
+def _num(value, path: str, index: int | None = None):
+    """A finite number or rational; an error names ``path``, or ``path[index]``, built only then."""
+    problem = None
     if isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected a number, got a boolean")
-    if isinstance(value, str):
+        problem = "expected a number, got a boolean"
+    elif isinstance(value, str):
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ScenarioError(f"{path}: {value!r} is not a rational 'a/b' string") from None
+            problem = f"{value!r} is not a rational 'a/b' string"
     elif not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number or 'a/b' string")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        raise ScenarioError(f"{path}: expected a finite number, got one too large for a float") from None
-    if not finite:
-        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
-    return value
+        problem = "expected a number or 'a/b' string"
+    if problem is None:
+        try:
+            if math.isfinite(value):
+                return value
+            problem = f"expected a finite number, got {value!r}"
+        except OverflowError:
+            problem = "expected a finite number, got one too large for a float"
+    raise ScenarioError(f"{path if index is None else f'{path}[{index}]'}: {problem}")
 
 
 def _vector(value, path: str, length: int) -> tuple:
@@ -112,7 +115,7 @@ def _vector(value, path: str, length: int) -> tuple:
         raise ScenarioError(f"{path}: expected an array")
     if len(value) != length:
         raise ScenarioError(f"{path}: expected length {length}, got {len(value)}")
-    return tuple(_num(x, f"{path}[{i}]") for i, x in enumerate(value))
+    return tuple(_num(x, path, i) for i, x in enumerate(value))
 
 
 def _rows(value, path: str, width: int) -> tuple[tuple, ...]:
@@ -578,7 +581,7 @@ def _cmd_sweep(args, sc: Scenario, chain: Chain, tol: float) -> int:
 
 def _rationals(flag: str, text: str) -> tuple:
     """Comma-separated finite rationals given to an ``example`` flag."""
-    return tuple(_num(part, f"{flag}[{i}]") for i, part in enumerate(text.split(",")))
+    return tuple(_num(part, flag, i) for i, part in enumerate(text.split(",")))
 
 
 def _axes_data(axes) -> tuple:

@@ -66,13 +66,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_orthonormal_rows(rows: np.ndarray, what: str) -> None:
-    if rows.shape[0] == 0:
-        return
-    gram = rows @ rows.T
+def _check_orthonormal(rows: np.ndarray, what: str, dependent=False) -> None:
+    """The one orthonormality rule: raise DegenerateAxisError with the ``index`` of the first
+    (k, d) item of an (n, k, d) stack that is ``dependent`` or not orthonormal within the tolerance."""
+    gram = rows @ rows.swapaxes(1, 2)
     # written as not (... <= ...) so that NaN and inf entries are rejected too
-    if not np.abs(gram - np.eye(rows.shape[0])).max() <= ORTHONORMAL_TOL:
-        raise DegenerateAxisError(f"{what} must be orthonormal within 1e-12")
+    bad = dependent | ~(np.abs(gram - _eye(gram.shape[1])).max(axis=(1, 2), initial=0.0) <= ORTHONORMAL_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        problem = "are linearly dependent" if (dependent & bad)[i] else "must be orthonormal within 1e-12"
+        raise DegenerateAxisError(f"{what} {problem}", index=i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +101,7 @@ class Axis:
             raise DimensionError(
                 f"an axis of R^{self.dim} needs {self.dim - 2} directions"
             )
-        _check_orthonormal_rows(dirs, "axis directions")
+        _check_orthonormal(dirs[None], "axis directions")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "dirs", _frozen(dirs))
 
@@ -118,7 +121,7 @@ class Frame:
             raise DimensionError(f"frame origin must be a point of R^{self.dim}")
         if vecs.shape[0] > self.dim:
             raise DimensionError("a frame cannot carry more vectors than dimensions")
-        _check_orthonormal_rows(vecs, "frame vectors")
+        _check_orthonormal(vecs[None], "frame vectors")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "vecs", _frozen(vecs))
 
@@ -169,14 +172,15 @@ def _orthonormalize(raw: np.ndarray, what: str) -> np.ndarray:
     # an all-zero item has a zero diagonal, so it is dependent at any scale
     dependent = (np.abs(diag) <= 1e-10 * np.abs(raw).max(axis=(1, 2))[:, None]).any(axis=1)
     rows = (q * np.sign(diag)[:, None, :]).swapaxes(1, 2)
-    gram = rows @ rows.swapaxes(1, 2)
-    # the rule of _check_orthonormal_rows, per item; it rejects NaN and inf too
-    bad = dependent | ~(np.abs(gram - _eye(gram.shape[1])).max(axis=(1, 2)) <= ORTHONORMAL_TOL)
-    if bad.any():
-        i = int(bad.argmax())
-        problem = "are linearly dependent" if dependent[i] else "must be orthonormal within 1e-12"
-        raise DegenerateAxisError(f"{what} {problem}", index=i)
+    _check_orthonormal(rows, what, dependent)
     return rows
+
+
+def _unchecked(cls, dim: int, origin, rows):
+    """An Axis or Frame (``cls``) of rows computed from checked ones, not checked again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, (dim, _frozen(origin), _frozen(rows))))
+    return obj
 
 
 def make_axes(dim: int, origins, raw_dirs) -> list[Axis]:
@@ -191,13 +195,7 @@ def make_axes(dim: int, origins, raw_dirs) -> list[Axis]:
     raw = np.asarray(raw_dirs, dtype=float)
     if dim < 2 or origins.shape != raw.shape[:1] + (dim,) or raw.shape[1:] != (dim - 2, dim):
         raise DimensionError(f"axes of R^{dim} need (n, {dim}) origins and (n, {dim - 2}, {dim}) directions")
-    axes = []
-    for origin, dirs in zip(origins, _orthonormalize(raw, "axis directions")):
-        axis = object.__new__(Axis)
-        for name, value in (("dim", dim), ("origin", _frozen(origin)), ("dirs", _frozen(dirs))):
-            object.__setattr__(axis, name, value)
-        axes.append(axis)
-    return axes
+    return [_unchecked(Axis, dim, o, dirs) for o, dirs in zip(origins, _orthonormalize(raw, "axis directions"))]
 
 
 def make_axis(dim: int, origin, raw_dirs) -> Axis:
@@ -227,14 +225,20 @@ def invert(iso: Isometry) -> Isometry:
 
 def apply(iso: Isometry, obj):
     """Move a point, Axis or Frame by an isometry."""
-    if isinstance(obj, Axis):
-        return Axis(obj.dim, iso.rot @ obj.origin + iso.trans, obj.dirs @ iso.rot.T)
-    if isinstance(obj, Frame):
-        return Frame(obj.dim, iso.rot @ obj.origin + iso.trans, obj.vecs @ iso.rot.T)
+    if isinstance(obj, (Axis, Frame)):
+        moved = _moved(iso, obj)
+        moved.__post_init__()  # the isometry may be the caller's own, so check what it moved
+        return moved
     p = np.asarray(obj, dtype=float)
     if p.shape != (iso.dim,):
         raise DimensionError(f"cannot move a shape-{p.shape} object in R^{iso.dim}")
     return iso.rot @ p + iso.trans
+
+
+def _moved(iso: Isometry, obj):
+    """An Axis or Frame moved by a rotation the package computed: ``apply`` without its check."""
+    rows = obj.dirs if isinstance(obj, Axis) else obj.vecs
+    return _unchecked(type(obj), obj.dim, iso.rot @ obj.origin + iso.trans, rows @ iso.rot.T)
 
 
 def _lift(points, dirs=()) -> list[list]:

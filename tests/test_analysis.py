@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -35,10 +36,12 @@ from hingekit import (
     rank_of_span,
     rotate_about,
     stabilizer_pluckers,
+    top_pairing,
     wedge,
 )
 from hingekit.analysis import (
     WitnessLine,
+    _check_witness,
     _coincident,
     bricard_symmetric_lines,
     classical_scenario,
@@ -51,6 +54,7 @@ from hingekit.errors import (
     DefinitionError,
     DegenerateAxisError,
     DegenerateLegError,
+    ConsistencyError,
     DimensionError,
     GradeError,
     HingekitError,
@@ -60,6 +64,7 @@ from hingekit.exterior import _exact_minor_rows, _minor_rows, numeric_rank, posi
 from hingekit.geometry import _lift
 from hingekit.sampling import (
     common_line_platform_legs,
+    parallel_axes_chain,
     random_axis,
     random_chain,
     random_frame,
@@ -112,6 +117,52 @@ def test_witness_recovers_the_forced_line():
     span = np.array([f - v.witness.point for f in feet])
     cross = np.linalg.norm(np.cross(span, v.witness.direction), axis=1)
     assert np.max(cross / np.linalg.norm(span, axis=1)) < 1e-6
+
+
+def _witness_misses_per_axis(placement, null_basis, cutoff) -> list[int]:
+    """Reference: the witness check one direction and one axis at a time, through
+    line_plucker, axis_plucker and top_pairing; the 1-based axis of every pair
+    whose pairing passes its bound, in (direction, axis) order."""
+    misses = []
+    for direction in null_basis:
+        line = line_plucker(placement.frame_at.origin, direction)
+        for i, axis in enumerate(placement.axes_at):
+            alpha = axis_plucker(axis)
+            if abs(top_pairing(line, alpha)) > 8.0 * cutoff + 1e-12 * line.norm() * alpha.norm():
+                misses.append(i + 1)
+    return misses
+
+
+def _stacked_witness_outcome(placement, null_basis, cutoff):
+    try:
+        _check_witness(placement, null_basis, cutoff)
+    except ConsistencyError as exc:
+        return int(re.search(r"misses axis (\d+) ", str(exc)).group(1))
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), st.integers(3, 12), st.booleans(), st.integers(0, 10**6))
+def test_stacked_witness_check_matches_the_per_axis_loop(d, n, parallel, seed):
+    rng = rng_from(seed)
+    if parallel and d >= 3:
+        c = parallel_axes_chain(rng, d, n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+    else:
+        c = singular_endpoint_chain(rng, d, n)
+        theta = np.zeros(n - 1)
+    pl = forward_kinematics(c, theta)
+    rank, cutoff, u, _, _ = numeric_rank(endpoint_jacobian(c, theta), 1e-10)
+    assume(rank < d)
+    null_basis = u[:, rank:].T.copy()
+    misses = _witness_misses_per_axis(pl, null_basis, cutoff)
+    assert _stacked_witness_outcome(pl, null_basis, cutoff) == (misses[0] if misses else None)
+    # turn one null direction off the incident line: both checks name the same first missed axis
+    bent = null_basis.copy()
+    bent[rng.integers(len(bent))] += rng.standard_normal(d)
+    misses = _witness_misses_per_axis(pl, bent, cutoff)
+    assert misses
+    assert _stacked_witness_outcome(pl, bent, cutoff) == misses[0]
 
 
 def test_doubly_deficient_chain_reports_full_null_basis():

@@ -25,7 +25,7 @@ from hingekit import (
     rotation_generator,
 )
 import hingekit.chain as chain_module
-from hingekit.analysis import classical_scenario, cycle_mobility
+from hingekit.analysis import classical_scenario, cycle_mobility, endpoint_singularity
 from hingekit.chain import cycle_axes_at, panel_spans_ok
 from hingekit.exterior import numeric_rank, positive_lead
 from hingekit.errors import (
@@ -38,6 +38,7 @@ from hingekit.errors import (
 )
 from hingekit.geometry import _plucker_to_twist
 from hingekit.sampling import (
+    parallel_axes_chain,
     random_axis,
     random_chain,
     random_cycle,
@@ -412,26 +413,49 @@ def test_placed_origins_and_lazy_axes_equal_the_applied_reference_axes(d, n, see
         assert np.array_equal(pl.axes_at[i].dirs, moved.dirs)
 
 
+def _count_checked_builds(monkeypatch) -> list:
+    """Record every run of the validating Axis and Frame constructors from now on."""
+    built = []
+    for cls in (Axis, Frame):
+
+        def counting(self, check=cls.__post_init__):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
 def test_closure_maps_build_no_axis(monkeypatch):
-    # the flex loop reads only origins and generators, so placing a
-    # configuration for the residual, the Jacobian or the frame columns
-    # must not run the validating Axis constructor
+    # the flex loop reads only origins and generators, and the placed axes,
+    # the placed end frame and the closing axis are moved from checked ones,
+    # so none of them runs the validating Axis or Frame constructor
     c = classical_scenario("generic-cycle", d=4, n=11, seed=0)
     theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, c.n - 1)
-    built = []
-    post_init = Axis.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Axis, "__post_init__", counting)
+    built = _count_checked_builds(monkeypatch)
     frame_residual(c, theta)
     frame_map_jacobian(c, theta)
     pl = forward_kinematics(c, theta)
     frame_columns(c, None, placement=pl)
+    assert len(pl.axes_at) == c.n - 1
+    assert len(cycle_axes_at(c, theta)) == c.n
     assert built == []
-    assert len(pl.axes_at) == c.n - 1 and len(built) == c.n - 1
+
+
+def test_placing_and_the_witness_check_build_no_checked_axis_or_frame(monkeypatch):
+    rng = rng_from(5)
+    c = parallel_axes_chain(rng, 4, 8)
+    axes = [random_axis(rng, 4) for _ in range(7)]
+    built = _count_checked_builds(monkeypatch)
+    theta = rng.uniform(0.0, 2.0 * np.pi, c.n - 1)
+    assert endpoint_singularity(c, theta).singular
+    forward_kinematics(c, -theta).axes_at
+    cycle = cycle_chain(axes)
+    cycle_axes_at(cycle, rng.uniform(0.0, 2.0 * np.pi, cycle.n - 1))
+    assert built == []
+    # the counter does see the public constructors
+    apply(rotate_about(axes[0], 0.5), axes[1])
+    assert len(built) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ from hingekit import (
     AffineSubspace,
     Axis,
     Frame,
+    Isometry,
     affine_intersection,
     apply,
     axis_plucker,
@@ -378,6 +379,13 @@ def test_apply_composition_and_inverse():
     assert np.allclose(apply(ident, p), p)
     moved = apply(g, a)  # axes stay axes: orthonormality re-validated on build
     assert isinstance(moved, Axis)
+
+
+@pytest.mark.parametrize("obj", [Axis(3, [1.0, 0, 0], [[0, 0, 1.0]]), Frame(3, [0, 1.0, 0], [[1.0, 0, 0], [0, 1.0, 0]])])
+def test_apply_checks_what_an_isometry_of_the_caller_moves(obj):
+    # an Isometry checks only shapes, so apply checks the rows it moves by 2 I
+    with pytest.raises(DegenerateAxisError, match="must be orthonormal within 1e-12"):
+        apply(Isometry(2.0 * np.eye(3), np.zeros(3)), obj)
 
 
 def test_isometries_preserve_incidence():

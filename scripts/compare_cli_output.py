@@ -5,7 +5,8 @@ Runs a fixed list of invocations - every ``example`` with and without its
 flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
 ``convert-linkage``, ``flex`` in text, ``--json`` and ``--csv`` form (one
 of them ten steps along a Bricard fiber whose closure Jacobian has a
-singular value near 1e-11), ``sweep`` CSV on end-point, cycle and k=1
+singular value near 1e-11, two on generic d=5 and d=6 cycles whose
+linkage drift cuts line and plane windows), ``sweep`` CSV on end-point, cycle and k=1
 frame chains (one of them singular at theta = 0), ``analyze-chain`` in
 text and ``--json`` form and ``sweep`` CSV on a d=4 chain of seven axes
 that share one direction (every sample singular, so every row runs the
@@ -29,8 +30,7 @@ axis). A five-axis cycle in R^3 (mobility 0, though its Plucker span
 misses a hyperplane) runs through
 ``analyze-cycle`` in text and ``--json`` form and through ``flex``, which
 finds no kernel and exits 3. ``convert-linkage`` runs on two generic
-d=6 cycles of 12 axes, one of which exits 3 because a body simplex
-counts as collapsed, and in text and ``--json`` form on a planar
+d=6 cycles of 12 axes, and in text and ``--json`` form on a planar
 polygon, on a two-point polygon (two p1-p2 edges), on a d=5 cycle of 10
 axes (support lines cut by k = 2 axes) and on a four-axis cycle in R^5,
 too short for the canonical edges. The error paths are run too: each
@@ -301,8 +301,8 @@ RUNS = [
     ["analyze-platform", "{desargues-p}", "--json", "--exact"],
     ["convert-linkage", "{cycle}"], ["convert-linkage", "{cycle-d4}", "--json"],
     ["convert-linkage", "{bricard}", "--json"],
-    # generic d=6 cycles: seed 0 builds its linkage; seed 1 exits 3 because the
-    # collapse rule of simplex_orientations rejects an ill-conditioned simplex
+    # generic d=6 cycles of 12 axes, seeds 0 and 1; the product-of-edge-lengths
+    # collapse rule refused seed 1, the singular value rule builds it
     ["convert-linkage", "{cycle-d6n12}"], ["convert-linkage", "{cycle-d6n12}", "--json"],
     ["convert-linkage", "{cycle-d6n12-1}"], ["convert-linkage", "{cycle-d6n12-1}", "--json"],
     *(["convert-linkage", f"{{{tag}}}", *flag]
@@ -310,6 +310,8 @@ RUNS = [
     ["flex", "{cycle}", "--json"], ["flex", "{cycle}", "--csv", "{out}/flex-cycle.csv"],
     ["flex", "{cycle-5}", "--steps", "4", "--step-size", "0.05"],
     ["flex", "{cycle-d4}", "--json", "--steps", "3"], ["flex", "{bricard}", "--json", "--steps", "3"],
+    # line windows (d=5) and plane windows (d=6) stacked over several configurations
+    ["flex", "{cycle-d5n10}", "--json", "--steps", "4"], ["flex", "{cycle-d6n12}", "--json", "--steps", "3"],
     ["flex", "{chair}", "--json", "--steps", "3"], ["flex", "{cycle}", "--json", "--steps", "0"],
     ["flex", "{bricard-11}", "--steps", "10"], ["flex", "{bricard-11}", "--json", "--steps", "10"],
     ["sweep", "{arm}", "--samples", "20", "--seed", "3", "--csv", "{out}/sweep-arm.csv"],

@@ -384,6 +384,10 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
+# the error of a rank test handed an inf or NaN entry
+NON_FINITE = "a rank test met a non-finite number: the input overflows float arithmetic"
+
+
 def numeric_rank(matrix: np.ndarray, tol: float):
     """Numerical rank of a matrix: the one rank rule of the package.
 
@@ -395,9 +399,7 @@ def numeric_rank(matrix: np.ndarray, tol: float):
     """
     check_tolerance(tol)
     if not np.isfinite(matrix).all():
-        raise DegenerateGeometryError(
-            "a rank test met a non-finite number: the input overflows float arithmetic"
-        )
+        raise DegenerateGeometryError(NON_FINITE)
     u, sig, vh = np.linalg.svd(matrix, full_matrices=True)
     sigma_max = sig[0] if sig.size else 0.0
     cutoff = tol * sigma_max * max(matrix.shape)

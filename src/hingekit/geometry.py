@@ -69,6 +69,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _check_orthonormal(rows: np.ndarray, what: str, dependent=False) -> None:
     """The one orthonormality rule: raise DegenerateAxisError with the ``index`` of the first
     (k, d) item of an (n, k, d) stack that is ``dependent`` or not orthonormal within the tolerance."""
+    if not rows.size:  # an empty stack, or items of no rows: an end-point frame or an axis of R^2
+        return
     gram = rows @ rows.swapaxes(1, 2)
     # written as not (... <= ...) so that NaN and inf entries are rejected too
     bad = dependent | ~(np.abs(gram - _eye(gram.shape[1])).max(axis=(1, 2), initial=0.0) <= ORTHONORMAL_TOL)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import sqrt
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -29,10 +28,11 @@ from .errors import (
     DegenerateGeometryError,
     DegenerateSimplexError,
     GenericityError,
-    ParallelLinesError,
+    HingekitError,
     ProvenanceError,
 )
-from .geometry import affine_intersection, common_perpendicular, project_affine
+from .exterior import NON_FINITE
+from .geometry import AffineSubspace, _eye, affine_intersection
 
 __all__ = [
     "Linkage",
@@ -115,21 +115,194 @@ def _edge_order(d: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def _intersection_flat(axes, start: int, count: int, want_dim: int, what: str):
-    n = len(axes)
-    window = [axes[(start + t) % n] for t in range(count)]
-    flat = affine_intersection(window)
-    if flat is None or flat.flat_dim != want_dim or flat.near_degenerate:
-        got = "empty" if flat is None else f"dimension {flat.flat_dim}"
-        raise GenericityError(
-            f"axes {start + 1}..{(start + count - 1) % n + 1} (cyclic) should cut a "
-            f"{what}, got {got}"
-        )
-    return flat
+# Configurations per kernel call. A full SVD keeps (k·d)² floats of ``u``
+# per window, so peak memory is bounded by this, not by the path length.
+_BLOCK = 64
 
 
-def _scale(axes) -> float:
-    return max(1.0, max(float(np.max(np.abs(a.origin))) for a in axes))
+@lru_cache(maxsize=64)  # one entry per (d, n) in use
+def _index_arrays(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_edge_order`` as a read-only (E, 2) array and ``_simplices`` as an (n, d + 1) one."""
+    arrays = np.array(_edge_order(d, n), dtype=np.intp), np.array(_simplices(d, n), dtype=np.intp)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, by the arithmetic of ``np.linalg.norm`` on one vector."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _project(points, origins, dirs):
+    """Orthogonal projections of points onto flats, by the arithmetic of ``project_affine``."""
+    return origins + (dirs.swapaxes(-1, -2) @ (dirs @ (points - origins)[..., None]))[..., 0]
+
+
+def _window_error(origins, dirs, start: int, count: int, what: str) -> HingekitError:
+    """The error of the window of ``count`` axes from ``start`` of one configuration.
+
+    The window is cut again by ``affine_intersection``, the per-window rule
+    the stacked cut repeats, to tell an empty cut from one of the wrong
+    dimension; a non-finite window gives its DegenerateGeometryError.
+    """
+    n, d = origins.shape
+    window = [AffineSubspace(d, origins[(start + t) % n], dirs[(start + t) % n]) for t in range(count)]
+    try:
+        flat = affine_intersection(window)
+    except DegenerateGeometryError as exc:
+        return exc
+    got = "empty" if flat is None else f"dimension {flat.flat_dim}"
+    return GenericityError(
+        f"axes {start + 1}..{(start + count - 1) % n + 1} (cyclic) should cut a {what}, got {got}"
+    )
+
+
+def _cut(normals, rhs, count: int, want_dim: int):
+    """The flats cut by every window of ``count`` consecutive axes of C configurations.
+
+    ``normals`` (C, n, d, d) holds each axis's normal projector I - DᵀD and
+    ``rhs`` (C, n, d) the projected origins. Every window goes into one full
+    SVD and gets the rule of ``affine_intersection``: the rank by
+    ``numeric_rank``'s cutoff at machine epsilon, the near-degenerate test
+    and the residual test. Returns the flat origins (C, n, d), directions
+    (C, n, want_dim, d) and the windows that are not a clean flat of
+    ``want_dim`` (C, n).
+    """
+    size, n, d, _ = normals.shape
+    idx = (np.arange(n)[:, None] + np.arange(count)) % n  # the axes of each window, by start
+    A = normals[:, idx].reshape(size, n, count * d, d)
+    b = rhs[:, idx].reshape(size, n, count * d)
+    finite = np.isfinite(A).all(axis=(2, 3))
+    u, sig, vh = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), full_matrices=True)
+    r = d - want_dim
+    rank = np.sum(sig > np.finfo(float).eps * sig[..., :1] * (count * d), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only windows of another rank divide by 0
+        y = (u[..., :r].swapaxes(-1, -2) @ b[..., None])[..., 0] / sig[..., :r]
+    x0 = (vh[..., :r, :].swapaxes(-1, -2) @ y[..., None])[..., 0]
+    res = (A @ x0[..., None])[..., 0] - b
+    empty = _norms(res) > 1e-8 * np.fmax(1.0, _norms(b))
+    bad = ~finite | (rank != r) | (sig[..., r - 1] < 1e-10 * sig[..., 0]) | empty
+    return x0, vh[..., r:, :], bad
+
+
+def _orientations(mats):
+    """Signs of a stack of simplex edge matrices (..., d, d), 0 for a collapse.
+
+    A simplex counts as collapsed when sigma_min <= 1e-10 sigma_max of its
+    edge matrix; the sign is that of its determinant. Items with a
+    non-finite entry are read as the identity and reported in ``finite``.
+    """
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    mats = np.where(finite[..., None, None], mats, _eye(mats.shape[-1]))
+    sig = np.linalg.svd(mats, compute_uv=False)
+    signs = np.where(np.linalg.det(mats) > 0, 1, -1)
+    return np.where(sig[..., -1] <= 1e-10 * sig[..., 0], 0, signs), finite
+
+
+def _canonical(origins, dirs, fortran):
+    """Vertex positions and edge lengths of C configurations of one cycle.
+
+    ``origins`` is (C, n, d) and ``dirs`` (C, n, d - 2, d), axis i of
+    configuration c at [c, i]; ``fortran`` (C, n) marks the axes whose own
+    direction array is Fortran-ordered. Returns positions (C, V, d), lengths (C, E)
+    in ``_edge_order`` and the failure of the lowest failing configuration
+    as (c, exception), or None. A configuration's checks run in the order
+    of the one-window-at-a-time construction, so its error names the same
+    window: the cut windows (point then plane, or line, by start), parallel
+    support lines, coincident feet or a degenerate projection, then a
+    non-finite simplex and a collapsed one.
+    """
+    size, n, d = origins.shape
+    if d > 2 and n <= 2 * (d // 2):
+        return None, None, (0, GenericityError(
+            f"a cycle in R^{d} needs at least {2 * (d // 2) + 1} axes for the "
+            f"canonical linkage, got {n}"
+        ))
+    checks = []  # (flags (C, m), error(c, i)) in the order a configuration is checked
+    scale = np.maximum(1.0, np.abs(origins).max(axis=(1, 2)))[:, None]
+    k = d // 2
+    if d > 3:
+        normals = _eye(d) - dirs.swapaxes(-1, -2) @ dirs
+        rhs = (normals @ origins[..., None])[..., 0]
+    if d == 2:
+        positions = origins.copy()
+        side = _norms(np.roll(positions, -1, axis=1) - positions)
+        checks.append((side <= 1e-12, lambda c, i: DegenerateSimplexError(
+            f"polygon vertices {i + 1} and {(i + 1) % n + 1} coincide")))
+    elif d % 2:
+        if k == 1:
+            p, u = origins, dirs[:, :, 0]
+        else:
+            p, u, bad = _cut(normals, rhs, k, 1)
+            u = u[:, :, 0]
+            checks.append((bad, lambda c, i: _window_error(origins[c], dirs[c], i, k, "line")))
+        p2, u2 = np.roll(p, -1, axis=1), np.roll(u, -1, axis=1)
+        a, b, cc = np.vecdot(u, u), np.vecdot(u, u2), np.vecdot(u2, u2)
+        parallel = a * cc - b * b <= 1e-12 * a * cc
+        checks.append((parallel, lambda c, i: GenericityError(
+            f"support lines {i + 1} and {(i + 1) % n + 1} are parallel; no canonical feet")))
+        w = p2 - p
+        mats = np.stack([np.stack([a, -b], -1), np.stack([b, -cc], -1)], -2)
+        skip = parallel | ~np.isfinite(mats).all(axis=(-2, -1))
+        # one singular item would fail the whole stacked solve
+        mats[skip] = _eye(2)
+        dots = np.stack([np.vecdot(u, w), np.vecdot(u2, w)], -1)
+        t = np.linalg.solve(mats, dots[..., None])[..., 0]
+        t[skip] = np.nan
+        positions = np.empty((size, 2 * n, d))
+        positions[:, 1::2] = p + t[..., :1] * u
+        positions[:, 0::2] = np.roll(p2 + t[..., 1:] * u2, 1, axis=1)
+        gap = _norms(positions[:, 1::2] - positions[:, 0::2])
+        checks.append((gap <= 1e-10 * scale, lambda c, i: DegenerateSimplexError(
+            f"the two canonical feet on support line {i + 1} coincide")))
+    else:
+        points, _, bad = _cut(normals, rhs, k, 0)
+        if k == 2:
+            plane_o, plane_d, bad = origins, dirs, bad[..., None]
+        else:
+            plane_o, plane_d, bad_plane = _cut(normals, rhs, k - 1, 2)
+            bad = np.stack([bad, bad_plane], -1)
+        per = bad.shape[-1]
+        checks.append((bad.reshape(size, -1), lambda c, m: _window_error(
+            origins[c], dirs[c], m // per, k - m % per, ("point", "plane")[m % per])))
+        nxt = np.roll(points, -1, axis=1)
+        q = _project(nxt, plane_o, plane_d)
+        if k == 2 and fortran.any():
+            # a projection onto an axis rounds by the layout of the axis's directions
+            as_fortran = np.ascontiguousarray(dirs.swapaxes(-1, -2)).swapaxes(-1, -2)
+            q = np.where(fortran[..., None], _project(nxt, plane_o, as_fortran), q)
+        checks.append((_norms(q - nxt) <= 1e-10 * scale, lambda c, i: DegenerateSimplexError(
+            f"point {(i + 1) % n + 1} already lies on plane {i + 1}; projection degenerates")))
+        positions = np.empty((size, 2 * n, d))
+        positions[:, 0::2] = points
+        positions[:, 1::2] = q
+    pairs, simplex_index = _index_arrays(d, n)
+    if d > 2:
+        simplices = positions[:, simplex_index]
+        signs, finite = _orientations(simplices[:, :, 1:] - simplices[:, :, :1])
+        checks.append((~finite.all(axis=1, keepdims=True), lambda c, i: DegenerateGeometryError(NON_FINITE)))
+        checks.append((signs == 0, lambda c, i: DegenerateSimplexError(
+            "a body simplex has collapsed (zero volume)")))
+    lengths = _norms(positions[:, pairs[:, 0]] - positions[:, pairs[:, 1]])
+    failed = np.logical_or.reduce([flags.any(axis=1) for flags, _ in checks])
+    if not failed.any():
+        return positions, lengths, None
+    first = int(failed.argmax())
+    flags, error = next(check for check in checks if check[0][first].any())
+    return positions, lengths, (first, error(first, int(flags[first].argmax())))
+
+
+def _stacked(configs):
+    """The arguments of ``_canonical`` for C lists of axes.
+
+    ``make_axes`` builds Fortran-ordered directions and placed axes carry
+    C-ordered ones; a product's rounding can depend on that layout.
+    """
+    origins = np.array([[a.origin for a in axes] for axes in configs])
+    dirs = np.array([[a.dirs for a in axes] for axes in configs])
+    fortran = np.array([[not a.dirs.flags.c_contiguous for a in axes] for axes in configs])
+    return origins, dirs, fortran
 
 
 def cycle_to_linkage(axes) -> Linkage:
@@ -139,114 +312,42 @@ def cycle_to_linkage(axes) -> Linkage:
     canonical edges (n <= 2 floor(d/2), d >= 3) or an intersection window
     has the wrong dimension (naming the offending axes), and
     DegenerateSimplexError when canonical points collapse. d = 2 falls
-    through to the plain polygon on the axis points.
+    through to the plain polygon on the axis points. This is the stacked
+    kernel of ``check_linkage_invariance`` on a stack of one configuration.
     """
     axes = list(axes)
-    n = len(axes)
-    d = axes[0].dim
-    if d > 2 and n <= 2 * (d // 2):
-        raise GenericityError(
-            f"a cycle in R^{d} needs at least {2 * (d // 2) + 1} axes for the "
-            f"canonical linkage, got {n}"
-        )
-    if d == 2:
-        positions = np.array([a.origin for a in axes])
-        for i in range(n):
-            if np.linalg.norm(positions[(i + 1) % n] - positions[i]) <= 1e-12:
-                raise DegenerateSimplexError(
-                    f"polygon vertices {i + 1} and {(i + 1) % n + 1} coincide"
-                )
-    elif d % 2:
-        positions = _odd_vertex_positions(axes, d)
-    else:
-        positions = _even_vertex_positions(axes, d)
+    n, d = len(axes), axes[0].dim
+    positions, lengths, failure = _canonical(*_stacked([axes]))
+    if failure is not None:
+        raise failure[1]
     labels = _labels(d, n)
-    edges = []
-    for a, b in _edge_order(d, n):
-        # the arithmetic of np.linalg.norm on a vector, without its overhead
-        v = positions[a] - positions[b]
-        edges.append((labels[a], labels[b], sqrt(v.dot(v))))
-    vertices = tuple(zip(labels, map(tuple, positions.tolist())))
-    linkage = Linkage(d, n, vertices, tuple(edges))
-    for sign in simplex_orientations(linkage):
-        if sign == 0:
-            raise DegenerateSimplexError("a body simplex has collapsed (zero volume)")
-    return linkage
-
-
-def _odd_vertex_positions(axes, d: int) -> np.ndarray:
-    n = len(axes)
-    k = (d - 1) // 2
-    lines = []
-    for i in range(n):
-        if k == 1:
-            lines.append((axes[i].origin, axes[i].dirs[0]))
-        else:
-            flat = _intersection_flat(axes, i, k, 1, "line")
-            lines.append((flat.origin, flat.dirs[0]))
-    positions = np.empty((2 * n, d))
-    for i in range(n):
-        j = (i + 1) % n
-        try:
-            positions[2 * i + 1], positions[2 * j] = common_perpendicular(lines[i], lines[j])
-        except ParallelLinesError as exc:
-            raise GenericityError(
-                f"support lines {i + 1} and {j + 1} are parallel; no canonical feet"
-            ) from exc
-    scale = _scale(axes)
-    for i in range(n):
-        gap = np.linalg.norm(positions[2 * i + 1] - positions[2 * i])
-        if gap <= 1e-10 * scale:
-            raise DegenerateSimplexError(
-                f"the two canonical feet on support line {i + 1} coincide"
-            )
-    return positions
-
-
-def _even_vertex_positions(axes, d: int) -> np.ndarray:
-    n = len(axes)
-    k = d // 2
-    points = []
-    planes = []
-    for i in range(n):
-        points.append(_intersection_flat(axes, i, k, 0, "point").origin)
-        if k == 2:
-            planes.append(axes[i])
-        else:
-            planes.append(_intersection_flat(axes, i, k - 1, 2, "plane"))
-    positions = np.empty((2 * n, d))
-    scale = _scale(axes)
-    for i in range(n):
-        j = (i + 1) % n
-        q = project_affine(points[j], planes[i])
-        if np.linalg.norm(q - points[j]) <= 1e-10 * scale:
-            raise DegenerateSimplexError(
-                f"point {j + 1} already lies on plane {i + 1}; projection degenerates"
-            )
-        positions[2 * i] = points[i]
-        positions[2 * i + 1] = q
-    return positions
+    edges = zip(_edge_order(d, n), lengths[0].tolist())
+    return Linkage(
+        d,
+        n,
+        tuple(zip(labels, map(tuple, positions[0].tolist()))),
+        tuple((labels[a], labels[b], length) for (a, b), length in edges),
+    )
 
 
 def simplex_orientations(linkage: Linkage) -> tuple[int, ...]:
     """Sign of the volume form of each body simplex (0 flags a collapse).
 
-    A simplex counts as collapsed when |det| of its edge vectors is at most
-    1e-10 times their Hadamard bound, the product of the edge lengths.
+    A simplex counts as collapsed when the smallest singular value of its
+    edge vectors is at most 1e-10 times the largest, a rule unchanged by
+    scaling or rotating the linkage; otherwise the sign is that of their
+    determinant. A non-finite vertex raises DegenerateGeometryError.
     """
     simplices = _simplices(linkage.d, linkage.n)
     if not simplices:
         return ()
     coords = dict(linkage.vertices)
     positions = np.array([coords[label] for label in _labels(linkage.d, linkage.n)])
-    points = positions[np.array(simplices)]
-    mats = points[:, 1:] - points[:, :1]
-    dets = np.linalg.det(mats)
-    hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
-    return tuple(
-        0 if abs(det) <= 1e-10 * bound else (1 if det > 0 else -1)
-        for det, bound in zip(dets, hadamard)
-    )
+    points = positions[_index_arrays(linkage.d, linkage.n)[1]]
+    signs, finite = _orientations(points[:, 1:] - points[:, :1])
+    if not finite.all():
+        raise DegenerateGeometryError(NON_FINITE)
+    return tuple(signs.tolist())
 
 
 def moduli_invariants(linkage: Linkage) -> ModuliPartition:
@@ -305,18 +406,41 @@ def check_linkage_invariance(chain: Chain, theta_path) -> float:
     """Largest edge-length drift of the canonical linkage along a fiber path.
 
     The edge order of a linkage is fixed by (d, n), so the length arrays of
-    all configurations line up edge by edge. A genericity failure is
-    re-raised naming the offending path index.
+    all configurations line up edge by edge. Each configuration is placed
+    by ``cycle_axes_at``, and each block of ``_BLOCK`` configurations is
+    converted by one stacked kernel, so memory does not grow with the path.
+    A genericity failure is re-raised naming the lowest offending path index.
     """
-    base = None
-    worst = 0.0
-    for idx, theta in enumerate(theta_path):
-        try:
-            linkage = linkage_at(chain, theta)
-        except (GenericityError, DegenerateGeometryError) as exc:
-            raise GenericityError(f"configuration {idx} of the path: {exc}") from exc
-        lengths = np.array([length for _, _, length in linkage.edges])
+    configs = enumerate(theta_path)
+    base, worst = None, 0.0
+    while block := list(islice(configs, _BLOCK)):
+        lengths = _block_lengths(chain, block)
         if base is None:
-            base = lengths
-        worst = max(worst, float(np.max(np.abs(lengths - base))))
+            base = lengths[0].copy()
+        worst = max(worst, *np.abs(lengths - base).max(axis=1).tolist())
     return worst
+
+
+def _block_lengths(chain: Chain, block) -> np.ndarray:
+    """Edge lengths (C, E) of the configurations ``(path index, theta)`` of one block.
+
+    The first failure in path order is raised: a configuration that does not
+    convert, or one that cannot be placed once all before it converted.
+    """
+    placed, failure = [], None
+    for idx, theta in block:
+        try:
+            placed.append(cycle_axes_at(chain, theta))
+        except HingekitError as exc:
+            failure = idx, exc
+            break
+    if placed:
+        _, lengths, first = _canonical(*_stacked(placed))
+        if first is not None:
+            failure = block[first[0]][0], first[1]
+    if failure is None:
+        return lengths
+    idx, exc = failure
+    if isinstance(exc, (GenericityError, DegenerateGeometryError)):
+        raise GenericityError(f"configuration {idx} of the path: {exc}") from exc
+    raise exc

@@ -90,6 +90,8 @@ def singular_endpoint_chain(
 
 def parallel_axes_chain(rng: np.random.Generator, d: int, n: int) -> Chain:
     """All axes share one direction, so every configuration is singular."""
+    if d < 3:
+        raise DimensionError("parallel axes need ambient dimension >= 3: an axis of R^2 is a point")
     w = _unit(rng, d)
     axes = []
     for _ in range(n - 1):

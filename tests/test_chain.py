@@ -607,3 +607,9 @@ def test_flex_path_places_each_configuration_once_in_a_row(monkeypatch):
     flex_path(c, steps=10, step_size=1e-2)
     assert len(placed) == 31
     assert all(not np.array_equal(a, b) for a, b in zip(placed, placed[1:]))
+
+
+def test_parallel_axes_chain_refuses_the_plane_by_name():
+    # an axis of R^2 is a point, with no direction for the axes to share
+    with pytest.raises(DimensionError, match=r"^parallel axes need ambient dimension >= 3"):
+        parallel_axes_chain(rng_from(0), 2, 4)

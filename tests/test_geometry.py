@@ -487,3 +487,16 @@ def test_project_affine():
     p = rng.uniform(-2, 2, 3)
     proj = project_affine(p, z)
     assert abs((p - proj) @ z.dirs[0]) < 1e-12
+
+
+@pytest.mark.parametrize("cls, make, origin", [(Frame, make_frame, (1.0, -2.0, 0.5)), (Axis, make_axis, (1.0, -2.0))])
+def test_rowless_frames_and_planar_axes_skip_the_stacked_check_unchanged(cls, make, origin):
+    # an end-point frame carries no vectors and an axis of R^2 no directions
+    dim = len(origin)
+    for obj in (cls(dim, origin, np.zeros((0, dim))), make(dim, origin, [])):
+        rows = obj.vecs if cls is Frame else obj.dirs
+        assert (obj.dim, obj.origin.tolist(), rows.shape) == (dim, list(origin), (0, dim))
+        assert not obj.origin.flags.writeable and not rows.flags.writeable
+    if cls is Frame:  # a frame with vectors is still checked
+        with pytest.raises(DegenerateAxisError, match="must be orthonormal within 1e-12"):
+            Frame(dim, origin, [[2.0, 0.0, 0.0]])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from math import sqrt
 
 import hypothesis.strategies as st
@@ -22,19 +23,22 @@ from hingekit import (
     simplex_orientations,
 )
 from hingekit.errors import (
+    DegenerateGeometryError,
     DegenerateSimplexError,
     GenericityError,
     ParallelLinesError,
     ProvenanceError,
 )
-from hingekit.geometry import common_perpendicular, project_affine
+from hingekit.geometry import affine_intersection, common_perpendicular, project_affine
 from hingekit.linkage import (
+    _BLOCK,
     ModuliPartition,
+    _canonical,
     _edge_order,
-    _intersection_flat,
     _labels,
-    _scale,
+    _orientations,
     _simplices,
+    _stacked,
 )
 from hingekit.sampling import random_axis, random_cycle, rng_from
 
@@ -222,15 +226,30 @@ def test_constant_and_rotated_paths_have_zero_drift():
     assert worst <= 1e-12
 
 
-def test_genericity_failure_names_the_window():
-    # two parallel consecutive axes: the common perpendicular is not unique
-    a1 = make_axis(3, (0, 0, 0), [(1, 0, 0)])
-    a2 = make_axis(3, (0, 1, 0), [(1, 0, 0)])
-    rng = rng_from(410)
-    others = [random_axis(rng, 3) for _ in range(4)]
-    with pytest.raises(GenericityError) as err:
-        cycle_to_linkage([a1, a2] + others)
-    assert "1" in str(err.value) and "2" in str(err.value)
+def _parallel_support_lines(d):
+    # d = 3: axes 1 and 2 are parallel lines. d = 5: axes 1, 2 and 3 all contain
+    # e_1, so support line 1 (axes 1 and 2) and support line 2 (axes 2 and 3) are
+    # both parallel to e_1
+    rng = rng_from(410 + d)
+    if d == 3:
+        first = [make_axis(3, (0, 0, 0), [(1, 0, 0)]), make_axis(3, (0, 1, 0), [(1, 0, 0)])]
+    else:
+        e1 = np.eye(5)[0]
+        first = [make_axis(5, rng.uniform(-1, 1, 5), np.vstack([e1, rng.standard_normal((2, 5))]))
+                 for _ in range(3)]
+    return first + [random_axis(rng, d) for _ in range(6 - len(first))]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_parallel_support_lines_are_named_not_a_solver_error(d):
+    axes = _parallel_support_lines(d)
+    message = "support lines 1 and 2 are parallel; no canonical feet"
+    with pytest.raises(GenericityError, match=rf"^{message}$"):
+        cycle_to_linkage(axes)
+    # one parallel configuration in a stack must not fail the solve of the others
+    healthy = cycle_axes_at(random_cycle(rng_from(412), d, 6), np.zeros(5))
+    _, _, failure = _canonical(*_stacked([healthy, axes, healthy]))
+    assert (failure[0], type(failure[1]), str(failure[1])) == (1, GenericityError, message)
 
 
 def test_even_d_window_that_misses_its_point_is_named():
@@ -333,6 +352,31 @@ def _reference_simplices(d, n):
     return tuple(out)
 
 
+def _intersection_flat(axes, start: int, count: int, want_dim: int, what: str):
+    # one window of consecutive axes cut by affine_intersection, and its error
+    n = len(axes)
+    window = [axes[(start + t) % n] for t in range(count)]
+    flat = affine_intersection(window)
+    if flat is None or flat.flat_dim != want_dim or flat.near_degenerate:
+        got = "empty" if flat is None else f"dimension {flat.flat_dim}"
+        raise GenericityError(
+            f"axes {start + 1}..{(start + count - 1) % n + 1} (cyclic) should cut a "
+            f"{what}, got {got}"
+        )
+    return flat
+
+
+def _scale(axes) -> float:
+    # the length scale of the coincidence tests
+    return max(1.0, max(float(np.max(np.abs(a.origin))) for a in axes))
+
+
+def _collapsed(mat):
+    # the collapse rule, one simplex at a time
+    sig = np.linalg.svd(mat, compute_uv=False)
+    return sig[-1] <= 1e-10 * sig[0]
+
+
 def _reference_positions(axes, d):
     # label -> point, filled support by support
     n = len(axes)
@@ -384,12 +428,7 @@ def _reference_orientations(lk):
     coords = dict(lk.vertices)
     points = np.array([[coords[label] for label in simplex] for simplex in simplices])
     mats = points[:, 1:] - points[:, :1]
-    dets = np.linalg.det(mats)
-    hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
-    return tuple(
-        0 if abs(det) <= 1e-10 * bound else (1 if det > 0 else -1)
-        for det, bound in zip(dets, hadamard)
-    )
+    return tuple(0 if _collapsed(mat) else (1 if np.linalg.det(mat) > 0 else -1) for mat in mats)
 
 
 def _reference_linkage(axes):
@@ -515,7 +554,7 @@ def _orientations_one_by_one(lk):
     for simplex in lk.simplices():
         mat = np.array([vm[label] - vm[simplex[0]] for label in simplex[1:]])
         det = np.linalg.det(mat)
-        if abs(det) <= 1e-10 * np.prod(np.linalg.norm(mat, axis=1)):
+        if _collapsed(mat):
             signs.append(0)
         else:
             signs.append(1 if det > 0 else -1)
@@ -533,7 +572,7 @@ def test_edge_lengths_and_orientations_match_numpy_along_a_flex_path(d, n):
 
 
 def test_collapse_rule_reads_the_same_batched():
-    # a d = 4 simplex pushed through the 1e-10 Hadamard threshold
+    # a d = 4 simplex pushed through the 1e-10 singular value threshold
     c = classical_scenario("generic-cycle", d=4, n=11, seed=0)
     lk = linkage_at(c, np.zeros(c.n - 1))
     vm = lk.vertex_map()
@@ -548,6 +587,8 @@ def test_collapse_rule_reads_the_same_batched():
             lk.d, lk.n, tuple((label, tuple(moved[label])) for label, _ in lk.vertices), lk.edges
         )
         assert simplex_orientations(doctored) == _orientations_one_by_one(doctored)
+        if eps == 0.0:
+            assert simplex_orientations(doctored)[0] == 0
 
 
 def test_simplex_labels_are_cached_per_dimension_and_size():
@@ -588,10 +629,22 @@ def test_the_short_cycle_bound_is_where_the_canonical_edges_appear():
 
 
 def test_collapsed_simplex_is_refused():
-    # pins the 1e-10 Hadamard rule: this d = 6 cycle has a simplex it calls collapsed
-    c = classical_scenario("generic-cycle", d=6, n=12, seed=1)
+    # axes 1 and 2 meet at the origin, so the common perpendicular of support
+    # lines 1 and 2 has length zero: foot+1 and foot-2 are one point, and the
+    # body simplex on those two lines is flat
+    rng = rng_from(431)
+    axes = [make_axis(3, (0, 0, 0), [(1, 0, 0)]), make_axis(3, (0, 0, 0), [(0, 1, 0)])]
+    axes += [random_axis(rng, 3) for _ in range(3)]
     with pytest.raises(DegenerateSimplexError, match=r"^a body simplex has collapsed \(zero volume\)$"):
-        linkage_at(c, np.zeros(c.n - 1))
+        cycle_to_linkage(axes)
+
+
+def test_generic_d6_cycle_is_not_called_collapsed():
+    # the product-of-edge-lengths rule called a simplex of this cycle collapsed;
+    # its smallest singular value ratio is far above 1e-10
+    c = classical_scenario("generic-cycle", d=6, n=12, seed=1)
+    lk = linkage_at(c, np.zeros(c.n - 1))
+    assert 0 not in simplex_orientations(lk)
 
 
 @pytest.mark.parametrize(
@@ -634,3 +687,168 @@ def test_two_point_polygon_keeps_both_sides():
     lk = cycle_to_linkage([make_axis(2, (0, 0), []), make_axis(2, (3, 4), [])])
     assert lk.vertices == (("p1", (0.0, 0.0)), ("p2", (3.0, 4.0)))
     assert lk.edges == (("p1", "p2", 5.0), ("p1", "p2", 5.0))
+
+
+def _per_window_vertices(axes):
+    # the construction one window, one common perpendicular and one projection
+    # at a time, from the public geometry functions, with the collapse rule
+    n, d = len(axes), axes[0].dim
+    if d > 2 and n <= 2 * (d // 2):
+        raise GenericityError(
+            f"a cycle in R^{d} needs at least {2 * (d // 2) + 1} axes for the canonical linkage, got {n}"
+        )
+    if d == 2:
+        positions = np.array([a.origin for a in axes])
+        for i in range(n):
+            if np.linalg.norm(positions[(i + 1) % n] - positions[i]) <= 1e-12:
+                raise DegenerateSimplexError(f"polygon vertices {i + 1} and {(i + 1) % n + 1} coincide")
+        return positions
+    by_label = _reference_positions(axes, d)
+    positions = np.array([by_label[label] for label in _labels(d, n)])
+    for simplex in _simplices(d, n):
+        if _collapsed(positions[list(simplex[1:])] - positions[simplex[0]]):
+            raise DegenerateSimplexError("a body simplex has collapsed (zero volume)")
+    return positions
+
+
+def _per_edge_lengths(positions, d, n):
+    return [sqrt(v.dot(v)) for v in (positions[a] - positions[b] for a, b in _edge_order(d, n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    extra=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 4),
+)
+def test_stacked_kernel_matches_the_per_window_construction(d, extra, seed, count):
+    n = 2 * (d // 2) + extra if d > 2 else extra + 1
+    c = classical_scenario("generic-cycle", d=d, n=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    path = [np.zeros(n - 1)] + [rng.uniform(-0.3, 0.3, n - 1) for _ in range(count)]
+    configs = [cycle_axes_at(c, theta) for theta in path]
+    # through a stack of one: the reference axes, whose directions make_axes
+    # lays out in Fortran order, and every other one swapped for its placed
+    # copy at theta = 0, the same axis with C-ordered directions
+    ref = [*c.ref_axes, c.closing_axis]
+    mixed = [placed if i % 2 else axis for i, (axis, placed) in enumerate(zip(ref, configs[0]))]
+    for axes in (ref, mixed):
+        try:
+            want = _per_window_vertices(axes)
+        except (GenericityError, DegenerateSimplexError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                cycle_to_linkage(axes)
+        else:
+            lk = cycle_to_linkage(axes)
+            assert np.array([coords for _, coords in lk.vertices]).tobytes() == want.tobytes()
+            assert [length for *_, length in lk.edges] == _per_edge_lengths(want, d, n)
+    # placed configurations, several to a stack
+    positions, lengths, failure = _canonical(*_stacked(configs))
+    base, worst = None, 0.0
+    for idx, axes in enumerate(configs):
+        try:
+            want = _per_window_vertices(axes)
+        except (GenericityError, DegenerateSimplexError) as exc:
+            assert failure[0] == idx and type(failure[1]) is type(exc) and str(failure[1]) == str(exc)
+            with pytest.raises(GenericityError, match=rf"^configuration {idx} of the path: "):
+                check_linkage_invariance(c, path)
+            return
+        assert positions[idx].tobytes() == want.tobytes()
+        want_lengths = _per_edge_lengths(want, d, n)
+        assert lengths[idx].tolist() == want_lengths
+        if base is None:
+            base = np.array(want_lengths)
+        worst = max(worst, float(np.max(np.abs(np.array(want_lengths) - base))))
+    assert failure is None
+    assert check_linkage_invariance(c, path) == worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(3, 8), seed=st.integers(0, 2**16), log_ratio=st.floats(-13.0, -7.0))
+def test_collapse_flag_is_the_singular_value_rule(d, seed, log_ratio):
+    # edge matrices with sigma_min / sigma_max near 1e-10, one made flat by a row
+    # in the span of the others, one random; the flags must not move when the
+    # simplex is scaled by a power of two
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    right, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    sig = np.sort(10.0 ** rng.uniform(-2, 2, d))[::-1]
+    sig[-1] = sig[0] * 10.0**log_ratio
+    near = (left * sig) @ right
+    flat = near.copy()
+    flat[-1] = flat[:-1].T @ rng.standard_normal(d - 1)
+    stack = np.stack([near, flat, rng.standard_normal((d, d))])
+    first = None
+    for scale in (1.0, 2.0**-30, 2.0**30):
+        signs, finite = _orientations(scale * stack)
+        assert finite.all() and signs[1] == 0
+        for mat, sign in zip(scale * stack, signs.tolist()):
+            assert (sign == 0) == _collapsed(mat)
+            if sign:
+                assert sign == (1 if np.linalg.det(mat) > 0 else -1)
+        first = signs.tolist() if first is None else first
+        assert signs.tolist() == first
+
+
+def _turning_cycle():
+    # consecutive axes ride one body, so only the closing pair (axis 5, axis 1)
+    # moves with theta: joint 4 turns the closing axis about the z-axis (axis 4),
+    # and a quarter turn makes it parallel to axis 1
+    rng = rng_from(432)
+    axes = [make_axis(3, (0.3, -0.2, 0.5), [(0, 1, 1)]), random_axis(rng, 3), random_axis(rng, 3),
+            make_axis(3, (0, 0, 0), [(0, 0, 1)]), make_axis(3, (2, 0.5, 0), [(1, 0, 1)])]
+    return cycle_chain(axes)
+
+
+@pytest.mark.parametrize("bad", [2, _BLOCK + 1])
+def test_invariance_check_names_the_lowest_failing_configuration(bad):
+    c = _turning_cycle()
+    turned = np.array([0.0, 0.0, 0.0, np.pi / 2])
+    path = [np.full(4, 0.01 * (i % 5)) for i in range(bad + 3)]
+    path[bad] = path[bad + 2] = turned
+    with pytest.raises(
+        GenericityError,
+        match=rf"^configuration {bad} of the path: support lines 5 and 1 are parallel; no canonical feet$",
+    ):
+        check_linkage_invariance(c, path)
+    assert check_linkage_invariance(c, path[:bad]) > 0.0
+
+
+def test_a_placement_error_follows_an_earlier_configuration_failure():
+    c = _turning_cycle()
+    turned = np.array([0.0, 0.0, 0.0, np.pi / 2])
+    with pytest.raises(GenericityError, match=r"^configuration 1 of the path: support lines 5 and 1"):
+        check_linkage_invariance(c, [np.zeros(4), turned, np.zeros(3)])
+
+
+def test_linkage_drift_memory_does_not_grow_with_the_path():
+    c = classical_scenario("generic-cycle", d=4, n=5, seed=0)
+
+    def peak(count):
+        path = [np.full(c.n - 1, 1e-3 * (i % 7)) for i in range(count)]
+        check_linkage_invariance(c, path[:2])  # fill the caches first
+        tracemalloc.start()
+        try:
+            check_linkage_invariance(c, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a few kilobytes per block stay in the interpreter's free lists; six
+    # blocks converted at once would peak near six times as high
+    one_block, many_blocks = peak(_BLOCK), peak(6 * _BLOCK)
+    assert many_blocks <= 1.25 * one_block
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_non_finite_canonical_points_are_refused_as_a_rank_test(d):
+    # a NaN origin reaches every point built from its axis; the collapse rule,
+    # a singular value test, refuses it as numeric_rank refuses a NaN matrix
+    rng = rng_from(433)
+    axes = [random_axis(rng, d) for _ in range(2 * (d // 2) + 2)]
+    origin = axes[2].origin.copy()
+    origin[0] = np.nan
+    axes[2] = make_axis(d, origin, axes[2].dirs)
+    with pytest.raises(DegenerateGeometryError, match=r"^a rank test met a non-finite number"):
+        cycle_to_linkage(axes)

@@ -205,13 +205,13 @@ def _canonical(origins, dirs, fortran):
 
     ``origins`` is (C, n, d) and ``dirs`` (C, n, d - 2, d), axis i of
     configuration c at [c, i]; ``fortran`` (C, n) marks the axes whose own
-    direction array is Fortran-ordered. Returns positions (C, V, d), lengths (C, E)
-    in ``_edge_order`` and the failure of the lowest failing configuration
-    as (c, exception), or None. A configuration's checks run in the order
-    of the one-window-at-a-time construction, so its error names the same
-    window: the cut windows (point then plane, or line, by start), parallel
-    support lines, coincident feet or a degenerate projection, then a
-    non-finite simplex and a collapsed one.
+    direction array is Fortran-ordered. Returns positions (C, V, d),
+    lengths (C, E) in ``_edge_order`` and the failure of the lowest failing
+    configuration as (c, exception), or None. A configuration's checks run
+    in the order of the one-window-at-a-time construction, so its error
+    names the same window: the cut windows (point then plane, or line, by
+    start), parallel support lines, coincident feet or a degenerate
+    projection, then a non-finite simplex and a collapsed one.
     """
     size, n, d = origins.shape
     if d > 2 and n <= 2 * (d // 2):

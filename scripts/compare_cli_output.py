@@ -45,11 +45,12 @@ Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
 stderr and every written CSV file must agree;
-differences are listed and the script exits 1. For each difference it
-says whether only numeric tokens differ, and if so how many numbers
-differ, how many of those are below MAGNITUDE_FLOOR on both sides
-(rounding-level values), and how many differ by more than REL_BOUND
-relative, with the worst such gap.
+differences are listed and the script exits 1, whatever their size. For
+each difference it says whether only numeric tokens differ, and if so how
+many numbers differ, how many of those are below MAGNITUDE_FLOOR on both
+sides (rounding-level values), how many of the others differ by more than
+REL_BOUND relative, and the largest relative gap among the others, so a
+last-place change reads as a gap near 1e-16, not as 0.
 
     python scripts/compare_cli_output.py HEAD~1
 """
@@ -344,7 +345,8 @@ def numeric_gap(a: str, b: str) -> tuple[int, int, int, float] | None:
     """How a and b differ if only their numbers do, else None.
 
     Returns (differing numbers, those below MAGNITUDE_FLOOR on both sides,
-    those above it whose relative gap exceeds REL_BOUND, the worst such gap).
+    those above it whose relative gap exceeds REL_BOUND, the largest
+    relative gap of any differing number above it).
     """
     pa, pb = NUMBER.split(a), NUMBER.split(b)
     if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
@@ -360,9 +362,9 @@ def numeric_gap(a: str, b: str) -> tuple[int, int, int, float] | None:
         rel = abs(x - y) / size
         if size < MAGNITUDE_FLOOR:
             tiny += 1
-        elif rel > REL_BOUND:
-            beyond += 1
-            worst = max(worst, rel)
+            continue
+        beyond += rel > REL_BOUND
+        worst = max(worst, rel)
     return differ, tiny, beyond, float(worst)
 
 
@@ -373,7 +375,7 @@ def _describe(theirs, ours) -> str:
     differ, tiny, beyond, worst = gap
     return (
         f"only numbers differ: {differ} of them, {tiny} below magnitude {float(MAGNITUDE_FLOOR):g}, "
-        f"{beyond} beyond relative {float(REL_BOUND):g} (worst {worst:.3g})"
+        f"{beyond} beyond relative {float(REL_BOUND):g}, largest relative gap above the floor {worst:.3g}"
     )
 
 

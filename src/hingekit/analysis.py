@@ -254,7 +254,7 @@ def _check_witness(placement, null_basis: np.ndarray, cutoff: float) -> None:
     their top pairing, one signed product of two ``_minor_rows`` batches, is within
     8 cutoff + 1e-12 |line| |axis|. The first miss in (direction, axis) order is named."""
     lines = _minor_rows([_lift([placement.frame_at.origin], [v]) for v in null_basis])
-    axes = _minor_rows([_lift([a.origin], a.dirs) for a in placement.axes_at])
+    axes = _minor_rows([_lift([o], dirs) for o, dirs in zip(placement.origins, placement.dirs)])
     idx, sgn = _complement_table(placement.frame_at.dim + 1, 2)
     pairing = np.abs((lines * sgn) @ axes[:, idx].T)
     bound = 8.0 * cutoff + 1e-12 * np.outer(np.linalg.norm(lines, axis=1), np.linalg.norm(axes, axis=1))

@@ -31,6 +31,7 @@ from .geometry import (
     Axis,
     Frame,
     Isometry,
+    _frozen,
     _moved,
     _plucker_to_twist,
     _rodrigues,
@@ -175,10 +176,16 @@ class Placement:
     ref_axes: tuple[Axis, ...]
 
     @cached_property
+    def dirs(self) -> np.ndarray:
+        """The read-only (n-1) x (d-2) x d directions of the placed axes, stacked on first
+        read: item i is ref_axes[i].dirs @ R_i^T, the arithmetic of apply(g_i, ref_axes[i])."""
+        rots = np.array([g.rot for g in self.body_isometries[:-1]])
+        return _frozen(np.array([axis.dirs for axis in self.ref_axes]) @ rots.swapaxes(1, 2))
+
+    @cached_property
     def axes_at(self) -> tuple[Axis, ...]:
-        """The placed axes, built on first read: the closure maps read only ``origins``
-        and ``generators``; the witness check, ``cycle_axes_at`` and the linkage read these."""
-        return tuple(_moved(g, axis) for g, axis in zip(self.body_isometries, self.ref_axes))
+        """The placed axes, built on first read from ``origins`` and ``dirs``."""
+        return tuple(_unchecked(Axis, len(o), o, rows) for o, rows in zip(self.origins, self.dirs))
 
 
 def _as_config(chain: Chain, theta) -> np.ndarray:
@@ -371,11 +378,16 @@ def flex_path(chain: Chain, steps: int, step_size: float, tol: float = 1e-10) ->
 
 
 def cycle_axes_at(chain: Chain, theta) -> list[Axis]:
-    """All n axes of a cycle as placed at theta (closing axis carried by body n)."""
+    """All n axes of a cycle as placed at theta; the closing axis is the placed end frame."""
+    return [_unchecked(Axis, chain.d, o, rows) for o, rows in zip(*_cycle_stacks(chain, theta))]
+
+
+def _cycle_stacks(chain: Chain, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Origins (n, d) and directions (n, d-2, d) of ``cycle_axes_at``, read off the placement."""
     if not chain.is_cycle:
         raise WrongMapError("cycle_axes_at needs a cycle")
     pl = forward_kinematics(chain, theta)
-    return list(pl.axes_at) + [_moved(pl.body_isometries[-1], chain.closing_axis)]
+    return np.vstack([pl.origins, pl.frame_at.origin]), np.concatenate([pl.dirs, pl.frame_at.vecs[None]])
 
 
 def generic_fiber_dimension(d: int, k: int, n: int) -> int:

@@ -61,7 +61,7 @@ ORTHONORMAL_TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    a = np.array(a, dtype=float, order="C")  # one layout, whatever the input's: a product may round by it
     a.setflags(write=False)
     return a
 
@@ -164,8 +164,7 @@ def _orthonormalize(raw: np.ndarray, what: str) -> np.ndarray:
     One QR over the stack, with R's diagonal made positive. The first bad
     item in input order raises DegenerateAxisError with its ``index``: its
     rows are dependent (some |R_jj| <= 1e-10 max |item|), or else its result
-    is not orthonormal within ORTHONORMAL_TOL. For k >= 2 each result item
-    is Fortran-ordered, the transpose of a C-ordered block.
+    is not orthonormal within ORTHONORMAL_TOL.
     """
     if raw.shape[1] == 0:
         return raw

@@ -23,10 +23,11 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .chain import Chain, cycle_axes_at
+from .chain import Chain, _cycle_stacks, cycle_axes_at
 from .errors import (
     DegenerateGeometryError,
     DegenerateSimplexError,
+    DimensionError,
     GenericityError,
     HingekitError,
     ProvenanceError,
@@ -200,12 +201,11 @@ def _orientations(mats):
     return np.where(sig[..., -1] <= 1e-10 * sig[..., 0], 0, signs), finite
 
 
-def _canonical(origins, dirs, fortran):
+def _canonical(origins, dirs):
     """Vertex positions and edge lengths of C configurations of one cycle.
 
     ``origins`` is (C, n, d) and ``dirs`` (C, n, d - 2, d), axis i of
-    configuration c at [c, i]; ``fortran`` (C, n) marks the axes whose own
-    direction array is Fortran-ordered. Returns positions (C, V, d),
+    configuration c at [c, i]. Returns positions (C, V, d),
     lengths (C, E) in ``_edge_order`` and the failure of the lowest failing
     configuration as (c, exception), or None. A configuration's checks run
     in the order of the one-window-at-a-time construction, so its error
@@ -268,10 +268,6 @@ def _canonical(origins, dirs, fortran):
             origins[c], dirs[c], m // per, k - m % per, ("point", "plane")[m % per])))
         nxt = np.roll(points, -1, axis=1)
         q = _project(nxt, plane_o, plane_d)
-        if k == 2 and fortran.any():
-            # a projection onto an axis rounds by the layout of the axis's directions
-            as_fortran = np.ascontiguousarray(dirs.swapaxes(-1, -2)).swapaxes(-1, -2)
-            q = np.where(fortran[..., None], _project(nxt, plane_o, as_fortran), q)
         checks.append((_norms(q - nxt) <= 1e-10 * scale, lambda c, i: DegenerateSimplexError(
             f"point {(i + 1) % n + 1} already lies on plane {i + 1}; projection degenerates")))
         positions = np.empty((size, 2 * n, d))
@@ -293,31 +289,22 @@ def _canonical(origins, dirs, fortran):
     return positions, lengths, (first, error(first, int(flags[first].argmax())))
 
 
-def _stacked(configs):
-    """The arguments of ``_canonical`` for C lists of axes.
-
-    ``make_axes`` builds Fortran-ordered directions and placed axes carry
-    C-ordered ones; a product's rounding can depend on that layout.
-    """
-    origins = np.array([[a.origin for a in axes] for axes in configs])
-    dirs = np.array([[a.dirs for a in axes] for axes in configs])
-    fortran = np.array([[not a.dirs.flags.c_contiguous for a in axes] for axes in configs])
-    return origins, dirs, fortran
-
-
 def cycle_to_linkage(axes) -> Linkage:
     """Canonical bar-joint linkage of a generic cycle of axes.
 
-    Raises GenericityError when the cycle has too few axes for the
-    canonical edges (n <= 2 floor(d/2), d >= 3) or an intersection window
-    has the wrong dimension (naming the offending axes), and
-    DegenerateSimplexError when canonical points collapse. d = 2 falls
-    through to the plain polygon on the axis points. This is the stacked
-    kernel of ``check_linkage_invariance`` on a stack of one configuration.
+    Raises DimensionError naming the first axis not in the R^d of axis 1,
+    GenericityError when the cycle has too few axes for the canonical edges
+    (n <= 2 floor(d/2), d >= 3) or an intersection window has the wrong
+    dimension (naming the offending axes), and DegenerateSimplexError when
+    canonical points collapse; d = 2 gives the plain polygon on the axis
+    points. This is the stacked kernel of ``check_linkage_invariance`` on one configuration.
     """
     axes = list(axes)
     n, d = len(axes), axes[0].dim
-    positions, lengths, failure = _canonical(*_stacked([axes]))
+    for i, axis in enumerate(axes):
+        if axis.dim != d:
+            raise DimensionError(f"axis {i + 1} lives in R^{axis.dim}, not in the R^{d} of axis 1")
+    positions, lengths, failure = _canonical(np.array([[a.origin for a in axes]]), np.array([[a.dirs for a in axes]]))
     if failure is not None:
         raise failure[1]
     labels = _labels(d, n)
@@ -407,7 +394,8 @@ def check_linkage_invariance(chain: Chain, theta_path) -> float:
 
     The edge order of a linkage is fixed by (d, n), so the length arrays of
     all configurations line up edge by edge. Each configuration is placed
-    by ``cycle_axes_at``, and each block of ``_BLOCK`` configurations is
+    and read as the origin and direction stacks of ``cycle_axes_at``, no
+    ``Axis`` built, and each block of ``_BLOCK`` configurations is
     converted by one stacked kernel, so memory does not grow with the path.
     A genericity failure is re-raised naming the lowest offending path index.
     """
@@ -430,12 +418,12 @@ def _block_lengths(chain: Chain, block) -> np.ndarray:
     placed, failure = [], None
     for idx, theta in block:
         try:
-            placed.append(cycle_axes_at(chain, theta))
+            placed.append(_cycle_stacks(chain, theta))
         except HingekitError as exc:
             failure = idx, exc
             break
     if placed:
-        _, lengths, first = _canonical(*_stacked(placed))
+        _, lengths, first = _canonical(*map(np.array, zip(*placed)))
         if first is not None:
             failure = block[first[0]][0], first[1]
     if failure is None:

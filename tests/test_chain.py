@@ -19,7 +19,9 @@ from hingekit import (
     frame_map_jacobian,
     frame_residual,
     generic_fiber_dimension,
+    make_axes,
     make_axis,
+    make_frame,
     numerical_jacobian,
     rotate_about,
     rotation_generator,
@@ -406,11 +408,28 @@ def _placed_chain(d, n, seed):
 def test_placed_origins_and_lazy_axes_equal_the_applied_reference_axes(d, n, seed):
     c, pl = _placed_chain(d, n, seed)
     assert pl.origins.shape == (n - 1, d) and not pl.origins.flags.writeable
+    assert pl.dirs.shape == (n - 1, d - 2, d) and not pl.dirs.flags.writeable
     for i, ref in enumerate(c.ref_axes):
         moved = apply(pl.body_isometries[i], ref)
         assert np.array_equal(pl.origins[i], moved.origin)
-        assert np.array_equal(pl.axes_at[i].origin, moved.origin)
-        assert np.array_equal(pl.axes_at[i].dirs, moved.dirs)
+        assert pl.dirs[i].tobytes() == moved.dirs.tobytes()
+        assert pl.axes_at[i].origin.tobytes() == moved.origin.tobytes()
+        assert pl.axes_at[i].dirs.tobytes() == moved.dirs.tobytes()
+    # every axis of a placed cycle, the closing one carried by body n included
+    rng = np.random.default_rng(seed)
+    cycle = random_cycle(rng, d, n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+    ring = [*cycle.ref_axes, cycle.closing_axis]
+    placed = cycle_axes_at(cycle, theta)
+    for g, ref, axis in zip(forward_kinematics(cycle, theta).body_isometries, ring, placed, strict=True):
+        moved = apply(g, ref)
+        assert axis.origin.tobytes() == moved.origin.tobytes()
+        assert axis.dirs.tobytes() == moved.dirs.tobytes()
+    # one C layout for every direction stack
+    origins, raws = rng.uniform(-1, 1, (n, d)), rng.standard_normal((n, d - 2, d))
+    stacks = [a.dirs for a in make_axes(d, origins, raws)] + [a.dirs for a in placed]
+    stacks += [make_axis(d, origins[0], raws[0]).dirs, make_frame(d, origins[0], raws[0]).vecs, pl.dirs]
+    assert all(dirs.flags.c_contiguous for dirs in stacks)
 
 
 def _count_checked_builds(monkeypatch) -> list:

@@ -156,7 +156,7 @@ def test_make_axes_is_bit_identical_to_one_axis_at_a_time(stack):
                 assert axis.dirs.flags[flag] == want.dirs.flags[flag]
                 assert axis.origin.flags[flag] == want.origin.flags[flag]
             if d >= 4:
-                assert axis.dirs.flags.f_contiguous and not axis.dirs.flags.c_contiguous
+                assert axis.dirs.flags.c_contiguous and not axis.dirs.flags.f_contiguous
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import hingekit.chain as chain_module
+import hingekit.linkage as linkage_module
 from hingekit import (
     Linkage,
+    Placement,
     apply,
     check_linkage_invariance,
     classical_scenario,
@@ -25,9 +28,11 @@ from hingekit import (
 from hingekit.errors import (
     DegenerateGeometryError,
     DegenerateSimplexError,
+    DimensionError,
     GenericityError,
     ParallelLinesError,
     ProvenanceError,
+    WrongMapError,
 )
 from hingekit.geometry import affine_intersection, common_perpendicular, project_affine
 from hingekit.linkage import (
@@ -38,9 +43,14 @@ from hingekit.linkage import (
     _labels,
     _orientations,
     _simplices,
-    _stacked,
 )
-from hingekit.sampling import random_axis, random_cycle, rng_from
+from hingekit.sampling import random_axis, random_chain, random_cycle, rng_from
+
+
+def _stack(configs):
+    # the (C, n, d) origins and (C, n, d - 2, d) directions of C lists of axes
+    origins = np.array([[a.origin for a in axes] for axes in configs])
+    return origins, np.array([[a.dirs for a in axes] for axes in configs])
 
 
 def edge_lengths(lk):
@@ -248,7 +258,7 @@ def test_parallel_support_lines_are_named_not_a_solver_error(d):
         cycle_to_linkage(axes)
     # one parallel configuration in a stack must not fail the solve of the others
     healthy = cycle_axes_at(random_cycle(rng_from(412), d, 6), np.zeros(5))
-    _, _, failure = _canonical(*_stacked([healthy, axes, healthy]))
+    _, _, failure = _canonical(*_stack([healthy, axes, healthy]))
     assert (failure[0], type(failure[1]), str(failure[1])) == (1, GenericityError, message)
 
 
@@ -728,23 +738,19 @@ def test_stacked_kernel_matches_the_per_window_construction(d, extra, seed, coun
     rng = np.random.default_rng(seed)
     path = [np.zeros(n - 1)] + [rng.uniform(-0.3, 0.3, n - 1) for _ in range(count)]
     configs = [cycle_axes_at(c, theta) for theta in path]
-    # through a stack of one: the reference axes, whose directions make_axes
-    # lays out in Fortran order, and every other one swapped for its placed
-    # copy at theta = 0, the same axis with C-ordered directions
+    # through a stack of one: the reference axes
     ref = [*c.ref_axes, c.closing_axis]
-    mixed = [placed if i % 2 else axis for i, (axis, placed) in enumerate(zip(ref, configs[0]))]
-    for axes in (ref, mixed):
-        try:
-            want = _per_window_vertices(axes)
-        except (GenericityError, DegenerateSimplexError) as exc:
-            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                cycle_to_linkage(axes)
-        else:
-            lk = cycle_to_linkage(axes)
-            assert np.array([coords for _, coords in lk.vertices]).tobytes() == want.tobytes()
-            assert [length for *_, length in lk.edges] == _per_edge_lengths(want, d, n)
+    try:
+        want = _per_window_vertices(ref)
+    except (GenericityError, DegenerateSimplexError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            cycle_to_linkage(ref)
+    else:
+        lk = cycle_to_linkage(ref)
+        assert np.array([coords for _, coords in lk.vertices]).tobytes() == want.tobytes()
+        assert [length for *_, length in lk.edges] == _per_edge_lengths(want, d, n)
     # placed configurations, several to a stack
-    positions, lengths, failure = _canonical(*_stacked(configs))
+    positions, lengths, failure = _canonical(*_stack(configs))
     base, worst = None, 0.0
     for idx, axes in enumerate(configs):
         try:
@@ -852,3 +858,38 @@ def test_non_finite_canonical_points_are_refused_as_a_rank_test(d):
     axes[2] = make_axis(d, origin, axes[2].dirs)
     with pytest.raises(DegenerateGeometryError, match=r"^a rank test met a non-finite number"):
         cycle_to_linkage(axes)
+
+
+def test_axes_of_mixed_dimension_are_refused_by_name():
+    rng = rng_from(434)
+    axes = [random_axis(rng, 3) for _ in range(4)] + [random_axis(rng, 4)]
+    with pytest.raises(DimensionError, match=r"^axis 5 lives in R\^4, not in the R\^3 of axis 1$"):
+        cycle_to_linkage(axes)
+    with pytest.raises(IndexError):
+        cycle_to_linkage([])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", range(3, 9))
+def test_reference_axes_convert_to_the_linkage_placed_at_zero(d, seed):
+    # placing at theta = 0 moves nothing, so the bits must not depend on the route
+    c = classical_scenario("generic-cycle", d=d, n=2 * d, seed=seed)
+    assert cycle_to_linkage([*c.ref_axes, c.closing_axis]) == linkage_at(c, np.zeros(c.n - 1))
+
+
+def test_drift_reads_the_placed_stacks_and_refuses_a_chain(monkeypatch):
+    chain = random_chain(rng_from(435), 3, 6)
+    with pytest.raises(WrongMapError):
+        check_linkage_invariance(chain, [np.zeros(5)])
+    c = classical_scenario("generic-cycle", d=4, n=11, seed=0)
+    path = flex_path(c, steps=3, step_size=1e-2)
+    want = check_linkage_invariance(c, path)
+
+    def refuse(*args):
+        raise AssertionError("the drift built placed Axis objects")
+
+    monkeypatch.setattr(chain_module, "_last_placement", None)
+    for module in (chain_module, linkage_module):
+        monkeypatch.setattr(module, "cycle_axes_at", refuse)
+    monkeypatch.setattr(Placement, "axes_at", property(refuse))
+    assert check_linkage_invariance(c, path) == want

@@ -3,11 +3,15 @@
 
 Runs a fixed list of invocations - every ``example`` with and without its
 flags, ``analyze-*`` in text, ``--json`` and ``--exact`` form,
-``convert-linkage``, ``flex`` in text, ``--json`` and ``--csv`` form (one
+``convert-linkage``, ``flex`` in text, ``--json`` and ``--csv`` form, and
+with ``--json`` and ``--csv`` together (one
 of them ten steps along a Bricard fiber whose closure Jacobian has a
 singular value near 1e-11, two on generic d=5 and d=6 cycles whose
-linkage drift cuts line and plane windows), ``sweep`` CSV on end-point, cycle and k=1
-frame chains (one of them singular at theta = 0), ``analyze-chain`` in
+linkage drift cuts line and plane windows, and one on a cycle of two
+coincident axes, which flexes but reports on stderr that its linkage
+drift is unavailable), ``sweep`` CSV on end-point, cycle and k=1
+frame chains (one of them singular at theta = 0, one with ``--json`` and
+``--csv`` together), ``analyze-chain`` in
 text and ``--json`` form and ``sweep`` CSV on a d=4 chain of seven axes
 that share one direction (every sample singular, so every row runs the
 witness check), and ``analyze-cycle
@@ -33,7 +37,8 @@ finds no kernel and exits 3. ``convert-linkage`` runs on two generic
 d=6 cycles of 12 axes, and in text and ``--json`` form on a planar
 polygon, on a two-point polygon (two p1-p2 edges), on a d=5 cycle of 10
 axes (support lines cut by k = 2 axes) and on a four-axis cycle in R^5,
-too short for the canonical edges. The error paths are run too: each
+too short for the canonical edges. The error paths are run too: the
+hidden ``analyze-chain --exact``, which exits 2, each
 file command on a scenario kind it refuses, ``convert-linkage`` in text
 and ``--json`` form on a three-axis cycle in R^4, also too short, one
 malformed scenario file per schema message of the parser, files
@@ -227,6 +232,8 @@ SCENARIOS = {
     "cycle-d6n21": {"kind": "cycle", "d": 6, "axes": D6N21},
     "cycle-modp": {"kind": "cycle", "d": 3,
                    "axes": [{"origin": origin, "dirs": [u]} for origin, u in MODP]},
+    # two coincident axes: a flex about their common line, but too short for a linkage
+    "cycle-coincident": {"kind": "cycle", "d": 3, "axes": [{"origin": [0, 0, 0], "dirs": [[0, 0, 1]]}] * 2},
 }
 
 # malformed scenario files, each run through the analyze command of its kind: one per
@@ -315,17 +322,23 @@ RUNS = [
     ["flex", "{cycle-d5n10}", "--json", "--steps", "4"], ["flex", "{cycle-d6n12}", "--json", "--steps", "3"],
     ["flex", "{chair}", "--json", "--steps", "3"], ["flex", "{cycle}", "--json", "--steps", "0"],
     ["flex", "{bricard-11}", "--steps", "10"], ["flex", "{bricard-11}", "--json", "--steps", "10"],
+    # --json next to --csv: the CSV file is written first, then the JSON document printed
+    ["flex", "{cycle}", "--json", "--csv", "{out}/flex-cycle-json.csv"],
+    # the linkage drift is unavailable: one stderr line, exit 0
+    ["flex", "{cycle-coincident}", "--steps", "2"], ["flex", "{cycle-coincident}", "--json", "--steps", "2"],
     ["sweep", "{arm}", "--samples", "20", "--seed", "3", "--csv", "{out}/sweep-arm.csv"],
     ["sweep", "{arm-l}", "--samples", "10", "--json"],
     ["sweep", "{chain-d3}", "--samples", "15", "--seed", "2"],
+    ["sweep", "{chain-d3}", "--samples", "15", "--seed", "2", "--json", "--csv", "{out}/sweep-chain-d3-json.csv"],
     ["sweep", "{cycle}", "--samples", "10", "--csv", "{out}/sweep-cycle.csv"],
     ["sweep", "{frame-k1}", "--samples", "10", "--seed", "9", "--csv", "{out}/sweep-frame.csv"],
     ["sweep", "{frame-k1}", "--samples", "6", "--workers", "2"],
     ["sweep", "{frame-singular}", "--samples", "3"],
     ["analyze-chain", "{chain-parallel-d4}"], ["analyze-chain", "{chain-parallel-d4}", "--json"],
     ["sweep", "{chain-parallel-d4}", "--samples", "25", "--seed", "4", "--csv", "{out}/sweep-parallel.csv"],
-    # error paths: a scenario kind the command refuses, and a cycle too short to partition
-    ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],
+    # error paths: the hidden --exact of analyze-chain, a scenario kind the command refuses,
+    # and a cycle too short to partition
+    ["analyze-chain", "{arm}", "--exact"], ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],
     ["convert-linkage", "{desargues}"], ["flex", "{chain-d3}"], ["sweep", "{desargues}"],
     ["convert-linkage", "{cycle-d4n3}"], ["convert-linkage", "{cycle-d4n3}", "--json"],
     *([_ANALYZE.get(doc["kind"] if isinstance(doc, dict) else "", "analyze-cycle"), f"{{{tag}}}"]

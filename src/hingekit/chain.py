@@ -71,6 +71,12 @@ def panel_spans_ok(a: Axis, b: Axis) -> bool:
     return numeric_rank(rows, PANEL_RANK_TOL)[0] <= a.dim - 1
 
 
+def _on_axis(axis: Axis, rows: np.ndarray) -> np.ndarray:
+    """Which rows (offsets from the axis origin, or vectors) lie in the axis's direction space."""
+    off = rows - (rows @ axis.dirs.T) @ axis.dirs
+    return np.linalg.norm(off, axis=-1) <= 1e-9 * (1.0 + np.linalg.norm(rows, axis=-1))
+
+
 @dataclass(frozen=True, eq=False)
 class Chain:
     """Serial chain of n hinged bodies, the first one fixed to the ambient space.
@@ -97,19 +103,18 @@ class Chain:
             raise DefinitionError("every axis must live in the chain's dimension")
         if self.end_frame.dim != self.d:
             raise DefinitionError("end frame dimension mismatch")
-        if self.end_frame.k == 0:
-            last = axes[-1]
-            rel = self.end_frame.origin - last.origin
-            off = rel - last.dirs.T @ (last.dirs @ rel)
-            if np.linalg.norm(off) <= 1e-9 * (1.0 + np.linalg.norm(rel)):
-                raise DefinitionError("the end-point must stay off the last axis")
+        end, closing = self.end_frame, self.closing_axis
+        if end.k == 0 and _on_axis(axes[-1], end.origin - axes[-1].origin):
+            raise DefinitionError("the end-point must stay off the last axis")
         if self.is_cycle:
-            if self.closing_axis.dim != self.d:
+            if closing.dim != self.d:
                 raise DefinitionError("closing axis dimension mismatch")
-            if self.end_frame.k != self.d - 2:
+            if end.k != self.d - 2:
                 raise DefinitionError("a cycle carries a (d-2)-frame on the last body")
+            if not _on_axis(closing, np.vstack([end.origin - closing.origin, end.vecs])).all():
+                raise DefinitionError("a cycle's end frame must lie in its closing axis")
         if self.panel:
-            ring = list(axes) + ([self.closing_axis] if self.is_cycle else [])
+            ring = list(axes) + ([closing] if self.is_cycle else [])
             pairs = list(zip(ring, ring[1:]))
             if self.is_cycle:
                 pairs.append((ring[-1], ring[0]))

@@ -21,7 +21,9 @@ A top-level key that the scenario's kind does not read is rejected.
 Every command but ``example`` reads one scenario file. ``run`` loads and
 builds it once, checks its kind against the ``kinds`` the command declares
 in the parser, and settles the tolerance (--tol, checked, else the
-scenario's "tol", else 1e-10) before the command runs.
+scenario's "tol", else 1e-10) before the command runs. The command writes
+its CSV file, if it has one, and returns its --json document and its text
+report; ``run`` prints one of them, the one write to stdout. Warnings go to stderr.
 
 Exit codes: 0 success, 2 input error, 4 internal consistency error, 3 any
 other hingekit error (genericity, degeneracy, provenance, ...).
@@ -401,23 +403,6 @@ def _verdict_json(verdict, exact_verdict=None) -> dict:
     return out
 
 
-def _print_chain_report(chain: Chain, verdict) -> None:
-    kind = "end-point" if chain.end_frame.k == 0 else f"end-frame (k={chain.end_frame.k})"
-    state = "SINGULAR" if verdict.singular else "regular"
-    print(
-        f"{kind} map of a {chain.n}-body chain in R^{chain.d}: "
-        f"rank {verdict.rank} of {verdict.full_rank} -> {state}"
-    )
-    print(f"sigma_min = {verdict.certificate.singular_values[-1]:.6e}")
-    if isinstance(verdict.witness, analysis.WitnessLine):
-        print(
-            f"witness line through {_fmt_vec(verdict.witness.point)} "
-            f"with direction {_fmt_vec(verdict.witness.direction)}"
-        )
-    elif verdict.witness is not None:
-        print(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -430,68 +415,65 @@ def _read_input(path: str) -> str:
         raise ScenarioError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _cmd_analyze_chain(args, sc: Scenario, chain: Chain, tol: float) -> int:
+def _cmd_analyze_chain(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
     if args.exact:
         raise ScenarioError("--exact is not available for chains (placement needs trigonometry)")
     verdict = _verdict_for(chain, np.zeros(chain.n - 1), tol)
-    if args.json:
-        print(json.dumps(_verdict_json(verdict), indent=2))
-    else:
-        _print_chain_report(chain, verdict)
-    return 0
+    kind = "end-point" if chain.end_frame.k == 0 else f"end-frame (k={chain.end_frame.k})"
+    state = "SINGULAR" if verdict.singular else "regular"
+    lines = [
+        f"{kind} map of a {chain.n}-body chain in R^{chain.d}: "
+        f"rank {verdict.rank} of {verdict.full_rank} -> {state}",
+        f"sigma_min = {verdict.certificate.singular_values[-1]:.6e}",
+    ]
+    if isinstance(verdict.witness, analysis.WitnessLine):
+        lines.append(
+            f"witness line through {_fmt_vec(verdict.witness.point)} "
+            f"with direction {_fmt_vec(verdict.witness.direction)}"
+        )
+    elif verdict.witness is not None:
+        lines.append(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
+    return _verdict_json(verdict), "\n".join(lines)
 
 
-def _cmd_analyze_cycle(args, sc: Scenario, chain: Chain, tol: float) -> int:
+def _cmd_analyze_cycle(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
     verdict = analysis.cycle_mobility([*chain.ref_axes, chain.closing_axis], tol=tol)
     exact_verdict = None
     if args.exact:
         _require_exact(sc)
         exact_verdict = analysis.cycle_mobility_exact(list(sc.axes))
-    if args.json:
-        print(json.dumps(_verdict_json(verdict, exact_verdict), indent=2))
-        return 0
-    n = len(sc.axes)
     # the state word follows the mobility; JSON "singular" says the span misses a hyperplane
     state = "infinitesimally flexible" if verdict.mobility > 0 else "rigid"
-    print(
-        f"cycle of {n} axes in R^{sc.d}: Plucker span rank {verdict.rank} of "
+    lines = [
+        f"cycle of {len(sc.axes)} axes in R^{sc.d}: Plucker span rank {verdict.rank} of "
         f"{verdict.full_rank} -> {state}, mobility {verdict.mobility}"
-    )
+    ]
     if verdict.witness is not None:
-        print(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
+        lines.append(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
     if exact_verdict is not None:
-        print(
-            f"exact (rational) rank {exact_verdict.rank}, mobility {exact_verdict.mobility}"
-        )
+        lines.append(f"exact (rational) rank {exact_verdict.rank}, mobility {exact_verdict.mobility}")
         if exact_verdict.witness is not None:
-            print(
-                "exact functional: ["
-                + ", ".join(str(x) for x in exact_verdict.witness)
-                + "]"
-            )
-    return 0
+            lines.append("exact functional: [" + ", ".join(str(x) for x in exact_verdict.witness) + "]")
+    return _verdict_json(verdict, exact_verdict), "\n".join(lines)
 
 
-def _cmd_analyze_platform(args, sc: Scenario, platform: analysis.Platform, tol: float) -> int:
+def _cmd_analyze_platform(args, sc: Scenario, platform: analysis.Platform, tol: float) -> tuple[dict, str]:
     verdict = analysis.platform_flexibility(platform, tol=tol)
     exact_verdict = None
     if args.exact:
         _require_exact(sc)
         exact_verdict = analysis.platform_flexibility(platform, exact=True)
-    if args.json:
-        print(json.dumps(_verdict_json(verdict, exact_verdict), indent=2))
-        return 0
     state = "flexible" if verdict.singular else "rigid"
-    print(
+    lines = [
         f"platform in R^{sc.d} with {len(sc.legs)} legs: {state} "
         f"(rank {verdict.rank} {'<' if verdict.singular else '='} {verdict.full_rank})"
-    )
+    ]
     if verdict.witness is not None:
-        print(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
+        lines.append(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
     if exact_verdict is not None:
         state = "flexible" if exact_verdict.singular else "rigid"
-        print(f"exact (rational) rank {exact_verdict.rank} -> {state}")
-    return 0
+        lines.append(f"exact (rational) rank {exact_verdict.rank} -> {state}")
+    return _verdict_json(verdict, exact_verdict), "\n".join(lines)
 
 
 def _linkage_json(lk: linkage_mod.Linkage) -> dict:
@@ -505,23 +487,20 @@ def _linkage_json(lk: linkage_mod.Linkage) -> dict:
     }
 
 
-def _cmd_convert_linkage(args, sc: Scenario, chain: Chain, tol: float) -> int:
+def _cmd_convert_linkage(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str | None]:
     lk = linkage_mod.cycle_to_linkage([*chain.ref_axes, chain.closing_axis])
-    if args.json:
-        print(json.dumps(_linkage_json(lk), indent=2))
-        return 0
+    doc = _linkage_json(lk)
+    if args.json:  # the invariant split is text-only work
+        return doc, None
     split = linkage_mod.moduli_invariants(lk)
-    print(
+    return doc, (
         f"canonical linkage in R^{lk.d}: {len(lk.vertices)} vertices, "
         f"{len(lk.edges)} edges ({len(split.independent)} free invariants "
-        f"+ {len(split.dependent)} dependent)"
+        f"+ {len(split.dependent)} dependent)\n{split.note}\n{json.dumps(doc, indent=2)}"
     )
-    print(split.note)
-    print(json.dumps(_linkage_json(lk), indent=2))
-    return 0
 
 
-def _cmd_flex(args, sc: Scenario, chain: Chain, tol: float) -> int:
+def _cmd_flex(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
     path = flex_path(chain, args.steps, args.step_size, tol=tol)
     residuals = [float(np.linalg.norm(frame_residual(chain, theta))) for theta in path]
     drift = None
@@ -534,49 +513,41 @@ def _cmd_flex(args, sc: Scenario, chain: Chain, tol: float) -> int:
         for i, (t, r) in enumerate(zip(path, residuals)):
             lines.append(f"{i}," + ",".join(repr(float(x)) for x in t) + f",{repr(r)}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    if args.json:
-        doc = {
-            "steps": args.steps,
-            "step_size": args.step_size,
-            "residuals": residuals,
-            "max_edge_drift": drift,
-            "path": [[float(x) for x in t] for t in path],
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(
+    doc = {
+        "steps": args.steps,
+        "step_size": args.step_size,
+        "residuals": residuals,
+        "max_edge_drift": drift,
+        "path": [[float(x) for x in t] for t in path],
+    }
+    text = (
         f"flexed a {chain.n}-axis cycle for {args.steps} steps of {args.step_size}: "
         f"max closure residual {max(residuals):.3e}"
     )
     if drift is not None:
-        print(f"max canonical edge-length drift along the path: {drift:.3e}")
-    return 0
+        text += f"\nmax canonical edge-length drift along the path: {drift:.3e}"
+    return doc, text
 
 
-def _cmd_sweep(args, sc: Scenario, chain: Chain, tol: float) -> int:
+def _cmd_sweep(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
     seed = args.seed if args.seed is not None else (sc.seed or 0)
     report = sweep(chain, args.samples, seed, tol=tol, workers=args.workers)
     csv_text = sweep_csv(report)
     if args.csv:
         Path(args.csv).write_text(csv_text)
-    if args.json:
-        doc = {
-            "samples": report.samples,
-            "seed": report.seed,
-            "singular_count": report.singular_count,
-            "sigma_min_min": report.sigma_min_min,
-            "sigma_min_mean": report.sigma_min_mean,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(
+    doc = {
+        "samples": report.samples,
+        "seed": report.seed,
+        "singular_count": report.singular_count,
+        "sigma_min_min": report.sigma_min_min,
+        "sigma_min_mean": report.sigma_min_mean,
+    }
+    text = (
         f"swept {report.samples} samples (seed {report.seed}): "
         f"{report.singular_count} singular, sigma_min in "
         f"[{report.sigma_min_min:.3e}, mean {report.sigma_min_mean:.3e}]"
     )
-    if not args.csv:
-        sys.stdout.write(csv_text)
-    return 0
+    return doc, text if args.csv else f"{text}\n{csv_text[:-1]}"
 
 
 def _rationals(flag: str, text: str) -> tuple:
@@ -625,11 +596,6 @@ def _example_scenario(args) -> Scenario:
     raise ScenarioError(
         f"unknown example {name!r}; choose one of {', '.join(analysis.SCENARIO_NAMES)}"
     )
-
-
-def _cmd_example(args) -> int:
-    print(emit_scenario(_example_scenario(args)))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default=None, help="comma-separated bar lengths")
     p.add_argument("--height", type=float, default=0.5, help="chair pucker height")
     p.add_argument("--perturb", default=None, help="rational off-perspective perturbation")
-    p.set_defaults(fn=_cmd_example)
 
     return parser
 
@@ -704,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Dispatch a CLI invocation; returns the process exit code.
 
-    A file command is called as ``fn(args, scenario, built, tol)``.
+    A file command is called as ``fn(args, scenario, built, tol)`` and returns ``(doc, text)``.
     """
     parser = _build_parser()
     try:
@@ -715,14 +680,19 @@ def run(argv=None) -> int:
         # overflow to inf or NaN is reported once, by numeric_rank's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "example":
-                return args.fn(args)
-            sc, built = _load(_read_input(args.file))
-            if sc.kind not in args.kinds:
-                raise ScenarioError(f"{args.command} needs a {' or '.join(args.kinds)} scenario")
-            tol = sc.tol if sc.tol is not None else 1e-10
-            if args.tol is not None:
-                tol = check_tolerance(args.tol)
-            return args.fn(args, sc, built, tol)
+                text = emit_scenario(_example_scenario(args))
+            else:
+                sc, built = _load(_read_input(args.file))
+                if sc.kind not in args.kinds:
+                    raise ScenarioError(f"{args.command} needs a {' or '.join(args.kinds)} scenario")
+                tol = sc.tol if sc.tol is not None else 1e-10
+                if args.tol is not None:
+                    tol = check_tolerance(args.tol)
+                doc, text = args.fn(args, sc, built, tol)
+                if args.json:
+                    text = json.dumps(doc, indent=2)
+            print(text)
+            return 0
     except (ScenarioError, DefinitionError, DimensionError, WrongMapError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

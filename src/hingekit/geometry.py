@@ -92,7 +92,7 @@ class Axis:
     origin: np.ndarray
     dirs: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, rows_checked=False):
         if self.dim < 2:
             raise DimensionError("axes need ambient dimension >= 2")
         origin = _frozen(self.origin)
@@ -100,10 +100,9 @@ class Axis:
         if origin.shape != (self.dim,):
             raise DimensionError(f"axis origin must be a point of R^{self.dim}")
         if dirs.shape[0] != self.dim - 2:
-            raise DimensionError(
-                f"an axis of R^{self.dim} needs {self.dim - 2} directions"
-            )
-        _check_orthonormal(dirs[None], "axis directions")
+            raise DimensionError(f"an axis of R^{self.dim} needs {self.dim - 2} directions")
+        if not rows_checked:
+            _check_orthonormal(dirs[None], "axis directions")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "dirs", _frozen(dirs))
 
@@ -116,14 +115,15 @@ class Frame:
     origin: np.ndarray
     vecs: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, rows_checked=False):
         origin = _frozen(self.origin)
         vecs = np.array(self.vecs, dtype=float).reshape(-1, self.dim)
         if origin.shape != (self.dim,):
             raise DimensionError(f"frame origin must be a point of R^{self.dim}")
         if vecs.shape[0] > self.dim:
             raise DimensionError("a frame cannot carry more vectors than dimensions")
-        _check_orthonormal(vecs[None], "frame vectors")
+        if not rows_checked:
+            _check_orthonormal(vecs[None], "frame vectors")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "vecs", _frozen(vecs))
 
@@ -202,13 +202,17 @@ def make_axes(dim: int, origins, raw_dirs) -> list[Axis]:
 def make_axis(dim: int, origin, raw_dirs) -> Axis:
     """Axis through ``origin`` spanned by ``raw_dirs``, orthonormalized in order."""
     raw = np.array(list(raw_dirs), dtype=float).reshape(-1, dim)[None]
-    return Axis(dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "axis directions")[0])
+    axis = _unchecked(Axis, dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "axis directions")[0])
+    axis.__post_init__(rows_checked=True)  # shape checks only: _orthonormalize checked the rows
+    return axis
 
 
 def make_frame(dim: int, origin, raw_vecs) -> Frame:
     """Frame at ``origin`` with vectors orthonormalized in order (may be empty)."""
     raw = np.array(list(raw_vecs), dtype=float).reshape(-1, dim)[None]
-    return Frame(dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "frame vectors")[0])
+    frame = _unchecked(Frame, dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "frame vectors")[0])
+    frame.__post_init__(rows_checked=True)
+    return frame
 
 
 def identity_isometry(dim: int) -> Isometry:

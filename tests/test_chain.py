@@ -543,6 +543,20 @@ def test_cycle_constructor_guards():
         Chain(3, tuple(axes[:5]), Frame(3, axes[5].origin, np.eye(3)[:2]), closing_axis=axes[5])
 
 
+def test_cycle_end_frame_must_lie_in_its_closing_axis():
+    axes = (make_axis(3, (0, 0, 0), [(0, 0, 1)]), make_axis(3, (1, 0, 0), [(0, 1, 0)]))
+    closing = make_axis(3, (5, 5, 5), [(0, 0, 1)])
+    with pytest.raises(DefinitionError, match="end frame must lie in its closing axis"):
+        Chain(3, axes, make_frame(3, (0, 0, 0), [(1, 0, 0)]), closing_axis=closing)
+    # the origin alone, then the vectors alone, off the closing axis
+    for origin, vec in (((0, 0, 0), (0, 0, 1)), ((5, 5, 7), (1, 0, 0))):
+        with pytest.raises(DefinitionError, match="closing axis"):
+            Chain(3, axes, make_frame(3, origin, [vec]), closing_axis=closing)
+    # any point of the axis and either orientation of its direction will do
+    c = Chain(3, axes, make_frame(3, (5, 5, -2), [(0, 0, -1)]), closing_axis=closing)
+    assert c.is_cycle and cycle_chain([*axes, closing]).closing_axis is closing
+
+
 def _same_placement(a, b):
     return (
         np.array_equal(a.origins, b.origins)

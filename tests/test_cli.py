@@ -446,6 +446,34 @@ def test_output_structure_of_each_command(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_each_file_command_prints_one_json_document_and_the_same_csv(tmp_path, capsys):
+    files = {}
+    for name in ("planar-arm", "twisted-cubic-tangents", "desargues", "generic-cycle"):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(example_text(capsys, name))
+    coincident = tmp_path / "coincident.json"
+    coincident.write_text(json.dumps({"kind": "cycle", "d": 3, "axes": [{"origin": [0, 0, 0], "dirs": [[0, 0, 1]]}] * 2}))
+    runs = [
+        ["analyze-chain", files["planar-arm"]],
+        ["analyze-cycle", files["twisted-cubic-tangents"], "--exact"],
+        ["analyze-platform", files["desargues"], "--exact"],
+        ["convert-linkage", files["generic-cycle"]],
+        ["flex", files["generic-cycle"], "--steps", "2", "--csv", "{csv}"],
+        ["flex", coincident, "--steps", "2", "--csv", "{csv}"],
+        ["sweep", files["planar-arm"], "--samples", "4", "--csv", "{csv}"],
+    ]
+    for argv in runs:
+        outputs = []
+        for flags in ([], ["--json"]):
+            csv = tmp_path / f"{argv[0]}{len(flags)}.csv"
+            code, out, err = capture(capsys, [str(a).format(csv=csv) for a in argv] + flags)
+            outputs.append((code, out, err, csv.read_text() if "--csv" in argv else None))
+        (code, text, err, csv), (json_code, out, json_err, json_csv) = outputs
+        assert code == json_code == 0 and err == json_err and csv == json_csv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n" != text
+        assert text.endswith("\n") and not text.endswith("\n\n")
+
+
 def test_emit_scenario_keeps_the_tolerance():
     legs = [{"p": [1, 0], "q": [2, 0]}, {"p": [0, 1], "q": [0, 3]}, {"p": [1, 1], "q": ["5/2", "5/2"]}]
     sc = parse_scenario(json.dumps({"kind": "platform", "d": 2, "tol": 1e-6, "legs": legs}))

@@ -25,6 +25,7 @@ from hingekit import (
     rotate_about,
     rotation_generator,
 )
+from hingekit import geometry
 from hingekit.errors import (
     DefinitionError,
     DegenerateAxisError,
@@ -124,6 +125,19 @@ def _axis_stacks(draw):
         elif kind == "tiny":
             raw *= 1e-300
     return d, origins, raws
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_axis(4, (0, 1, 2, 3), [(1, 1, 0, 0), (0, 1, 1, 0)]),
+    lambda: make_frame(4, (0, 1, 2, 3), [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+    lambda: make_axes(4, [(0, 1, 2, 3)] * 3, [[(1, 1, 0, 0), (0, 1, 1, 0)]] * 3),
+], ids=["make_axis", "make_frame", "make_axes"])
+def test_make_axis_make_frame_and_make_axes_check_orthonormality_once(build, monkeypatch):
+    calls = []
+    check = geometry._check_orthonormal
+    monkeypatch.setattr(geometry, "_check_orthonormal", lambda *a: calls.append(a) or check(*a))
+    build()
+    assert len(calls) == 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,7 +11,9 @@ linkage drift cuts line and plane windows, and one on a cycle of two
 coincident axes, which flexes but reports on stderr that its linkage
 drift is unavailable), ``sweep`` CSV on end-point, cycle and k=1
 frame chains (one of them singular at theta = 0, one with ``--json`` and
-``--csv`` together), ``analyze-chain`` in
+``--csv`` together), ``analyze-chain --json`` and ``sweep`` CSV on a d=5
+frame chain with k=2 (three stabilizer points, complement from the SVD)
+and a d=4 frame chain with k=3 (no stabilizer rows), ``analyze-chain`` in
 text and ``--json`` form and ``sweep`` CSV on a d=4 chain of seven axes
 that share one direction (every sample singular, so every row runs the
 witness check), and ``analyze-cycle
@@ -208,7 +210,22 @@ CLOSE_LEGS = [{"p": ["1/3", 0], "q": [f"{10**20 + 3}/{3 * 10**20}", 0]},
 _rng = random.Random(627)
 PARALLEL4 = [{"origin": [round(_rng.uniform(-1, 1), 3) for _ in range(4)],
               "dirs": [[1, 2, 2, 0], [round(_rng.uniform(-1, 1), 3) for _ in range(4)]]} for _ in range(7)]
+# frame chains off the k=1 path: d=5 with k=2 (three stabilizer points, their complement
+# from the SVD of the frame) on thirteen axes, and d=4 with k=3 (no stabilizer rows) on ten
+_rng = random.Random(628)
+FRAME_CHAINS = {
+    f"frame-d{d}k{k}": {
+        "kind": "chain", "d": d,
+        "axes": [{"origin": [round(_rng.uniform(-1, 1), 3) for _ in range(d)],
+                  "dirs": [[round(_rng.uniform(-1, 1), 3) for _ in range(d)] for _ in range(d - 2)]}
+                 for _ in range(n)],
+        "end_frame": {"origin": [round(_rng.uniform(-1, 1), 3) for _ in range(d)],
+                      "vecs": [[round(_rng.uniform(-1, 1), 3) for _ in range(d)] for _ in range(k)]},
+    }
+    for d, k, n in ((5, 2, 13), (4, 3, 10))
+}
 SCENARIOS = {
+    **FRAME_CHAINS,
     "chain-parallel-d4": {"kind": "chain", "d": 4, "axes": PARALLEL4,
                           "end_frame": {"origin": [0.3, -0.7, 0.5, 0.2], "vecs": []}},
     "cycle-d6-big": {"kind": "cycle", "d": 6, "axes": D6_BIG},
@@ -334,6 +351,9 @@ RUNS = [
     ["sweep", "{frame-k1}", "--samples", "10", "--seed", "9", "--csv", "{out}/sweep-frame.csv"],
     ["sweep", "{frame-k1}", "--samples", "6", "--workers", "2"],
     ["sweep", "{frame-singular}", "--samples", "3"],
+    *(run for tag in FRAME_CHAINS for run in (
+        ["analyze-chain", f"{{{tag}}}", "--json"],
+        ["sweep", f"{{{tag}}}", "--samples", "12", "--seed", "5", "--csv", f"{{out}}/sweep-{tag}.csv"])),
     ["analyze-chain", "{chain-parallel-d4}"], ["analyze-chain", "{chain-parallel-d4}", "--json"],
     ["sweep", "{chain-parallel-d4}", "--samples", "25", "--seed", "4", "--csv", "{out}/sweep-parallel.csv"],
     # error paths: the hidden --exact of analyze-chain, a scenario kind the command refuses,

@@ -18,19 +18,20 @@ from math import comb
 
 import numpy as np
 
-from .chain import Chain, cycle_chain, forward_kinematics, frame_columns, frame_map_jacobian
+from .chain import Chain, _frame_rows, cycle_chain, forward_kinematics, frame_map_jacobian
 from .errors import (
     ConsistencyError,
     DefinitionError,
     DegenerateAxisError,
     DegenerateLegError,
     DimensionError,
+    GradeError,
     ScenarioError,
     WrongMapError,
 )
-from .exterior import ExteriorVector, RankCertificate, numeric_rank, positive_lead, top_pairing
-from .exterior import _complement_table, _exact_minor_rows, _minor_rows, _rank_rows, _to_fraction
-from .geometry import Axis, Frame, _lift, axis_plucker, flat_plucker, line_plucker, make_axis
+from .exterior import MIXED_SPAN, ExteriorVector, RankCertificate, numeric_rank, positive_lead, top_pairing
+from .exterior import _complement_table, _exact_minor_rows, _minor_rows, _rank_rows, _to_fraction, subsets
+from .geometry import Axis, Frame, _lift, _lift_stack, axis_plucker, flat_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
 __all__ = [
@@ -251,10 +252,10 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
 
 def _check_witness(placement, null_basis: np.ndarray, cutoff: float) -> None:
     """Raise unless the line through the end-point along each null direction meets each placed axis:
-    their top pairing, one signed product of two ``_minor_rows`` batches, is within
+    their top pairing, one signed product of two ``_minor_rows`` stacks, is within
     8 cutoff + 1e-12 |line| |axis|. The first miss in (direction, axis) order is named."""
-    lines = _minor_rows([_lift([placement.frame_at.origin], [v]) for v in null_basis])
-    axes = _minor_rows([_lift([o], dirs) for o, dirs in zip(placement.origins, placement.dirs)])
+    lines = _minor_rows(_lift_stack(placement.frame_at.origin[None, None], null_basis[:, None]))
+    axes = _minor_rows(_lift_stack(placement.origins[:, None], placement.dirs))
     idx, sgn = _complement_table(placement.frame_at.dim + 1, 2)
     pairing = np.abs((lines * sgn) @ axes[:, idx].T)
     bound = 8.0 * cutoff + 1e-12 * np.outer(np.linalg.norm(lines, axis=1), np.linalg.norm(axes, axis=1))
@@ -274,21 +275,22 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
     of its span, about its origin; each complement coordinate pair {a, b}
     contributes the axis through the origin whose directions are the
     frame vectors plus the remaining complement vectors. C(d-k, 2) points
-    in all; empty once d - k <= 1. The rows come from the SVD of the
-    validated frame, so they are not validated again as an ``Axis``.
+    in all; empty once d - k <= 1. They are views of ``_stabilizer_rows``, which
+    come from the SVD of the validated frame and are not validated again as an ``Axis``.
     """
+    return [ExteriorVector(frame.dim - 1, frame.dim + 1, row) for row in _stabilizer_rows(frame)]
+
+
+def _stabilizer_rows(frame: Frame) -> np.ndarray:
+    """The (C(d-k, 2), C(d+1, 2)) Plucker rows of ``stabilizer_pluckers``: one lifted stack
+    of every stabilizer flat, wedged in one ``_minor_rows`` call."""
     d, k = frame.dim, frame.k
     if d - k <= 1:
-        return []
-    if k == 0:
-        complement = np.eye(d)
-    else:
-        _, _, vh = np.linalg.svd(frame.vecs, full_matrices=True)
-        complement = vh[k:]
-    return [
-        flat_plucker([frame.origin], [*frame.vecs, *np.delete(complement, pair, axis=0)])
-        for pair in itertools.combinations(range(d - k), 2)
-    ]
+        return np.zeros((0, comb(d + 1, 2)))
+    complement = np.eye(d) if k == 0 else np.linalg.svd(frame.vecs, full_matrices=True)[2][k:]
+    keep = np.array(subsets(d - k, d - k - 2)[::-1], dtype=int)  # the rest of each pair {a, b}, in pair order
+    dirs = np.concatenate([np.broadcast_to(frame.vecs, (len(keep), k, d)), complement[keep]], axis=1)
+    return _minor_rows(_lift_stack(frame.origin[None, None], dirs))
 
 
 def _span_verdict(rows: np.ndarray, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
@@ -317,8 +319,7 @@ def frame_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     hyperplane functional.
     """
     pl = forward_kinematics(chain, theta)
-    columns = frame_columns(chain, theta, placement=pl) + stabilizer_pluckers(pl.frame_at)
-    rows = np.array([v.coeffs for v in columns])
+    rows = np.vstack([_frame_rows(pl), _stabilizer_rows(pl.frame_at)])
     return _span_verdict(rows, tol, stab_dim=comb(chain.d - chain.end_frame.k, 2))
 
 
@@ -328,10 +329,14 @@ def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
     The space of closure-compatible rotation speeds has dimension
     n - rank(span); for n = C(d+1, 2) a deficient span means an
     infinitesimally flexible cycle. The conull functional is the
-    hyperplane section containing all axis points. All the axes are wedged
-    in one batch of ``_minor_rows``.
+    hyperplane section containing all axis points. All the axes are lifted
+    in one stack and wedged in one ``_minor_rows`` call.
     """
-    return _span_verdict(_minor_rows([_lift([a.origin], a.dirs) for a in axes]), tol, cycle=True)
+    axes = list(axes)
+    if len({a.dim for a in axes}) > 1:
+        raise GradeError(MIXED_SPAN)
+    lifted = _lift_stack([[a.origin] for a in axes], [a.dirs for a in axes]) if axes else []
+    return _span_verdict(_minor_rows(lifted), tol, cycle=True)
 
 
 def cycle_mobility_exact(raw_axes) -> Verdict:
@@ -357,8 +362,9 @@ def platform_flexibility(platform: Platform, tol: float = 1e-10, exact: bool = F
     The conull functional is the skew form annihilating every bar line.
     Either mode wedges all the legs in one kernel call, as the cycle verdicts do.
     """
-    kernel = _exact_minor_rows if exact else _minor_rows
-    return _span_verdict(kernel([_lift([p, q]) for p, q in platform.legs]), tol)
+    rows = (_exact_minor_rows([_lift([p, q]) for p, q in platform.legs]) if exact
+            else _minor_rows(_lift_stack(platform.legs, np.zeros((1, 0, platform.d)))))
+    return _span_verdict(rows, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -280,14 +280,18 @@ def frame_columns(chain: Chain, theta, placement: Placement | None = None) -> li
     These represent the images of the torus tangent basis inside the
     Lie algebra of rigid motions, identified with grade-(d-1) vectors
     over R^{d+1}; ranks of their spans read off differential ranks. Each
-    one is read off the twist (J[a < b], -J @ o) of the placed generator J
-    and origin o through the signed permutation ``_plucker_to_twist(d)``.
+    one is a row of ``_frame_rows``, read off the twist (J[a < b], -J @ o) of the
+    placed generator J and origin o through the permutation ``_plucker_to_twist(d)``.
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
-    a, b = np.triu_indices(chain.d, 1)
+    return [ExteriorVector(chain.d - 1, chain.d + 1, p) for p in _frame_rows(pl)]
+
+
+def _frame_rows(pl: Placement) -> np.ndarray:
+    """The (n-1, C(d+1, 2)) Plucker rows of ``frame_columns``, from one product of the stacked twists."""
+    a, b = np.triu_indices(pl.origins.shape[1], 1)
     moments = -np.einsum("iab,ib->ia", pl.generators, pl.origins)
-    twists = np.hstack([pl.generators[:, a, b], moments])
-    return [ExteriorVector(chain.d - 1, chain.d + 1, p) for p in twists @ _plucker_to_twist(chain.d)]
+    return np.hstack([pl.generators[:, a, b], moments]) @ _plucker_to_twist(pl.origins.shape[1])
 
 
 def numerical_jacobian(fn, theta, h: float = 1e-5) -> np.ndarray:

@@ -221,18 +221,18 @@ def _check_shapes(mats) -> None:
         if len(mat) > len(mat[0]):
             raise GradeError(f"cannot wedge {len(mat)} vectors in R^{len(mat[0])}")
     if len({(len(mat), len(mat[0])) for mat in mats}) > 1:
-        raise GradeError("rank_of_span needs vectors of one common grade and ambient")
+        raise GradeError(MIXED_SPAN)
 
 
 def _minor_rows(mats) -> np.ndarray:
-    """Every j x j minor of each j x m matrix in ``mats``, as float rows.
+    """Every j x j minor of each j x m matrix in ``mats`` (a list or an (n, j, m) stack), as float rows.
 
     Row i, in ``subsets(m, j)`` order, is ``wedge(mats[i]).coeffs``: one
     stacked ``np.linalg.det`` over rows S of each transposed matrix. Shape
     errors come from ``_check_shapes``; no matrices give no rows.
     """
     try:
-        a = np.array(mats or np.zeros((0, 1, 1)), dtype=float)
+        a = np.asarray(mats if len(mats) else np.zeros((0, 1, 1)), dtype=float)
     except ValueError:  # a shape error, else the entry float() refused
         _check_shapes(mats)
         raise
@@ -386,6 +386,8 @@ def check_tolerance(tol: float) -> float:
 
 # the error of a rank test handed an inf or NaN entry
 NON_FINITE = "a rank test met a non-finite number: the input overflows float arithmetic"
+# the error of a span whose vectors differ in grade or ambient
+MIXED_SPAN = "rank_of_span needs vectors of one common grade and ambient"
 
 
 def numeric_rank(matrix: np.ndarray, tol: float):
@@ -457,7 +459,7 @@ def rank_of_span(vectors, expected_rank: int, tol: float = 1e-10) -> RankCertifi
     if not vectors:
         return RankCertificate(0, np.array([]), expected_rank > 0, None)
     if len({(v.grade, v.ambient) for v in vectors}) > 1:
-        raise GradeError("rank_of_span needs vectors of one common grade and ambient")
+        raise GradeError(MIXED_SPAN)
     if all(v.exact for v in vectors):
         rows = np.array([_integer_scaled(v.coeffs)[0] for v in vectors], dtype=object)
     else:

@@ -4,8 +4,9 @@ projective completion P_d.
 Conventions used throughout the package:
 
 * the homogeneous slot comes last: a point p lifts to (p, 1), a
-  direction v lifts to (v, 0); ``_lift`` is the one place that writes
-  this lift, and every Plucker point of the package is a wedge of it;
+  direction v lifts to (v, 0): ``_lift_stack`` for float stacks of flats,
+  ``_lift`` for ``flat_plucker`` and the exact routes; every Plucker point
+  of the package is a wedge of it;
 * a hinge axis is a codimension-two affine subspace, stored as an origin
   plus d-2 orthonormal directions; its Plucker point is the decomposable
   grade-(d-1) vector (origin, 1) ^ (v_1, 0) ^ ... ^ (v_{d-2}, 0) over
@@ -210,6 +211,8 @@ def make_axis(dim: int, origin, raw_dirs) -> Axis:
 def make_frame(dim: int, origin, raw_vecs) -> Frame:
     """Frame at ``origin`` with vectors orthonormalized in order (may be empty)."""
     raw = np.array(list(raw_vecs), dtype=float).reshape(-1, dim)[None]
+    if raw.shape[1] > dim:  # the reduced QR would keep only the first dim rows
+        raise DimensionError("a frame cannot carry more vectors than dimensions")
     frame = _unchecked(Frame, dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "frame vectors")[0])
     frame.__post_init__(rows_checked=True)
     return frame
@@ -249,6 +252,16 @@ def _moved(iso: Isometry, obj):
 def _lift(points, dirs=()) -> list[list]:
     """Homogeneous rows of a flat: (p, 1) for each point, (v, 0) for each direction."""
     return [[*p, 1] for p in points] + [[*v, 0] for v in dirs]
+
+
+def _lift_stack(points, dirs) -> np.ndarray:
+    """``_lift`` of n flats at once, in floats: points (n, a, d) and directions (n, b, d) in,
+    either shared by all flats when its n is 1; the C-ordered (n, a + b, d + 1) rows out."""
+    points, dirs = np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
+    a, d = points.shape[1:]
+    out = np.zeros((max(len(points), len(dirs)), a + dirs.shape[1], d + 1))
+    out[:, :a, :d], out[:, :a, d], out[:, a:, :d] = points, 1.0, dirs
+    return out
 
 
 def flat_plucker(points, dirs=(), exact: bool = False) -> ExteriorVector:

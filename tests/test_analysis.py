@@ -42,6 +42,7 @@ from hingekit import (
 from hingekit.analysis import (
     WitnessLine,
     _check_witness,
+    _stabilizer_rows,
     _coincident,
     bricard_symmetric_lines,
     classical_scenario,
@@ -61,7 +62,8 @@ from hingekit.errors import (
     ScenarioError,
 )
 from hingekit.exterior import _exact_minor_rows, _minor_rows, numeric_rank, positive_lead
-from hingekit.geometry import _lift
+from hingekit.chain import _frame_rows
+from hingekit.geometry import _lift, _plucker_to_twist
 from hingekit.sampling import (
     common_line_platform_legs,
     parallel_axes_chain,
@@ -902,6 +904,64 @@ def test_float_span_verdicts_equal_the_per_axis_list_route(case, d, seed, data):
         got = frame_singularity(chain, theta)
         points = [v.coeffs for v in frame_columns(chain, theta, placement=pl) + stabilizer_pluckers(pl.frame_at)]
     assert _float_outcome(got) == _list_route(points)
+
+
+def _stabilizer_points_per_flat(frame):
+    """Reference: the stabilizer points one flat at a time, as ``stabilizer_pluckers`` wedged
+    them before the flats were stacked: ``flat_plucker`` of the origin, the frame vectors and
+    the complement rows without each pair, the complement from the SVD of the frame."""
+    d, k = frame.dim, frame.k
+    if d - k <= 1:
+        return []
+    complement = np.eye(d) if k == 0 else np.linalg.svd(frame.vecs, full_matrices=True)[2][k:]
+    return [flat_plucker([frame.origin], [*frame.vecs, *np.delete(complement, pair, axis=0)]).coeffs
+            for pair in itertools.combinations(range(d - k), 2)]
+
+
+def _frame_columns_per_column(pl):
+    """Reference: the placed Plucker points as ``frame_columns`` built them before the rows
+    were stacked, one ``ExteriorVector`` per row of the twist product, read back."""
+    d = pl.origins.shape[1]
+    a, b = np.triu_indices(d, 1)
+    moments = -np.einsum("iab,ib->ia", pl.generators, pl.origins)
+    twists = np.hstack([pl.generators[:, a, b], moments])
+    return [ExteriorVector(d - 1, d + 1, p).coeffs for p in twists @ _plucker_to_twist(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stacked_frame_and_stabilizer_rows_equal_the_per_point_route(d, seed, data):
+    """The stacked stabilizer and placed-axis rows, their ``ExteriorVector`` views and the frame
+    verdict equal the per-flat and per-column route bit for bit, for every k = 0..d: no
+    stabilizer rows once k >= d - 1."""
+    rng = rng_from(seed)
+    k = data.draw(st.integers(0, d), label="k")
+    n = data.draw(st.integers(2, 7), label="n")
+    chain = random_chain(rng, d, n, k=k)
+    theta = rng.uniform(0, 2 * np.pi, n - 1)
+    pl = forward_kinematics(chain, theta)
+    stab, cols = _stabilizer_points_per_flat(pl.frame_at), _frame_columns_per_column(pl)
+    assert len(stab) == (comb(d - k, 2) if k < d - 1 else 0)
+    for got, want in ((_stabilizer_rows(pl.frame_at), stab), (_frame_rows(pl), cols)):
+        assert got.shape == (len(want), comb(d + 1, 2))
+        assert got.tobytes() == b"".join(p.tobytes() for p in want)
+    for views, want in ((stabilizer_pluckers(pl.frame_at), stab), (frame_columns(chain, theta, placement=pl), cols)):
+        assert [(v.grade, v.ambient, v.coeffs.tobytes()) for v in views] == [(d - 1, d + 1, p.tobytes()) for p in want]
+    assert _float_outcome(frame_singularity(chain, theta)) == _list_route(cols + stab)
+
+
+def test_witness_miss_names_the_axis_its_pairing_and_its_bound():
+    rng = rng_from(302)
+    c = singular_endpoint_chain(rng, 3, 7, parallel_fraction=0.0)
+    pl = forward_kinematics(c, np.zeros(6))
+    rank, cutoff, u, _, _ = numeric_rank(endpoint_jacobian(c, np.zeros(6)), 1e-10)
+    bent = u[:, rank:].T + np.array([0.0, 0.5, -0.5])
+    first = _witness_misses_per_axis(pl, bent, cutoff)[0]
+    with pytest.raises(ConsistencyError, match=(
+        rf"^rank verdict says singular but the witness misses axis {first} "
+        r"\(pairing \d\.\d{3}e[-+]\d\d > bound \d\.\d{3}e[-+]\d\d\)$"
+    )):
+        _check_witness(pl, bent, cutoff)
 
 
 def test_float_cycle_verdict_keeps_its_error_contract():

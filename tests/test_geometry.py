@@ -140,6 +140,19 @@ def test_make_axis_make_frame_and_make_axes_check_orthonormality_once(build, mon
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("d, rows", [
+    (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)]),
+], ids=["d4-five-vectors", "d3-four-vectors"])
+def test_make_frame_refuses_more_vectors_than_dimensions(d, rows):
+    """The reduced QR returns at most d rows, so make_frame counts the raw vectors first,
+    with the error of the Frame constructor; d of them still make a frame."""
+    for build in (make_frame, Frame):
+        with pytest.raises(DimensionError, match="^a frame cannot carry more vectors than dimensions$"):
+            build(d, np.arange(d, dtype=float), rows)
+    assert make_frame(d, np.arange(d, dtype=float), rows[:d]).k == d
+
+
 @settings(max_examples=150, deadline=None)
 @given(_axis_stacks())
 def test_make_axes_is_bit_identical_to_one_axis_at_a_time(stack):

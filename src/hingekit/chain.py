@@ -281,7 +281,7 @@ def frame_columns(chain: Chain, theta, placement: Placement | None = None) -> li
     Lie algebra of rigid motions, identified with grade-(d-1) vectors
     over R^{d+1}; ranks of their spans read off differential ranks. Each
     one is a row of ``_frame_rows``, read off the twist (J[a < b], -J @ o) of the
-    placed generator J and origin o through the permutation ``_plucker_to_twist(d)``.
+    placed generator J and origin o through the signed permutation ``_plucker_to_twist(d)``.
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
     return [ExteriorVector(chain.d - 1, chain.d + 1, p) for p in _frame_rows(pl)]

@@ -41,7 +41,8 @@ polygon, on a two-point polygon (two p1-p2 edges), on a d=5 cycle of 10
 axes (support lines cut by k = 2 axes) and on a four-axis cycle in R^5,
 too short for the canonical edges. The error paths are run too: the
 hidden ``analyze-chain --exact``, which exits 2, each
-file command on a scenario kind it refuses, ``convert-linkage`` in text
+file command on a scenario kind it refuses, ``flex`` with a
+``--step-size`` of ``nan`` and of ``inf``, which exit 2, ``convert-linkage`` in text
 and ``--json`` form on a three-axis cycle in R^4, also too short, one
 malformed scenario file per schema message of the parser, files
 carrying top-level keys their kind does not read, a d=4 cycle whose
@@ -360,6 +361,8 @@ RUNS = [
     # and a cycle too short to partition
     ["analyze-chain", "{arm}", "--exact"], ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],
     ["convert-linkage", "{desargues}"], ["flex", "{chain-d3}"], ["sweep", "{desargues}"],
+    # a flex step that is not a finite number, refused before anything is placed
+    ["flex", "{cycle}", "--step-size", "nan"], ["flex", "{cycle}", "--step-size", "inf"],
     ["convert-linkage", "{cycle-d4n3}"], ["convert-linkage", "{cycle-d4n3}", "--json"],
     *([_ANALYZE.get(doc["kind"] if isinstance(doc, dict) else "", "analyze-cycle"), f"{{{tag}}}"]
       for tag, doc in MALFORMED.items()),

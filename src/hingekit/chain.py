@@ -14,14 +14,15 @@ off these generators and the placed axis origins. Placed axes and frames
 are moved from checked ones by these rotations and not checked again.
 
 A ``Placement`` is immutable, and placing the same chain object at the
-same configuration as the call before returns the same ``Placement``.
+same configuration as the call before returns the same ``Placement``: one
+``lru_cache`` entry keyed by the chain's identity and the angle bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb, sqrt
+from functools import cached_property, lru_cache
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
@@ -202,13 +203,6 @@ def _as_config(chain: Chain, theta) -> np.ndarray:
     return theta
 
 
-# (chain, theta bytes, Placement) of the last placement. A fiber step places
-# the configuration it just placed again (residual then Jacobian, tangent then
-# closure check); one slot catches that and keeps only one chain alive. It is
-# read and replaced in one assignment each, so concurrent callers only miss.
-_last_placement: tuple[Chain, bytes, Placement] | None = None
-
-
 def forward_kinematics(chain: Chain, theta) -> Placement:
     """Place every body; theta = 0 reproduces the reference exactly.
 
@@ -216,15 +210,14 @@ def forward_kinematics(chain: Chain, theta) -> Placement:
     as the call before returns that call's ``Placement``, which is
     immutable, so sharing it is safe.
     """
-    global _last_placement
-    theta = _as_config(chain, theta)
-    key = theta.tobytes()
-    last = _last_placement
-    if last is not None and last[0] is chain and last[1] == key:
-        return last[2]
-    placement = _place(chain, theta)
-    _last_placement = (chain, key, placement)
-    return placement
+    return _placed(chain, _as_config(chain, theta).tobytes())
+
+
+# One entry: a fiber step places again the configuration it just placed (residual
+# then Jacobian), and only one chain is kept alive. A Chain hashes by identity.
+@lru_cache(maxsize=1)
+def _placed(chain: Chain, key: bytes) -> Placement:
+    return _place(chain, np.frombuffer(key))
 
 
 def _place(chain: Chain, theta: np.ndarray) -> Placement:
@@ -331,8 +324,11 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
     Gauss-Newton step applies the pseudo-inverse of the closure Jacobian
     truncated at the ``numeric_rank(J, tol)`` cutoff. The
     returned configuration satisfies the closure residual within tol and
-    sits within O(step^2) of the predictor for small steps.
+    sits within O(step^2) of the predictor for small steps. A step that is
+    not a finite number raises DefinitionError before anything is placed.
     """
+    if not isfinite(step):
+        raise DefinitionError(f"a flex step must be a finite number, got {float(step)!r}")
     theta = _as_config(chain, theta)
     if np.linalg.norm(frame_residual(chain, theta)) > tol:
         raise DefinitionError("theta does not satisfy the closure condition")

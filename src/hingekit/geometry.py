@@ -67,6 +67,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rows(rows, dim: int, what: str) -> np.ndarray:
+    """``rows`` as a (k, dim) float array; rows of another or of unequal widths raise DimensionError."""
+    try:
+        a = np.array(rows, dtype=float)
+    except ValueError:  # rows of unequal widths, or an entry that is not a number
+        a = None
+    if a is None or a.size and a.shape[-1:] != (dim,):
+        raise DimensionError(f"{what} must be rows of {dim} numbers")
+    return a.reshape(-1, dim)
+
+
 def _check_orthonormal(rows: np.ndarray, what: str, dependent=False) -> None:
     """The one orthonormality rule: raise DegenerateAxisError with the ``index`` of the first
     (k, d) item of an (n, k, d) stack that is ``dependent`` or not orthonormal within the tolerance."""
@@ -97,7 +108,7 @@ class Axis:
         if self.dim < 2:
             raise DimensionError("axes need ambient dimension >= 2")
         origin = _frozen(self.origin)
-        dirs = np.array(self.dirs, dtype=float).reshape(-1, self.dim)
+        dirs = _rows(self.dirs, self.dim, "axis directions")
         if origin.shape != (self.dim,):
             raise DimensionError(f"axis origin must be a point of R^{self.dim}")
         if dirs.shape[0] != self.dim - 2:
@@ -118,7 +129,7 @@ class Frame:
 
     def __post_init__(self, rows_checked=False):
         origin = _frozen(self.origin)
-        vecs = np.array(self.vecs, dtype=float).reshape(-1, self.dim)
+        vecs = _rows(self.vecs, self.dim, "frame vectors")
         if origin.shape != (self.dim,):
             raise DimensionError(f"frame origin must be a point of R^{self.dim}")
         if vecs.shape[0] > self.dim:
@@ -202,7 +213,7 @@ def make_axes(dim: int, origins, raw_dirs) -> list[Axis]:
 
 def make_axis(dim: int, origin, raw_dirs) -> Axis:
     """Axis through ``origin`` spanned by ``raw_dirs``, orthonormalized in order."""
-    raw = np.array(list(raw_dirs), dtype=float).reshape(-1, dim)[None]
+    raw = _rows(list(raw_dirs), dim, "axis directions")[None]
     axis = _unchecked(Axis, dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "axis directions")[0])
     axis.__post_init__(rows_checked=True)  # shape checks only: _orthonormalize checked the rows
     return axis
@@ -210,7 +221,7 @@ def make_axis(dim: int, origin, raw_dirs) -> Axis:
 
 def make_frame(dim: int, origin, raw_vecs) -> Frame:
     """Frame at ``origin`` with vectors orthonormalized in order (may be empty)."""
-    raw = np.array(list(raw_vecs), dtype=float).reshape(-1, dim)[None]
+    raw = _rows(list(raw_vecs), dim, "frame vectors")[None]
     if raw.shape[1] > dim:  # the reduced QR would keep only the first dim rows
         raise DimensionError("a frame cannot carry more vectors than dimensions")
     frame = _unchecked(Frame, dim, np.asarray(origin, dtype=float), _orthonormalize(raw, "frame vectors")[0])
@@ -400,7 +411,7 @@ class AffineSubspace:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", _frozen(self.origin))
-        object.__setattr__(self, "dirs", _frozen(np.array(self.dirs, dtype=float).reshape(-1, self.dim)))
+        object.__setattr__(self, "dirs", _frozen(_rows(self.dirs, self.dim, "flat directions")))
 
     @property
     def flat_dim(self) -> int:

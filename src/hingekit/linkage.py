@@ -10,7 +10,7 @@ intersection plane. d = 2 gives the polygon: n vertices, n edges.
 
 Vertex 2i + r is role r (0: foot- or p, 1: foot+ or q) on support i + 1;
 for d = 2 vertex i is p(i+1). Vertex and edge orders are numeric, and
-``_labels`` alone writes the labels, whose provenance (support index plus
+``_table`` alone writes the labels, whose provenance (support index plus
 role) makes linkages of one cycle comparable edge by edge.
 All indices are cyclic mod n; labels are 1-based.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,36 +67,48 @@ class Linkage:
 
     def simplices(self) -> tuple[tuple[str, ...], ...]:
         """Vertex labels of each body simplex, in a fixed window order."""
-        return _labelled_simplices(self.d, self.n)
+        return _table(self.d, self.n).labelled_simplices
+
+
+class _Table(NamedTuple):
+    """The bookkeeping of the canonical linkage that depends only on (d, n)."""
+
+    labels: tuple[str, ...]  # the label of each vertex number
+    simplices: tuple[tuple[int, ...], ...]  # vertex numbers of each body simplex
+    labelled_simplices: tuple[tuple[str, ...], ...]
+    edge_order: tuple[tuple[int, int], ...]  # sorted pairs (a < b) of the simplex edges or polygon sides
+    dependent: tuple[tuple[int, int], ...]  # sorted pairs of the right-angle edges, see moduli_invariants
+    edge_index: np.ndarray  # edge_order as a read-only (E, 2) array
+    simplex_index: np.ndarray  # simplices as a read-only (n, d + 1) array
 
 
 @lru_cache(maxsize=64)  # one entry per (d, n) in use
-def _labels(d: int, n: int) -> tuple[str, ...]:
-    """The label of each vertex number."""
+def _table(d: int, n: int) -> _Table:
+    """The labels, body simplices, edges and right-angle edges of an n-cycle's linkage in R^d."""
     roles = ("p",) if d == 2 else ("foot-", "foot+") if d % 2 else ("p", "q")
-    return tuple(f"{role}{i + 1}" for i in range(n) for role in roles)
-
-
-@lru_cache(maxsize=64)  # one entry per (d, n) in use
-def _simplices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex numbers of each body simplex; they depend only on (d, n)."""
+    labels = tuple(f"{role}{i + 1}" for i in range(n) for role in roles)
+    simplices, dependent = [], []
     if d == 2:
-        return ()
-    k = d // 2
-    out = []
-    for body in range(n):
-        window = [(body - k + 1 + t) % n for t in range(k + 1)]
+        edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
+    else:
+        k = d // 2
+        for body in range(n):
+            window = [(body - k + 1 + t) % n for t in range(k + 1)]
+            if d % 2:
+                simplices.append(tuple(2 * i + r for i in window for r in (0, 1)))
+            else:
+                simplices.append(tuple([2 * i for i in window] + [2 * i + 1 for i in window[1:]]))
+        edges = sorted({pair for simplex in simplices for pair in combinations(sorted(simplex), 2)})
         if d % 2:
-            out.append(tuple(2 * i + r for i in window for r in (0, 1)))
+            pairs = [(2 * i + r, 2 * ((i + 1) % n) + r) for i in range(n) for r in (0, 1)]
         else:
-            out.append(tuple([2 * i for i in window] + [2 * i + 1 for i in window[1:]]))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)  # one entry per (d, n) in use
-def _labelled_simplices(d: int, n: int) -> tuple[tuple[str, ...], ...]:
-    labels = _labels(d, n)
-    return tuple(tuple(labels[v] for v in simplex) for simplex in _simplices(d, n))
+            pairs = [(2 * h, 2 * ((i + 1) % n)) for i in range(n) for h in (i, (i - 1) % n)]
+        dependent = sorted({tuple(sorted(pair)) for pair in pairs})
+    arrays = np.array(edges, dtype=np.intp), np.array(simplices, dtype=np.intp)
+    for a in arrays:
+        a.setflags(write=False)
+    labelled = tuple(tuple(labels[v] for v in simplex) for simplex in simplices)
+    return _Table(labels, tuple(simplices), labelled, tuple(edges), tuple(dependent), *arrays)
 
 
 @dataclass(frozen=True)
@@ -107,27 +120,9 @@ class ModuliPartition:
     note: str
 
 
-@lru_cache(maxsize=64)  # one entry per (d, n) in use
-def _edge_order(d: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted vertex pairs (a < b) of the body-simplex edges or polygon sides."""
-    if d == 2:
-        return tuple(sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n)))
-    pairs = {pair for simplex in _simplices(d, n) for pair in combinations(sorted(simplex), 2)}
-    return tuple(sorted(pairs))
-
-
 # Configurations per kernel call. A full SVD keeps (k·d)² floats of ``u``
 # per window, so peak memory is bounded by this, not by the path length.
 _BLOCK = 64
-
-
-@lru_cache(maxsize=64)  # one entry per (d, n) in use
-def _index_arrays(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_edge_order`` as a read-only (E, 2) array and ``_simplices`` as an (n, d + 1) one."""
-    arrays = np.array(_edge_order(d, n), dtype=np.intp), np.array(_simplices(d, n), dtype=np.intp)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -206,7 +201,7 @@ def _canonical(origins, dirs):
 
     ``origins`` is (C, n, d) and ``dirs`` (C, n, d - 2, d), axis i of
     configuration c at [c, i]. Returns positions (C, V, d),
-    lengths (C, E) in ``_edge_order`` and the failure of the lowest failing
+    lengths (C, E) in ``_table(d, n).edge_order`` and the failure of the lowest failing
     configuration as (c, exception), or None. A configuration's checks run
     in the order of the one-window-at-a-time construction, so its error
     names the same window: the cut windows (point then plane, or line, by
@@ -273,14 +268,14 @@ def _canonical(origins, dirs):
         positions = np.empty((size, 2 * n, d))
         positions[:, 0::2] = points
         positions[:, 1::2] = q
-    pairs, simplex_index = _index_arrays(d, n)
+    table = _table(d, n)
     if d > 2:
-        simplices = positions[:, simplex_index]
+        simplices = positions[:, table.simplex_index]
         signs, finite = _orientations(simplices[:, :, 1:] - simplices[:, :, :1])
         checks.append((~finite.all(axis=1, keepdims=True), lambda c, i: DegenerateGeometryError(NON_FINITE)))
         checks.append((signs == 0, lambda c, i: DegenerateSimplexError(
             "a body simplex has collapsed (zero volume)")))
-    lengths = _norms(positions[:, pairs[:, 0]] - positions[:, pairs[:, 1]])
+    lengths = _norms(positions[:, table.edge_index[:, 0]] - positions[:, table.edge_index[:, 1]])
     failed = np.logical_or.reduce([flags.any(axis=1) for flags, _ in checks])
     if not failed.any():
         return positions, lengths, None
@@ -307,13 +302,13 @@ def cycle_to_linkage(axes) -> Linkage:
     positions, lengths, failure = _canonical(np.array([[a.origin for a in axes]]), np.array([[a.dirs for a in axes]]))
     if failure is not None:
         raise failure[1]
-    labels = _labels(d, n)
-    edges = zip(_edge_order(d, n), lengths[0].tolist())
+    table = _table(d, n)
+    edges = zip(table.edge_order, lengths[0].tolist())
     return Linkage(
         d,
         n,
-        tuple(zip(labels, map(tuple, positions[0].tolist()))),
-        tuple((labels[a], labels[b], length) for (a, b), length in edges),
+        tuple(zip(table.labels, map(tuple, positions[0].tolist()))),
+        tuple((table.labels[a], table.labels[b], length) for (a, b), length in edges),
     )
 
 
@@ -325,12 +320,12 @@ def simplex_orientations(linkage: Linkage) -> tuple[int, ...]:
     scaling or rotating the linkage; otherwise the sign is that of their
     determinant. A non-finite vertex raises DegenerateGeometryError.
     """
-    simplices = _simplices(linkage.d, linkage.n)
-    if not simplices:
+    table = _table(linkage.d, linkage.n)
+    if not table.simplices:
         return ()
     coords = dict(linkage.vertices)
-    positions = np.array([coords[label] for label in _labels(linkage.d, linkage.n)])
-    points = positions[_index_arrays(linkage.d, linkage.n)[1]]
+    positions = np.array([coords[label] for label in table.labels])
+    points = positions[table.simplex_index]
     signs, finite = _orientations(points[:, 1:] - points[:, :1])
     if not finite.all():
         raise DegenerateGeometryError(NON_FINITE)
@@ -353,24 +348,21 @@ def moduli_invariants(linkage: Linkage) -> ModuliPartition:
             linkage.edges, (), "planar polygon: the edge lengths themselves"
         )
     if d % 2:
-        pairs = [(2 * i + r, 2 * ((i + 1) % n) + r) for i in range(n) for r in (0, 1)]
         note = (
             "dependent: like-signed feet across consecutive support lines "
             "(right angles at the perpendicular feet fix them)"
         )
     else:
-        pairs = [(2 * h, 2 * ((i + 1) % n)) for i in range(n) for h in (i, (i - 1) % n)]
         note = (
             "dependent: point pairs subtending the right angle at each "
             "projection vertex"
         )
-    keys = sorted({tuple(sorted(pair)) for pair in pairs})
-    if len(keys) != 2 * n:
+    table = _table(d, n)
+    if len(table.dependent) != 2 * n:
         raise ProvenanceError(
             "dependent edges collide; the canonical partition needs a larger cycle"
         )
-    labels = _labels(d, n)
-    wanted = dict.fromkeys((labels[a], labels[b]) for a, b in keys)
+    wanted = dict.fromkeys((table.labels[a], table.labels[b]) for a, b in table.dependent)
     by_key = {(a, b): (a, b, length) for a, b, length in linkage.edges}
     missing = [key for key in wanted if key not in by_key]
     if missing:

@@ -60,6 +60,7 @@ from hingekit.errors import (
     GradeError,
     HingekitError,
     ScenarioError,
+    WrongMapError,
 )
 from hingekit.exterior import _exact_minor_rows, _minor_rows, numeric_rank, positive_lead
 from hingekit.chain import _frame_rows
@@ -974,3 +975,15 @@ def test_float_cycle_verdict_keeps_its_error_contract():
         with pytest.raises(GradeError, match="^rank_of_span needs vectors of one common grade and ambient$"):
             cycle_mobility(axes)
     assert _minor_rows([]).shape == (0, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: endpoint_singularity(random_chain(rng_from(0), 3, 4, k=1), np.zeros(3)), WrongMapError,
+     "endpoint_singularity needs a chain with a bare end-point"),
+    (lambda: Platform(3, [((0, 0), (1, 1, 1))] + [((0, 0, 0), (1, 1, 1))] * 5), DefinitionError,
+     "leg 1: endpoints must be points of R^3"),
+    (lambda: classical_scenario("planar-arm", lengths=(1, 0)), ScenarioError, "planar arm lengths must be positive"),
+], ids=["endpoint-of-a-frame-chain", "platform-leg-length", "planar-arm-zero-length"])
+def test_analysis_refuses_malformed_inputs_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +320,20 @@ def test_off_fiber_theta_and_negative_steps_are_hingekit_errors():
     assert flex_path(c, 0, 1e-2).shape == (1, 6)
 
 
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
+def test_flex_cycle_refuses_a_step_that_is_not_finite_before_placing(step, monkeypatch):
+    c = random_cycle(rng_from(114), 3, 7)
+    basis = fiber_tangent_basis(c, np.zeros(6))
+
+    def refuse(*args):
+        raise AssertionError("a configuration was placed")
+
+    monkeypatch.setattr(chain_module, "_place", refuse)
+    chain_module._placed.cache_clear()
+    with pytest.raises(DefinitionError, match=rf"^a flex step must be a finite number, got {step!r}$"):
+        flex_cycle(c, np.zeros(6), basis[0], step)
+
+
 def test_random_axis_needs_dimension_two():
     with pytest.raises(DimensionError):
         random_axis(rng_from(0), 1)
@@ -615,14 +631,15 @@ def test_failed_placement_raises_again_and_keeps_the_last_placement():
     c = classical_scenario("generic-cycle", d=3, n=7, seed=0)
     theta = np.zeros(c.n - 1)
     placed = forward_kinematics(c, theta)
-    slot = chain_module._last_placement
     bad = theta.copy()
     bad[2] = np.nan
     for _ in range(2):
         with pytest.raises(DefinitionError):
             forward_kinematics(c, bad)
-        assert chain_module._last_placement is slot
+        assert chain_module._placed.cache_info().currsize == 1
+    hits = chain_module._placed.cache_info().hits
     assert forward_kinematics(c, theta) is placed
+    assert chain_module._placed.cache_info().hits == hits + 1
 
 
 def test_flex_path_places_each_configuration_once_in_a_row(monkeypatch):
@@ -646,3 +663,28 @@ def test_parallel_axes_chain_refuses_the_plane_by_name():
     # an axis of R^2 is a point, with no direction for the axes to share
     with pytest.raises(DimensionError, match=r"^parallel axes need ambient dimension >= 3"):
         parallel_axes_chain(rng_from(0), 2, 4)
+
+
+def _axis(d):
+    # the axis of R^d through the origin along e_2 .. e_{d-1}
+    return make_axis(d, np.zeros(d), np.eye(d)[2:])
+
+
+def _point(d):
+    return Frame(d, np.eye(d)[0], np.zeros((0, d)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Chain(3, (), _point(3)), DefinitionError, "a chain needs at least one hinge (n >= 2 bodies)"),
+    (lambda: Chain(3, (_axis(4),), _point(3)), DefinitionError, "every axis must live in the chain's dimension"),
+    (lambda: Chain(3, (_axis(3),), _point(4)), DefinitionError, "end frame dimension mismatch"),
+    (lambda: Chain(3, (_axis(3),), _point(3), closing_axis=_axis(4)), DefinitionError,
+     "closing axis dimension mismatch"),
+    (lambda: cycle_chain([_axis(3)]), DefinitionError, "a cycle needs at least two axes"),
+    (lambda: random_chain(rng_from(0), 3, 1), DefinitionError, "a chain needs at least one hinge (n >= 2 bodies)"),
+    (lambda: numerical_jacobian(np.sin, np.zeros(1), h=0.0), ValueError, "step h must be positive"),
+], ids=["no-hinge", "axis-dim", "end-frame-dim", "closing-axis-dim", "cycle-of-one", "random-chain-of-one",
+        "jacobian-step"])
+def test_malformed_chains_and_cycles_are_refused_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ def test_wedge_shape_messages_keep_their_order(exact):
             wedge(vecs, exact=exact)
     with pytest.raises(ValueError, match="'abc'"):
         wedge([("abc", 0), (0, 1)], exact=exact)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: subset_index(4, (2, 1)), GradeError, "(2, 1) is not a sorted subset of range(4)"),
+    (lambda: ExteriorVector(5, 4, np.zeros(1)), GradeError, "grade 5 not in [0, 4]"),
+    (lambda: ExteriorVector(2, 4, np.zeros(5)), DimensionError, "grade 2 over R^4 needs 6 coefficients, got shape (5,)"),
+    (lambda: wedge([(1, 0)]) + 1, TypeError, "expected an ExteriorVector"),
+    (lambda: top_pairing(wedge([(1, 0, 0)]), wedge([(1, 0, 0, 0)])), DimensionError,
+     "pairing needs a common ambient dimension"),
+    (lambda: wedge([(1, 0), (0, 1j)], exact=True), TypeError, "cannot convert complex to an exact rational"),
+], ids=["subset-unsorted", "grade-too-high", "coefficient-count", "add-a-number", "pairing-ambients",
+        "exact-complex"])
+def test_exterior_refuses_malformed_operands(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 vectors_st = st.integers(min_value=-5, max_value=5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,17 @@ def test_make_frame_refuses_more_vectors_than_dimensions(d, rows):
         with pytest.raises(DimensionError, match="^a frame cannot carry more vectors than dimensions$"):
             build(d, np.arange(d, dtype=float), rows)
     assert make_frame(d, np.arange(d, dtype=float), rows[:d]).k == d
+
+
+@pytest.mark.parametrize("build", [make_axis, make_frame, Axis, Frame])
+@pytest.mark.parametrize("dim, rows", [
+    (3, [[1, 0]]),
+    (4, [[1, 0, 0, 0], [0, 1, 0]]),
+], ids=["too-narrow", "ragged"])
+def test_direction_rows_of_another_width_name_the_width(build, dim, rows):
+    what = "axis directions" if build in (make_axis, Axis) else "frame vectors"
+    with pytest.raises(DimensionError, match=f"^{what} must be rows of {dim} numbers$"):
+        build(dim, np.zeros(dim), rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -527,3 +540,18 @@ def test_rowless_frames_and_planar_axes_skip_the_stacked_check_unchanged(cls, ma
     if cls is Frame:  # a frame with vectors is still checked
         with pytest.raises(DegenerateAxisError, match="must be orthonormal within 1e-12"):
             Frame(dim, origin, [[2.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Axis(1, (0,), []), "axes need ambient dimension >= 2"),
+    (lambda: Axis(3, (0, 0), [(0, 0, 1)]), "axis origin must be a point of R^3"),
+    (lambda: Axis(4, np.zeros(4), [(1, 0, 0, 0)]), "an axis of R^4 needs 2 directions"),
+    (lambda: Frame(3, (0, 0), []), "frame origin must be a point of R^3"),
+    (lambda: Isometry(np.eye(3), np.zeros(2)), "rotation and translation dimensions disagree"),
+    (lambda: apply(identity_isometry(3), (1.0, 2.0)), "cannot move a shape-(2,) object in R^3"),
+    (lambda: affine_intersection([]), "affine_intersection needs at least one subspace"),
+], ids=["axis-dim-1", "axis-origin", "axis-direction-count", "frame-origin", "isometry", "apply-point",
+        "intersect-nothing"])
+def test_mismatched_dimensions_raise_dimension_errors(call, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()

@@ -34,17 +34,28 @@ from hingekit.errors import (
     ProvenanceError,
     WrongMapError,
 )
+from hingekit.exterior import NON_FINITE
 from hingekit.geometry import affine_intersection, common_perpendicular, project_affine
 from hingekit.linkage import (
     _BLOCK,
     ModuliPartition,
     _canonical,
-    _edge_order,
-    _labels,
     _orientations,
-    _simplices,
+    _table,
 )
 from hingekit.sampling import random_axis, random_chain, random_cycle, rng_from
+
+
+def _labels(d, n):
+    return _table(d, n).labels
+
+
+def _simplices(d, n):
+    return _table(d, n).simplices
+
+
+def _edge_order(d, n):
+    return _table(d, n).edge_order
 
 
 def _stack(configs):
@@ -538,12 +549,12 @@ def test_numbered_linkage_matches_the_label_keyed_reference(dn, seed, theta):
 
 
 def test_edge_order_cache_is_bounded_and_reused():
-    assert _edge_order.cache_info().maxsize is not None
+    assert _table.cache_info().maxsize == 64
     c = classical_scenario("generic-cycle", d=3, n=7, seed=0)
     linkage_at(c, np.zeros(c.n - 1))
-    hits = _edge_order.cache_info().hits
+    hits = _table.cache_info().hits
     linkage_at(c, np.zeros(c.n - 1))
-    assert _edge_order.cache_info().hits == hits + 1
+    assert _table.cache_info().hits == hits + 2  # the kernel and the labelling
 
 
 @pytest.mark.parametrize(
@@ -602,7 +613,7 @@ def test_collapse_rule_reads_the_same_batched():
 
 
 def test_simplex_labels_are_cached_per_dimension_and_size():
-    assert _simplices.cache_info().maxsize is not None
+    assert _table.cache_info().maxsize == 64
     assert Linkage(4, 9, (), ()).simplices() is Linkage(4, 9, (), ()).simplices()
 
 
@@ -888,8 +899,32 @@ def test_drift_reads_the_placed_stacks_and_refuses_a_chain(monkeypatch):
     def refuse(*args):
         raise AssertionError("the drift built placed Axis objects")
 
-    monkeypatch.setattr(chain_module, "_last_placement", None)
+    chain_module._placed.cache_clear()
     for module in (chain_module, linkage_module):
         monkeypatch.setattr(module, "cycle_axes_at", refuse)
     monkeypatch.setattr(Placement, "axes_at", property(refuse))
     assert check_linkage_invariance(c, path) == want
+
+
+def _raise_non_finite_window():
+    # a NaN direction makes the window's normal projectors non-finite, so the
+    # stacked cut flags it and the per-window rule names the error
+    rng = rng_from(5)
+    origins, dirs = _stack([[random_axis(rng, 4) for _ in range(7)]])
+    dirs[0, 2, 0] = np.nan
+    raise _canonical(origins, dirs)[2][1]
+
+
+def _non_finite_vertex_linkage():
+    rng = rng_from(5)
+    lk = cycle_to_linkage([random_axis(rng, 3) for _ in range(6)])
+    return Linkage(lk.d, lk.n, (("foot-1", (np.nan, 0.0, 0.0)),) + lk.vertices[1:], lk.edges)
+
+
+@pytest.mark.parametrize("call", [
+    _raise_non_finite_window,
+    lambda: simplex_orientations(_non_finite_vertex_linkage()),
+], ids=["intersection-window", "simplex-vertex"])
+def test_non_finite_input_raises_a_degenerate_geometry_error(call):
+    with pytest.raises(DegenerateGeometryError, match=f"^{re.escape(NON_FINITE)}$"):
+        call()

@@ -49,6 +49,14 @@ carrying top-level keys their kind does not read, a d=4 cycle whose
 second axis has dependent directions, and two d=4 cycles that pair such
 an axis with one whose 1e308-scale directions are not orthonormal after
 the QR, in both orders (the first bad axis in input order is reported).
+Three inputs that used to pass, or to be refused under another fault's
+name, run as well: ``analyze-chain --tol 0.5`` and ``sweep --samples 2
+--tol 0.5`` on the generic cycle, whose tolerance cuts the end frame's
+stabilizer (exit 2, not a rank of -1); ``flex --json --steps 0`` with a
+``--step-size`` of ``nan`` and of ``inf`` (exit 2, not a ``NaN`` in the
+JSON); and ``example planar-arm --lengths 1e308,1e308``, whose joints
+overflow (exit 2 naming the finite sum, not an end-point on the last
+axis).
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -94,6 +102,7 @@ EXAMPLES = {
     "desargues-p": ["desargues", "--perturb", "1/100"],
     "arm": ["planar-arm"],
     "arm-l": ["planar-arm", "--lengths", "1,2,1/2"],
+    "arm-overflow": ["planar-arm", "--lengths", "1e308,1e308"],
     "cycle": ["generic-cycle"],
     "cycle-5": ["generic-cycle", "--seed", "5"],
     "cycle-n5": ["generic-cycle", "--n", "5"],
@@ -363,6 +372,10 @@ RUNS = [
     ["convert-linkage", "{desargues}"], ["flex", "{chain-d3}"], ["sweep", "{desargues}"],
     # a flex step that is not a finite number, refused before anything is placed
     ["flex", "{cycle}", "--step-size", "nan"], ["flex", "{cycle}", "--step-size", "inf"],
+    # the same with 0 steps, which never reach flex_cycle; and a tolerance that cuts the stabilizer
+    ["flex", "{cycle}", "--json", "--steps", "0", "--step-size", "nan"],
+    ["flex", "{cycle}", "--json", "--steps", "0", "--step-size", "inf"],
+    ["analyze-chain", "{cycle}", "--tol", "0.5"], ["sweep", "{cycle}", "--samples", "2", "--tol", "0.5"],
     ["convert-linkage", "{cycle-d4n3}"], ["convert-linkage", "{cycle-d4n3}", "--json"],
     *([_ANALYZE.get(doc["kind"] if isinstance(doc, dict) else "", "analyze-cycle"), f"{{{tag}}}"]
       for tag, doc in MALFORMED.items()),

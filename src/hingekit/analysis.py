@@ -27,6 +27,7 @@ from .errors import (
     DimensionError,
     GradeError,
     ScenarioError,
+    ToleranceError,
     WrongMapError,
 )
 from .exterior import MIXED_SPAN, ExteriorVector, RankCertificate, numeric_rank, positive_lead, top_pairing
@@ -298,12 +299,16 @@ def _span_verdict(rows: np.ndarray, tol: float = 1e-10, stab_dim: int = 0, cycle
 
     One row per axis, leg or stabilizer point; the dtype picks the rank rule
     of ``_rank_rows``. Both ranks are reduced by ``stab_dim``, the dimension
-    of a stabilizer span among the rows. The witness is the certificate's
-    conull functional; a cycle also reports its mobility n - rank.
+    of a stabilizer span among the rows; those rows are independent, so a
+    span rank below it means the tolerance cut them (ToleranceError). The
+    witness is the certificate's conull functional; a cycle also reports
+    its mobility n - rank.
     """
     if cycle and len(rows) < 2:
         raise DefinitionError("a cycle needs at least two axes")
     cert = _rank_rows(rows, rows.shape[1], tol)
+    if cert.rank < stab_dim:
+        raise ToleranceError(f"tolerance {tol} cuts the end frame's stabilizer: span rank {cert.rank} < {stab_dim}")
     mobility = len(rows) - cert.rank if cycle else None
     return Verdict(cert.rank - stab_dim, rows.shape[1] - stab_dim, cert, cert.conull, mobility)
 
@@ -466,6 +471,9 @@ def planar_arm_chain(lengths=(1, 1, 1)) -> Chain:
     lengths = [float(x) for x in lengths]
     if not lengths or any(x <= 0 for x in lengths):
         raise ScenarioError("planar arm lengths must be positive")
+    total = sum(lengths)  # the last joint sits at the sum, so an overflow would put it at inf
+    if not np.isfinite(total):
+        raise ScenarioError(f"planar arm lengths must have a finite sum, got {total}")
     joints = np.concatenate([[0.0], np.cumsum(lengths)])
     axes = tuple(Axis(2, np.array([x, 0.0]), np.zeros((0, 2))) for x in joints[:-1])
     end = Frame(2, np.array([joints[-1], 0.0]), np.zeros((0, 2)))

@@ -354,29 +354,20 @@ def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: in
     return SweepReport(samples, seed, singular_count, min(sigmas), sum(sigmas) / len(sigmas), tuple(rows))
 
 
-def sweep_csv(report: SweepReport) -> str:
-    n_angles = len(report.rows[0].theta)
-    header = (
-        "sample_index,"
-        + ",".join(f"theta_{i + 1}" for i in range(n_angles))
-        + ",rank,sigma_min,singular"
-    )
-    lines = [header]
-    for row in report.rows:
-        lines.append(
-            f"{row.index},"
-            + ",".join(repr(t) for t in row.theta)
-            + f",{row.rank},{repr(row.sigma_min)},{'true' if row.singular else 'false'}"
-        )
+def _csv(index: str, tail: str, rows: list) -> str:
+    """CSV text: the header ``index,theta_1,...,theta_m,tail``, then one line per (i, angles, tail)."""
+    lines = [",".join([index, *(f"theta_{i + 1}" for i in range(len(rows[0][1]))), tail])]
+    lines += (",".join([str(i), *(repr(float(t)) for t in angles), rest]) for i, angles, rest in rows)
     return "\n".join(lines) + "\n"
+
+
+def sweep_csv(report: SweepReport) -> str:
+    rows = [(r.index, r.theta, f"{r.rank},{r.sigma_min!r},{'true' if r.singular else 'false'}") for r in report.rows]
+    return _csv("sample_index", "rank,sigma_min,singular", rows)
 
 
 # ---------------------------------------------------------------------------
 # reports
-
-
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(f"{float(x):.6g}" for x in v) + "]"
 
 
 def _verdict_json(verdict, exact_verdict=None) -> dict:
@@ -403,6 +394,16 @@ def _verdict_json(verdict, exact_verdict=None) -> dict:
     return out
 
 
+def _witness_lines(doc: dict) -> list[str]:
+    """The text line of the witness that a ``_verdict_json`` document carries, if it carries one."""
+    def vec(v) -> str:
+        return "[" + ", ".join(f"{float(x):.6g}" for x in v) + "]"
+    if "witness" in doc:
+        line = doc["witness"]
+        return [f"witness line through {vec(line['point'])} with direction {vec(line['direction'])}"]
+    return [f"hyperplane functional: {vec(doc['functional'])}"] if "functional" in doc else []
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -419,21 +420,16 @@ def _cmd_analyze_chain(args, sc: Scenario, chain: Chain, tol: float) -> tuple[di
     if args.exact:
         raise ScenarioError("--exact is not available for chains (placement needs trigonometry)")
     verdict = _verdict_for(chain, np.zeros(chain.n - 1), tol)
+    doc = _verdict_json(verdict)
     kind = "end-point" if chain.end_frame.k == 0 else f"end-frame (k={chain.end_frame.k})"
     state = "SINGULAR" if verdict.singular else "regular"
     lines = [
         f"{kind} map of a {chain.n}-body chain in R^{chain.d}: "
         f"rank {verdict.rank} of {verdict.full_rank} -> {state}",
         f"sigma_min = {verdict.certificate.singular_values[-1]:.6e}",
+        *_witness_lines(doc),
     ]
-    if isinstance(verdict.witness, analysis.WitnessLine):
-        lines.append(
-            f"witness line through {_fmt_vec(verdict.witness.point)} "
-            f"with direction {_fmt_vec(verdict.witness.direction)}"
-        )
-    elif verdict.witness is not None:
-        lines.append(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
-    return _verdict_json(verdict), "\n".join(lines)
+    return doc, "\n".join(lines)
 
 
 def _cmd_analyze_cycle(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
@@ -442,19 +438,19 @@ def _cmd_analyze_cycle(args, sc: Scenario, chain: Chain, tol: float) -> tuple[di
     if args.exact:
         _require_exact(sc)
         exact_verdict = analysis.cycle_mobility_exact(list(sc.axes))
+    doc = _verdict_json(verdict, exact_verdict)
     # the state word follows the mobility; JSON "singular" says the span misses a hyperplane
     state = "infinitesimally flexible" if verdict.mobility > 0 else "rigid"
     lines = [
         f"cycle of {len(sc.axes)} axes in R^{sc.d}: Plucker span rank {verdict.rank} of "
-        f"{verdict.full_rank} -> {state}, mobility {verdict.mobility}"
+        f"{verdict.full_rank} -> {state}, mobility {verdict.mobility}",
+        *_witness_lines(doc),
     ]
-    if verdict.witness is not None:
-        lines.append(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
     if exact_verdict is not None:
         lines.append(f"exact (rational) rank {exact_verdict.rank}, mobility {exact_verdict.mobility}")
         if exact_verdict.witness is not None:
             lines.append("exact functional: [" + ", ".join(str(x) for x in exact_verdict.witness) + "]")
-    return _verdict_json(verdict, exact_verdict), "\n".join(lines)
+    return doc, "\n".join(lines)
 
 
 def _cmd_analyze_platform(args, sc: Scenario, platform: analysis.Platform, tol: float) -> tuple[dict, str]:
@@ -463,17 +459,17 @@ def _cmd_analyze_platform(args, sc: Scenario, platform: analysis.Platform, tol: 
     if args.exact:
         _require_exact(sc)
         exact_verdict = analysis.platform_flexibility(platform, exact=True)
+    doc = _verdict_json(verdict, exact_verdict)
     state = "flexible" if verdict.singular else "rigid"
     lines = [
         f"platform in R^{sc.d} with {len(sc.legs)} legs: {state} "
-        f"(rank {verdict.rank} {'<' if verdict.singular else '='} {verdict.full_rank})"
+        f"(rank {verdict.rank} {'<' if verdict.singular else '='} {verdict.full_rank})",
+        *_witness_lines(doc),
     ]
-    if verdict.witness is not None:
-        lines.append(f"hyperplane functional: {_fmt_vec(verdict.witness)}")
     if exact_verdict is not None:
         state = "flexible" if exact_verdict.singular else "rigid"
         lines.append(f"exact (rational) rank {exact_verdict.rank} -> {state}")
-    return _verdict_json(verdict, exact_verdict), "\n".join(lines)
+    return doc, "\n".join(lines)
 
 
 def _linkage_json(lk: linkage_mod.Linkage) -> dict:
@@ -509,10 +505,8 @@ def _cmd_flex(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
     except GenericityError as exc:  # check_linkage_invariance re-raises every build failure as this
         print(f"linkage drift unavailable: {exc}", file=sys.stderr)
     if args.csv:
-        lines = ["step," + ",".join(f"theta_{i + 1}" for i in range(chain.n - 1)) + ",residual"]
-        for i, (t, r) in enumerate(zip(path, residuals)):
-            lines.append(f"{i}," + ",".join(repr(float(x)) for x in t) + f",{repr(r)}")
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        rows = [(i, t, repr(r)) for i, (t, r) in enumerate(zip(path, residuals))]
+        Path(args.csv).write_text(_csv("step", "residual", rows))
     doc = {
         "steps": args.steps,
         "step_size": args.step_size,

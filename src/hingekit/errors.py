@@ -74,7 +74,7 @@ class ConsistencyError(HingekitError):
 
 
 class ToleranceError(HingekitError, ValueError):
-    """A rank tolerance that is not a finite number > 0."""
+    """A rank tolerance that is not a finite number > 0, or one that cuts rows independent by construction."""
 
 
 class ScenarioError(HingekitError):

@@ -60,6 +60,7 @@ from hingekit.errors import (
     GradeError,
     HingekitError,
     ScenarioError,
+    ToleranceError,
     WrongMapError,
 )
 from hingekit.exterior import _exact_minor_rows, _minor_rows, numeric_rank, positive_lead
@@ -202,6 +203,14 @@ def test_pairing_rows_match_jacobian_rows():
         assert gap < 1e-9 * max(1.0, float(np.max(np.abs(jac))))
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_grid_oracle_falls_back_when_every_axis_holds_the_end_point(d):
+    # every pairing row is exactly zero, so the oracle answers before its grid, which covers d <= 3 only
+    axes = [make_axis(d, np.zeros(d), rows) for rows in (np.eye(d)[2:], np.eye(d)[:d - 2], np.eye(d)[1:d - 1])]
+    found, direction, residual = grid_incident_line(np.zeros(d), axes)
+    assert found and residual == 0.0 and np.array_equal(direction, np.eye(d)[0])
+
+
 def test_grid_oracle_agrees_both_ways():
     rng = rng_from(304)
     for d in (2, 3):
@@ -294,6 +303,28 @@ def test_frame_rank_matches_finite_differences():
         assert fd_rank == frame_singularity(c, theta).rank
 
 
+@pytest.mark.parametrize("chain", [
+    lambda: classical_scenario("generic-cycle"),
+    lambda: random_chain(rng_from(31), 3, 5, k=1),
+    lambda: random_chain(rng_from(32), 5, 9, k=2),
+], ids=["generic-cycle", "k=1-chain", "k=2-chain"])
+def test_a_frame_verdict_never_reports_a_negative_rank(chain):
+    # the stabilizer rows are independent, so only a coarse tolerance can cut the span below them
+    c = chain()
+    stab_dim = comb(c.d - c.end_frame.k, 2)
+    cut = []
+    for tol in [10.0**e for e in range(-12, 4)] + [1e300]:
+        try:
+            v = frame_singularity(c, np.zeros(c.n - 1), tol=tol)
+        except ToleranceError as exc:
+            message = rf"tolerance {re.escape(str(tol))} cuts the end frame's stabilizer: span rank \d+ < {stab_dim}"
+            assert re.fullmatch(message, str(exc))
+            cut.append(tol)
+        else:
+            assert 0 <= v.rank <= v.full_rank
+    assert 1e300 in cut
+
+
 def test_singular_cycle_frame_map():
     axes = classical_scenario("bricard-symmetric-six", seed=2)
     c = cycle_chain(axes)
@@ -312,6 +343,18 @@ def test_bricard_cycles_have_mobility_one():
         assert v.rank <= 5
         assert v.mobility >= 1
         assert v.singular
+
+
+def test_bricard_lines_resample_a_batch_with_a_zero_direction():
+    # seed 839 is the first seed whose first batch draws a zero direction (found by search);
+    # replay that batch, then check the lines come from a later one
+    rng = rng_from(839, 104729)
+    first = [rng.integers(-5, 6, 3) for _ in range(6)]
+    assert any(not u.any() for u in first[1::2])
+    lines = bricard_symmetric_lines(839)
+    assert all(any(u) for _, u in lines)
+    assert [p for p, _ in lines[:3]] != [list(p) for p in first[0::2]]
+    assert not any(_coincident(a, b) for a, b in itertools.combinations(lines, 2))
 
 
 def test_bricard_involution_dependence_exact():
@@ -983,7 +1026,13 @@ def test_float_cycle_verdict_keeps_its_error_contract():
     (lambda: Platform(3, [((0, 0), (1, 1, 1))] + [((0, 0, 0), (1, 1, 1))] * 5), DefinitionError,
      "leg 1: endpoints must be points of R^3"),
     (lambda: classical_scenario("planar-arm", lengths=(1, 0)), ScenarioError, "planar arm lengths must be positive"),
-], ids=["endpoint-of-a-frame-chain", "platform-leg-length", "planar-arm-zero-length"])
+    # the joints overflow to inf, which the chain used to read as an end-point on the last axis
+    (lambda: classical_scenario("planar-arm", lengths=(1e308, 1e308)), ScenarioError,
+     "planar arm lengths must have a finite sum, got inf"),
+    (lambda: grid_incident_line(np.ones(4), [make_axis(4, np.zeros(4), np.eye(4)[2:])]), DimensionError,
+     "the direction grid oracle only covers d = 2 and d = 3"),
+], ids=["endpoint-of-a-frame-chain", "platform-leg-length", "planar-arm-zero-length", "planar-arm-overflow",
+        "grid-oracle-d4"])
 def test_analysis_refuses_malformed_inputs_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -334,6 +334,48 @@ def test_flex_cycle_refuses_a_step_that_is_not_finite_before_placing(step, monke
         flex_cycle(c, np.zeros(6), basis[0], step)
 
 
+@pytest.mark.parametrize("steps", [0, 3])
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
+def test_flex_path_refuses_a_step_that_is_not_finite_for_any_step_count(step, steps, monkeypatch):
+    # with 0 steps flex_cycle never runs, and a NaN step size reached the --json output
+    c = random_cycle(rng_from(114), 3, 7)
+
+    def refuse(*args):
+        raise AssertionError("a configuration was placed")
+
+    monkeypatch.setattr(chain_module, "_place", refuse)
+    chain_module._placed.cache_clear()
+    with pytest.raises(DefinitionError, match=rf"^a flex step must be a finite number, got {step!r}$"):
+        flex_path(c, steps, step)
+
+
+class _Scripted:
+    """Stands in for a numpy Generator: each draw returns the next queued values, in the shape asked for."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def _next(self, *args):
+        return np.reshape(np.asarray(self.draws.pop(0), dtype=float), args[-1])
+
+    uniform = standard_normal = _next  # uniform(low, high, size) and standard_normal(size)
+
+
+def test_random_chain_resamples_an_end_point_drawn_on_the_last_axis():
+    # one axis of R^3 along e_3 through 0; the first end-point (0, 0, 2) lies on it
+    rng = _Scripted((0, 0, 0), [(0, 0, 1)], (0, 0, 2), np.zeros((0, 3)), (1, 0, 0), np.zeros((0, 3)))
+    c = random_chain(rng, 3, 2)
+    assert rng.draws == [] and np.array_equal(c.end_frame.origin, (1, 0, 0))
+
+
+def test_random_cycle_resamples_a_closing_point_on_the_last_axis():
+    # in R^2 an axis is a point; the first draw closes the cycle on the point before it
+    first, second = [(0, 0), (1, 1), (1, 1)], [(0, 0), (1, 0), (0, 1)]
+    rng = _Scripted(*(draw for point in first + second for draw in (point, np.zeros((0, 2)))))
+    c = random_cycle(rng, 2, 3)
+    assert rng.draws == [] and np.array_equal(c.closing_axis.origin, (0, 1))
+
+
 def test_random_axis_needs_dimension_two():
     with pytest.raises(DimensionError):
         random_axis(rng_from(0), 1)

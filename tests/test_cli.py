@@ -710,6 +710,26 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze-chain", "CYCLE", "--tol", "0.5"], "tolerance 0.5 cuts the end frame's stabilizer: span rank 0 < 1"),
+    (["sweep", "CYCLE", "--samples", "1", "--tol", "1e300"],
+     "tolerance 1e+300 cuts the end frame's stabilizer: span rank 0 < 1"),
+    (["flex", "CYCLE", "--json", "--steps", "0", "--step-size", "nan"], "a flex step must be a finite number, got nan"),
+    (["flex", "CYCLE", "--json", "--steps", "0", "--step-size", "inf"], "a flex step must be a finite number, got inf"),
+    (["example", "planar-arm", "--lengths", "1e308,1e308"], "planar arm lengths must have a finite sum, got inf"),
+], ids=["analyze-chain-tol-cuts-stabilizer", "sweep-tol-cuts-stabilizer", "flex-0-steps-nan", "flex-0-steps-inf",
+        "planar-arm-overflow"])
+def test_inputs_once_passed_or_misnamed_exit_2_with_their_own_message(tmp_path, capsys, argv, message):
+    # the first two printed a rank of -1 and the flex runs printed "step_size": NaN, all with exit 0;
+    # the planar arm overflowed to inf and was refused as an end-point on its last axis
+    path = tmp_path / "cycle.json"
+    path.write_text(example_text(capsys, "generic-cycle"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(capsys, [str(path) if arg == "CYCLE" else arg for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_samplers_with_one_body_fail_instead_of_hanging():
     # run in a child process: before the check these calls retried forever
     import os

@@ -502,6 +502,14 @@ def test_affine_intersection_generic_3spaces_r5():
     assert flat is not None and flat.flat_dim == 1
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_affine_intersection_of_one_flat_that_spans_the_space_is_the_space(d):
+    # the stacked constraint system is all zero: rank 0, so the flat of dimension d comes back
+    flat = affine_intersection([AffineSubspace(d, np.arange(1.0, d + 1), np.eye(d))])
+    assert flat is not None and flat.flat_dim == d and not flat.near_degenerate
+    assert np.array_equal(flat.origin, np.zeros(d)) and flat.contains(np.full(d, 7.0))
+
+
 def test_affine_intersection_empty():
     l1 = AffineSubspace(3, np.array([0.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0]]))
     l2 = AffineSubspace(3, np.array([0.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0]]))

@@ -56,7 +56,16 @@ stabilizer (exit 2, not a rank of -1); ``flex --json --steps 0`` with a
 ``--step-size`` of ``nan`` and of ``inf`` (exit 2, not a ``NaN`` in the
 JSON); and ``example planar-arm --lengths 1e308,1e308``, whose joints
 overflow (exit 2 naming the finite sum, not an end-point on the last
-axis).
+axis). Four more ran with exit 0 and a rank of 0, at a tolerance that
+cuts every singular value, and now exit 2: ``analyze-cycle --tol 0.5`` on
+the generic cycle, ``analyze-platform --tol 10`` on Desargues, and
+``analyze-chain --tol 0.5`` and ``sweep --samples 2 --tol 0.5`` on the
+planar arm. The boundary cases of the stacked read of a scenario's axes
+run in text and ``--exact --json`` form: a NaN literal, a boolean inside
+``dirs`` and 10^400 as coordinates (malformed, exit 2), a d=4 integer
+cycle with one coordinate of 2^63, past int64, whose exact verdict stays
+on Python ints, and the same cycle with one float coordinate, which
+``--exact`` refuses by its JSON path.
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -303,8 +312,16 @@ MALFORMED = {
     "dependent-axis": _cycle4(_PLANE4, _DEPENDENT4, _PLANE4),
     "huge-then-dependent": _cycle4(_HUGE4, _DEPENDENT4, _PLANE4),
     "dependent-then-huge": _cycle4(_DEPENDENT4, _HUGE4, _PLANE4),
+    # values the stacked read of the axes hands to the per-number parser
+    "bad-nan": dict(_CYCLE, axes=[dict(_AXIS, origin=[0, float("nan"), 0]), _TWO[1]]),
+    "bad-boolean-dirs": dict(_CYCLE, axes=[dict(_AXIS, dirs=[[0, False, 1]]), _TWO[1]]),
+    "bad-huge-int": dict(_CYCLE, axes=[dict(_AXIS, origin=[0, 10**400, 0]), _TWO[1]]),
 }
 SCENARIOS.update(MALFORMED)
+# the integer cycle in R^4 with one origin coordinate set to 2^63, past int64, or to the float 0.5
+for tag, at, value in (("cycle-d4n9-2e63", 4, 2**63), ("cycle-d4n9-float", 6, 0.5)):
+    SCENARIOS[tag] = {"kind": "cycle", "d": 4, "axes": [
+        {"origin": [value, *origin[1:]] if i == at else origin, "dirs": dirs} for i, (origin, dirs) in enumerate(D4N9)]}
 _ANALYZE = {"chain": "analyze-chain", "cycle": "analyze-cycle", "platform": "analyze-platform"}
 
 RUNS = [
@@ -379,6 +396,14 @@ RUNS = [
     ["convert-linkage", "{cycle-d4n3}"], ["convert-linkage", "{cycle-d4n3}", "--json"],
     *([_ANALYZE.get(doc["kind"] if isinstance(doc, dict) else "", "analyze-cycle"), f"{{{tag}}}"]
       for tag, doc in MALFORMED.items()),
+    # a tolerance that cuts every singular value
+    ["analyze-cycle", "{cycle}", "--tol", "0.5"], ["analyze-platform", "{desargues}", "--tol", "10"],
+    ["analyze-chain", "{arm}", "--tol", "0.5"], ["sweep", "{arm}", "--samples", "2", "--tol", "0.5"],
+    # the boundary of the stacked read: malformed values, an int past int64, a float under --exact
+    *(["analyze-cycle", "{bad-nan}", "--exact", "--json"], ["analyze-cycle", "{bad-boolean-dirs}", "--exact", "--json"],
+      ["analyze-cycle", "{bad-huge-int}", "--exact", "--json"]),
+    *(["analyze-cycle", f"{{{tag}}}", *flags]
+      for tag in ("cycle-d4n9-2e63", "cycle-d4n9-float") for flags in ([], ["--exact", "--json"])),
 ]
 
 

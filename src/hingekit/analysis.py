@@ -31,7 +31,7 @@ from .errors import (
     WrongMapError,
 )
 from .exterior import MIXED_SPAN, ExteriorVector, RankCertificate, numeric_rank, positive_lead, top_pairing
-from .exterior import _complement_table, _exact_minor_rows, _minor_rows, _rank_rows, _to_fraction, subsets
+from .exterior import _complement_table, _exact_minor_rows, _minor_rows, _rank_rows, _to_fraction, check_tolerance, subsets
 from .geometry import Axis, Frame, _lift, _lift_stack, axis_plucker, flat_plucker, line_plucker, make_axis
 from .sampling import random_cycle, rng_from
 
@@ -306,9 +306,16 @@ def _span_verdict(rows: np.ndarray, tol: float = 1e-10, stab_dim: int = 0, cycle
     """
     if cycle and len(rows) < 2:
         raise DefinitionError("a cycle needs at least two axes")
-    cert = _rank_rows(rows, rows.shape[1], tol)
-    if cert.rank < stab_dim:
-        raise ToleranceError(f"tolerance {tol} cuts the end frame's stabilizer: span rank {cert.rank} < {stab_dim}")
+    try:
+        cert = _rank_rows(rows, rows.shape[1], tol)
+        rank = cert.rank
+    except ToleranceError:
+        if not stab_dim:
+            raise
+        check_tolerance(tol)  # a bad tolerance is refused as such; a good one cut every singular value
+        rank = 0
+    if rank < stab_dim:
+        raise ToleranceError(f"tolerance {tol} cuts the end frame's stabilizer: span rank {rank} < {stab_dim}")
     mobility = len(rows) - cert.rank if cycle else None
     return Verdict(cert.rank - stab_dim, rows.shape[1] - stab_dim, cert, cert.conull, mobility)
 
@@ -352,7 +359,12 @@ def cycle_mobility_exact(raw_axes) -> Verdict:
     keeps every coefficient rational and the rank exact. All the axes are
     wedged in one batch of ``_exact_minor_rows``.
     """
-    rows = _exact_minor_rows([_lift([origin], dirs) for origin, dirs in raw_axes])
+    return _exact_cycle_verdict([_lift([origin], dirs) for origin, dirs in raw_axes])
+
+
+def _exact_cycle_verdict(lifted) -> Verdict:
+    """``cycle_mobility_exact`` of lifted axes: (d-1, d+1) rational matrices, or their int64 stack."""
+    rows = _exact_minor_rows(lifted)
     if not rows.any(axis=1).all():
         raise DegenerateAxisError("axis directions are linearly dependent")
     return _span_verdict(rows, cycle=True)

@@ -15,6 +15,10 @@ Scenario schema (JSON object):
 
 Coordinates may be numbers or exact rationals written as strings "a/b";
 rational values survive parsing untouched, which is what --exact runs on.
+The axes of a chain or cycle whose coordinates are all plain ints and
+floats are read with one type scan straight into one stacked array; any
+other axes, and every other coordinate, go through the per-number parser,
+which is also the source of every schema message.
 
 A top-level key that the scenario's kind does not read is rejected.
 
@@ -26,17 +30,20 @@ its CSV file, if it has one, and returns its --json document and its text
 report; ``run`` prints one of them, the one write to stdout. Warnings go to stderr.
 
 Exit codes: 0 success, 2 input error, 4 internal consistency error, 3 any
-other hingekit error (genericity, degeneracy, provenance, ...).
+other hingekit error (genericity, degeneracy, provenance, ...), 1 when the
+reader closes stdout before the output is written (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +95,9 @@ class Scenario:
     panel: bool = False
     seed: int | None = None
     tol: float | None = None
+    # the (n, d-1, d) stack of ``_scan_axes`` when ``_load``'s scan read the axes; not an
+    # init field, so a ``dataclasses.replace`` copy rebuilds its stack from ``axes``
+    _coords: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _num(value, path: str, index: int | None = None):
@@ -139,6 +149,35 @@ def _entry(value, path: str, d: int, key: str) -> tuple[tuple, tuple[tuple, ...]
     return origin, _rows(value.get(key, []), f"{path}.{key}", d)
 
 
+def _scan_axes(axes: list, d: int) -> np.ndarray | None:
+    """The axes' coordinates as one (n, d-1, d) stack, each origin then its directions: int64 when
+    every coordinate is an int that fits, float64 when each is an int or a finite float, else None,
+    for the per-number parser to read or refuse by name. Python types, scanned before any array is
+    built, pick int or float: numpy types [1, 2**63] as float64 and [True, 1] as int64.
+    """
+    rows = []
+    for a in axes:
+        if type(a) is not dict or "origin" not in a or len(a) != 1 + ("dirs" in a):
+            return None
+        dirs = a.get("dirs", [])
+        if type(dirs) is not list or len(dirs) != d - 2:
+            return None
+        rows += [a["origin"], *dirs]
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {d}:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    types = set(map(type, flat))
+    try:
+        if types == {int}:
+            return np.array(flat, dtype=np.int64).reshape(len(axes), d - 1, d)
+        if types <= {int, float}:
+            stack = np.array(flat, dtype=float).reshape(len(axes), d - 1, d)
+            return stack if np.isfinite(stack).all() else None
+    except OverflowError:
+        pass
+    return None
+
+
 _KIND_KEYS = {
     "chain": {"kind", "d", "axes", "end_frame", "panel", "seed", "tol"},
     "cycle": {"kind", "d", "axes", "panel", "seed", "tol"},
@@ -180,24 +219,29 @@ def _load(text: str) -> tuple[Scenario, Chain | analysis.Platform]:
         raise ScenarioError("seed: expected an integer >= 0")
     tol = doc.get("tol")
     if tol is not None:
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
-            raise ScenarioError("tol: expected a finite number > 0")
-        tol = float(tol)
+        try:  # anything but an int or a float fails as NaN; an int past a float overflows
+            tol = check_tolerance(float(tol) if type(tol) in (int, float) else math.nan)
+        except (ToleranceError, OverflowError):
+            raise ScenarioError("tol: expected a finite number > 0") from None
     panel = doc.get("panel", False)
     if not isinstance(panel, bool):
         raise ScenarioError("panel: expected a boolean")
 
-    axes = end_frame = legs = None
+    axes = end_frame = legs = coords = None
     if kind in ("chain", "cycle"):
         if "axes" not in doc or not isinstance(doc["axes"], list) or not doc["axes"]:
             raise ScenarioError("axes: expected a nonempty array")
-        axes = []
-        for i, a in enumerate(doc["axes"]):
-            origin, dirs = _entry(a, f"axes[{i}]", d, "dirs")
-            if len(dirs) != d - 2:
-                raise ScenarioError(f"axes[{i}].dirs: an axis of R^{d} needs {d - 2} directions")
-            axes.append((origin, dirs))
-        axes = tuple(axes)
+        coords = _scan_axes(doc["axes"], d)
+        if coords is not None:
+            axes = tuple((tuple(a["origin"]), tuple(map(tuple, a.get("dirs", [])))) for a in doc["axes"])
+        else:
+            axes = []
+            for i, a in enumerate(doc["axes"]):
+                origin, dirs = _entry(a, f"axes[{i}]", d, "dirs")
+                if len(dirs) != d - 2:
+                    raise ScenarioError(f"axes[{i}].dirs: an axis of R^{d} needs {d - 2} directions")
+                axes.append((origin, dirs))
+            axes = tuple(axes)
         if kind == "cycle" and len(axes) < 2:
             raise ScenarioError("axes: a cycle needs at least two axes")
         if kind == "chain":
@@ -217,6 +261,7 @@ def _load(text: str) -> tuple[Scenario, Chain | analysis.Platform]:
         legs = tuple(legs)
 
     scenario = Scenario(kind, d, axes, end_frame, legs, panel, seed, tol)
+    object.__setattr__(scenario, "_coords", coords)
     build = {"chain": scenario_chain, "cycle": scenario_cycle_chain, "platform": scenario_platform}[kind]
     try:
         return scenario, build(scenario)
@@ -238,8 +283,11 @@ def _at(path: str, build, *args):
 
 def scenario_axes(sc: Scenario):
     """Orthonormalized Axis objects for a chain or cycle scenario, built in one stacked pass."""
-    origins = np.array([_floats(origin) for origin, _ in sc.axes])
-    dirs = np.array([[_floats(v) for v in dirs] for _, dirs in sc.axes]).reshape(len(sc.axes), sc.d - 2, sc.d)
+    if sc._coords is not None:
+        coords = sc._coords.astype(float)
+    else:  # numpy reads an int or a Fraction by float(), as the scan does
+        coords = np.array([[origin, *dirs] for origin, dirs in sc.axes], dtype=float)
+    origins, dirs = np.ascontiguousarray(coords[:, 0]), np.ascontiguousarray(coords[:, 1:])
     return _at("axes[{}].dirs", make_axes, sc.d, origins, dirs)
 
 
@@ -258,7 +306,12 @@ def scenario_platform(sc: Scenario) -> analysis.Platform:
 
 
 def _require_exact(sc: Scenario) -> None:
-    """Reject float coordinates before an --exact run; ints and 'a/b' strings pass."""
+    """Reject float coordinates before an --exact run; ints and 'a/b' strings pass.
+
+    Axes the scan read as int64 pass on that dtype; any others are walked for the first float.
+    """
+    if sc._coords is not None and sc._coords.dtype == np.int64:
+        return
     vectors = []
     for i, (origin, dirs) in enumerate(sc.axes or ()):
         vectors.append((f"axes[{i}].origin", origin))
@@ -269,6 +322,17 @@ def _require_exact(sc: Scenario) -> None:
         for k, x in enumerate(values):
             if isinstance(x, float):
                 raise ScenarioError(f"{path}[{k}]: exact mode needs integers or 'a/b' strings, got a float")
+
+
+def _exact_cycle(sc: Scenario) -> analysis.Verdict:
+    """The --exact verdict of a cycle scenario, on the scan's int64 stack when it has one."""
+    _require_exact(sc)
+    if sc._coords is None:
+        return analysis.cycle_mobility_exact(list(sc.axes))
+    # the stack lifted as cycle_mobility_exact lifts each axis: a 1 after the origin, a 0 after each direction
+    lifted = np.zeros(sc._coords.shape[:2] + (sc.d + 1,), dtype=np.int64)
+    lifted[:, :, :-1], lifted[:, 0, -1] = sc._coords, 1
+    return analysis._exact_cycle_verdict(lifted)
 
 
 def _emit(x):
@@ -434,10 +498,7 @@ def _cmd_analyze_chain(args, sc: Scenario, chain: Chain, tol: float) -> tuple[di
 
 def _cmd_analyze_cycle(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
     verdict = analysis.cycle_mobility([*chain.ref_axes, chain.closing_axis], tol=tol)
-    exact_verdict = None
-    if args.exact:
-        _require_exact(sc)
-        exact_verdict = analysis.cycle_mobility_exact(list(sc.axes))
+    exact_verdict = _exact_cycle(sc) if args.exact else None
     doc = _verdict_json(verdict, exact_verdict)
     # the state word follows the mobility; JSON "singular" says the span misses a hyperplane
     state = "infinitesimally flexible" if verdict.mobility > 0 else "rigid"
@@ -685,8 +746,15 @@ def run(argv=None) -> int:
                 doc, text = args.fn(args, sc, built, tol)
                 if args.json:
                     text = json.dumps(doc, indent=2)
-            print(text)
-            return 0
+        try:
+            print(text, flush=True)  # so a closed pipe shows here, not at interpreter exit
+        except BrokenPipeError:
+            # the recipe of the signal module's "Note on SIGPIPE": later flushes go to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
+        return 0
     except (ScenarioError, DefinitionError, DimensionError, WrongMapError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

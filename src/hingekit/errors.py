@@ -74,7 +74,8 @@ class ConsistencyError(HingekitError):
 
 
 class ToleranceError(HingekitError, ValueError):
-    """A rank tolerance that is not a finite number > 0, or one that cuts rows independent by construction."""
+    """A rank tolerance that is not a finite number > 0, or one that cuts every singular value
+    of a nonzero matrix or rows independent by construction."""
 
 
 class ScenarioError(HingekitError):

@@ -397,7 +397,9 @@ def numeric_rank(matrix: np.ndarray, tol: float):
     max(matrix.shape)``. Returns ``(rank, cutoff, u, sigma, vh)`` from one
     full SVD, so callers read null bases off ``u[:, rank:]`` and
     ``vh[rank:]``. ``tol`` must pass ``check_tolerance``; a matrix with an
-    inf or NaN entry raises DegenerateGeometryError before the SVD.
+    inf or NaN entry raises DegenerateGeometryError before the SVD. A
+    tolerance that cuts every singular value of a nonzero matrix, as any
+    ``tol >= 1 / max(matrix.shape)`` does, raises ToleranceError.
     """
     check_tolerance(tol)
     if not np.isfinite(matrix).all():
@@ -405,7 +407,11 @@ def numeric_rank(matrix: np.ndarray, tol: float):
     u, sig, vh = np.linalg.svd(matrix, full_matrices=True)
     sigma_max = sig[0] if sig.size else 0.0
     cutoff = tol * sigma_max * max(matrix.shape)
-    return int(np.sum(sig > cutoff)), cutoff, u, sig, vh
+    rank = int(np.sum(sig > cutoff))
+    if rank == 0 and sigma_max > 0:
+        rows, cols = matrix.shape
+        raise ToleranceError(f"tolerance {tol} cuts every singular value of a {rows} x {cols} matrix")
+    return rank, cutoff, u, sig, vh
 
 
 def positive_lead(v: np.ndarray) -> np.ndarray:

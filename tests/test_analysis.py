@@ -325,6 +325,19 @@ def test_a_frame_verdict_never_reports_a_negative_rank(chain):
     assert 1e300 in cut
 
 
+@pytest.mark.parametrize("verdict, tol, shape", [
+    (lambda tol: cycle_mobility([*(c := classical_scenario("generic-cycle")).ref_axes, c.closing_axis], tol=tol),
+     0.5, "7 x 6"),
+    (lambda tol: platform_flexibility(classical_scenario("desargues"), tol=tol), 10.0, "3 x 3"),
+    (lambda tol: endpoint_singularity(classical_scenario("planar-arm"), np.zeros(3), tol=tol), 0.5, "2 x 3"),
+], ids=["generic-cycle", "desargues", "planar-arm"])
+def test_a_tolerance_that_cuts_every_singular_value_is_refused(verdict, tol, shape):
+    # these read rank 0 (mobility 7, "flexible", rank 0 of 2) before the refusal; the default keeps full rank
+    assert verdict(1e-10).rank > 0
+    with pytest.raises(ToleranceError, match=f"^tolerance {tol} cuts every singular value of a {shape} matrix$"):
+        verdict(tol)
+
+
 def test_singular_cycle_frame_map():
     axes = classical_scenario("bricard-symmetric-six", seed=2)
     c = cycle_chain(axes)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from hingekit import cli
 from hingekit.cli import (
@@ -19,7 +22,9 @@ from hingekit.cli import (
     sweep_csv,
 )
 from hingekit import analysis
-from hingekit.errors import ConsistencyError, GradeError, ScenarioError
+from hingekit.chain import Chain, cycle_chain
+from hingekit.errors import ConsistencyError, GradeError, HingekitError, ScenarioError
+from hingekit.geometry import make_axes, make_frame
 from hingekit.linkage import cycle_to_linkage
 from hingekit.sampling import random_axis, rng_from
 
@@ -860,3 +865,195 @@ def test_overflowing_chain_sweep_exits_3_without_traceback(tmp_path, capsys):
         code, out, err = capture(capsys, ["sweep", str(path), "--samples", "3"])
     assert code == 3 and out == "" and "Traceback" not in err
     assert err.startswith("degenerate input:") and "overflows float arithmetic" in err
+
+
+# --- the stacked read of a scenario's axes ----------------------------------------
+
+
+def _per_number_load(text):
+    """The route ``_load`` took for every chain and cycle before the type scan, kept as the
+    reference: each axis through ``cli._entry``, built from per-value float tuples."""
+    doc = json.loads(text)
+    d, cycle = doc["d"], doc["kind"] == "cycle"
+    axes = []
+    for i, a in enumerate(doc["axes"]):
+        origin, dirs = cli._entry(a, f"axes[{i}]", d, "dirs")
+        if len(dirs) != d - 2:
+            raise ScenarioError(f"axes[{i}].dirs: an axis of R^{d} needs {d - 2} directions")
+        axes.append((origin, dirs))
+    if cycle and len(axes) < 2:
+        raise ScenarioError("axes: a cycle needs at least two axes")
+    end_frame = None if cycle else cli._entry(doc["end_frame"], "end_frame", d, "vecs")
+    sc = Scenario(doc["kind"], d, tuple(axes), end_frame)
+
+    def floats(values):
+        return tuple(float(x) for x in values)
+
+    origins = np.array([floats(origin) for origin, _ in sc.axes])
+    dirs = np.array([[floats(v) for v in dirs] for _, dirs in sc.axes]).reshape(len(sc.axes), d - 2, d)
+    try:
+        built = cli._at("axes[{}].dirs", make_axes, d, origins, dirs)
+        if cycle:
+            return sc, cycle_chain(built)
+        frame = cli._at("end_frame.vecs", make_frame, d, floats(end_frame[0]), [floats(v) for v in end_frame[1]])
+        return sc, Chain(d, tuple(built), frame)
+    except HingekitError as exc:
+        raise ScenarioError(f"semantic error: {exc}") from exc
+
+
+def _per_number_exact(sc):
+    """The --exact verdict before the scan: every coordinate walked for a float, then the tuples."""
+    for i, (origin, dirs) in enumerate(sc.axes):
+        for path, values in [(f"axes[{i}].origin", origin), *((f"axes[{i}].dirs[{j}]", v) for j, v in enumerate(dirs))]:
+            for k, x in enumerate(values):
+                if isinstance(x, float):
+                    raise ScenarioError(f"{path}[{k}]: exact mode needs integers or 'a/b' strings, got a float")
+    return analysis.cycle_mobility_exact(list(sc.axes))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the hingekit error it raised."""
+    try:
+        return fn(*args)
+    except HingekitError as exc:
+        return type(exc), str(exc)
+
+
+def _typed(x):
+    """Nested tuples of values with each value's type beside it: 1 == 1.0 == True would hide a change."""
+    return tuple(map(_typed, x)) if isinstance(x, tuple) else (type(x), x)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()
+
+
+# every literal the scan must hand to the per-number parser, or read exactly as it would
+_ODD_VALUES = ["1/2", "-7/3", "x/0", True, False, None, float("nan"), float("inf"), -float("inf"),
+               2**62, -2**63, 2**63, -2**63 - 1, 2**64, 10**400, -0.0, 5e-324]
+
+
+@st.composite
+def _scenario_texts(draw):
+    d, n = draw(st.integers(2, 8)), draw(st.integers(2, 5))
+    ints = st.integers(-9, 9)
+    number = ints if draw(st.booleans()) else st.one_of(ints, st.floats(-9, 9))
+    axes = [{"origin": draw(st.lists(number, min_size=d, max_size=d)),
+             "dirs": [draw(st.lists(number, min_size=d, max_size=d)) for _ in range(d - 2)]} for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        axis = axes[draw(st.integers(0, n - 1))]
+        row = draw(st.sampled_from([axis["origin"], *axis.get("dirs", [])]))
+        fault = draw(st.sampled_from(["value", "value", "value", "extra key", "short row", "no dirs"]))
+        if fault == "value":
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from(_ODD_VALUES))
+        elif fault == "extra key":
+            axis["normal"] = [0] * d
+        elif fault == "short row":
+            row.pop()
+        else:
+            axis.pop("dirs", None)
+    doc = {"kind": draw(st.sampled_from(["cycle", "chain"])), "d": d, "axes": axes}
+    if doc["kind"] == "chain":
+        doc["end_frame"] = {"origin": draw(st.lists(ints, min_size=d, max_size=d)), "vecs": []}
+    return json.dumps(doc)  # NaN and Infinity as their literals, 10**400 in digits
+
+
+def _three_axes(odd):
+    axes = [{"origin": [0, 0, 0], "dirs": [[0, 0, 1]]}, {"origin": [1, 0, 0], "dirs": [[0, 1, 0]]},
+            {"origin": [0, 1, odd], "dirs": [[1, 0, 0]]}]
+    return json.dumps({"kind": "cycle", "d": 3, "axes": axes})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenario_texts())
+@example(_three_axes(2**63)).via("an exact route on Python ints")
+@example(_three_axes(-2**63)).via("the int64 stack at its least value")
+@example(_three_axes("1/2")).via("an exact route on a Fraction")
+@example(_three_axes(0.5)).via("a float refused by --exact")
+def test_the_stacked_read_equals_the_per_number_route(text):
+    ours, ref = _outcome(cli._load, text), _outcome(_per_number_load, text)
+    if not isinstance(ref[0], Scenario):
+        assert ours == ref
+        return
+    (sc, chain), (ref_sc, ref_chain) = ours, ref
+    assert sc == ref_sc and _typed(sc.axes) == _typed(ref_sc.axes)
+    # every axis, and the end frame of a chain, bit for bit
+    for a, b in zip(*([*c.ref_axes, c.closing_axis or c.end_frame] for c in (chain, ref_chain))):
+        assert _bits(a.origin) == _bits(b.origin)
+        assert _bits(a.vecs if sc.kind == "chain" and a is chain.end_frame else a.dirs) == \
+            _bits(b.vecs if sc.kind == "chain" and b is ref_chain.end_frame else b.dirs)
+    if sc.kind == "cycle":
+        exact, ref_exact = _outcome(cli._exact_cycle, sc), _outcome(_per_number_exact, ref_sc)
+        if isinstance(ref_exact, analysis.Verdict):
+            assert cli._verdict_json(exact) == cli._verdict_json(ref_exact)
+        else:
+            assert exact == ref_exact
+
+
+@pytest.mark.parametrize("floats, path", [
+    ([(1, 1, 2), (2, 0, 0)], "axes[1].dirs[0][2]"),
+    ([(3, 2, 1), (2, 0, 3)], "axes[2].origin[3]"),
+    ([(8, 2, 3)], "axes[8].dirs[1][3]"),
+], ids=["dirs-first", "origin-first", "last-entry"])
+def test_an_exact_run_names_the_first_float_in_axis_order(tmp_path, capsys, floats, path):
+    # (axis, row, k): row 0 is the origin, row r the direction r - 1
+    axes = [{"origin": list(origin), "dirs": [list(v) for v in dirs]} for origin, dirs in D4N9_AXES]
+    for axis, row, k in floats:
+        (axes[axis]["origin"] if row == 0 else axes[axis]["dirs"][row - 1])[k] += 0.5
+    file = tmp_path / "cycle.json"
+    file.write_text(json.dumps({"kind": "cycle", "d": 4, "axes": axes}))
+    assert cli._load(file.read_text())[0]._coords.dtype == np.float64
+    for json_flag in ([], ["--json"]):
+        code, out, err = capture(capsys, ["analyze-cycle", str(file), "--exact", *json_flag])
+        assert (code, out, err) == (2, "", f"error: {path}: exact mode needs integers or 'a/b' strings, got a float\n")
+
+
+def test_a_replaced_scenario_builds_from_its_own_axes():
+    doc = {"kind": "cycle", "d": 4, "axes": [{"origin": o, "dirs": dirs} for o, dirs in D4N9_AXES]}
+    sc = parse_scenario(json.dumps(doc))
+    assert sc._coords.dtype == np.int64
+    moved = dataclasses.replace(sc, axes=tuple((tuple(x + 1 for x in o), dirs) for o, dirs in sc.axes))
+    assert moved._coords is None
+    assert np.array_equal(scenario_cycle_chain(moved).ref_axes[0].origin, np.array(D4N9_AXES[0][0]) + 1)
+
+
+# --- tolerances that cut every singular value, and a closed stdout ----------------
+
+
+@pytest.mark.parametrize("example, argv, message", [
+    ("generic-cycle", ["analyze-cycle", "--tol", "0.5"], "tolerance 0.5 cuts every singular value of a 7 x 6 matrix"),
+    ("desargues", ["analyze-platform", "--tol", "10"], "tolerance 10.0 cuts every singular value of a 3 x 3 matrix"),
+    ("planar-arm", ["analyze-chain", "--tol", "0.5"], "tolerance 0.5 cuts every singular value of a 2 x 3 matrix"),
+    ("planar-arm", ["sweep", "--tol", "0.5", "--samples", "2"],
+     "tolerance 0.5 cuts every singular value of a 2 x 3 matrix"),
+], ids=["analyze-cycle", "analyze-platform", "analyze-chain", "sweep"])
+def test_a_tolerance_that_cuts_every_singular_value_exits_2(tmp_path, capsys, example, argv, message):
+    # each exited 0 with rank 0: mobility 7, "flexible (rank 0 < 3)", rank 0 of 2, and two singular samples
+    path = tmp_path / "scenario.json"
+    path.write_text(example_text(capsys, example))
+    code, out, err = capture(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path, capsys):
+    # as `hingekit sweep arm.json --samples 2000 | head -1`: the CSV outgrows the pipe's buffer,
+    # so the write is still under way when the reader closes its end
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "arm.json"
+    path.write_text(example_text(capsys, "planar-arm"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "hingekit.cli", "sweep", str(path), "--samples", "2000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"swept 2000 samples") and err == b""

@@ -221,6 +221,20 @@ def test_numeric_rank_rejects_bad_tolerance(tol):
         rank_of_span([basis_wedge(3, (0, 1))], expected_rank=1, tol=tol)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5), (7, 6)])
+def test_numeric_rank_refuses_a_tolerance_that_cuts_every_singular_value(shape):
+    # the cutoff is tol * sigma_max * max(shape), so 1 / max(shape) is the first tolerance that cuts all
+    matrix = np.random.default_rng(0).standard_normal(shape)
+    edge = 1.0 / max(shape)
+    assert numeric_rank(matrix, 0.99 * edge)[0] >= 1
+    for tol in (edge, 0.5, 10.0, 1e300):
+        message = f"tolerance {tol} cuts every singular value of a {shape[0]} x {shape[1]} matrix"
+        with pytest.raises(ToleranceError, match=f"^{re.escape(message)}$"):
+            numeric_rank(matrix, tol)
+    # a zero matrix keeps no singular value at any tolerance, and that is its rank
+    assert numeric_rank(np.zeros(shape), 10.0)[0] == 0
+
+
 @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
 def test_numeric_rank_rejects_non_finite_entries(bad):
     matrix = np.eye(3)

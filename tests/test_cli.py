@@ -944,11 +944,11 @@ def _scenario_texts(draw):
         axis = axes[draw(st.integers(0, n - 1))]
         row = draw(st.sampled_from([axis["origin"], *axis.get("dirs", [])]))
         fault = draw(st.sampled_from(["value", "value", "value", "extra key", "short row", "no dirs"]))
-        if fault == "value":
-            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from(_ODD_VALUES))
+        if fault == "value" and row:  # an earlier fault may have shortened the row
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_VALUES))
         elif fault == "extra key":
             axis["normal"] = [0] * d
-        elif fault == "short row":
+        elif fault == "short row" and row:
             row.pop()
         else:
             axis.pop("dirs", None)

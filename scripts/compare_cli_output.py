@@ -75,7 +75,8 @@ each difference it says whether only numeric tokens differ, and if so how
 many numbers differ, how many of those are below MAGNITUDE_FLOOR on both
 sides (rounding-level values), how many of the others differ by more than
 REL_BOUND relative, and the largest relative gap among the others, so a
-last-place change reads as a gap near 1e-16, not as 0.
+last-place change reads as a gap near 1e-16, not as 0. A last line gives
+the line count of ``src/hingekit/*.py`` on both sides, as ``wc -l`` counts it.
 
     python scripts/compare_cli_output.py HEAD~1
 """
@@ -514,6 +515,8 @@ def main() -> int:
             tar.extractall(tmp / "ref", filter="data")
         ours = _side(ROOT / "src", tmp / "ours")
         theirs = _side(tmp / "ref" / "src", tmp / "theirs")
+        lines = {side: sum(len(f.read_text().splitlines()) for f in (src / "hingekit").glob("*.py"))
+                 for side, src in ((args.rev, tmp / "ref" / "src"), ("here", ROOT / "src"))}
     differ = [key for key in sorted(set(ours) | set(theirs)) if ours.get(key) != theirs.get(key)]
     for key in differ:
         print(
@@ -521,6 +524,7 @@ def main() -> int:
             f"  {args.rev}: {theirs.get(key)!r:.300}\n  here: {ours.get(key)!r:.300}"
         )
     print(f"{len(ours) - len(differ)} of {len(ours)} outputs identical to {args.rev}")
+    print("lines of src/hingekit/*.py: " + ", ".join(f"{side} {n}" for side, n in lines.items()))
     return 1 if differ else 0
 
 

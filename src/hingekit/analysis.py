@@ -283,7 +283,7 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
 
 
 def _stabilizer_rows(frame: Frame) -> np.ndarray:
-    """The (C(d-k, 2), C(d+1, 2)) Plucker rows of ``stabilizer_pluckers``: one lifted stack
+    """The (C(d-k, 2), C(d+1, 2)) Plucker rows of ``stabilizer_pluckers``: one ``_lift_stack``
     of every stabilizer flat, wedged in one ``_minor_rows`` call."""
     d, k = frame.dim, frame.k
     if d - k <= 1:
@@ -341,30 +341,27 @@ def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:
     The space of closure-compatible rotation speeds has dimension
     n - rank(span); for n = C(d+1, 2) a deficient span means an
     infinitesimally flexible cycle. The conull functional is the
-    hyperplane section containing all axis points. All the axes are lifted
-    in one stack and wedged in one ``_minor_rows`` call.
+    hyperplane section containing all axis points. All the axes lift in
+    one ``_lift_stack`` and are wedged in one ``_minor_rows`` call.
     """
     axes = list(axes)
     if len({a.dim for a in axes}) > 1:
         raise GradeError(MIXED_SPAN)
-    lifted = _lift_stack([[a.origin] for a in axes], [a.dirs for a in axes]) if axes else []
-    return _span_verdict(_minor_rows(lifted), tol, cycle=True)
+    mats = _lift_stack([[a.origin] for a in axes], [a.dirs for a in axes]) if axes else []
+    return _span_verdict(_minor_rows(mats), tol, cycle=True)
 
 
 def cycle_mobility_exact(raw_axes) -> Verdict:
-    """Exact-rational cycle mobility from raw (origin, direction rows) data.
+    """Exact-rational cycle mobility from raw (origin, direction rows) data, or from its
+    (n, d-1, d) int64 or object stack, each origin then its directions.
 
     Plucker points only depend projectively on a spanning set, so the
     directions are wedged as given, without orthonormalization; this
     keeps every coefficient rational and the rank exact. All the axes are
     wedged in one batch of ``_exact_minor_rows``.
     """
-    return _exact_cycle_verdict([_lift([origin], dirs) for origin, dirs in raw_axes])
-
-
-def _exact_cycle_verdict(lifted) -> Verdict:
-    """``cycle_mobility_exact`` of lifted axes: (d-1, d+1) rational matrices, or their int64 stack."""
-    rows = _exact_minor_rows(lifted)
+    rows = _exact_minor_rows(_lift_stack(raw_axes[:, :1], raw_axes[:, 1:]) if isinstance(raw_axes, np.ndarray)
+                             else [_lift([origin], dirs) for origin, dirs in raw_axes])
     if not rows.any(axis=1).all():
         raise DegenerateAxisError("axis directions are linearly dependent")
     return _span_verdict(rows, cycle=True)

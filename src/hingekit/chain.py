@@ -27,7 +27,7 @@ from math import comb, isfinite, sqrt
 import numpy as np
 
 from .errors import DefinitionError, ProjectionError, RigidCycleError, WrongMapError
-from .exterior import ExteriorVector, numeric_rank, positive_lead
+from .exterior import ExteriorVector, check_tolerance, numeric_rank, positive_lead
 from .geometry import (
     Axis,
     Frame,
@@ -363,13 +363,14 @@ def flex_path(chain: Chain, steps: int, step_size: float, tol: float = 1e-10) ->
     At each step the flex direction is the first kernel vector of the
     closure differential, sign-aligned with the previous one; the first
     direction has its largest-magnitude component positive. Returns the
-    (steps+1) x (n-1) array of visited configurations. A step size that is
-    not a finite number raises DefinitionError, also for 0 steps.
+    (steps+1) x (n-1) array of visited configurations. Also for 0 steps, a step
+    size that is not finite raises DefinitionError and a bad ``tol`` ToleranceError.
     """
     if steps < 0:
         raise DefinitionError(f"a flex needs a step count >= 0, got {steps}")
     if not isfinite(step_size):
         raise DefinitionError(f"a flex step must be a finite number, got {float(step_size)!r}")
+    check_tolerance(tol)
     theta = np.zeros(chain.n - 1)
     path = [theta]
     previous = None

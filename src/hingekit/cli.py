@@ -327,12 +327,7 @@ def _require_exact(sc: Scenario) -> None:
 def _exact_cycle(sc: Scenario) -> analysis.Verdict:
     """The --exact verdict of a cycle scenario, on the scan's int64 stack when it has one."""
     _require_exact(sc)
-    if sc._coords is None:
-        return analysis.cycle_mobility_exact(list(sc.axes))
-    # the stack lifted as cycle_mobility_exact lifts each axis: a 1 after the origin, a 0 after each direction
-    lifted = np.zeros(sc._coords.shape[:2] + (sc.d + 1,), dtype=np.int64)
-    lifted[:, :, :-1], lifted[:, 0, -1] = sc._coords, 1
-    return analysis._exact_cycle_verdict(lifted)
+    return analysis.cycle_mobility_exact(sc.axes if sc._coords is None else sc._coords)
 
 
 def _emit(x):

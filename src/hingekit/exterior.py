@@ -75,6 +75,8 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):  # NaN and inf have no binary ratio: refused as the float rank refuses them
+            raise DegenerateGeometryError(NON_FINITE)
         # exact binary value of the float, so no information is invented
         return Fraction(*float(x).as_integer_ratio())
     raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
@@ -461,7 +463,7 @@ def rank_of_span(vectors, expected_rank: int, tol: float = 1e-10) -> RankCertifi
     is exact, with ``singular_values`` empty; else the rows are floats. An
     empty input list has rank 0 and no conull.
     """
-    vectors = list(vectors)
+    vectors, tol = list(vectors), check_tolerance(tol)
     if not vectors:
         return RankCertificate(0, np.array([]), expected_rank > 0, None)
     if len({(v.grade, v.ambient) for v in vectors}) > 1:

@@ -4,8 +4,8 @@ projective completion P_d.
 Conventions used throughout the package:
 
 * the homogeneous slot comes last: a point p lifts to (p, 1), a
-  direction v lifts to (v, 0): ``_lift_stack`` for float stacks of flats,
-  ``_lift`` for ``flat_plucker`` and the exact routes; every Plucker point
+  direction v lifts to (v, 0): ``_lift_stack`` for stacks of flats,
+  ``_lift`` for ``flat_plucker`` and the exact list routes; every Plucker point
   of the package is a wedge of it;
 * a hinge axis is a codimension-two affine subspace, stored as an origin
   plus d-2 orthonormal directions; its Plucker point is the decomposable
@@ -32,7 +32,8 @@ from .errors import (
     DimensionError,
     ParallelLinesError,
 )
-from .exterior import ExteriorVector, _complement_table, numeric_rank, subset_index, subsets, top_pairing, wedge
+from .exterior import ExteriorVector, _complement_table, check_tolerance, numeric_rank, subset_index, subsets, top_pairing
+from .exterior import wedge
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -266,19 +267,21 @@ def _lift(points, dirs=()) -> list[list]:
 
 
 def _lift_stack(points, dirs) -> np.ndarray:
-    """``_lift`` of n flats at once, in floats: points (n, a, d) and directions (n, b, d) in,
-    either shared by all flats when its n is 1; the C-ordered (n, a + b, d + 1) rows out."""
-    points, dirs = np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
+    """``_lift`` of n flats at once: points (n, a, d) and directions (n, b, d) in, either shared
+    by all flats when its n is 1; the C-ordered (n, a + b, d + 1) rows out. An int64 or object
+    array of points (ints and Fractions) lifts in its own dtype; anything else lifts to floats."""
+    dtype = points.dtype if isinstance(points, np.ndarray) and points.dtype in (np.int64, object) else float
+    points, dirs = np.asarray(points, dtype=dtype), np.asarray(dirs, dtype=dtype)
     a, d = points.shape[1:]
-    out = np.zeros((max(len(points), len(dirs)), a + dirs.shape[1], d + 1))
-    out[:, :a, :d], out[:, :a, d], out[:, a:, :d] = points, 1.0, dirs
+    out = np.zeros((max(len(points), len(dirs)), a + dirs.shape[1], d + 1), dtype=dtype)
+    out[:, :a, :d], out[:, :a, d], out[:, a:, :d] = points, 1, dirs
     return out
 
 
 def flat_plucker(points, dirs=(), exact: bool = False) -> ExteriorVector:
     """Plucker point of the flat through ``points`` along ``dirs``.
 
-    The wedge, exact or float as ``wedge`` computes it, of the lifted
+    The wedge, exact or float as ``wedge`` computes it, of the homogeneous
     points (p, 1) and directions (v, 0). Nothing is validated: dependent
     inputs give the zero vector.
     """
@@ -310,7 +313,7 @@ def incident(line: ExteriorVector, axis_point: ExteriorVector, tol: float = 1e-1
     point at infinity).
     """
     pairing = top_pairing(line, axis_point)
-    return abs(float(pairing)) <= tol * line.norm() * axis_point.norm()
+    return abs(float(pairing)) <= check_tolerance(tol) * line.norm() * axis_point.norm()
 
 
 def rotation_generator(axis: Axis) -> np.ndarray:

@@ -23,6 +23,7 @@ from hingekit import (
     endpoint_jacobian,
     endpoint_singularity,
     flat_plucker,
+    flex_path,
     forward_kinematics,
     frame_columns,
     frame_singularity,
@@ -54,6 +55,7 @@ from hingekit.analysis import (
 from hingekit.errors import (
     DefinitionError,
     DegenerateAxisError,
+    DegenerateGeometryError,
     DegenerateLegError,
     ConsistencyError,
     DimensionError,
@@ -63,7 +65,7 @@ from hingekit.errors import (
     ToleranceError,
     WrongMapError,
 )
-from hingekit.exterior import _exact_minor_rows, _minor_rows, numeric_rank, positive_lead
+from hingekit.exterior import NON_FINITE, _exact_minor_rows, _minor_rows, numeric_rank, positive_lead
 from hingekit.chain import _frame_rows
 from hingekit.geometry import _lift, _plucker_to_twist
 from hingekit.sampling import (
@@ -71,6 +73,7 @@ from hingekit.sampling import (
     parallel_axes_chain,
     random_axis,
     random_chain,
+    random_cycle,
     random_frame,
     random_platform_legs,
     rng_from,
@@ -336,6 +339,18 @@ def test_a_tolerance_that_cuts_every_singular_value_is_refused(verdict, tol, sha
     assert verdict(1e-10).rank > 0
     with pytest.raises(ToleranceError, match=f"^tolerance {tol} cuts every singular value of a {shape} matrix$"):
         verdict(tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda tol: incident(line_plucker([0, 0, 0], [1, 0, 0]), axis_plucker(make_axis(3, [0, 0, 0], [[0, 0, 1]])), tol),
+    lambda tol: rank_of_span([], 3, tol=tol),
+    lambda tol: flex_path(random_cycle(rng_from(114), 3, 7), 0, 0.01, tol=tol),
+], ids=["incident", "rank_of_span", "flex_path"])
+def test_a_public_tolerance_that_no_rank_test_reads_is_still_checked(call, tol):
+    # none of these inputs reaches numeric_rank, so each function checks its own tol
+    with pytest.raises(ToleranceError, match=f"^tolerance must be a finite number > 0, got {re.escape(repr(tol))}$"):
+        call(tol)
 
 
 def test_singular_cycle_frame_map():
@@ -804,6 +819,11 @@ ABOVE_GUARD = [([2**31, 0, 0], [[0, 1, 0]])] + _AXES_R3
 OVERFLOWING = [([2**40 - 3, 5, -(2**40) + 7, 2], [[2**40, -3, 1, 2**39 + 1], [4, -1, 2, 3]]),
                ([1, 0, 2, -1], [[0, 1, 1, 3], [2, -2, 0, 1]]),
                ([0, 3, -1, 2], [[1, 1, 0, -1], [3, 0, 2, 2]])]
+# Five axes in R^3 span at most 5 of 6 dimensions, so each has a functional that rounding
+# to floats would change: an int64 stack past 2^53 (and past the guard), and Fractions.
+INT64_STACK = [([2**53 + 1, 0, 0], [[0, 1, 1]])] + _AXES_R3[:4]
+FRACTION_STACK = [([Fraction(1, 3), 0, 0], [[0, Fraction(2, 3), 1]]), ([0, 1, Fraction(1, 3)], [[1, 0, 0]])] \
+    + _AXES_R3[:3]
 
 
 def test_batch_guard_sits_at_the_hadamard_bound():
@@ -829,9 +849,23 @@ def test_batch_guard_sits_at_the_hadamard_bound():
 @example(  # ints past 2^63 next to negative ones, which float64 would round to one axis
     [([2**63 + 1, -1, 0], [[0, 1, 0]]), ([2**63, -1, 0], [[0, 1, 0]])] + _AXES_R3[:3]
 )
+@example(INT64_STACK)
+@example(FRACTION_STACK)
 def test_batched_exact_cycle_verdict_equals_the_per_axis_route(raw):
-    """Rank, mobility and the Fraction conull match, or the same error type and message."""
-    assert _verdict_outcome(cycle_mobility_exact, raw) == _per_axis_outcome(raw, cycle=True)
+    """Rank, mobility and the Fraction conull match, or the same error type and message.
+
+    Where the axes fit one (n, d-1, d) stack, the stack route matches too: int64 when
+    every coordinate fits, else objects, with each 'a/b' string read as a Fraction.
+    """
+    expected = _per_axis_outcome(raw, cycle=True)
+    assert _verdict_outcome(cycle_mobility_exact, raw) == expected
+    d, rows = len(raw[0][0]), [row for origin, dirs in raw for row in (origin, *dirs)]
+    if any(len(dirs) != d - 2 for _, dirs in raw) or any(len(row) != d for row in rows):
+        return  # ragged, or axes of two dimensions: no stack
+    stack = np.array([[Fraction(x) if isinstance(x, str) else x for x in row] for row in rows], dtype=object)
+    if all(type(x) is int and -(2**63) <= x < 2**63 for x in stack.flat):
+        stack = stack.astype(np.int64)
+    assert _verdict_outcome(cycle_mobility_exact, stack.reshape(len(raw), d - 1, d)) == expected
 
 
 @st.composite
@@ -868,6 +902,20 @@ def test_exact_batch_scales_a_fraction_coordinate_instead_of_truncating_it():
     assert (v.rank, v.mobility, v.witness) == (6, 0, None)
     truncated = cycle_mobility_exact([raw[0], ([0, 0, 0], [[0, 0, 1]])] + raw[2:])
     assert (truncated.rank, truncated.mobility) == (5, 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+                         ids=["nan", "inf", "-inf", "numpy-nan"])
+@pytest.mark.parametrize("verdict", [
+    lambda x: wedge([[x, 1], [0, 1]], exact=True),
+    lambda x: cycle_mobility_exact([([x, 0, 0], [[0, 0, 1]]), ([1, 0, 0], [[0, 1, 0]])]),
+    lambda x: cycle_mobility_exact(np.array([[[x, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]]])),
+    lambda x: platform_flexibility(Platform(2, (((0, 0), (1, x)), ((0, 1), (0, 2)), ((1, 1), (2, 3)))), exact=True),
+], ids=["wedge", "cycle-list", "cycle-stack", "platform"])
+def test_the_exact_routes_refuse_a_non_finite_coordinate_by_name(verdict, bad):
+    # the float routes raise the same error from their rank test
+    with pytest.raises(DegenerateGeometryError, match=f"^{re.escape(NON_FINITE)}$"):
+        verdict(bad)
 
 
 # --- float verdicts: one batch of the float minor kernel against the per-axis route --

@@ -16,7 +16,9 @@ frame chain with k=2 (three stabilizer points, complement from the SVD)
 and a d=4 frame chain with k=3 (no stabilizer rows), ``analyze-chain`` in
 text and ``--json`` form and ``sweep`` CSV on a d=4 chain of seven axes
 that share one direction (every sample singular, so every row runs the
-witness check), and ``analyze-cycle
+witness check). Three sweeps cross the 64-sample blocks of the stacked
+rank test: 150 samples of that chain, 130 of the k=1 frame chain
+(CSV), and 200 of the planar arm (``--json``). ``analyze-cycle
 --exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
 on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 21st axis (full rank), and on six axes in R^3 whose Plucker determinant
@@ -384,6 +386,10 @@ RUNS = [
         ["sweep", f"{{{tag}}}", "--samples", "12", "--seed", "5", "--csv", f"{{out}}/sweep-{tag}.csv"])),
     ["analyze-chain", "{chain-parallel-d4}"], ["analyze-chain", "{chain-parallel-d4}", "--json"],
     ["sweep", "{chain-parallel-d4}", "--samples", "25", "--seed", "4", "--csv", "{out}/sweep-parallel.csv"],
+    # sample counts that cross the 64-sample blocks of the stacked sweep
+    ["sweep", "{chain-parallel-d4}", "--samples", "150", "--csv", "{out}/sweep-parallel-150.csv"],
+    ["sweep", "{frame-k1}", "--samples", "130", "--seed", "9", "--csv", "{out}/sweep-frame-130.csv"],
+    ["sweep", "{arm}", "--samples", "200", "--json"],
     # error paths: the hidden --exact of analyze-chain, a scenario kind the command refuses,
     # and a cycle too short to partition
     ["analyze-chain", "{arm}", "--exact"], ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],

@@ -23,6 +23,7 @@ from .errors import (
     ConsistencyError,
     DefinitionError,
     DegenerateAxisError,
+    DegenerateGeometryError,
     DegenerateLegError,
     DimensionError,
     GradeError,
@@ -121,7 +122,7 @@ class Platform:
             try:
                 legs[i] = p, q = tuple(tuple(_to_fraction(x) if isinstance(x, str) else x for x in pt)
                                        for pt in (p, q))
-            except (ValueError, ZeroDivisionError):
+            except (DefinitionError, DegenerateGeometryError):
                 raise DefinitionError(f"leg {i + 1}: a string coordinate is not a finite rational") from None
             conv = float if any(isinstance(x, (float, np.floating)) for x in p + q) else _to_fraction
             if [*map(conv, p)] == [*map(conv, q)]:
@@ -227,28 +228,46 @@ def grid_incident_line(endpoint, axes) -> tuple[bool, np.ndarray, float]:
 def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     """Rank verdict of the end-point map, with an incident-line witness.
 
-    Singular means rank < d. The witness direction is a unit left-null
-    vector of the analytic Jacobian; it is cross-checked geometrically
-    (the witness line must pair to zero with every placed axis) and any
-    disagreement raises ConsistencyError rather than being swallowed.
+    Singular means rank < d. The witness direction is a unit left-null vector of the analytic
+    Jacobian; it is cross-checked geometrically (the witness line must pair to zero with every
+    placed axis) and any disagreement raises ConsistencyError rather than being swallowed.
+    The one-placement case of ``_end_map_ranks``.
     """
     if chain.end_frame.k != 0:
         raise WrongMapError("endpoint_singularity needs a chain with a bare end-point")
     pl = forward_kinematics(chain, theta)
-    jac = frame_map_jacobian(chain, theta, placement=pl)
-    rank, cutoff, u, sig, _ = numeric_rank(jac, tol)
-    singular = rank < chain.d
-    witness = None
-    conull = None
-    null_basis = None
-    if singular:
-        # every deficiency direction is a witness, so hand back and check all of them
-        null_basis = u[:, rank:].T.copy()
-        _check_witness(pl, null_basis, cutoff)
-        conull = positive_lead(null_basis[0])
-        witness = WitnessLine(pl.frame_at.origin, conull)
-    certificate = RankCertificate(rank, sig, singular, conull)
-    return Verdict(rank, chain.d, certificate, witness, null_directions=null_basis)
+    (rank,), d, (sig,), (u,) = _end_map_ranks(chain, [pl], tol)
+    rank = int(rank)
+    null_basis = u[:, rank:].T.copy() if rank < d else None  # every deficiency direction is a witness
+    conull = None if null_basis is None else positive_lead(null_basis[0])
+    witness = None if conull is None else WitnessLine(pl.frame_at.origin, conull)
+    return Verdict(rank, d, RankCertificate(rank, sig, rank < d, conull), witness, null_directions=null_basis)
+
+
+def _end_map_ranks(chain: Chain, placements, tol: float, frame: bool = False):
+    """The end map's ranks (S,) at S placements, its full rank, and the singular values and
+    vectors, from one ``numeric_rank`` of their stack. The end-point map stacks the Jacobians
+    (full rank d; left vectors) and witness-checks every singular one. The ``frame`` map stacks
+    ``_frame_rows`` over ``_stabilizer_rows`` (right vectors); both ranks drop by the
+    stabilizer dimension, and a tolerance that cuts those independent rows is refused."""
+    if not frame:
+        jac = np.array([frame_map_jacobian(chain, None, placement=pl) for pl in placements])
+        rank, cutoff, u, sig, _ = numeric_rank(jac, tol)
+        for s in np.flatnonzero(rank < chain.d):
+            _check_witness(placements[s], u[s, :, rank[s]:].T.copy(), cutoff[s])
+        return rank, chain.d, sig, u
+    stab_dim = comb(chain.d - chain.end_frame.k, 2)
+    rows = np.array([np.vstack([_frame_rows(pl), _stabilizer_rows(pl.frame_at)]) for pl in placements])
+    try:
+        rank, _, _, sig, vh = numeric_rank(rows, tol)
+    except ToleranceError:
+        if not stab_dim:
+            raise
+        check_tolerance(tol)  # a bad tolerance is refused as such; a good one cut every singular value
+        rank = np.zeros(1, dtype=int)
+    if rank.min() < stab_dim:
+        raise ToleranceError(f"tolerance {tol} cuts the end frame's stabilizer: span rank {rank.min()} < {stab_dim}")
+    return rank - stab_dim, rows.shape[2] - stab_dim, sig, vh
 
 
 def _check_witness(placement, null_basis: np.ndarray, cutoff: float) -> None:
@@ -294,45 +313,35 @@ def _stabilizer_rows(frame: Frame) -> np.ndarray:
     return _minor_rows(_lift_stack(frame.origin[None, None], dirs))
 
 
-def _span_verdict(rows: np.ndarray, tol: float = 1e-10, stab_dim: int = 0, cycle: bool = False) -> Verdict:
+def _span_verdict(rows: np.ndarray, tol: float = 1e-10, cycle: bool = False) -> Verdict:
     """Rank verdict on stacked Plucker rows over R^{d+1}, of generic dimension C(d+1, 2).
 
-    One row per axis, leg or stabilizer point; the dtype picks the rank rule
-    of ``_rank_rows``. Both ranks are reduced by ``stab_dim``, the dimension
-    of a stabilizer span among the rows; those rows are independent, so a
-    span rank below it means the tolerance cut them (ToleranceError). The
-    witness is the certificate's conull functional; a cycle also reports
+    One row per axis or leg; the dtype picks the rank rule of ``_rank_rows``.
+    The witness is the certificate's conull functional; a cycle also reports
     its mobility n - rank.
     """
     if cycle and len(rows) < 2:
         raise DefinitionError("a cycle needs at least two axes")
-    try:
-        cert = _rank_rows(rows, rows.shape[1], tol)
-        rank = cert.rank
-    except ToleranceError:
-        if not stab_dim:
-            raise
-        check_tolerance(tol)  # a bad tolerance is refused as such; a good one cut every singular value
-        rank = 0
-    if rank < stab_dim:
-        raise ToleranceError(f"tolerance {tol} cuts the end frame's stabilizer: span rank {rank} < {stab_dim}")
+    cert = _rank_rows(rows, rows.shape[1], tol)
     mobility = len(rows) - cert.rank if cycle else None
-    return Verdict(cert.rank - stab_dim, rows.shape[1] - stab_dim, cert, cert.conull, mobility)
+    return Verdict(cert.rank, rows.shape[1], cert, cert.conull, mobility)
 
 
 def frame_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     """Rank verdict of the end-frame map for any k.
 
-    Assembles the placed axis Plucker points together with the stabilizer
-    points of the placed frame; the map is singular exactly when this
-    span misses a hyperplane's worth of the ambient C(d+1, 2) dimensions.
-    The reported rank subtracts the stabilizer dimension so it equals the
-    differential's rank; the certificate's conull vector is the
-    hyperplane functional.
+    Assembles the placed axis Plucker points together with the stabilizer points of the placed
+    frame; the map is singular exactly when this span misses a hyperplane's worth of the ambient
+    C(d+1, 2) dimensions. The reported rank subtracts the stabilizer dimension so it equals the
+    differential's rank; the certificate's conull vector is the hyperplane functional. The
+    one-placement case of ``_end_map_ranks``.
     """
-    pl = forward_kinematics(chain, theta)
-    rows = np.vstack([_frame_rows(pl), _stabilizer_rows(pl.frame_at)])
-    return _span_verdict(rows, tol, stab_dim=comb(chain.d - chain.end_frame.k, 2))
+    (rank,), full, (sig,), (vh,) = _end_map_ranks(chain, [forward_kinematics(chain, theta)], tol, frame=True)
+    rank, span_rank, conull = int(rank), int(rank) + len(vh) - full, None
+    if rank < full:
+        conull = positive_lead(vh[span_rank])
+        conull.setflags(write=False)
+    return Verdict(rank, full, RankCertificate(span_rank, sig, rank < full, conull), conull)
 
 
 def cycle_mobility(axes, tol: float = 1e-10) -> Verdict:

@@ -27,7 +27,7 @@ from math import comb, isfinite, sqrt
 import numpy as np
 
 from .errors import DefinitionError, ProjectionError, RigidCycleError, WrongMapError
-from .exterior import ExteriorVector, check_tolerance, numeric_rank, positive_lead
+from .exterior import ExteriorVector, check_tolerance, numeric_rank, positive_lead, subsets
 from .geometry import (
     Axis,
     Frame,
@@ -282,7 +282,7 @@ def frame_columns(chain: Chain, theta, placement: Placement | None = None) -> li
 
 def _frame_rows(pl: Placement) -> np.ndarray:
     """The (n-1, C(d+1, 2)) Plucker rows of ``frame_columns``, from one product of the stacked twists."""
-    a, b = np.triu_indices(pl.origins.shape[1], 1)
+    a, b = np.array(subsets(pl.origins.shape[1], 2)).T
     moments = -np.einsum("iab,ib->ia", pl.generators, pl.origins)
     return np.hstack([pl.generators[:, a, b], moments]) @ _plucker_to_twist(pl.origins.shape[1])
 

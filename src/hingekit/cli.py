@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, linkage as linkage_mod
-from .chain import Chain, cycle_chain, flex_path, frame_residual
+from .chain import Chain, cycle_chain, flex_path, forward_kinematics, frame_residual
 from .errors import (
     ConsistencyError,
     DefinitionError,
@@ -387,29 +387,31 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def _verdict_for(chain: Chain, theta, tol: float):
-    if chain.end_frame.k == 0:
-        return analysis.endpoint_singularity(chain, theta, tol=tol)
-    return analysis.frame_singularity(chain, theta, tol=tol)
-
-
 def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: int = 1) -> SweepReport:
     """Seeded uniform scan of the configuration torus.
 
-    Sample i draws its angles from the dedicated PCG64 stream (seed, i),
-    so each row depends only on (seed, i). Samples run in order in the
-    calling thread; ``workers`` is accepted and has no effect.
+    Sample i draws its angles from the dedicated PCG64 stream (seed, i), so each row depends
+    only on (seed, i). Blocks of ``linkage._BLOCK`` samples are placed one by one and ranked by
+    one stacked SVD in the kernel of the one-sample verdicts, witness checks included, so rows
+    equal theirs bit for bit and memory is bounded per block. A failing block is ranked again
+    one sample at a time, so the first failing sample raises. ``workers`` has no effect.
     """
     if samples < 1:
         raise ScenarioError("sweep needs at least one sample")
-    rows = []
-    for index in range(samples):
-        theta = rng_from(seed, index).uniform(0.0, 2.0 * np.pi, chain.n - 1)
-        verdict = _verdict_for(chain, theta, tol)
-        sigma_min = float(verdict.certificate.singular_values[-1])
-        rows.append(SweepRow(index, tuple(float(t) for t in theta), verdict.rank, sigma_min, verdict.singular))
+    rows, frame = [], chain.end_frame.k > 0
+    for start in range(0, samples, linkage_mod._BLOCK):
+        block = range(start, min(start + linkage_mod._BLOCK, samples))
+        thetas = [rng_from(seed, i).uniform(0.0, 2.0 * np.pi, chain.n - 1) for i in block]
+        try:
+            rank, full, sig, _ = analysis._end_map_ranks(chain, [forward_kinematics(chain, t) for t in thetas], tol, frame)
+        except HingekitError:
+            for theta in thetas:  # one sample at a time, the first failing one raises
+                analysis._end_map_ranks(chain, [forward_kinematics(chain, theta)], tol, frame)
+            raise
+        rows += map(SweepRow, block, (tuple(t.tolist()) for t in thetas), rank.tolist(), sig[:, -1].tolist(),
+                    (rank < full).tolist())
     sigmas = [r.sigma_min for r in rows]
-    singular_count = sum(1 for r in rows if r.singular)
+    singular_count = sum(r.singular for r in rows)
     return SweepReport(samples, seed, singular_count, min(sigmas), sum(sigmas) / len(sigmas), tuple(rows))
 
 
@@ -478,7 +480,8 @@ def _read_input(path: str) -> str:
 def _cmd_analyze_chain(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]:
     if args.exact:
         raise ScenarioError("--exact is not available for chains (placement needs trigonometry)")
-    verdict = _verdict_for(chain, np.zeros(chain.n - 1), tol)
+    verdict = (analysis.frame_singularity if chain.end_frame.k else analysis.endpoint_singularity)(
+        chain, np.zeros(chain.n - 1), tol=tol)
     doc = _verdict_json(verdict)
     kind = "end-point" if chain.end_frame.k == 0 else f"end-frame (k={chain.end_frame.k})"
     state = "SINGULAR" if verdict.singular else "regular"

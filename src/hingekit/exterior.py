@@ -33,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DimensionError, GradeError, ToleranceError
+from .errors import DefinitionError, DegenerateGeometryError, DimensionError, GradeError, ToleranceError
 
 __all__ = [
     "ExteriorVector",
@@ -73,7 +73,12 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            if x.strip().lstrip("+-").lower() in ("nan", "inf", "infinity"):  # refused as the float is
+                raise DegenerateGeometryError(NON_FINITE) from None
+            raise DefinitionError(f"{x!r} is not a finite rational") from None
     if isinstance(x, (float, np.floating)):
         if not math.isfinite(x):  # NaN and inf have no binary ratio: refused as the float rank refuses them
             raise DegenerateGeometryError(NON_FINITE)
@@ -395,25 +400,25 @@ MIXED_SPAN = "rank_of_span needs vectors of one common grade and ambient"
 def numeric_rank(matrix: np.ndarray, tol: float):
     """Numerical rank of a matrix: the one rank rule of the package.
 
-    Counts the singular values above ``cutoff = tol * sigma_max *
-    max(matrix.shape)``. Returns ``(rank, cutoff, u, sigma, vh)`` from one
-    full SVD, so callers read null bases off ``u[:, rank:]`` and
-    ``vh[rank:]``. ``tol`` must pass ``check_tolerance``; a matrix with an
-    inf or NaN entry raises DegenerateGeometryError before the SVD. A
-    tolerance that cuts every singular value of a nonzero matrix, as any
-    ``tol >= 1 / max(matrix.shape)`` does, raises ToleranceError.
+    Counts the singular values above ``cutoff = tol * sigma_max * max(matrix.shape)``. Returns
+    ``(rank, cutoff, u, sigma, vh)`` from one full SVD, so callers read null bases off
+    ``u[:, rank:]`` and ``vh[rank:]``. ``tol`` must pass ``check_tolerance``; a matrix with an
+    inf or NaN entry raises DegenerateGeometryError before the SVD. A tolerance that cuts every
+    singular value of a nonzero matrix, as any ``tol >= 1 / max(matrix.shape)`` does, raises
+    ToleranceError. An (S, m, c) stack is ranked by one SVD, each matrix bit for bit as alone;
+    ``rank`` and ``cutoff`` are then (S,) arrays, and one failing matrix fails the stack.
     """
     check_tolerance(tol)
     if not np.isfinite(matrix).all():
         raise DegenerateGeometryError(NON_FINITE)
     u, sig, vh = np.linalg.svd(matrix, full_matrices=True)
-    sigma_max = sig[0] if sig.size else 0.0
-    cutoff = tol * sigma_max * max(matrix.shape)
-    rank = int(np.sum(sig > cutoff))
-    if rank == 0 and sigma_max > 0:
-        rows, cols = matrix.shape
+    sigma_max = sig.T[0] if sig.shape[-1] else np.zeros(sig.shape[:-1])  # a scalar for one matrix
+    cutoff = tol * sigma_max * max(matrix.shape[-2:])
+    rank = (sig.T > cutoff).sum(0)
+    if (sigma_max > 0)[rank == 0].any():
+        rows, cols = matrix.shape[-2:]
         raise ToleranceError(f"tolerance {tol} cuts every singular value of a {rows} x {cols} matrix")
-    return rank, cutoff, u, sig, vh
+    return rank if rank.ndim else int(rank), cutoff, u, sig, vh
 
 
 def positive_lead(v: np.ndarray) -> np.ndarray:

@@ -711,7 +711,7 @@ def test_float_platform_verdict_reads_an_a_b_string_leg():
         Platform(2, ((("1/10", 0.0), (0.1, 0)), *_OTHER_LEGS))
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", "inf"])
+@pytest.mark.parametrize("bad", ["abc", "1/0", "inf", "nan"])
 def test_platform_refuses_a_string_that_is_not_a_finite_rational(bad):
     with pytest.raises(DefinitionError, match="^leg 2: a string coordinate is not a finite rational$"):
         Platform(2, (((0, 0), (1, 0)), ((0, bad), (0, 2)), ((1, 1), (2, 3))))
@@ -915,6 +915,22 @@ def test_exact_batch_scales_a_fraction_coordinate_instead_of_truncating_it():
 def test_the_exact_routes_refuse_a_non_finite_coordinate_by_name(verdict, bad):
     # the float routes raise the same error from their rank test
     with pytest.raises(DegenerateGeometryError, match=f"^{re.escape(NON_FINITE)}$"):
+        verdict(bad)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    *((text, DegenerateGeometryError, NON_FINITE) for text in ("nan", "inf", "-inf", " NaN ", "+Infinity")),
+    *((text, DefinitionError, f"{text!r} is not a finite rational") for text in ("x", "1/0", "", "1/2/3")),
+])
+@pytest.mark.parametrize("verdict", [
+    lambda x: wedge([[x, 1]], exact=True),
+    lambda x: wedge([[x, 1], [0, 1]], exact=True),
+    lambda x: cycle_mobility_exact([([x, 0, 0], [[0, 0, 1]]), ([1, 0, 0], [[0, 1, 0]])]),
+], ids=["wedge-1", "wedge-2", "cycle-list"])
+def test_the_exact_routes_refuse_a_bad_rational_string_by_name(verdict, bad, error, message):
+    # Fraction's parser let a bare ValueError (or ZeroDivisionError for '1/0') escape;
+    # a NaN or inf spelled out is refused as the float NaN or inf is
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         verdict(bad)
 
 

@@ -21,12 +21,12 @@ from hingekit.cli import (
     sweep,
     sweep_csv,
 )
-from hingekit import analysis
-from hingekit.chain import Chain, cycle_chain
+from hingekit import analysis, linkage
+from hingekit.chain import Chain, cycle_chain, forward_kinematics
 from hingekit.errors import ConsistencyError, GradeError, HingekitError, ScenarioError
 from hingekit.geometry import make_axes, make_frame
 from hingekit.linkage import cycle_to_linkage
-from hingekit.sampling import random_axis, rng_from
+from hingekit.sampling import parallel_axes_chain, random_axis, random_chain, random_cycle, rng_from
 
 
 def capture(capsys, argv, stdin=None, monkeypatch=None):
@@ -581,6 +581,103 @@ def test_sweep_on_singular_family(capsys):
     generic = scenario_cycle_chain(sc)
     report = sweep(generic, samples=25, seed=1)
     assert report.singular_count == 0
+
+
+# --- the stacked sweep against one verdict per sample -----------------------------
+
+
+def _sweep_one_sample_at_a_time(chain, samples, seed, tol=1e-10):
+    """The reference: ``cli.sweep`` as it ran before it ranked blocks, one verdict call per sample."""
+    rows = []
+    for index in range(samples):
+        theta = rng_from(seed, index).uniform(0.0, 2.0 * np.pi, chain.n - 1)
+        verdict = (analysis.frame_singularity if chain.end_frame.k else analysis.endpoint_singularity)(chain, theta, tol)
+        sigma_min = float(verdict.certificate.singular_values[-1])
+        rows.append(cli.SweepRow(index, tuple(float(t) for t in theta), verdict.rank, sigma_min, verdict.singular))
+    sigmas = [r.sigma_min for r in rows]
+    singular_count = sum(1 for r in rows if r.singular)
+    return cli.SweepReport(samples, seed, singular_count, min(sigmas), sum(sigmas) / len(sigmas), tuple(rows))
+
+
+def _sweep_outcome(run_sweep, chain, samples, seed, tol):
+    """The report and its CSV bytes, or the type and message of the error raised."""
+    try:
+        report = run_sweep(chain, samples, seed, tol)
+    except HingekitError as exc:
+        return type(exc), str(exc)
+    return report, sweep_csv(report).encode()
+
+
+@st.composite
+def _sweep_chains(draw):
+    """Chains of d = 2..6 with any k = 0..d-2, cycles, and chains of parallel axes (always singular)."""
+    d = draw(st.integers(2, 6))
+    rng = rng_from(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["chain", "cycle", "parallel"] if d > 2 else ["chain", "cycle"]))
+    if kind == "cycle":
+        return random_cycle(rng, d, draw(st.integers(2, d + 4)))
+    if kind == "parallel":
+        return parallel_axes_chain(rng, d, draw(st.integers(2, d + 4)))
+    return random_chain(rng, d, draw(st.integers(2, d + 4)), k=draw(st.integers(0, d - 2)))
+
+
+_DEFAULT_BLOCK = linkage._BLOCK
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=_sweep_chains(), block=st.sampled_from([1, 7, _DEFAULT_BLOCK]), data=st.data())
+def test_a_stacked_sweep_equals_one_verdict_per_sample(chain, block, data):
+    samples = data.draw(st.integers(block + 1, 2 * block + 1), label="samples")  # past one block
+    seed = data.draw(st.integers(0, 2**20), label="seed")
+    want = _sweep_outcome(_sweep_one_sample_at_a_time, chain, samples, seed, 1e-10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linkage, "_BLOCK", block)
+        assert _sweep_outcome(sweep, chain, samples, seed, 1e-10) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, _DEFAULT_BLOCK])
+@pytest.mark.parametrize("chain, tol, seed, error", [
+    (lambda: scenario_chain(parse_scenario(json.dumps(OVERFLOW_CHAIN))), 1e-10, 0, "overflows float arithmetic"),
+    # sample 0 passes, sample 1 overflows into a cut stabilizer, most later ones into inf or NaN rows
+    (lambda: scenario_chain(parse_scenario(json.dumps(OVERFLOW_CHAIN))), 1e-10, 3,
+     "cuts the end frame's stabilizer: span rank 0 < 1"),
+    (analysis.planar_arm_chain, 0.5, 3, "cuts every singular value of a 2 x 3 matrix"),
+    (lambda: random_cycle(rng_from(7), 3, 7), 0.5, 3, "cuts the end frame's stabilizer: span rank 0 < 1"),
+    # samples 2, 3, 7 and 8 cut it first, with span ranks 2, 2, 1 and 2: the first is not the lowest
+    (lambda: random_chain(rng_from(41), 6, 8, k=3), 0.03, 3, "cuts the end frame's stabilizer: span rank 2 < 3"),
+    (lambda: random_chain(rng_from(40), 6, 8, k=2), 0.01, 3, "cuts the end frame's stabilizer: span rank 5 < 6"),
+], ids=["overflow", "overflow-then-cut", "cut-every-value", "cut-stabilizer", "cut-stabilizer-mid-block", "cut-k2"])
+def test_a_stacked_sweep_raises_what_the_first_failing_sample_raises(monkeypatch, chain, tol, seed, error, block):
+    chain = chain()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow chain overflows on the way
+        want = _sweep_outcome(_sweep_one_sample_at_a_time, chain, 20, seed, tol)
+        monkeypatch.setattr(linkage, "_BLOCK", block)
+        got = _sweep_outcome(sweep, chain, 20, seed, tol)
+    assert error in want[1] and got == want
+
+
+@pytest.mark.parametrize("block", [7, _DEFAULT_BLOCK])
+@pytest.mark.parametrize("missed", [1, 9, 19])
+def test_every_singular_sample_of_a_block_has_its_witness_checked(monkeypatch, block, missed):
+    # every sample of a chain of parallel axes is singular; sample `missed`, never the first of
+    # a block, is placed with its axis directions' coordinates rolled, so the witness misses them
+    chain = parallel_axes_chain(rng_from(500), 4, 8)
+    target = rng_from(1, missed).uniform(0.0, 2.0 * np.pi, chain.n - 1)
+    place = cli.forward_kinematics
+
+    def bent(chain, theta):
+        pl = place(chain, theta)
+        if np.array_equal(theta, target):
+            dirs, pl = np.roll(pl.dirs, 1, axis=-1), dataclasses.replace(pl)
+            pl.__dict__["dirs"] = dirs
+        return pl
+
+    monkeypatch.setattr(linkage, "_BLOCK", block)
+    assert sweep(chain, 20, 1).singular_count == 20
+    monkeypatch.setattr(cli, "forward_kinematics", bent)
+    with pytest.raises(ConsistencyError, match="^rank verdict says singular but the witness misses axis"):
+        sweep(chain, 20, 1)
 
 
 def test_example_unknown_name(capsys):

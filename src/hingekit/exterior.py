@@ -17,9 +17,9 @@ of a batch of matrices in ``wedge``'s orientation: ``_minor_rows``, one
 stacked float ``np.linalg.det``, and ``_exact_minor_rows``, one fraction-free
 (Bareiss) elimination of the rows scaled to integers, in int64 while
 Hadamard's bound keeps its products below 2^62, else on Python ints. A wedge
-is row 0 of its kernel; a verdict passes all its rows to ``_rank_rows``,
-whose dtype picks ``numeric_rank`` or the exact rule: a full rank of more
-than six columns certified modulo 2^31 - 1, else the ``_echelon`` form.
+is row 0 of its kernel; a verdict passes all its rows to ``_rank_rows``: floats
+to the SVD cutoff of ``numeric_rank``, integers to the one elimination ``_eliminate``,
+mod 2^31 - 1 for a full rank past six columns, else on Python ints with the conull.
 """
 
 from __future__ import annotations
@@ -160,33 +160,35 @@ def _integer_scaled(values) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in pairs], scale
 
 
-def _echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def _eliminate(a: np.ndarray, p: int | None = None) -> tuple[np.ndarray, list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer matrix.
 
-    Returns ``(rows, pivots, prev)``: row i has its pivot in column
-    ``pivots[i]``, and the pivot rows hold ``prev`` (the last pivot) times
-    the reduced row echelon form. Every division is exact; ``mat`` is
-    overwritten.
+    Returns ``(rows, pivots, prev)``: row i has its pivot in column ``pivots[i]``. Without ``p``
+    each update is divided exactly by the previous pivot, on Python ints, and the pivot rows
+    hold ``prev`` (the last pivot) times the reduced row echelon form. With ``p`` (``_P``) each
+    is reduced mod p in int64 instead, and ``len(pivots)`` is the rank mod p. ``a`` is kept.
     """
-    pivots: list[int] = []
-    prev = 1
-    for c in range(len(mat[0])):
+    a = a.astype(object) if p is None else (a % p).astype(np.int64)
+    pivots, prev = [], 1
+    for c in range(a.shape[1]):
         r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        top = mat[r]
-        pivot = top[c]
-        for i in range(len(mat)):
-            if i != r:
-                f = mat[i][c]
-                mat[i] = [(pivot * x - f * y) // prev for x, y in zip(mat[i], top)]
-        prev = pivot
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        top, sub = a[r].copy(), a[:, c, None] * a[r]
+        a *= top[c]
+        a -= sub  # row * pivot - row[c] * top, for every row
+        if p is None:
+            a //= prev
+        else:
+            a %= p
+        a[r], prev = top, top[c]  # the update zeroed the pivot row
         pivots.append(c)
-        if len(pivots) == len(mat):
+        if len(pivots) == len(a):
             break
-    return mat, pivots, prev
+    return a, pivots, prev
 
 
 def wedge(vectors, ambient: int | None = None, exact: bool = False) -> ExteriorVector:
@@ -366,24 +368,6 @@ _P = (1 << 31) - 1
 _MOD_P_ABOVE_COLUMNS = 6
 
 
-def _rank_mod_p(rows) -> int:
-    """Rank modulo ``_P`` of an integer matrix (an int64 or object array, or rows
-    of ints of any size), by fraction-free elimination in int64."""
-    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    a = (a % _P).astype(np.int64)
-    rank = 0
-    for c in range(a.shape[1]):
-        nz = np.flatnonzero(a[rank:, c])
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
-        top, rest = a[rank, c:], a[rank + 1:, c:]
-        rest[:] = (rest * top[0] - rest[:, :1] * top) % _P
-        rank += 1
-    return rank
-
-
 def check_tolerance(tol: float) -> float:
     """Return ``tol`` if it is a finite number > 0, else raise ToleranceError."""
     if not (math.isfinite(tol) and tol > 0):
@@ -405,16 +389,16 @@ def numeric_rank(matrix: np.ndarray, tol: float):
     ``u[:, rank:]`` and ``vh[rank:]``. ``tol`` must pass ``check_tolerance``; a matrix with an
     inf or NaN entry raises DegenerateGeometryError before the SVD. A tolerance that cuts every
     singular value of a nonzero matrix, as any ``tol >= 1 / max(matrix.shape)`` does, raises
-    ToleranceError. An (S, m, c) stack is ranked by one SVD, each matrix bit for bit as alone;
-    ``rank`` and ``cutoff`` are then (S,) arrays, and one failing matrix fails the stack.
+    ToleranceError. A stack of any leading shape is ranked by one SVD, each matrix bit for bit as
+    alone; ``rank`` and ``cutoff`` take the leading shape, and one failing matrix fails the stack.
     """
     check_tolerance(tol)
     if not np.isfinite(matrix).all():
         raise DegenerateGeometryError(NON_FINITE)
     u, sig, vh = np.linalg.svd(matrix, full_matrices=True)
-    sigma_max = sig.T[0] if sig.shape[-1] else np.zeros(sig.shape[:-1])  # a scalar for one matrix
+    sigma_max = sig[..., 0] if sig.shape[-1] else np.zeros(sig.shape[:-1])
     cutoff = tol * sigma_max * max(matrix.shape[-2:])
-    rank = (sig.T > cutoff).sum(0)
+    rank = (sig > cutoff[..., None]).sum(-1)
     if (sigma_max > 0)[rank == 0].any():
         rows, cols = matrix.shape[-2:]
         raise ToleranceError(f"tolerance {tol} cuts every singular value of a {rows} x {cols} matrix")
@@ -434,26 +418,26 @@ def _rank_rows(rows: np.ndarray, expected_rank: int, tol: float) -> RankCertific
     """Rank and conull of stacked coefficient rows; the dtype picks the rank rule.
 
     Float rows take ``numeric_rank`` and a read-only unit conull from
-    ``positive_lead``. Integer rows (int64 or object) are exact: a full rank
-    past ``_MOD_P_ABOVE_COLUMNS`` columns is certified by ``_rank_mod_p``, any
-    other outcome by the ``_echelon`` form, which also gives the coprime conull.
+    ``positive_lead``. Integer rows (int64 or object) are exact, by ``_eliminate``:
+    a full rank past ``_MOD_P_ABOVE_COLUMNS`` columns is certified modulo ``_P``,
+    any other outcome is read on Python ints, with the coprime conull.
     """
     ncols, conull = rows.shape[1], None
     if rows.dtype == float:
         rank, _, _, sig, vh = numeric_rank(rows, tol)
         if rank < min(expected_rank, ncols):
             conull = positive_lead(vh[rank])
-    elif len(rows) >= ncols > _MOD_P_ABOVE_COLUMNS and _rank_mod_p(rows) == ncols:
+    elif len(rows) >= ncols > _MOD_P_ABOVE_COLUMNS and len(_eliminate(rows, _P)[1]) == ncols:
         rank, sig = ncols, np.array([])
     else:
-        mat, pivots, prev = _echelon(rows.tolist())
+        a, pivots, prev = _eliminate(rows)
         rank, sig = len(pivots), np.array([])
         if rank < min(expected_rank, ncols):
             free = next(c for c in range(ncols) if c not in pivots)
             ints = [0] * ncols
             ints[free] = prev
             for row, pc in enumerate(pivots):
-                ints[pc] = -mat[row][free]
+                ints[pc] = -a[row, free]
             g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
             conull = np.array([Fraction(x // g) for x in ints])
     if conull is not None:

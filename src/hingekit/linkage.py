@@ -33,7 +33,7 @@ from .errors import (
     HingekitError,
     ProvenanceError,
 )
-from .exterior import NON_FINITE
+from .exterior import NON_FINITE, numeric_rank
 from .geometry import AffineSubspace, _eye, affine_intersection
 
 __all__ = [
@@ -158,10 +158,9 @@ def _cut(normals, rhs, count: int, want_dim: int):
     """The flats cut by every window of ``count`` consecutive axes of C configurations.
 
     ``normals`` (C, n, d, d) holds each axis's normal projector I - DᵀD and
-    ``rhs`` (C, n, d) the projected origins. Every window goes into one full
-    SVD and gets the rule of ``affine_intersection``: the rank by
-    ``numeric_rank``'s cutoff at machine epsilon, the near-degenerate test
-    and the residual test. Returns the flat origins (C, n, d), directions
+    ``rhs`` (C, n, d) the projected origins. Every window goes into one
+    stacked ``numeric_rank`` and gets the rule of ``affine_intersection``: the
+    rank at machine epsilon, the near-degenerate test and the residual test. Returns the flat origins (C, n, d), directions
     (C, n, want_dim, d) and the windows that are not a clean flat of
     ``want_dim`` (C, n).
     """
@@ -170,9 +169,8 @@ def _cut(normals, rhs, count: int, want_dim: int):
     A = normals[:, idx].reshape(size, n, count * d, d)
     b = rhs[:, idx].reshape(size, n, count * d)
     finite = np.isfinite(A).all(axis=(2, 3))
-    u, sig, vh = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), full_matrices=True)
+    rank, _, u, sig, vh = numeric_rank(np.where(finite[..., None, None], A, 0.0), np.finfo(float).eps)
     r = d - want_dim
-    rank = np.sum(sig > np.finfo(float).eps * sig[..., :1] * (count * d), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # only windows of another rank divide by 0
         y = (u[..., :r].swapaxes(-1, -2) @ b[..., None])[..., 0] / sig[..., :r]
     x0 = (vh[..., :r, :].swapaxes(-1, -2) @ y[..., None])[..., 0]

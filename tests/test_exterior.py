@@ -17,7 +17,7 @@ from hingekit import (
     wedge,
 )
 from hingekit.errors import DegenerateGeometryError, DimensionError, GradeError, ToleranceError
-from hingekit.exterior import _complement_table, _echelon, _rank_mod_p, positive_lead
+from hingekit.exterior import _P, _complement_table, _eliminate, positive_lead
 
 P31 = (1 << 31) - 1
 
@@ -210,6 +210,24 @@ def test_numeric_rank_counts_sigma_above_scaled_cutoff():
     assert rank == 2 and np.allclose(sig, [2.0, 1e-9, 1e-11])
     assert u.shape == vh.shape == (3, 3)
     assert np.allclose(np.abs(vh[rank:]), [[0, 0, 1]])
+
+
+@pytest.mark.parametrize("tol", [np.finfo(float).eps, 1e-10])
+@pytest.mark.parametrize("shape", [(2, 3, 8, 4), (3, 1, 6, 6), (1, 4, 4, 9)])
+def test_numeric_rank_ranks_a_4d_stack_as_each_matrix_alone(shape, tol):
+    # the (C, n, m, c) windows of linkage._cut, of mixed rank, one of them zero
+    rng = np.random.default_rng(len(shape) * sum(shape))
+    stack = rng.standard_normal(shape)
+    stack[0, 0] = 0.0
+    stack[-1, -1] = stack[-1, -1] @ np.diag(np.arange(shape[-1]) % 2 * 1.0)
+    stack[0, -1, :, 0] = 1e-13 * stack[0, -1, :, -1]
+    rank, cutoff, _, sig, _ = numeric_rank(stack, tol)
+    assert rank.shape == cutoff.shape == shape[:2]
+    for idx in np.ndindex(*shape[:2]):
+        alone = numeric_rank(stack[idx], tol)
+        assert rank[idx] == alone[0] and cutoff[idx] == alone[1]
+        assert np.array_equal(sig[idx], alone[3])
+    assert rank[0, 0] == 0 and rank[-1, -1] == shape[-1] // 2
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -503,8 +521,9 @@ def integer_matrices(draw):
 @given(integer_matrices())
 @example([[P31, 1], [0, 1]])
 def test_rank_mod_p_never_exceeds_the_echelon_rank(rows):
-    rank = len(_echelon([row[:] for row in rows])[1])
-    assert _rank_mod_p(rows) <= rank
+    a = np.array(rows, dtype=object)
+    rank = len(_eliminate(a)[1])
+    assert len(_eliminate(a, _P)[1]) <= rank
     vs = [ExteriorVector(1, len(row), np.array([Fraction(x) for x in row], dtype=object))
           for row in rows]
     assert rank_of_span(vs, expected_rank=len(rows[0])).rank == rank

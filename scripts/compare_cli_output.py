@@ -67,7 +67,12 @@ run in text and ``--exact --json`` form: a NaN literal, a boolean inside
 ``dirs`` and 10^400 as coordinates (malformed, exit 2), a d=4 integer
 cycle with one coordinate of 2^63, past int64, whose exact verdict stays
 on Python ints, and the same cycle with one float coordinate, which
-``--exact`` refuses by its JSON path.
+``--exact`` refuses by its JSON path. ``sweep --samples 5`` runs at seeds 2
+and 3 on a chain of finite axes near 1e308, where a sample's frame rows
+are finite but their singular values overflow (exit 3), and
+``convert-linkage`` in text and ``--json`` form on a d=5 cycle whose
+second axis is the first with 1e-9 noise on its directions, so their
+window cuts a near-degenerate line (exit 3).
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -246,8 +251,23 @@ FRAME_CHAINS = {
     }
     for d, k, n in ((5, 2, 13), (4, 3, 10))
 }
+# a d=5 cycle of seven axes whose axis 2 is axis 1 with 1e-9 noise on its directions, through
+# a point of axis 1: their window cuts a line, but one below the near-degenerate ratio
+_rng = random.Random(632)
+_AXES5 = [{"origin": [round(_rng.uniform(-1, 1), 3) for _ in range(5)],
+           "dirs": [[round(_rng.uniform(-1, 1), 3) for _ in range(5)] for _ in range(3)]} for _ in range(6)]
+_AXES5.insert(1, {"origin": [o + 0.7 * a - 0.3 * c for o, a, c in zip(_AXES5[0]["origin"], *_AXES5[0]["dirs"][::2])],
+                  "dirs": [[x + 1e-9 * _rng.gauss(0, 1) for x in row] for row in _AXES5[0]["dirs"]]})
 SCENARIOS = {
     **FRAME_CHAINS,
+    "cycle-d5-near-degenerate": {"kind": "cycle", "d": 5, "axes": _AXES5},
+    # finite axes near 1e308: at sweep seeds 2 and 3 a sample's frame rows are finite but
+    # their singular values overflow
+    "chain-overflow": {"kind": "chain", "d": 3,
+                       "axes": [{"origin": [1e308, 0, 0], "dirs": [[0, 0, 1]]},
+                                {"origin": [0, 1e308, 0], "dirs": [[1, 0, 0]]},
+                                {"origin": [1, 2, 3], "dirs": [[1, 1, 0]]}],
+                       "end_frame": {"origin": [1e308, -1e308, 5], "vecs": [[1, 0, 0]]}},
     "chain-parallel-d4": {"kind": "chain", "d": 4, "axes": PARALLEL4,
                           "end_frame": {"origin": [0.3, -0.7, 0.5, 0.2], "vecs": []}},
     "cycle-d6-big": {"kind": "cycle", "d": 6, "axes": D6_BIG},
@@ -390,6 +410,9 @@ RUNS = [
     ["sweep", "{chain-parallel-d4}", "--samples", "150", "--csv", "{out}/sweep-parallel-150.csv"],
     ["sweep", "{frame-k1}", "--samples", "130", "--seed", "9", "--csv", "{out}/sweep-frame-130.csv"],
     ["sweep", "{arm}", "--samples", "200", "--json"],
+    # singular values that overflow from finite rows, and a near-degenerate line window
+    *(["sweep", "{chain-overflow}", "--samples", "5", "--seed", seed] for seed in ("2", "3")),
+    ["convert-linkage", "{cycle-d5-near-degenerate}"], ["convert-linkage", "{cycle-d5-near-degenerate}", "--json"],
     # error paths: the hidden --exact of analyze-chain, a scenario kind the command refuses,
     # and a cycle too short to partition
     ["analyze-chain", "{arm}", "--exact"], ["analyze-chain", "{desargues}"], ["analyze-cycle", "{arm}"], ["analyze-platform", "{cycle}"],

@@ -138,9 +138,9 @@ def _project(points, origins, dirs):
 def _window_error(origins, dirs, start: int, count: int, what: str) -> HingekitError:
     """The error of the window of ``count`` axes from ``start`` of one configuration.
 
-    The window is cut again by ``affine_intersection``, the per-window rule
-    the stacked cut repeats, to tell an empty cut from one of the wrong
-    dimension; a non-finite window gives its DegenerateGeometryError.
+    The window is cut again by ``affine_intersection``, the per-window rule the stacked
+    cut repeats, to tell an empty cut, one of the wrong dimension and a near-degenerate
+    one apart; a non-finite window gives its DegenerateGeometryError.
     """
     n, d = origins.shape
     window = [AffineSubspace(d, origins[(start + t) % n], dirs[(start + t) % n]) for t in range(count)]
@@ -149,6 +149,8 @@ def _window_error(origins, dirs, start: int, count: int, what: str) -> HingekitE
     except DegenerateGeometryError as exc:
         return exc
     got = "empty" if flat is None else f"dimension {flat.flat_dim}"
+    if flat is not None and flat.flat_dim == ("point", "line", "plane").index(what):
+        got = f"a near-degenerate {what} (singular value ratio below 1e-10)"
     return GenericityError(
         f"axes {start + 1}..{(start + count - 1) % n + 1} (cyclic) should cut a {what}, got {got}"
     )
@@ -189,6 +191,7 @@ def _orientations(mats):
     """
     finite = np.isfinite(mats).all(axis=(-2, -1))
     mats = np.where(finite[..., None, None], mats, _eye(mats.shape[-1]))
+    # a scale-free conditioning test on square matrices, not a rank, so not numeric_rank's cutoff
     sig = np.linalg.svd(mats, compute_uv=False)
     signs = np.where(np.linalg.det(mats) > 0, 1, -1)
     return np.where(sig[..., -1] <= 1e-10 * sig[..., 0], 0, signs), finite

@@ -638,9 +638,8 @@ def test_a_stacked_sweep_equals_one_verdict_per_sample(chain, block, data):
 @pytest.mark.parametrize("block", [1, 7, _DEFAULT_BLOCK])
 @pytest.mark.parametrize("chain, tol, seed, error", [
     (lambda: scenario_chain(parse_scenario(json.dumps(OVERFLOW_CHAIN))), 1e-10, 0, "overflows float arithmetic"),
-    # sample 0 passes, sample 1 overflows into a cut stabilizer, most later ones into inf or NaN rows
-    (lambda: scenario_chain(parse_scenario(json.dumps(OVERFLOW_CHAIN))), 1e-10, 3,
-     "cuts the end frame's stabilizer: span rank 0 < 1"),
+    # sample 0 passes, sample 1's finite rows overflow in the SVD, most later ones into inf or NaN rows
+    (lambda: scenario_chain(parse_scenario(json.dumps(OVERFLOW_CHAIN))), 1e-10, 3, "overflows float arithmetic"),
     (analysis.planar_arm_chain, 0.5, 3, "cuts every singular value of a 2 x 3 matrix"),
     (lambda: random_cycle(rng_from(7), 3, 7), 0.5, 3, "cuts the end frame's stabilizer: span rank 0 < 1"),
     # samples 2, 3, 7 and 8 cut it first, with span ranks 2, 2, 1 and 2: the first is not the lowest
@@ -962,6 +961,18 @@ def test_overflowing_chain_sweep_exits_3_without_traceback(tmp_path, capsys):
         code, out, err = capture(capsys, ["sweep", str(path), "--samples", "3"])
     assert code == 3 and out == "" and "Traceback" not in err
     assert err.startswith("degenerate input:") and "overflows float arithmetic" in err
+
+
+@pytest.mark.parametrize("seed", ["2", "3"])
+def test_a_sweep_whose_singular_values_overflow_exits_3_not_as_a_tolerance_cut(tmp_path, capsys, seed):
+    # a sample's frame rows are finite but their SVD overflows: sigma_max is inf, so the cutoff
+    # is inf too and used to read as a tolerance that cuts the end frame's stabilizer (exit 2)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(OVERFLOW_CHAIN))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(capsys, ["sweep", str(path), "--samples", "5", "--seed", seed])
+    assert (code, out) == (3, "") and err.startswith("degenerate input:") and "overflows float arithmetic" in err
 
 
 # --- the stacked read of a scenario's axes ----------------------------------------

@@ -253,6 +253,12 @@ def test_numeric_rank_refuses_a_tolerance_that_cuts_every_singular_value(shape):
     assert numeric_rank(np.zeros(shape), 10.0)[0] == 0
 
 
+def test_numeric_rank_refuses_singular_values_that_overflow():
+    # every entry is finite, but sigma = sqrt(6) * 1e308 is not: its inf cutoff used to cut every value
+    with pytest.raises(DegenerateGeometryError, match="overflows float arithmetic"):
+        numeric_rank(np.full((2, 3), 1e308), 1e-10)
+
+
 @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
 def test_numeric_rank_rejects_non_finite_entries(bad):
     matrix = np.eye(3)

@@ -283,6 +283,21 @@ def test_even_d_window_that_misses_its_point_is_named():
         cycle_to_linkage([a1, a2] + others)
 
 
+@pytest.mark.parametrize("d, what", [(4, "point"), (5, "line")])
+@pytest.mark.parametrize("noise", [1e-9, 1e-10])
+def test_a_near_degenerate_window_is_named_as_such(d, what, noise):
+    # axis 2 is axis 1 with noisy directions through a point of axis 1: the window cuts a flat of
+    # the right dimension, but a singular value of its stacked system is below 1e-10 of the largest
+    rng = rng_from(415)
+    a1 = random_axis(rng, d)
+    a2 = make_axis(d, a1.origin + 0.7 * a1.dirs[0] - 0.3 * a1.dirs[-1], a1.dirs + noise * rng.standard_normal((d - 2, d)))
+    axes = [a1, a2] + [random_axis(rng, d) for _ in range(5)]
+    message = f"axes 1..2 (cyclic) should cut a {what}, got a near-degenerate {what} (singular value ratio below 1e-10)"
+    for convert in (cycle_to_linkage, _reference_linkage):
+        with pytest.raises(GenericityError, match=f"^{re.escape(message)}$"):
+            convert(axes)
+
+
 def test_invariance_check_reports_failing_configuration():
     rng = rng_from(411)
     c = random_cycle(rng, 3, 7)
@@ -379,7 +394,12 @@ def _intersection_flat(axes, start: int, count: int, want_dim: int, what: str):
     window = [axes[(start + t) % n] for t in range(count)]
     flat = affine_intersection(window)
     if flat is None or flat.flat_dim != want_dim or flat.near_degenerate:
-        got = "empty" if flat is None else f"dimension {flat.flat_dim}"
+        if flat is None:
+            got = "empty"
+        elif flat.flat_dim != want_dim:
+            got = f"dimension {flat.flat_dim}"
+        else:
+            got = f"a near-degenerate {what} (singular value ratio below 1e-10)"
         raise GenericityError(
             f"axes {start + 1}..{(start + count - 1) % n + 1} (cyclic) should cut a "
             f"{what}, got {got}"

@@ -172,10 +172,10 @@ def _eliminate(a: np.ndarray, p: int | None = None) -> tuple[np.ndarray, list[in
     pivots, prev = [], 1
     for c in range(a.shape[1]):
         r = len(pivots)
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        if nz[0]:
+        if not a[r, c]:  # swap in the first nonzero row below, if there is one
+            nz = np.flatnonzero(a[r:, c])
+            if nz.size == 0:
+                continue
             a[[r, r + nz[0]]] = a[[r + nz[0], r]]
         top, sub = a[r].copy(), a[:, c, None] * a[r]
         a *= top[c]
@@ -363,9 +363,9 @@ class RankCertificate:
 _P = (1 << 31) - 1
 
 # Exact vs mod-p _eliminate, timeit on square matrices of integers in [-40, 40) (one Xeon core):
-# 21 vs 18 us at 3 columns, 50 vs 34 at 6, 67 vs 40 at 7, 148 vs 59 at 10, 474 vs 100 at 15, 1282 vs
-# 169 at 21. A deficient span pays for both, so the pre-check pays once 68% of spans have full rank
-# at 6 columns, 40% at 10; the 6-column spans worth an exact verdict (twisted cubic, Bricard) do not.
+# 15 vs 13 us at 3 columns, 40 vs 24 at 6, 55 vs 29 at 7, 125 vs 44 at 10, 440 vs 75 at 15, 1250 vs
+# 130 at 21. A deficient span pays for both, so the pre-check pays once 60% of spans have full rank
+# at 6 columns, 35% at 10; the 6-column spans worth an exact verdict (twisted cubic, Bricard) do not.
 _MOD_P_ABOVE_COLUMNS = 6
 
 

@@ -954,25 +954,16 @@ def test_overflowing_platform_exits_3_instead_of_hanging(tmp_path):
 
 
 def test_overflowing_chain_sweep_exits_3_without_traceback(tmp_path, capsys):
+    # at seeds 2 and 3 a sample's frame rows are finite but their singular values overflow: the
+    # inf cutoff used to read as a tolerance that cuts the end frame's stabilizer (exit 2)
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(OVERFLOW_CHAIN))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy overflow warning either
-        code, out, err = capture(capsys, ["sweep", str(path), "--samples", "3"])
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert err.startswith("degenerate input:") and "overflows float arithmetic" in err
-
-
-@pytest.mark.parametrize("seed", ["2", "3"])
-def test_a_sweep_whose_singular_values_overflow_exits_3_not_as_a_tolerance_cut(tmp_path, capsys, seed):
-    # a sample's frame rows are finite but their SVD overflows: sigma_max is inf, so the cutoff
-    # is inf too and used to read as a tolerance that cuts the end frame's stabilizer (exit 2)
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(OVERFLOW_CHAIN))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = capture(capsys, ["sweep", str(path), "--samples", "5", "--seed", seed])
-    assert (code, out) == (3, "") and err.startswith("degenerate input:") and "overflows float arithmetic" in err
+    for argv in (["--samples", "3"], ["--samples", "5", "--seed", "2"], ["--samples", "5", "--seed", "3"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code, out, err = capture(capsys, ["sweep", str(path), *argv])
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert err.startswith("degenerate input:") and "overflows float arithmetic" in err
 
 
 # --- the stacked read of a scenario's axes ----------------------------------------

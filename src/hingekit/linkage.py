@@ -162,9 +162,9 @@ def _cut(normals, rhs, count: int, want_dim: int):
     ``normals`` (C, n, d, d) holds each axis's normal projector I - DᵀD and
     ``rhs`` (C, n, d) the projected origins. Every window goes into one
     stacked ``numeric_rank`` and gets the rule of ``affine_intersection``: the
-    rank at machine epsilon, the near-degenerate test and the residual test. Returns the flat origins (C, n, d), directions
-    (C, n, want_dim, d) and the windows that are not a clean flat of
-    ``want_dim`` (C, n).
+    rank at machine epsilon, the near-degenerate test and the residual test.
+    Returns the flat origins (C, n, d), directions (C, n, want_dim, d) and the
+    windows that are not a clean flat of ``want_dim`` (C, n).
     """
     size, n, d, _ = normals.shape
     idx = (np.arange(n)[:, None] + np.arange(count)) % n  # the axes of each window, by start

@@ -18,7 +18,10 @@ text and ``--json`` form and ``sweep`` CSV on a d=4 chain of seven axes
 that share one direction (every sample singular, so every row runs the
 witness check). Three sweeps cross the 64-sample blocks of the stacked
 rank test: 150 samples of that chain, 130 of the k=1 frame chain
-(CSV), and 200 of the planar arm (``--json``). ``analyze-cycle
+(CSV), and 200 of the planar arm (``--json``). Two more, of 65 samples
+on the k=1 frame chain and on the parallel-axes chain (CSV), end in a
+block of one sample, which is placed by ``forward_kinematics`` after a
+block placed by the stacked kernel. ``analyze-cycle
 --exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
 on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 21st axis (full rank), and on six axes in R^3 whose Plucker determinant
@@ -410,6 +413,9 @@ RUNS = [
     ["sweep", "{chain-parallel-d4}", "--samples", "150", "--csv", "{out}/sweep-parallel-150.csv"],
     ["sweep", "{frame-k1}", "--samples", "130", "--seed", "9", "--csv", "{out}/sweep-frame-130.csv"],
     ["sweep", "{arm}", "--samples", "200", "--json"],
+    # 65 samples: one 64-sample block placed by the stacked kernel, then one sample placed alone
+    ["sweep", "{frame-k1}", "--samples", "65", "--seed", "9", "--csv", "{out}/sweep-frame-65.csv"],
+    ["sweep", "{chain-parallel-d4}", "--samples", "65", "--seed", "6", "--csv", "{out}/sweep-parallel-65.csv"],
     # singular values that overflow from finite rows, and a near-degenerate line window
     *(["sweep", "{chain-overflow}", "--samples", "5", "--seed", seed] for seed in ("2", "3")),
     ["convert-linkage", "{cycle-d5-near-degenerate}"], ["convert-linkage", "{cycle-d5-near-degenerate}", "--json"],

@@ -247,17 +247,18 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
 def _end_map_ranks(chain: Chain, placements, tol: float, frame: bool = False):
     """The end map's ranks (S,) at S placements, its full rank, and the singular values and
     vectors, from one ``numeric_rank`` of their stack. The end-point map stacks the Jacobians
-    (full rank d; left vectors) and witness-checks every singular one. The ``frame`` map stacks
-    ``_frame_rows`` over ``_stabilizer_rows`` (right vectors); both ranks drop by the
-    stabilizer dimension, and a tolerance that cuts those independent rows is refused."""
+    (full rank d; left vectors) and witness-checks the singular ones, one pass per rank. The
+    ``frame`` map stacks ``_frame_rows`` over ``_stabilizer_stack`` (right vectors); both ranks drop
+    by the stabilizer dimension, and a tolerance that cuts those independent rows is refused."""
     if not frame:
         jac = np.array([frame_map_jacobian(chain, None, placement=pl) for pl in placements])
         rank, cutoff, u, sig, _ = numeric_rank(jac, tol)
-        for s in np.flatnonzero(rank < chain.d):
-            _check_witness(placements[s], u[s, :, rank[s]:].T.copy(), cutoff[s])
+        for r in np.unique(rank[rank < chain.d]):
+            at = rank == r
+            _check_witness([placements[s] for s in np.flatnonzero(at)], u[at, :, r:].swapaxes(1, 2), cutoff[at])
         return rank, chain.d, sig, u
-    stab_dim = comb(chain.d - chain.end_frame.k, 2)
-    rows = np.array([np.vstack([_frame_rows(pl), _stabilizer_rows(pl.frame_at)]) for pl in placements])
+    stab_dim, frames = comb(chain.d - chain.end_frame.k, 2), [pl.frame_at for pl in placements]
+    rows = np.concatenate([np.array([_frame_rows(pl) for pl in placements]), _stabilizer_stack(frames)], axis=1)
     try:
         rank, _, _, sig, vh = numeric_rank(rows, tol)
     except ToleranceError:
@@ -270,21 +271,27 @@ def _end_map_ranks(chain: Chain, placements, tol: float, frame: bool = False):
     return rank - stab_dim, rows.shape[2] - stab_dim, sig, vh
 
 
-def _check_witness(placement, null_basis: np.ndarray, cutoff: float) -> None:
-    """Raise unless the line through the end-point along each null direction meets each placed axis:
-    their top pairing, one signed product of two ``_minor_rows`` stacks, is within
-    8 cutoff + 1e-12 |line| |axis|. The first miss in (direction, axis) order is named."""
-    lines = _minor_rows(_lift_stack(placement.frame_at.origin[None, None], null_basis[:, None]))
-    axes = _minor_rows(_lift_stack(placement.origins[:, None], placement.dirs))
-    idx, sgn = _complement_table(placement.frame_at.dim + 1, 2)
-    pairing = np.abs((lines * sgn) @ axes[:, idx].T)
-    bound = 8.0 * cutoff + 1e-12 * np.outer(np.linalg.norm(lines, axis=1), np.linalg.norm(axes, axis=1))
+def _check_witness(placements, null: np.ndarray, cutoff: np.ndarray) -> None:
+    """Raise unless, at each of S placements, the line through the end-point along each of its r null
+    directions (S, r, d) meets each placed axis: their top pairing, a signed product of two
+    ``_minor_rows`` stacks summed over a C-ordered last axis (so its bits do not depend on S), is
+    within 8 cutoff + 1e-12 |line| |axis|. The first miss in (placement, direction, axis) order is named."""
+    S, r, d = null.shape
+    ends = np.repeat([pl.frame_at.origin for pl in placements], r, axis=0)
+    lines = np.ascontiguousarray(_minor_rows(_lift_stack(ends[:, None], null.reshape(S * r, 1, d)))).reshape(S, r, -1)
+    axes = _minor_rows(_lift_stack(np.concatenate([pl.origins for pl in placements])[:, None],
+                                   np.concatenate([pl.dirs for pl in placements])))
+    axes = np.ascontiguousarray(axes).reshape(S, -1, lines.shape[2])
+    idx, sgn = _complement_table(d + 1, 2)
+    pairing = np.abs(np.multiply((lines * sgn)[:, :, None], axes[:, None, :, idx], order="C").sum(axis=3))
+    norms = np.linalg.norm(lines, axis=2)[:, :, None] * np.linalg.norm(axes, axis=2)[:, None]
+    bound = 8.0 * cutoff[:, None, None] + 1e-12 * norms
     missed = pairing > bound
     if missed.any():
-        r, i = np.unravel_index(missed.argmax(), missed.shape)
+        s, r, i = np.unravel_index(missed.argmax(), missed.shape)
         raise ConsistencyError(
             f"rank verdict says singular but the witness misses axis {i + 1} "
-            f"(pairing {pairing[r, i]:.3e} > bound {bound[r, i]:.3e})"
+            f"(pairing {pairing[s, r, i]:.3e} > bound {bound[s, r, i]:.3e})"
         )
 
 
@@ -302,15 +309,23 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
 
 
 def _stabilizer_rows(frame: Frame) -> np.ndarray:
-    """The (C(d-k, 2), C(d+1, 2)) Plucker rows of ``stabilizer_pluckers``: one ``_lift_stack``
-    of every stabilizer flat, wedged in one ``_minor_rows`` call."""
-    d, k = frame.dim, frame.k
+    """The (C(d-k, 2), C(d+1, 2)) Plucker rows of ``stabilizer_pluckers``, by ``_stabilizer_stack``."""
+    return _stabilizer_stack([frame])[0]
+
+
+def _stabilizer_stack(frames) -> np.ndarray:
+    """``_stabilizer_rows`` of S k-frames, (S, C(d-k, 2), C(d+1, 2)), each item's bits its own frame's:
+    one stacked SVD, one ``_lift_stack`` of every stabilizer flat and one ``_minor_rows`` call."""
+    origins, vecs = np.array([f.origin for f in frames]), np.array([f.vecs for f in frames])
+    S, k, d = vecs.shape
     if d - k <= 1:
-        return np.zeros((0, comb(d + 1, 2)))
-    complement = np.eye(d) if k == 0 else np.linalg.svd(frame.vecs, full_matrices=True)[2][k:]
+        return np.zeros((S, 0, comb(d + 1, 2)))
+    complement = np.eye(d)[None] if k == 0 else np.linalg.svd(vecs, full_matrices=True)[2][:, k:]
     keep = np.array(subsets(d - k, d - k - 2)[::-1], dtype=int)  # the rest of each pair {a, b}, in pair order
-    dirs = np.concatenate([np.broadcast_to(frame.vecs, (len(keep), k, d)), complement[keep]], axis=1)
-    return _minor_rows(_lift_stack(frame.origin[None, None], dirs))
+    dirs = np.concatenate([np.broadcast_to(vecs[:, None], (S, len(keep), k, d)),
+                           np.broadcast_to(complement[:, keep], (S, len(keep), d - k - 2, d))], axis=2)
+    points = np.repeat(origins, len(keep), axis=0)[:, None]
+    return _minor_rows(_lift_stack(points, dirs.reshape(len(points), d - 2, d))).reshape(S, len(keep), -1)
 
 
 def _span_verdict(rows: np.ndarray, tol: float = 1e-10, cycle: bool = False) -> Verdict:

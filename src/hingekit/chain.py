@@ -13,6 +13,8 @@ chain. Jacobian columns and Plucker points of the placed axes are read
 off these generators and the placed axis origins. Placed axes and frames
 are moved from checked ones by these rotations and not checked again.
 
+``_place`` builds one ``Placement`` an ``Isometry`` at a time; ``_place_many``
+builds a stack of them, bit for bit the same, from stacked products.
 A ``Placement`` is immutable, and placing the same chain object at the
 same configuration as the call before returns the same ``Placement``: one
 ``lru_cache`` entry keyed by the chain's identity and the angle bytes.
@@ -32,6 +34,7 @@ from .geometry import (
     Axis,
     Frame,
     Isometry,
+    _eye,
     _frozen,
     _moved,
     _plucker_to_twist,
@@ -165,28 +168,34 @@ def cycle_chain(axes, panel: bool = False) -> Chain:
 class Placement:
     """One configuration realized in the ambient space.
 
-    ``body_isometries`` holds g_1..g_n (g_1 is the identity) and
-    ``ref_axes`` the chain's reference axes; axis i as placed is
-    apply(g_i, ref_axes[i]). ``origins`` is the read-only (n-1) x d array
-    of the placed axis origins, row i equal bit for bit to that axis's
-    origin. ``generators`` stacks the rotation generators of the placed
-    axes, an (n-1) x d x d array: entry i is R_i J_i R_i^T rescaled to
-    Frobenius norm sqrt(2), where R_i is the rotation part of g_i and
-    J_i = rotation_generator(ref_axes[i]).
+    ``rots`` and ``trans`` hold the rotations and translations of the body
+    motions g_1..g_n (g_1 is the identity), as ``_place``'s tuples or
+    ``_place_many``'s read-only stacks, and ``ref_axes`` the chain's
+    reference axes; axis i as placed is apply(g_i, ref_axes[i]).
+    ``origins`` is the read-only (n-1) x d array of the placed axis
+    origins, row i equal bit for bit to that axis's origin.
+    ``generators`` stacks the rotation generators of the placed axes, an
+    (n-1) x d x d array: entry i is R_i J_i R_i^T rescaled to Frobenius
+    norm sqrt(2), where R_i = rots[i] and J_i = rotation_generator(ref_axes[i]).
     """
 
     origins: np.ndarray
     frame_at: Frame
-    body_isometries: tuple[Isometry, ...]
+    rots: tuple[np.ndarray, ...] | np.ndarray
+    trans: tuple[np.ndarray, ...] | np.ndarray
     generators: np.ndarray
     ref_axes: tuple[Axis, ...]
+
+    @cached_property
+    def body_isometries(self) -> tuple[Isometry, ...]:
+        """g_1..g_n as ``Isometry`` objects, built on first read from ``rots`` and ``trans``."""
+        return tuple(map(Isometry, self.rots, self.trans))
 
     @cached_property
     def dirs(self) -> np.ndarray:
         """The read-only (n-1) x (d-2) x d directions of the placed axes, stacked on first
         read: item i is ref_axes[i].dirs @ R_i^T, the arithmetic of apply(g_i, ref_axes[i])."""
-        rots = np.array([g.rot for g in self.body_isometries[:-1]])
-        return _frozen(np.array([axis.dirs for axis in self.ref_axes]) @ rots.swapaxes(1, 2))
+        return _frozen(np.array([axis.dirs for axis in self.ref_axes]) @ np.array(self.rots[:-1]).swapaxes(1, 2))
 
     @cached_property
     def axes_at(self) -> tuple[Axis, ...]:
@@ -221,11 +230,9 @@ def _placed(chain: Chain, key: bytes) -> Placement:
 
 
 def _place(chain: Chain, theta: np.ndarray) -> Placement:
-    """The placement of a validated configuration, computed afresh."""
+    """The placement of a validated configuration, computed afresh, one ``Isometry`` per step."""
     g = identity_isometry(chain.d)
-    isometries = [g]
-    origins = []
-    generators = []
+    rots, trans, origins, generators = [g.rot], [g.trans], [], []
     for axis, J_ref, angle in zip(chain.ref_axes, chain.ref_generators, theta):
         # the arithmetic of apply(g, axis).origin, without building the Axis
         origin = g.rot @ axis.origin + g.trans
@@ -236,14 +243,38 @@ def _place(chain: Chain, theta: np.ndarray) -> Placement:
         origins.append(origin)
         generators.append(J)
         g = compose(_rodrigues(J, origin, angle), g)
-        isometries.append(g)
-    origins = np.array(origins)
-    origins.setflags(write=False)
-    generators = np.array(generators)
-    generators.setflags(write=False)
-    return Placement(
-        origins, _moved(g, chain.end_frame), tuple(isometries), generators, chain.ref_axes
-    )
+        rots.append(g.rot)
+        trans.append(g.trans)
+    return Placement(_frozen(origins), _moved(g, chain.end_frame), tuple(rots), tuple(trans), _frozen(generators),
+                     chain.ref_axes)
+
+
+# ``_place`` stays the one-configuration route, not the S = 1 case of ``_place_many``, while
+# the benchmark's tracer self-test pins its ``Isometry`` objects and ``forward_kinematics`` calls.
+def _place_many(chain: Chain, thetas: np.ndarray) -> tuple[Placement, ...]:
+    """The placements of an (S, n-1) stack of configurations, bit for bit ``_place``'s: one loop over the
+    joints, each step ``_place``'s arithmetic stacked over S (A @ x as ``(A @ x[..., None])[..., 0]``, the
+    Frobenius norm as a (1, d*d) by (d*d, 1) product). A non-finite angle raises as placing one at a time would."""
+    if not np.isfinite(thetas).all():  # the first bad angle in sample, then joint order
+        _place(chain, thetas[np.isfinite(thetas).all(axis=1).argmin()])
+    S, d = thetas.shape[0], chain.d
+    rot, trans = np.broadcast_to(_eye(d), (S, d, d)), np.zeros((S, d))
+    sin, cos = np.sin(thetas)[..., None, None], np.cos(thetas)[..., None, None]
+    joints, bodies = [], [(rot, trans)]
+    for i, (axis, J_ref) in enumerate(zip(chain.ref_axes, chain.ref_generators)):
+        origin = (rot @ axis.origin[:, None])[..., 0] + trans
+        J = rot @ J_ref @ rot.swapaxes(1, 2)
+        J *= (sqrt(2.0) / np.sqrt((J.reshape(S, 1, -1) @ J.reshape(S, -1, 1))[:, 0, 0]))[:, None, None]
+        step = _eye(d) + sin[:, i] * J + (1.0 - cos[:, i]) * (J @ J)  # _rodrigues, then compose
+        step_trans = origin - (step @ origin[..., None])[..., 0]
+        rot, trans = step @ rot, (step @ trans[..., None])[..., 0] + step_trans
+        joints.append((origin, J))
+        bodies.append((rot, trans))
+    end = chain.end_frame  # _moved
+    end_origins, end_vecs = (rot @ end.origin[:, None])[..., 0] + trans, end.vecs @ rot.swapaxes(1, 2)
+    stacks = [_frozen(np.stack(a, axis=1)) for a in (*zip(*joints), *zip(*bodies))]
+    return tuple(Placement(o, _unchecked(Frame, d, eo, ev), r, t, g, chain.ref_axes)
+                 for o, g, r, t, eo, ev in zip(*stacks, end_origins, end_vecs))
 
 
 def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) -> np.ndarray:

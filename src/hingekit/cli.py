@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, linkage as linkage_mod
-from .chain import Chain, cycle_chain, flex_path, forward_kinematics, frame_residual
+from .chain import Chain, _place_many, cycle_chain, flex_path, forward_kinematics, frame_residual
 from .errors import (
     ConsistencyError,
     DefinitionError,
@@ -391,24 +391,26 @@ def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: in
     """Seeded uniform scan of the configuration torus.
 
     Sample i draws its angles from the dedicated PCG64 stream (seed, i), so each row depends
-    only on (seed, i). Blocks of ``linkage._BLOCK`` samples are placed one by one and ranked by
-    one stacked SVD in the kernel of the one-sample verdicts, witness checks included, so rows
-    equal theirs bit for bit and memory is bounded per block. A failing block is ranked again
-    one sample at a time, so the first failing sample raises. ``workers`` has no effect.
+    only on (seed, i). Blocks of ``linkage._BLOCK`` samples are placed by ``chain._place_many`` (a
+    block of one by ``forward_kinematics``) and ranked by one stacked SVD in the kernel of the
+    one-sample verdicts, witness checks included, so rows equal theirs bit for bit and memory is
+    bounded per block. A failing block is placed and ranked again one sample at a time, so the
+    first failing sample raises. ``workers`` has no effect.
     """
     if samples < 1:
         raise ScenarioError("sweep needs at least one sample")
     rows, frame = [], chain.end_frame.k > 0
     for start in range(0, samples, linkage_mod._BLOCK):
         block = range(start, min(start + linkage_mod._BLOCK, samples))
-        thetas = [rng_from(seed, i).uniform(0.0, 2.0 * np.pi, chain.n - 1) for i in block]
+        thetas = np.array([rng_from(seed, i).uniform(0.0, 2.0 * np.pi, chain.n - 1) for i in block])
         try:
-            rank, full, sig, _ = analysis._end_map_ranks(chain, [forward_kinematics(chain, t) for t in thetas], tol, frame)
+            placements = _place_many(chain, thetas) if len(block) > 1 else [forward_kinematics(chain, thetas[0])]
+            rank, full, sig, _ = analysis._end_map_ranks(chain, placements, tol, frame)
         except HingekitError:
             for theta in thetas:  # one sample at a time, the first failing one raises
                 analysis._end_map_ranks(chain, [forward_kinematics(chain, theta)], tol, frame)
             raise
-        rows += map(SweepRow, block, (tuple(t.tolist()) for t in thetas), rank.tolist(), sig[:, -1].tolist(),
+        rows += map(SweepRow, block, map(tuple, thetas.tolist()), rank.tolist(), sig[:, -1].tolist(),
                     (rank < full).tolist())
     sigmas = [r.sigma_min for r in rows]
     singular_count = sum(r.singular for r in rows)

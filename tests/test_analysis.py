@@ -142,7 +142,7 @@ def _witness_misses_per_axis(placement, null_basis, cutoff) -> list[int]:
 
 def _stacked_witness_outcome(placement, null_basis, cutoff):
     try:
-        _check_witness(placement, null_basis, cutoff)
+        _check_witness([placement], null_basis[None], np.array([cutoff]))
     except ConsistencyError as exc:
         return int(re.search(r"misses axis (\d+) ", str(exc)).group(1))
     return None
@@ -1082,7 +1082,7 @@ def test_witness_miss_names_the_axis_its_pairing_and_its_bound():
         rf"^rank verdict says singular but the witness misses axis {first} "
         r"\(pairing \d\.\d{3}e[-+]\d\d > bound \d\.\d{3}e[-+]\d\d\)$"
     )):
-        _check_witness(pl, bent, cutoff)
+        _check_witness([pl], bent[None], np.array([cutoff]))
 
 
 def test_float_cycle_verdict_keeps_its_error_contract():

@@ -646,6 +646,42 @@ def test_memoized_placement_equals_a_fresh_placement(d, n, seed, picks):
         assert _same_placement(forward_kinematics(c, thetas[i]), chain_module._place(c, thetas[i]))
 
 
+def _placement_outcome(place):
+    """The placements, or the message of the DefinitionError raised."""
+    try:
+        return place()
+    except DefinitionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(2, 12),
+    st.integers(1, 40),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
+)
+def test_stacked_placement_equals_one_placement_per_configuration(d, n, samples, seed, bad):
+    # chains with any end frame k = 0..d-2 and cycles, at angles of any sign and size, some
+    # exactly 0; up to three non-finite angles, anywhere
+    rng = np.random.default_rng(seed)
+    c = random_cycle(rng, d, n) if seed % 3 == 0 else random_chain(rng, d, n, k=int(rng.integers(0, d - 1)))
+    thetas = rng.uniform(-10.0, 10.0, (samples, c.n - 1)) * 10.0 ** rng.integers(-3, 3, (samples, 1))
+    thetas[rng.random(thetas.shape) < 0.1] = 0.0
+    thetas.flat[rng.choice(thetas.size, min(len(bad), thetas.size), replace=False)] = bad[: thetas.size]
+    want = _placement_outcome(lambda: [chain_module._place(c, theta) for theta in thetas])
+    got = _placement_outcome(lambda: chain_module._place_many(c, thetas))
+    if isinstance(want, str):
+        # the first bad angle in sample, then joint order, as placing one at a time names it
+        first = thetas.flat[np.flatnonzero(~np.isfinite(thetas))[0]]
+        assert got == want == f"rotation angle must be finite, got {float(first)!r}"
+        return
+    assert len(got) == samples
+    for a, b in zip(got, want, strict=True):
+        assert _same_placement(a, b) and a.dirs.tobytes() == b.dirs.tobytes()
+
+
 def test_repeated_placement_is_shared_only_for_the_same_chain():
     c = classical_scenario("generic-cycle", d=3, n=7, seed=0)
     twin = cycle_chain(list(c.ref_axes) + [c.closing_axis])

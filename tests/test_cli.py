@@ -627,12 +627,14 @@ _DEFAULT_BLOCK = linkage._BLOCK
 @settings(max_examples=30, deadline=None)
 @given(chain=_sweep_chains(), block=st.sampled_from([1, 7, _DEFAULT_BLOCK]), data=st.data())
 def test_a_stacked_sweep_equals_one_verdict_per_sample(chain, block, data):
-    samples = data.draw(st.integers(block + 1, 2 * block + 1), label="samples")  # past one block
+    drawn = data.draw(st.integers(block + 1, 2 * block + 1), label="samples")  # past one block
     seed = data.draw(st.integers(0, 2**20), label="seed")
-    want = _sweep_outcome(_sweep_one_sample_at_a_time, chain, samples, seed, 1e-10)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linkage, "_BLOCK", block)
-        assert _sweep_outcome(sweep, chain, samples, seed, 1e-10) == want
+    # block + 1 samples end in a block of one, placed by forward_kinematics, after a stacked block
+    for samples in (drawn, block + 1):
+        want = _sweep_outcome(_sweep_one_sample_at_a_time, chain, samples, seed, 1e-10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linkage, "_BLOCK", block)
+            assert _sweep_outcome(sweep, chain, samples, seed, 1e-10) == want
 
 
 @pytest.mark.parametrize("block", [1, 7, _DEFAULT_BLOCK])
@@ -660,21 +662,24 @@ def test_a_stacked_sweep_raises_what_the_first_failing_sample_raises(monkeypatch
 @pytest.mark.parametrize("missed", [1, 9, 19])
 def test_every_singular_sample_of_a_block_has_its_witness_checked(monkeypatch, block, missed):
     # every sample of a chain of parallel axes is singular; sample `missed`, never the first of
-    # a block, is placed with its axis directions' coordinates rolled, so the witness misses them
+    # a block, is placed by the stacked kernel with its axis directions' coordinates rolled, so
+    # the block's witness pass misses them (the one-sample retry places it unbent, and the
+    # block's error is raised)
     chain = parallel_axes_chain(rng_from(500), 4, 8)
     target = rng_from(1, missed).uniform(0.0, 2.0 * np.pi, chain.n - 1)
-    place = cli.forward_kinematics
+    place_many = cli._place_many
 
-    def bent(chain, theta):
-        pl = place(chain, theta)
-        if np.array_equal(theta, target):
-            dirs, pl = np.roll(pl.dirs, 1, axis=-1), dataclasses.replace(pl)
-            pl.__dict__["dirs"] = dirs
-        return pl
+    def bent(chain, thetas):
+        placements = list(place_many(chain, thetas))
+        for s in np.flatnonzero((thetas == target).all(axis=1)):
+            pl = dataclasses.replace(placements[s])
+            pl.__dict__["dirs"] = np.roll(placements[s].dirs, 1, axis=-1)
+            placements[s] = pl
+        return placements
 
     monkeypatch.setattr(linkage, "_BLOCK", block)
     assert sweep(chain, 20, 1).singular_count == 20
-    monkeypatch.setattr(cli, "forward_kinematics", bent)
+    monkeypatch.setattr(cli, "_place_many", bent)
     with pytest.raises(ConsistencyError, match="^rank verdict says singular but the witness misses axis"):
         sweep(chain, 20, 1)
 

@@ -18,7 +18,9 @@ text and ``--json`` form and ``sweep`` CSV on a d=4 chain of seven axes
 that share one direction (every sample singular, so every row runs the
 witness check). Three sweeps cross the 64-sample blocks of the stacked
 rank test: 150 samples of that chain, 130 of the k=1 frame chain
-(CSV), and 200 of the planar arm (``--json``). Two more, of 65 samples
+(CSV), 200 of the planar arm (``--json``), and 70 of the one-joint planar
+arm (``--json``), whose every sample is singular, so the witness check
+runs on d=2 axes, which have no direction rows. Two more, of 65 samples
 on the k=1 frame chain and on the parallel-axes chain (CSV), end in a
 block of one sample, which is placed by ``forward_kinematics`` after a
 block placed by the stacked kernel. ``analyze-cycle
@@ -122,6 +124,7 @@ EXAMPLES = {
     "desargues-p": ["desargues", "--perturb", "1/100"],
     "arm": ["planar-arm"],
     "arm-l": ["planar-arm", "--lengths", "1,2,1/2"],
+    "arm-1": ["planar-arm", "--lengths", "1"],
     "arm-overflow": ["planar-arm", "--lengths", "1e308,1e308"],
     "cycle": ["generic-cycle"],
     "cycle-5": ["generic-cycle", "--seed", "5"],
@@ -413,6 +416,8 @@ RUNS = [
     ["sweep", "{chain-parallel-d4}", "--samples", "150", "--csv", "{out}/sweep-parallel-150.csv"],
     ["sweep", "{frame-k1}", "--samples", "130", "--seed", "9", "--csv", "{out}/sweep-frame-130.csv"],
     ["sweep", "{arm}", "--samples", "200", "--json"],
+    # d = 2 axes have no direction rows; every sample of the one-joint arm runs the witness check
+    ["sweep", "{arm-1}", "--samples", "70", "--json"],
     # 65 samples: one 64-sample block placed by the stacked kernel, then one sample placed alone
     ["sweep", "{frame-k1}", "--samples", "65", "--seed", "9", "--csv", "{out}/sweep-frame-65.csv"],
     ["sweep", "{chain-parallel-d4}", "--samples", "65", "--seed", "6", "--csv", "{out}/sweep-parallel-65.csv"],

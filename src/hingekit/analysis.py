@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .chain import Chain, _frame_rows, cycle_chain, forward_kinematics, frame_map_jacobian
+from .chain import Chain, _frame_rows, _jacobian, _stacked, cycle_chain, forward_kinematics
 from .errors import (
     ConsistencyError,
     DefinitionError,
@@ -236,7 +236,7 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     if chain.end_frame.k != 0:
         raise WrongMapError("endpoint_singularity needs a chain with a bare end-point")
     pl = forward_kinematics(chain, theta)
-    (rank,), d, (sig,), (u,) = _end_map_ranks(chain, [pl], tol)
+    (rank,), d, (sig,), (u,) = _end_map_ranks(chain, _stacked(pl), tol)
     rank = int(rank)
     null_basis = u[:, rank:].T.copy() if rank < d else None  # every deficiency direction is a witness
     conull = None if null_basis is None else positive_lead(null_basis[0])
@@ -244,21 +244,21 @@ def endpoint_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     return Verdict(rank, d, RankCertificate(rank, sig, rank < d, conull), witness, null_directions=null_basis)
 
 
-def _end_map_ranks(chain: Chain, placements, tol: float, frame: bool = False):
-    """The end map's ranks (S,) at S placements, its full rank, and the singular values and
-    vectors, from one ``numeric_rank`` of their stack. The end-point map stacks the Jacobians
-    (full rank d; left vectors) and witness-checks the singular ones, one pass per rank. The
+def _end_map_ranks(chain: Chain, stacks, tol: float, frame: bool = False):
+    """The end map's ranks (S,) at S placements, as ``chain._place_many``'s arrays, its full rank, and the
+    singular values and vectors, from one ``numeric_rank`` of their stack. The end-point map stacks the
+    Jacobians (full rank d; left vectors) and witness-checks the singular ones, one pass per rank. The
     ``frame`` map stacks ``_frame_rows`` over ``_stabilizer_stack`` (right vectors); both ranks drop
     by the stabilizer dimension, and a tolerance that cuts those independent rows is refused."""
+    origins, generators, dirs, ends, vecs = stacks
     if not frame:
-        jac = np.array([frame_map_jacobian(chain, None, placement=pl) for pl in placements])
-        rank, cutoff, u, sig, _ = numeric_rank(jac, tol)
+        rank, cutoff, u, sig, _ = numeric_rank(_jacobian(origins, generators, ends, vecs), tol)
         for r in np.unique(rank[rank < chain.d]):
             at = rank == r
-            _check_witness([placements[s] for s in np.flatnonzero(at)], u[at, :, r:].swapaxes(1, 2), cutoff[at])
+            _check_witness(ends[at], origins[at], dirs[at], u[at, :, r:].swapaxes(1, 2), cutoff[at])
         return rank, chain.d, sig, u
-    stab_dim, frames = comb(chain.d - chain.end_frame.k, 2), [pl.frame_at for pl in placements]
-    rows = np.concatenate([np.array([_frame_rows(pl) for pl in placements]), _stabilizer_stack(frames)], axis=1)
+    stab_dim = comb(chain.d - chain.end_frame.k, 2)
+    rows = np.concatenate([_frame_rows(origins, generators), _stabilizer_stack(ends, vecs)], axis=1)
     try:
         rank, _, _, sig, vh = numeric_rank(rows, tol)
     except ToleranceError:
@@ -271,17 +271,16 @@ def _end_map_ranks(chain: Chain, placements, tol: float, frame: bool = False):
     return rank - stab_dim, rows.shape[2] - stab_dim, sig, vh
 
 
-def _check_witness(placements, null: np.ndarray, cutoff: np.ndarray) -> None:
-    """Raise unless, at each of S placements, the line through the end-point along each of its r null
-    directions (S, r, d) meets each placed axis: their top pairing, a signed product of two
-    ``_minor_rows`` stacks summed over a C-ordered last axis (so its bits do not depend on S), is
-    within 8 cutoff + 1e-12 |line| |axis|. The first miss in (placement, direction, axis) order is named."""
+def _check_witness(ends, origins, dirs, null: np.ndarray, cutoff: np.ndarray) -> None:
+    """Raise unless, at each of S placements (end-points (S, d), axis origins (S, n-1, d) and directions
+    (S, n-1, d-2, d)), the line through the end-point along each of its r null directions (S, r, d) meets each
+    placed axis: their top pairing, a signed product of two ``_minor_rows`` stacks summed over a C-ordered last
+    axis (so its bits do not depend on S), is within 8 cutoff + 1e-12 |line| |axis|. The first miss in
+    (placement, direction, axis) order is named."""
     S, r, d = null.shape
-    ends = np.repeat([pl.frame_at.origin for pl in placements], r, axis=0)
-    lines = np.ascontiguousarray(_minor_rows(_lift_stack(ends[:, None], null.reshape(S * r, 1, d)))).reshape(S, r, -1)
-    axes = _minor_rows(_lift_stack(np.concatenate([pl.origins for pl in placements])[:, None],
-                                   np.concatenate([pl.dirs for pl in placements])))
-    axes = np.ascontiguousarray(axes).reshape(S, -1, lines.shape[2])
+    lines = _minor_rows(_lift_stack(np.repeat(ends, r, axis=0)[:, None], null.reshape(S * r, 1, d))).reshape(S, r, -1)
+    points = origins.reshape(-1, 1, d)  # a d = 2 axis has no direction rows, so its count comes from here
+    axes = _minor_rows(_lift_stack(points, dirs.reshape(len(points), d - 2, d))).reshape(S, -1, lines.shape[2])
     idx, sgn = _complement_table(d + 1, 2)
     pairing = np.abs(np.multiply((lines * sgn)[:, :, None], axes[:, None, :, idx], order="C").sum(axis=3))
     norms = np.linalg.norm(lines, axis=2)[:, :, None] * np.linalg.norm(axes, axis=2)[:, None]
@@ -302,21 +301,16 @@ def stabilizer_pluckers(frame: Frame) -> list[ExteriorVector]:
     of its span, about its origin; each complement coordinate pair {a, b}
     contributes the axis through the origin whose directions are the
     frame vectors plus the remaining complement vectors. C(d-k, 2) points
-    in all; empty once d - k <= 1. They are views of ``_stabilizer_rows``, which
+    in all; empty once d - k <= 1. They are views of ``_stabilizer_stack``'s rows, which
     come from the SVD of the validated frame and are not validated again as an ``Axis``.
     """
-    return [ExteriorVector(frame.dim - 1, frame.dim + 1, row) for row in _stabilizer_rows(frame)]
+    rows = _stabilizer_stack(frame.origin[None], frame.vecs[None])[0]
+    return [ExteriorVector(frame.dim - 1, frame.dim + 1, row) for row in rows]
 
 
-def _stabilizer_rows(frame: Frame) -> np.ndarray:
-    """The (C(d-k, 2), C(d+1, 2)) Plucker rows of ``stabilizer_pluckers``, by ``_stabilizer_stack``."""
-    return _stabilizer_stack([frame])[0]
-
-
-def _stabilizer_stack(frames) -> np.ndarray:
-    """``_stabilizer_rows`` of S k-frames, (S, C(d-k, 2), C(d+1, 2)), each item's bits its own frame's:
-    one stacked SVD, one ``_lift_stack`` of every stabilizer flat and one ``_minor_rows`` call."""
-    origins, vecs = np.array([f.origin for f in frames]), np.array([f.vecs for f in frames])
+def _stabilizer_stack(origins: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The (S, C(d-k, 2), C(d+1, 2)) rows of ``stabilizer_pluckers`` at S k-frames (origins (S, d), vectors
+    (S, k, d)), each with its own bits: one stacked SVD, one ``_lift_stack`` and one ``_minor_rows`` call."""
     S, k, d = vecs.shape
     if d - k <= 1:
         return np.zeros((S, 0, comb(d + 1, 2)))
@@ -351,7 +345,7 @@ def frame_singularity(chain: Chain, theta, tol: float = 1e-10) -> Verdict:
     differential's rank; the certificate's conull vector is the hyperplane functional. The
     one-placement case of ``_end_map_ranks``.
     """
-    (rank,), full, (sig,), (vh,) = _end_map_ranks(chain, [forward_kinematics(chain, theta)], tol, frame=True)
+    (rank,), full, (sig,), (vh,) = _end_map_ranks(chain, _stacked(forward_kinematics(chain, theta)), tol, frame=True)
     rank, span_rank, conull = int(rank), int(rank) + len(vh) - full, None
     if rank < full:
         conull = positive_lead(vh[span_rank])

@@ -13,8 +13,8 @@ chain. Jacobian columns and Plucker points of the placed axes are read
 off these generators and the placed axis origins. Placed axes and frames
 are moved from checked ones by these rotations and not checked again.
 
-``_place`` builds one ``Placement`` an ``Isometry`` at a time; ``_place_many``
-builds a stack of them, bit for bit the same, from stacked products.
+``_place`` builds one ``Placement`` an ``Isometry`` at a time; ``_place_many`` places
+a stack from stacked products, bit for bit the same, as the end map's arrays alone.
 A ``Placement`` is immutable, and placing the same chain object at the
 same configuration as the call before returns the same ``Placement``: one
 ``lru_cache`` entry keyed by the chain's identity and the angle bytes.
@@ -169,8 +169,7 @@ class Placement:
     """One configuration realized in the ambient space.
 
     ``rots`` and ``trans`` hold the rotations and translations of the body
-    motions g_1..g_n (g_1 is the identity), as ``_place``'s tuples or
-    ``_place_many``'s read-only stacks, and ``ref_axes`` the chain's
+    motions g_1..g_n (g_1 is the identity), and ``ref_axes`` the chain's
     reference axes; axis i as placed is apply(g_i, ref_axes[i]).
     ``origins`` is the read-only (n-1) x d array of the placed axis
     origins, row i equal bit for bit to that axis's origin.
@@ -181,8 +180,8 @@ class Placement:
 
     origins: np.ndarray
     frame_at: Frame
-    rots: tuple[np.ndarray, ...] | np.ndarray
-    trans: tuple[np.ndarray, ...] | np.ndarray
+    rots: tuple[np.ndarray, ...]
+    trans: tuple[np.ndarray, ...]
     generators: np.ndarray
     ref_axes: tuple[Axis, ...]
 
@@ -251,30 +250,34 @@ def _place(chain: Chain, theta: np.ndarray) -> Placement:
 
 # ``_place`` stays the one-configuration route, not the S = 1 case of ``_place_many``, while
 # the benchmark's tracer self-test pins its ``Isometry`` objects and ``forward_kinematics`` calls.
-def _place_many(chain: Chain, thetas: np.ndarray) -> tuple[Placement, ...]:
-    """The placements of an (S, n-1) stack of configurations, bit for bit ``_place``'s: one loop over the
-    joints, each step ``_place``'s arithmetic stacked over S (A @ x as ``(A @ x[..., None])[..., 0]``, the
-    Frobenius norm as a (1, d*d) by (d*d, 1) product). A non-finite angle raises as placing one at a time would."""
+def _place_many(chain: Chain, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The end map's arrays at an (S, n-1) stack of configurations, bit for bit ``_place``'s: placed axis
+    origins (S, n-1, d), generators (S, n-1, d, d) and directions (S, n-1, d-2, d), end-frame origins (S, d)
+    and vectors (S, k, d). One loop over the joints, each step ``_place``'s arithmetic stacked over S (A @ x as
+    ``(A @ x[..., None])[..., 0]``, the Frobenius norm as a (1, d*d) by (d*d, 1) product). A non-finite angle
+    raises as placing one at a time would."""
     if not np.isfinite(thetas).all():  # the first bad angle in sample, then joint order
         _place(chain, thetas[np.isfinite(thetas).all(axis=1).argmin()])
     S, d = thetas.shape[0], chain.d
     rot, trans = np.broadcast_to(_eye(d), (S, d, d)), np.zeros((S, d))
     sin, cos = np.sin(thetas)[..., None, None], np.cos(thetas)[..., None, None]
-    joints, bodies = [], [(rot, trans)]
+    joints = []
     for i, (axis, J_ref) in enumerate(zip(chain.ref_axes, chain.ref_generators)):
         origin = (rot @ axis.origin[:, None])[..., 0] + trans
         J = rot @ J_ref @ rot.swapaxes(1, 2)
         J *= (sqrt(2.0) / np.sqrt((J.reshape(S, 1, -1) @ J.reshape(S, -1, 1))[:, 0, 0]))[:, None, None]
+        joints.append((origin, J, axis.dirs @ rot.swapaxes(1, 2)))
         step = _eye(d) + sin[:, i] * J + (1.0 - cos[:, i]) * (J @ J)  # _rodrigues, then compose
         step_trans = origin - (step @ origin[..., None])[..., 0]
         rot, trans = step @ rot, (step @ trans[..., None])[..., 0] + step_trans
-        joints.append((origin, J))
-        bodies.append((rot, trans))
     end = chain.end_frame  # _moved
-    end_origins, end_vecs = (rot @ end.origin[:, None])[..., 0] + trans, end.vecs @ rot.swapaxes(1, 2)
-    stacks = [_frozen(np.stack(a, axis=1)) for a in (*zip(*joints), *zip(*bodies))]
-    return tuple(Placement(o, _unchecked(Frame, d, eo, ev), r, t, g, chain.ref_axes)
-                 for o, g, r, t, eo, ev in zip(*stacks, end_origins, end_vecs))
+    return (*(np.stack(a, axis=1) for a in zip(*joints)), (rot @ end.origin[:, None])[..., 0] + trans,
+            end.vecs @ rot.swapaxes(1, 2))
+
+
+def _stacked(pl: Placement) -> tuple[np.ndarray, ...]:
+    """``_place_many``'s arrays for one placement: its stacks with a leading axis of one."""
+    return tuple(a[None] for a in (pl.origins, pl.generators, pl.dirs, pl.frame_at.origin, pl.frame_at.vecs))
 
 
 def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) -> np.ndarray:
@@ -285,10 +288,15 @@ def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) 
     J_i (origin - M_i) and each frame vector with J_i v.
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
-    f = pl.frame_at
-    blocks = [np.einsum("iab,ib->ai", pl.generators, f.origin - pl.origins)]
-    blocks.extend((pl.generators @ v).T for v in f.vecs)
-    return np.vstack(blocks)
+    return _jacobian(pl.origins, pl.generators, pl.frame_at.origin, pl.frame_at.vecs)
+
+
+def _jacobian(origins, generators, end_origins, end_vecs) -> np.ndarray:
+    """``frame_map_jacobian`` of placements along any leading axes, each with its own bits: origins (..., n-1, d),
+    generators (..., n-1, d, d), end origins (..., d) and vectors (..., k, d) in; (..., (k+1) d, n-1) out."""
+    origin_block = np.einsum("...iab,...ib->...ai", generators, end_origins[..., None, :] - origins)
+    turned = (generators[..., None, :, :, :] @ end_vecs[..., None, :, None])[..., 0].swapaxes(-1, -2)  # J_i v
+    return np.concatenate([origin_block, turned.reshape(origin_block.shape[:-2] + (-1, origins.shape[-2]))], axis=-2)
 
 
 def endpoint_jacobian(chain: Chain, theta) -> np.ndarray:
@@ -308,14 +316,15 @@ def frame_columns(chain: Chain, theta, placement: Placement | None = None) -> li
     placed generator J and origin o through the signed permutation ``_plucker_to_twist(d)``.
     """
     pl = placement if placement is not None else forward_kinematics(chain, theta)
-    return [ExteriorVector(chain.d - 1, chain.d + 1, p) for p in _frame_rows(pl)]
+    return [ExteriorVector(chain.d - 1, chain.d + 1, p) for p in _frame_rows(pl.origins, pl.generators)]
 
 
-def _frame_rows(pl: Placement) -> np.ndarray:
-    """The (n-1, C(d+1, 2)) Plucker rows of ``frame_columns``, from one product of the stacked twists."""
-    a, b = np.array(subsets(pl.origins.shape[1], 2)).T
-    moments = -np.einsum("iab,ib->ia", pl.generators, pl.origins)
-    return np.hstack([pl.generators[:, a, b], moments]) @ _plucker_to_twist(pl.origins.shape[1])
+def _frame_rows(origins: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """The (..., n-1, C(d+1, 2)) Plucker rows of ``frame_columns``, from one product of the stacked twists."""
+    d = origins.shape[-1]
+    a, b = np.array(subsets(d, 2)).T
+    moments = -np.einsum("...iab,...ib->...ia", generators, origins)
+    return np.concatenate([generators[..., a, b], moments], axis=-1) @ _plucker_to_twist(d)
 
 
 def numerical_jacobian(fn, theta, h: float = 1e-5) -> np.ndarray:

@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, linkage as linkage_mod
-from .chain import Chain, _place_many, cycle_chain, flex_path, forward_kinematics, frame_residual
+from .chain import Chain, _place_many, _stacked, cycle_chain, flex_path, forward_kinematics, frame_residual
 from .errors import (
     ConsistencyError,
     DefinitionError,
@@ -391,11 +391,12 @@ def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: in
     """Seeded uniform scan of the configuration torus.
 
     Sample i draws its angles from the dedicated PCG64 stream (seed, i), so each row depends
-    only on (seed, i). Blocks of ``linkage._BLOCK`` samples are placed by ``chain._place_many`` (a
-    block of one by ``forward_kinematics``) and ranked by one stacked SVD in the kernel of the
-    one-sample verdicts, witness checks included, so rows equal theirs bit for bit and memory is
-    bounded per block. A failing block is placed and ranked again one sample at a time, so the
-    first failing sample raises. ``workers`` has no effect.
+    only on (seed, i). Blocks of ``linkage._BLOCK`` samples are placed by ``chain._place_many`` as
+    arrays, no ``Placement`` built (a block of one by ``forward_kinematics``, as a stack of one),
+    and ranked by one stacked SVD in the kernel of the one-sample verdicts, witness checks
+    included, so rows equal theirs bit for bit and memory is bounded per block. A failing block is
+    placed and ranked again one sample at a time, so the first failing sample raises. ``workers``
+    has no effect.
     """
     if samples < 1:
         raise ScenarioError("sweep needs at least one sample")
@@ -404,11 +405,11 @@ def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: in
         block = range(start, min(start + linkage_mod._BLOCK, samples))
         thetas = np.array([rng_from(seed, i).uniform(0.0, 2.0 * np.pi, chain.n - 1) for i in block])
         try:
-            placements = _place_many(chain, thetas) if len(block) > 1 else [forward_kinematics(chain, thetas[0])]
-            rank, full, sig, _ = analysis._end_map_ranks(chain, placements, tol, frame)
+            stacks = _place_many(chain, thetas) if len(block) > 1 else _stacked(forward_kinematics(chain, thetas[0]))
+            rank, full, sig, _ = analysis._end_map_ranks(chain, stacks, tol, frame)
         except HingekitError:
             for theta in thetas:  # one sample at a time, the first failing one raises
-                analysis._end_map_ranks(chain, [forward_kinematics(chain, theta)], tol, frame)
+                analysis._end_map_ranks(chain, _stacked(forward_kinematics(chain, theta)), tol, frame)
             raise
         rows += map(SweepRow, block, map(tuple, thetas.tolist()), rank.tolist(), sig[:, -1].tolist(),
                     (rank < full).tolist())
@@ -590,13 +591,7 @@ def _cmd_sweep(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]
     csv_text = sweep_csv(report)
     if args.csv:
         Path(args.csv).write_text(csv_text)
-    doc = {
-        "samples": report.samples,
-        "seed": report.seed,
-        "singular_count": report.singular_count,
-        "sigma_min_min": report.sigma_min_min,
-        "sigma_min_mean": report.sigma_min_mean,
-    }
+    doc = {key: value for key, value in vars(report).items() if key != "rows"}  # the summary fields, in order
     text = (
         f"swept {report.samples} samples (seed {report.seed}): "
         f"{report.singular_count} singular, sigma_min in "

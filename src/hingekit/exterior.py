@@ -248,7 +248,8 @@ def _minor_rows(mats) -> np.ndarray:
     if a.ndim != 3 or a.shape[1] > a.shape[2]:
         _check_shapes(mats)
     j, m = a.shape[1:]
-    return np.linalg.det(a.transpose(0, 2, 1)[:, np.array(subsets(m, j))])
+    # C order: a stacked det hands back F-ordered rows, and a product over them would round by S
+    return np.ascontiguousarray(np.linalg.det(a.transpose(0, 2, 1)[:, np.array(subsets(m, j))]))
 
 
 # Each entry the batched Bareiss elimination forms is a minor of one input matrix, so

@@ -43,7 +43,7 @@ from hingekit import (
 from hingekit.analysis import (
     WitnessLine,
     _check_witness,
-    _stabilizer_rows,
+    _stabilizer_stack,
     _coincident,
     bricard_symmetric_lines,
     classical_scenario,
@@ -66,7 +66,7 @@ from hingekit.errors import (
     WrongMapError,
 )
 from hingekit.exterior import NON_FINITE, _exact_minor_rows, _minor_rows, numeric_rank, positive_lead
-from hingekit.chain import _frame_rows
+from hingekit.chain import _frame_rows, _stacked
 from hingekit.geometry import _lift, _plucker_to_twist
 from hingekit.sampling import (
     common_line_platform_legs,
@@ -140,9 +140,15 @@ def _witness_misses_per_axis(placement, null_basis, cutoff) -> list[int]:
     return misses
 
 
+def _check_one_witness(placement, null_basis, cutoff):
+    """``_check_witness`` on one placement's arrays, as a stack of one."""
+    origins, _, dirs, ends, _ = _stacked(placement)
+    _check_witness(ends, origins, dirs, null_basis[None], np.array([cutoff]))
+
+
 def _stacked_witness_outcome(placement, null_basis, cutoff):
     try:
-        _check_witness([placement], null_basis[None], np.array([cutoff]))
+        _check_one_witness(placement, null_basis, cutoff)
     except ConsistencyError as exc:
         return int(re.search(r"misses axis (\d+) ", str(exc)).group(1))
     return None
@@ -1063,7 +1069,8 @@ def test_stacked_frame_and_stabilizer_rows_equal_the_per_point_route(d, seed, da
     pl = forward_kinematics(chain, theta)
     stab, cols = _stabilizer_points_per_flat(pl.frame_at), _frame_columns_per_column(pl)
     assert len(stab) == (comb(d - k, 2) if k < d - 1 else 0)
-    for got, want in ((_stabilizer_rows(pl.frame_at), stab), (_frame_rows(pl), cols)):
+    stab_rows = _stabilizer_stack(pl.frame_at.origin[None], pl.frame_at.vecs[None])[0]
+    for got, want in ((stab_rows, stab), (_frame_rows(pl.origins, pl.generators), cols)):
         assert got.shape == (len(want), comb(d + 1, 2))
         assert got.tobytes() == b"".join(p.tobytes() for p in want)
     for views, want in ((stabilizer_pluckers(pl.frame_at), stab), (frame_columns(chain, theta, placement=pl), cols)):
@@ -1082,7 +1089,7 @@ def test_witness_miss_names_the_axis_its_pairing_and_its_bound():
         rf"^rank verdict says singular but the witness misses axis {first} "
         r"\(pairing \d\.\d{3}e[-+]\d\d > bound \d\.\d{3}e[-+]\d\d\)$"
     )):
-        _check_witness([pl], bent[None], np.array([cutoff]))
+        _check_one_witness(pl, bent, cutoff)
 
 
 def test_float_cycle_verdict_keeps_its_error_contract():

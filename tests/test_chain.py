@@ -677,9 +677,34 @@ def test_stacked_placement_equals_one_placement_per_configuration(d, n, samples,
         first = thetas.flat[np.flatnonzero(~np.isfinite(thetas))[0]]
         assert got == want == f"rotation angle must be finite, got {float(first)!r}"
         return
-    assert len(got) == samples
-    for a, b in zip(got, want, strict=True):
-        assert _same_placement(a, b) and a.dirs.tobytes() == b.dirs.tobytes()
+    # origins, generators, directions, end-frame origins and vectors, stacked per configuration
+    want = [np.array(stack) for stack in zip(*((pl.origins, pl.generators, pl.dirs, pl.frame_at.origin,
+                                                  pl.frame_at.vecs) for pl in want))]
+    assert [(a.shape, a.tobytes()) for a in got] == [(b.shape, b.tobytes()) for b in want]
+
+
+def _jacobian_reference(pl):
+    """Reference: the Jacobian formula of one placement, before placements were stacked: one
+    ``einsum`` for the origin block, then one ``(G @ v).T`` block per frame vector v."""
+    f = pl.frame_at
+    blocks = [np.einsum("iab,ib->ai", pl.generators, f.origin - pl.origins)]
+    blocks.extend((pl.generators @ v).T for v in f.vecs)
+    return np.vstack(blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(2, 12), st.integers(1, 9), st.integers(0, 10**6), st.booleans())
+def test_frame_map_jacobian_and_the_stacked_kernel_equal_the_per_placement_formula(d, n, samples, seed, cycle):
+    # end frames of every k = 0..d-2, and cycles (k = d-2)
+    rng = np.random.default_rng(seed)
+    c = random_cycle(rng, d, n) if cycle else random_chain(rng, d, n, k=int(rng.integers(0, d - 1)))
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (samples, c.n - 1))
+    want = np.array([_jacobian_reference(forward_kinematics(c, theta)) for theta in thetas])
+    assert want.shape == (samples, (c.end_frame.k + 1) * d, c.n - 1)
+    assert all(frame_map_jacobian(c, theta).tobytes() == w.tobytes() for theta, w in zip(thetas, want))
+    origins, generators, _, ends, vecs = chain_module._place_many(c, thetas)
+    got = chain_module._jacobian(origins, generators, ends, vecs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_repeated_placement_is_shared_only_for_the_same_chain():

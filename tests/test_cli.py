@@ -624,11 +624,16 @@ def _sweep_chains(draw):
 _DEFAULT_BLOCK = linkage._BLOCK
 
 
+_ONE_JOINT_ARM = analysis.planar_arm_chain((1,))  # d = 2, every sample singular: axes with no direction rows
+
+
 @settings(max_examples=30, deadline=None)
-@given(chain=_sweep_chains(), block=st.sampled_from([1, 7, _DEFAULT_BLOCK]), data=st.data())
-def test_a_stacked_sweep_equals_one_verdict_per_sample(chain, block, data):
-    drawn = data.draw(st.integers(block + 1, 2 * block + 1), label="samples")  # past one block
-    seed = data.draw(st.integers(0, 2**20), label="seed")
+@given(chain=_sweep_chains(), block=st.sampled_from([1, 7, _DEFAULT_BLOCK]), over=st.integers(0, _DEFAULT_BLOCK),
+       seed=st.integers(0, 2**20))
+@example(chain=_ONE_JOINT_ARM, block=7, over=3, seed=0)
+@example(chain=_ONE_JOINT_ARM, block=_DEFAULT_BLOCK, over=5, seed=0)
+def test_a_stacked_sweep_equals_one_verdict_per_sample(chain, block, over, seed):
+    drawn = block + 1 + min(over, block)  # past one block
     # block + 1 samples end in a block of one, placed by forward_kinematics, after a stacked block
     for samples in (drawn, block + 1):
         want = _sweep_outcome(_sweep_one_sample_at_a_time, chain, samples, seed, 1e-10)
@@ -670,12 +675,10 @@ def test_every_singular_sample_of_a_block_has_its_witness_checked(monkeypatch, b
     place_many = cli._place_many
 
     def bent(chain, thetas):
-        placements = list(place_many(chain, thetas))
-        for s in np.flatnonzero((thetas == target).all(axis=1)):
-            pl = dataclasses.replace(placements[s])
-            pl.__dict__["dirs"] = np.roll(placements[s].dirs, 1, axis=-1)
-            placements[s] = pl
-        return placements
+        origins, generators, dirs, ends, vecs = place_many(chain, thetas)
+        at = (thetas == target).all(axis=1)
+        dirs[at] = np.roll(dirs[at], 1, axis=-1)
+        return origins, generators, dirs, ends, vecs
 
     monkeypatch.setattr(linkage, "_BLOCK", block)
     assert sweep(chain, 20, 1).singular_count == 20

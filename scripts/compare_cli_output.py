@@ -23,7 +23,11 @@ arm (``--json``), whose every sample is singular, so the witness check
 runs on d=2 axes, which have no direction rows. Two more, of 65 samples
 on the k=1 frame chain and on the parallel-axes chain (CSV), end in a
 block of one sample, which is placed by ``forward_kinematics`` after a
-block placed by the stacked kernel. ``analyze-cycle
+block placed by the stacked kernel. Three sweeps draw from seeds past one
+32-bit word: 70 samples at 2^62 (CSV), and 12 on the k=1 frame chain and
+70 on the parallel-axes chain (``--json``) at 2^128 + 1, whose entropy
+words with the sample index outrun the four-word pool of numpy's seed
+hash. ``analyze-cycle
 --exact`` on an integer cycle in R^4 whose conull has entries past 2^53,
 on a d=6 cycle with two ``a/b`` coordinates, on the same cycle with a
 21st axis (full rank), and on six axes in R^3 whose Plucker determinant
@@ -421,6 +425,11 @@ RUNS = [
     # 65 samples: one 64-sample block placed by the stacked kernel, then one sample placed alone
     ["sweep", "{frame-k1}", "--samples", "65", "--seed", "9", "--csv", "{out}/sweep-frame-65.csv"],
     ["sweep", "{chain-parallel-d4}", "--samples", "65", "--seed", "6", "--csv", "{out}/sweep-parallel-65.csv"],
+    # seeds of two 32-bit words (2^62) and of five (2^128 + 1), whose entropy with i outruns the
+    # four-word pool of the streams' seed hash
+    ["sweep", "{chain-d3}", "--samples", "70", "--seed", "4611686018427387904", "--csv", "{out}/sweep-chain-d3-2e62.csv"],
+    ["sweep", "{frame-k1}", "--samples", "12", "--seed", "340282366920938463463374607431768211457"],
+    ["sweep", "{chain-parallel-d4}", "--samples", "70", "--seed", "340282366920938463463374607431768211457", "--json"],
     # singular values that overflow from finite rows, and a near-degenerate line window
     *(["sweep", "{chain-overflow}", "--samples", "5", "--seed", seed] for seed in ("2", "3")),
     ["convert-linkage", "{cycle-d5-near-degenerate}"], ["convert-linkage", "{cycle-d5-near-degenerate}", "--json"],

@@ -252,32 +252,34 @@ def _place(chain: Chain, theta: np.ndarray) -> Placement:
 # the benchmark's tracer self-test pins its ``Isometry`` objects and ``forward_kinematics`` calls.
 def _place_many(chain: Chain, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
     """The end map's arrays at an (S, n-1) stack of configurations, bit for bit ``_place``'s: placed axis
-    origins (S, n-1, d), generators (S, n-1, d, d) and directions (S, n-1, d-2, d), end-frame origins (S, d)
-    and vectors (S, k, d). One loop over the joints, each step ``_place``'s arithmetic stacked over S (A @ x as
-    ``(A @ x[..., None])[..., 0]``, the Frobenius norm as a (1, d*d) by (d*d, 1) product). A non-finite angle
-    raises as placing one at a time would."""
+    origins (S, n-1, d), generators (S, n-1, d, d) and directions (S, n-1, d-2, d), None for k > 0 (which reads
+    none), end-frame origins (S, d) and vectors (S, k, d). One loop over the joints, each step ``_place``'s
+    arithmetic stacked over S (A @ x as ``(A @ x[..., None])[..., 0]``, the Frobenius norm as a (1, d*d) by
+    (d*d, 1) product). A non-finite angle raises as placing one at a time would."""
     if not np.isfinite(thetas).all():  # the first bad angle in sample, then joint order
         _place(chain, thetas[np.isfinite(thetas).all(axis=1).argmin()])
-    S, d = thetas.shape[0], chain.d
+    S, d, end = thetas.shape[0], chain.d, chain.end_frame
     rot, trans = np.broadcast_to(_eye(d), (S, d, d)), np.zeros((S, d))
     sin, cos = np.sin(thetas)[..., None, None], np.cos(thetas)[..., None, None]
-    joints = []
+    joints, dirs = [], []
     for i, (axis, J_ref) in enumerate(zip(chain.ref_axes, chain.ref_generators)):
         origin = (rot @ axis.origin[:, None])[..., 0] + trans
         J = rot @ J_ref @ rot.swapaxes(1, 2)
         J *= (sqrt(2.0) / np.sqrt((J.reshape(S, 1, -1) @ J.reshape(S, -1, 1))[:, 0, 0]))[:, None, None]
-        joints.append((origin, J, axis.dirs @ rot.swapaxes(1, 2)))
+        joints.append((origin, J))
+        if not end.k:
+            dirs.append(axis.dirs @ rot.swapaxes(1, 2))
         step = _eye(d) + sin[:, i] * J + (1.0 - cos[:, i]) * (J @ J)  # _rodrigues, then compose
         step_trans = origin - (step @ origin[..., None])[..., 0]
         rot, trans = step @ rot, (step @ trans[..., None])[..., 0] + step_trans
-    end = chain.end_frame  # _moved
-    return (*(np.stack(a, axis=1) for a in zip(*joints)), (rot @ end.origin[:, None])[..., 0] + trans,
-            end.vecs @ rot.swapaxes(1, 2))
+    return (*(np.stack(a, axis=1) for a in zip(*joints)), np.stack(dirs, axis=1) if dirs else None,
+            (rot @ end.origin[:, None])[..., 0] + trans, end.vecs @ rot.swapaxes(1, 2))  # _moved
 
 
 def _stacked(pl: Placement) -> tuple[np.ndarray, ...]:
     """``_place_many``'s arrays for one placement: its stacks with a leading axis of one."""
-    return tuple(a[None] for a in (pl.origins, pl.generators, pl.dirs, pl.frame_at.origin, pl.frame_at.vecs))
+    dirs = None if pl.frame_at.k else pl.dirs[None]
+    return pl.origins[None], pl.generators[None], dirs, pl.frame_at.origin[None], pl.frame_at.vecs[None]
 
 
 def frame_map_jacobian(chain: Chain, theta, placement: Placement | None = None) -> np.ndarray:

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, linkage as linkage_mod
+from . import analysis, linkage as linkage_mod, sampling
 from .chain import Chain, _place_many, _stacked, cycle_chain, flex_path, forward_kinematics, frame_residual
 from .errors import (
     ConsistencyError,
@@ -64,7 +64,6 @@ from .errors import (
 )
 from .exterior import check_tolerance
 from .geometry import make_axes, make_frame
-from .sampling import rng_from
 
 __all__ = [
     "Scenario",
@@ -391,19 +390,20 @@ def sweep(chain: Chain, samples: int, seed: int, tol: float = 1e-10, workers: in
     """Seeded uniform scan of the configuration torus.
 
     Sample i draws its angles from the dedicated PCG64 stream (seed, i), so each row depends
-    only on (seed, i). Blocks of ``linkage._BLOCK`` samples are placed by ``chain._place_many`` as
-    arrays, no ``Placement`` built (a block of one by ``forward_kinematics``, as a stack of one),
-    and ranked by one stacked SVD in the kernel of the one-sample verdicts, witness checks
-    included, so rows equal theirs bit for bit and memory is bounded per block. A failing block is
-    placed and ranked again one sample at a time, so the first failing sample raises. ``workers``
-    has no effect.
+    only on (seed, i). ``sampling._uniform_block`` draws a block's streams in one vectorized pass,
+    byte for byte what ``rng_from(seed, i).uniform`` draws. Blocks of ``linkage._BLOCK`` samples
+    are placed by ``chain._place_many`` as arrays, no ``Placement`` built (a block of one by
+    ``forward_kinematics``, as a stack of one), and ranked by one stacked SVD in the kernel of the
+    one-sample verdicts, witness checks included, so rows equal theirs bit for bit and memory is
+    bounded per block. A failing block is placed and ranked again one sample at a time, so the
+    first failing sample raises. ``workers`` has no effect.
     """
     if samples < 1:
         raise ScenarioError("sweep needs at least one sample")
     rows, frame = [], chain.end_frame.k > 0
     for start in range(0, samples, linkage_mod._BLOCK):
         block = range(start, min(start + linkage_mod._BLOCK, samples))
-        thetas = np.array([rng_from(seed, i).uniform(0.0, 2.0 * np.pi, chain.n - 1) for i in block])
+        thetas = sampling._uniform_block(seed, block.start, block.stop, chain.n - 1)
         try:
             stacks = _place_many(chain, thetas) if len(block) > 1 else _stacked(forward_kinematics(chain, thetas[0]))
             rank, full, sig, _ = analysis._end_map_ranks(chain, stacks, tol, frame)

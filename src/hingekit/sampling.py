@@ -7,6 +7,9 @@ optional splitting key, which keeps parallel sweeps reproducible.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
+
 import numpy as np
 
 from .chain import Chain, cycle_chain
@@ -26,11 +29,81 @@ __all__ = [
 ]
 
 
-def rng_from(seed: int, *key: int) -> np.random.Generator:
-    """PCG64 stream for (seed, key...): per-index streams never overlap; seed must be >= 0."""
+def _seed(seed: int) -> int:
     if int(seed) < 0:
         raise DefinitionError(f"a seed must be an integer >= 0, got {seed}")
-    return np.random.default_rng([int(seed), *map(int, key)] if key else int(seed))
+    return int(seed)
+
+
+def rng_from(seed: int, *key: int) -> np.random.Generator:
+    """PCG64 stream for (seed, key...): per-index streams never overlap; seed must be >= 0."""
+    return np.random.default_rng([_seed(seed), *map(int, key)] if key else _seed(seed))
+
+
+_MASK, _PCG_MULT = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """c_0..c_count, c_0 = init and c_t+1 = c_t mult mod 2^32: hash call t xors c_t, then multiplies by c_t+1."""
+    return np.array(list(accumulate(range(count), lambda c, _: c * mult & _MASK, initial=init)), np.uint32)
+
+
+_STATE = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+# cross-mix stage s hashes pool word s into the other three: (xor, multiply) constants per word, 0 at s
+_CROSS = [[np.insert(_hash_consts(0x43B0D7E5, 0x931E8875, 16)[4 + 3 * s + j:7 + 3 * s + j], s, 0) for j in (0, 1)]
+          for s in range(4)]
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    x = 0xCA01F9DD * x - 0x4973F715 * y
+    return x ^ x >> 16
+
+
+@lru_cache(maxsize=None)
+def _jump(m: int) -> np.ndarray:
+    """The (17, 4m) limb matrix of PCG64's first m draws. Seeded with (s, seq), draw k reads the state X_k = A_k s +
+    B_k (2 seq + 1) mod 2^128, A_k = M^(k+1) and B_k = 1 + M + ... + M^(k+1). Row r < 16 takes 16-bit limb r of the 8
+    generated uint32 words (s's are 2, 3, 0, 1 and seq's 6, 7, 4, 5, least significant first), row 16 a constant 1.
+    Column (j, k) is 32-bit word j of X_k, so every entry of the product is an integer below 2^53."""
+    ab = [(pow(_PCG_MULT, k + 1, 2**128), sum(pow(_PCG_MULT, j, 2**128) for j in range(k + 2))) for k in range(1, m + 1)]
+    rows = [[(a if c < 4 else 2 * b) << [64, 96, 0, 32][c % 4] + 16 * h for a, b in ab] for c in range(8) for h in (0, 1)]
+    rows.append([b for _, b in ab])
+    return np.array([[x % 2**128 >> 32 * j & _MASK for j in range(4) for x in row] for row in rows], float)
+
+
+def _uniform_block(seed: int, start: int, stop: int, m: int) -> np.ndarray:
+    """The (stop - start, m) angles ``rng_from(seed, i).uniform(0.0, 2 pi, m)`` for i in range(start, stop), byte for
+    byte, in one vectorized pass: numpy's SeedSequence hash on the block's (S, 4) pools, then PCG64 (O'Neill, 2014)
+    states by jump-ahead and its XSL-RR output, from their published descriptions."""
+    cut = (start >> 32) + 1 << 32  # i's upper words change here, so each side has one entropy length
+    if cut < stop:
+        return np.concatenate([_uniform_block(seed, start, cut, m), _uniform_block(seed, cut, stop, m)])
+    q, r = divmod(start, 1 << 32)
+    # the entropy words of [seed, i]: each int's 32-bit words, least significant first ([0] for 0); i's lowest varies
+    head, high = ([x >> s & _MASK for s in range(0, max(x.bit_length(), 1), 32)] for x in (_seed(seed), q))
+    words = head + [0] + (high if q else [])
+    entropy = np.tile(np.array(words + [0] * (4 - len(words)), np.uint32), (stop - start, 1))
+    entropy[:, len(head)] = np.arange(r, r + stop - start, dtype=np.uint32)
+    c = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * entropy.shape[1])
+    pool = _hashmix(entropy[:, :4], c[:4], c[1:5])
+    for s in range(4):
+        mixed = _mix(pool, _hashmix(pool[:, s, None], *_CROSS[s]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    for p in range(4, entropy.shape[1]):  # entropy past the pool mixes into every pool word
+        pool = _mix(pool, _hashmix(entropy[:, p, None], c[4 * p:4 * p + 4], c[4 * p + 1:4 * p + 5]))
+    state, jump = _hashmix(np.tile(pool, 2), _STATE[:8], _STATE[1:]), _jump(m)  # generate_state(4, uint64)
+    w = (np.asarray(state, "<u4").view("<u2") @ jump[:16] + jump[16]).astype(np.uint64).reshape(-1, 4, m)
+    lo = w[:, 0] + (w[:, 1] << 32)
+    hi = w[:, 2] + (w[:, 3] << 32) + (w[:, 1] + (w[:, 0] >> 32) >> 32)  # the carry out of the low 64 bits
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot | x << (64 - rot & 63)) >> 11) * (2.0 * np.pi * 2.0**-53)
 
 
 def random_axis(rng: np.random.Generator, d: int) -> Axis:

@@ -680,6 +680,9 @@ def test_stacked_placement_equals_one_placement_per_configuration(d, n, samples,
     # origins, generators, directions, end-frame origins and vectors, stacked per configuration
     want = [np.array(stack) for stack in zip(*((pl.origins, pl.generators, pl.dirs, pl.frame_at.origin,
                                                   pl.frame_at.vecs) for pl in want))]
+    if c.end_frame.k:  # only the end-point map reads directions, so a k > 0 stack has none
+        assert got[2] is None
+        got, want = got[:2] + got[3:], want[:2] + want[3:]
     assert [(a.shape, a.tobytes()) for a in got] == [(b.shape, b.tobytes()) for b in want]
 
 

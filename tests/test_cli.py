@@ -21,9 +21,9 @@ from hingekit.cli import (
     sweep,
     sweep_csv,
 )
-from hingekit import analysis, linkage
+from hingekit import analysis, linkage, sampling
 from hingekit.chain import Chain, cycle_chain, forward_kinematics
-from hingekit.errors import ConsistencyError, GradeError, HingekitError, ScenarioError
+from hingekit.errors import ConsistencyError, DefinitionError, GradeError, HingekitError, ScenarioError
 from hingekit.geometry import make_axes, make_frame
 from hingekit.linkage import cycle_to_linkage
 from hingekit.sampling import parallel_axes_chain, random_axis, random_chain, random_cycle, rng_from
@@ -581,6 +581,28 @@ def test_sweep_on_singular_family(capsys):
     generic = scenario_cycle_chain(sc)
     report = sweep(generic, samples=25, seed=1)
     assert report.singular_count == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**160), start=st.integers(0, 2**64), size=st.integers(1, 64), m=st.integers(1, 12))
+@example(seed=0, start=0, size=1, m=1)
+@example(seed=5, start=2**32 - 1, size=2, m=3)  # i = 2^32 - 1 and 2^32 in one block
+@example(seed=2**128 + 1, start=0, size=64, m=7)  # five seed words and i: past the four-word pool
+def test_a_block_of_streams_equals_numpy_draw_for_draw(seed, start, size, m):
+    # numpy is the oracle: seeds past 2^96 and indices past 2^32 make the entropy outrun the pool
+    want = np.array([np.random.default_rng([seed, i]).uniform(0.0, 2 * np.pi, m) for i in range(start, start + size)])
+    got = sampling._uniform_block(seed, start, start + size, m)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
+    with pytest.raises(DefinitionError) as info:
+        sweep(analysis.planar_arm_chain(), 1, -1)
+    assert str(info.value) == "a seed must be an integer >= 0, got -1"
+    path = tmp_path / "arm.json"
+    path.write_text(example_text(capsys, "planar-arm"))
+    code, out, err = capture(capsys, ["sweep", str(path), "--samples", "1", "--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: a seed must be an integer >= 0, got -1\n")
 
 
 # --- the stacked sweep against one verdict per sample -----------------------------

@@ -82,6 +82,13 @@ are finite but their singular values overflow (exit 3), and
 ``convert-linkage`` in text and ``--json`` form on a d=5 cycle whose
 second axis is the first with 1e-9 noise on its directions, so their
 window cuts a near-degenerate line (exit 3).
+A flag of ``example`` is read only by the fixture it belongs to. Five runs
+give a fixture flags that only another fixture reads, some malformed, and
+exit 0: ``desargues --lengths x``, ``twisted-cubic-tangents --seed 7 --d 5
+--perturb x``, ``generic-cycle --t ''``, ``bricard-symmetric-six --height
+nan`` and ``planar-arm --t 1,1 --seed -1``. ``cyclohexane-panels --height
+1e308`` has directions that overflow; it builds no axis and is refused when
+printed (exit 2).
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -142,6 +149,14 @@ EXAMPLES = {
     "cycle-d5n10": ["generic-cycle", "--d", "5", "--n", "10"],
     "cycle-d5n4": ["generic-cycle", "--d", "5", "--n", "4"],
     "cycle-d7n28": ["generic-cycle", "--d", "7", "--n", "28", "--seed", "3"],
+    # a flag is read only by its own fixture: the others ignore it, even malformed
+    "desargues-lengths-x": ["desargues", "--lengths", "x"],
+    "cubic-seed-d-perturb-x": ["twisted-cubic-tangents", "--seed", "7", "--d", "5", "--perturb", "x"],
+    "cycle-t-empty": ["generic-cycle", "--t", ""],
+    "bricard-height-nan": ["bricard-symmetric-six", "--height", "nan"],
+    "arm-t-seed-negative": ["planar-arm", "--t", "1,1", "--seed", "-1"],
+    # a chair whose directions overflow is refused when printed (exit 2), no axis built
+    "chair-h-1e308": ["cyclohexane-panels", "--height", "1e308"],
 }
 
 # hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,

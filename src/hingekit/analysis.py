@@ -507,6 +507,34 @@ def planar_arm_chain(lengths=(1, 1, 1)) -> Chain:
     return Chain(2, axes, end)
 
 
+def _fixture_fields(name: str, **params):
+    """The fixture ``name`` as (kind, d, fields, chain): ``cli.Scenario``'s kind, d and fields, numbers as the fixture
+    makes them, and the chain planar-arm and generic-cycle read Python floats off, else None. The one dispatch on
+    fixture names and home of their defaults; it ignores a parameter the fixture does not read, builds no line axis."""
+    seed, fields, chain = params.get("seed", 0), {}, None
+    if name == "twisted-cubic-tangents":
+        lines = twisted_cubic_data(params.get("ts", (0, 1, -1, 2, -2, 3)))
+    elif name == "bricard-symmetric-six":
+        lines, fields = bricard_symmetric_lines(seed), {"seed": seed}
+    elif name == "cyclohexane-panels":
+        pts = chair_hexagon_points(params.get("height", 0.5))
+        lines, fields = [(pts[i].tolist(), (pts[(i + 1) % 6] - pts[i]).tolist()) for i in range(6)], {"panel": True}
+    elif name == "desargues":
+        return "platform", 2, {"legs": tuple(desargues_legs(params.get("perturb", 0)))}, None
+    elif name == "planar-arm":
+        chain = planar_arm_chain(params.get("lengths", (1, 1, 1)))
+        axes, fields = chain.ref_axes, {"end_frame": (tuple(chain.end_frame.origin.tolist()), ())}
+    elif name == "generic-cycle":
+        chain = random_cycle(rng_from(seed, 7919), params.get("d", 3), params.get("n", 7))
+        axes, fields = [*chain.ref_axes, chain.closing_axis], {"seed": seed}
+    else:
+        raise ScenarioError(f"unknown scenario {name!r}; choose one of {', '.join(SCENARIO_NAMES)}")
+    if chain is None:
+        return "cycle", 3, {"axes": tuple((tuple(p), (tuple(u),)) for p, u in lines), **fields}, None
+    axes = tuple((tuple(a.origin.tolist()), tuple(map(tuple, a.dirs.tolist()))) for a in axes)
+    return "chain" if "end_frame" in fields else "cycle", chain.d, {"axes": axes, **fields}, chain
+
+
 def classical_scenario(name: str, **params):
     """Deterministic classical fixtures by name.
 
@@ -517,23 +545,10 @@ def classical_scenario(name: str, **params):
     planar-arm(lengths): flat serial arm; generic-cycle(d, n, seed):
     seeded random closed cycle.
     """
-    if name == "twisted-cubic-tangents":
-        data = twisted_cubic_data(params.get("ts", (0, 1, -1, 2, -2, 3)))
-        return [make_axis(3, [float(x) for x in p], [[float(x) for x in u]]) for p, u in data]
-    if name == "bricard-symmetric-six":
-        lines = bricard_symmetric_lines(params.get("seed", 0))
-        return [make_axis(3, p, [u]) for p, u in lines]
-    if name == "cyclohexane-panels":
-        pts = chair_hexagon_points(params.get("height", 0.5))
-        axes = [
-            make_axis(3, pts[i], [pts[(i + 1) % 6] - pts[i]]) for i in range(6)
-        ]
-        return cycle_chain(axes, panel=True)
-    if name == "desargues":
-        return Platform(2, tuple(desargues_legs(params.get("perturb", 0))))
-    if name == "planar-arm":
-        return planar_arm_chain(params.get("lengths", (1, 1, 1)))
-    if name == "generic-cycle":
-        rng = rng_from(params.get("seed", 0), 7919)
-        return random_cycle(rng, params.get("d", 3), params.get("n", 7))
-    raise ScenarioError(f"unknown scenario {name!r}; choose one of {', '.join(SCENARIO_NAMES)}")
+    kind, d, fields, chain = _fixture_fields(name, **params)
+    if chain is not None:
+        return chain
+    if kind == "platform":
+        return Platform(d, fields["legs"])
+    axes = [make_axis(d, [float(x) for x in p], [[float(x) for x in u]]) for p, (u,) in fields["axes"]]
+    return cycle_chain(axes, panel=True) if fields.get("panel") else axes

@@ -268,10 +268,6 @@ def _load(text: str) -> tuple[Scenario, Chain | analysis.Platform]:
         raise ScenarioError(f"semantic error: {exc}") from exc
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(x) for x in values)
-
-
 def _at(path: str, build, *args):
     """build(*args), with the JSON path of a bad axis or end frame in front of its error."""
     try:
@@ -292,7 +288,7 @@ def scenario_axes(sc: Scenario):
 
 def scenario_chain(sc: Scenario) -> Chain:
     origin, vecs = sc.end_frame
-    frame = _at("end_frame.vecs", make_frame, sc.d, _floats(origin), [_floats(v) for v in vecs])
+    frame = _at("end_frame.vecs", make_frame, sc.d, origin, vecs)  # numpy reads an int or a Fraction by float()
     return Chain(sc.d, tuple(scenario_axes(sc)), frame, panel=sc.panel)
 
 
@@ -600,52 +596,30 @@ def _cmd_sweep(args, sc: Scenario, chain: Chain, tol: float) -> tuple[dict, str]
     return doc, text if args.csv else f"{text}\n{csv_text[:-1]}"
 
 
-def _rationals(flag: str, text: str) -> tuple:
+def _rationals(text: str, flag: str) -> tuple:
     """Comma-separated finite rationals given to an ``example`` flag."""
     return tuple(_num(part, flag, i) for i, part in enumerate(text.split(",")))
 
 
-def _axes_data(axes) -> tuple:
-    return tuple((_floats(a.origin), tuple(_floats(v) for v in a.dirs)) for a in axes)
-
-
-def _line_axes(lines) -> tuple:
-    """Axes of R^3 from (point, direction) pairs, numbers kept as given."""
-    return tuple((tuple(p), (tuple(u),)) for p, u in lines)
+# each fixture flag of ``example`` -> (the one fixture that reads it, its parameter, its reader)
+_FIXTURE_FLAGS = {
+    "t": ("twisted-cubic-tangents", "ts", _rationals),
+    "height": ("cyclohexane-panels", "height", _num),
+    "perturb": ("desargues", "perturb", _num),
+    "lengths": ("planar-arm", "lengths", _rationals),
+}
 
 
 def _example_scenario(args) -> Scenario:
-    """The named fixture; a flag that is given is used as given, never replaced by its default."""
-    name = args.name
-    seed = 0 if args.seed is None else args.seed
-    if name == "twisted-cubic-tangents":
-        ts = (0, 1, -1, 2, -2, 3) if args.t is None else _rationals("--t", args.t)
-        return Scenario("cycle", 3, axes=_line_axes(analysis.twisted_cubic_data(ts)))
-    if name == "bricard-symmetric-six":
-        lines = analysis.bricard_symmetric_lines(seed)
-        return Scenario("cycle", 3, axes=_line_axes(lines), seed=seed)
-    if name == "cyclohexane-panels":
-        pts = analysis.chair_hexagon_points(_num(args.height, "--height"))
-        axes = tuple((_floats(pts[i]), (_floats(pts[(i + 1) % 6] - pts[i]),)) for i in range(6))
-        return Scenario("cycle", 3, axes=axes, panel=True)
-    if name == "desargues":
-        perturb = 0 if args.perturb is None else _num(args.perturb, "--perturb")
-        return Scenario("platform", 2, legs=tuple(analysis.desargues_legs(perturb)))
-    if name == "planar-arm":
-        lengths = (1.0, 1.0, 1.0) if args.lengths is None else _rationals("--lengths", args.lengths)
-        chain = analysis.planar_arm_chain(lengths)
-        return Scenario(
-            "chain", 2, axes=_axes_data(chain.ref_axes), end_frame=(_floats(chain.end_frame.origin), ())
-        )
-    if name == "generic-cycle":
-        d = 3 if args.d is None else args.d
-        n = 7 if args.n is None else args.n
-        chain = analysis.classical_scenario("generic-cycle", d=d, n=n, seed=seed)
-        axes = _axes_data(list(chain.ref_axes) + [chain.closing_axis])
-        return Scenario("cycle", chain.d, axes=axes, seed=seed)
-    raise ScenarioError(
-        f"unknown example {name!r}; choose one of {', '.join(analysis.SCENARIO_NAMES)}"
-    )
+    """The named fixture of ``analysis._fixture_fields``; a fixture flag is read, as given, only for its fixture."""
+    if args.name not in analysis.SCENARIO_NAMES:
+        raise ScenarioError(f"unknown example {args.name!r}; choose one of {', '.join(analysis.SCENARIO_NAMES)}")
+    params = {key: getattr(args, key) for key in ("seed", "d", "n") if getattr(args, key) is not None}
+    for flag, (name, key, read) in _FIXTURE_FLAGS.items():
+        if name == args.name and getattr(args, flag) is not None:
+            params[key] = read(getattr(args, flag), f"--{flag}")
+    kind, d, fields, _ = analysis._fixture_fields(args.name, **params)
+    return Scenario(kind, d, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", default=None, help="comma-separated tangency parameters")
     p.add_argument("--lengths", default=None, help="comma-separated bar lengths")
-    p.add_argument("--height", type=float, default=0.5, help="chair pucker height")
+    p.add_argument("--height", type=float, default=None, help="chair pucker height")
     p.add_argument("--perturb", default=None, help="rational off-perspective perturbation")
 
     return parser

@@ -2,7 +2,8 @@
 
 Everything takes a numpy Generator so callers control determinism; the
 one-stop ``rng_from(seed, *key)`` builds a stream from a seed plus an
-optional splitting key, which keeps parallel sweeps reproducible.
+optional splitting key. Sweep sample i reads only the stream (seed, i),
+which ``_uniform_block`` draws a block at a time, bit for bit.
 """
 
 from __future__ import annotations

@@ -339,7 +339,9 @@ def test_a_frame_verdict_never_reports_a_negative_rank(chain):
      0.5, "7 x 6"),
     (lambda tol: platform_flexibility(classical_scenario("desargues"), tol=tol), 10.0, "3 x 3"),
     (lambda tol: endpoint_singularity(classical_scenario("planar-arm"), np.zeros(3), tol=tol), 0.5, "2 x 3"),
-], ids=["generic-cycle", "desargues", "planar-arm"])
+    # a 3-frame in R^4 has no stabilizer rows, so the frame map's refusal is numeric_rank's own
+    (lambda tol: frame_singularity(random_chain(rng_from(3), 4, 6, k=3), np.zeros(5), tol=tol), 0.5, "5 x 10"),
+], ids=["generic-cycle", "desargues", "planar-arm", "k=3-chain"])
 def test_a_tolerance_that_cuts_every_singular_value_is_refused(verdict, tol, shape):
     # these read rank 0 (mobility 7, "flexible", rank 0 of 2) before the refusal; the default keeps full rank
     assert verdict(1e-10).rank > 0

@@ -654,6 +654,25 @@ def _placement_outcome(place):
         return str(exc)
 
 
+def _placement_reference(chain, theta):
+    """Reference: one configuration placed joint by joint with ``_place``'s arithmetic and no ``Isometry``. At
+    each joint the placed origin R o + t, the generator R J R^T rescaled to Frobenius norm sqrt(2), and the
+    directions; then the Rodrigues step S = I + sin(a) J + (1 - cos(a)) J^2, which fixes the placed origin p,
+    composed onto the motion so far: (R, t) <- (S R, S t + (p - S p)). Last the end frame is moved."""
+    rot, trans, joints, end = np.eye(chain.d), np.zeros(chain.d), [], chain.end_frame
+    for axis, J_ref, angle in zip(chain.ref_axes, chain.ref_generators, theta):
+        if not np.isfinite(angle):
+            raise DefinitionError(f"rotation angle must be finite, got {float(angle)!r}")
+        origin = rot @ axis.origin + trans
+        J = rot @ J_ref @ rot.T
+        J *= np.sqrt(2.0) / np.sqrt(J.ravel().dot(J.ravel()))
+        joints.append((origin, J, axis.dirs @ rot.T))
+        step = np.eye(chain.d) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
+        rot, trans = step @ rot, step @ trans + (origin - step @ origin)
+    origins, generators, dirs = map(np.array, zip(*joints))
+    return origins, generators, dirs, rot @ end.origin + trans, end.vecs @ rot.T
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(2, 8),
@@ -670,20 +689,23 @@ def test_stacked_placement_equals_one_placement_per_configuration(d, n, samples,
     thetas = rng.uniform(-10.0, 10.0, (samples, c.n - 1)) * 10.0 ** rng.integers(-3, 3, (samples, 1))
     thetas[rng.random(thetas.shape) < 0.1] = 0.0
     thetas.flat[rng.choice(thetas.size, min(len(bad), thetas.size), replace=False)] = bad[: thetas.size]
-    want = _placement_outcome(lambda: [chain_module._place(c, theta) for theta in thetas])
+    want = _placement_outcome(lambda: [_placement_reference(c, theta) for theta in thetas])
+    one = _placement_outcome(lambda: [chain_module._place(c, theta) for theta in thetas])
     got = _placement_outcome(lambda: chain_module._place_many(c, thetas))
     if isinstance(want, str):
         # the first bad angle in sample, then joint order, as placing one at a time names it
         first = thetas.flat[np.flatnonzero(~np.isfinite(thetas))[0]]
-        assert got == want == f"rotation angle must be finite, got {float(first)!r}"
+        assert got == one == want == f"rotation angle must be finite, got {float(first)!r}"
         return
     # origins, generators, directions, end-frame origins and vectors, stacked per configuration
-    want = [np.array(stack) for stack in zip(*((pl.origins, pl.generators, pl.dirs, pl.frame_at.origin,
-                                                  pl.frame_at.vecs) for pl in want))]
+    want = [np.array(stack) for stack in zip(*want)]
+    one = [np.array(stack) for stack in zip(*((pl.origins, pl.generators, pl.dirs, pl.frame_at.origin,
+                                                 pl.frame_at.vecs) for pl in one))]
     if c.end_frame.k:  # only the end-point map reads directions, so a k > 0 stack has none
         assert got[2] is None
-        got, want = got[:2] + got[3:], want[:2] + want[3:]
+        got, one, want = got[:2] + got[3:], one[:2] + one[3:], want[:2] + want[3:]
     assert [(a.shape, a.tobytes()) for a in got] == [(b.shape, b.tobytes()) for b in want]
+    assert [(a.shape, a.tobytes()) for a in one] == [(b.shape, b.tobytes()) for b in want]
 
 
 def _jacobian_reference(pl):

@@ -24,7 +24,7 @@ from hingekit.cli import (
 from hingekit import analysis, linkage, sampling
 from hingekit.chain import Chain, cycle_chain, forward_kinematics
 from hingekit.errors import ConsistencyError, DefinitionError, GradeError, HingekitError, ScenarioError
-from hingekit.geometry import make_axes, make_frame
+from hingekit.geometry import Axis, make_axes, make_frame
 from hingekit.linkage import cycle_to_linkage
 from hingekit.sampling import parallel_axes_chain, random_axis, random_chain, random_cycle, rng_from
 
@@ -732,6 +732,44 @@ def test_example_outputs_match_goldens(name, capsys):
     assert example_text(capsys, name) == golden.read_text()
 
 
+# each flag set of ``example`` beside the parameters it gives ``classical_scenario``; a fixture ignores the
+# flags it does not read on both routes
+_EXAMPLE_FLAG_SETS = [
+    ([], {}),
+    (["--t", "1/2,1,2,3,4,5"], {"ts": (Fraction(1, 2), 1, 2, 3, 4, 5)}),
+    (["--seed", "4"], {"seed": 4}),
+    (["--height", "0.3"], {"height": 0.3}),
+    (["--lengths", "1,2,3"], {"lengths": (1, 2, 3)}),
+    (["--perturb", "1/3"], {"perturb": Fraction(1, 3)}),
+    *((["--d", str(d)], {"d": d}) for d in range(2, 8)),
+]
+
+
+@pytest.mark.parametrize("flags, params", _EXAMPLE_FLAG_SETS,
+                         ids=["defaults", "t", "seed", "height", "lengths", "perturb", *(f"d{d}" for d in range(2, 8))])
+@pytest.mark.parametrize("name", analysis.SCENARIO_NAMES)
+def test_example_rebuilds_the_classical_fixture(capsys, name, flags, params):
+    # the data fixtures bit for bit; a generic cycle's printed directions are orthonormalized again on parse
+    sc = parse_scenario(example_text(capsys, name, *flags))
+    fixture = analysis.classical_scenario(name, **params)
+    if sc.kind == "platform":
+        assert sc.legs == fixture.legs
+        return
+    built = scenario_chain(sc) if sc.kind == "chain" else scenario_cycle_chain(sc)
+
+    def entries(x):  # each axis, then a chain's end frame (a cycle's is its closing axis), as (origin, rows)
+        x = x if isinstance(x, list) else [*x.ref_axes, x.end_frame if x.closing_axis is None else x.closing_axis]
+        return [(a.origin, a.dirs if isinstance(a, Axis) else a.vecs) for a in x]
+
+    assert built.panel == getattr(fixture, "panel", False)
+    for ours, theirs in zip(entries(built), entries(fixture), strict=True):
+        for a, b in zip(ours, theirs):
+            if name == "generic-cycle":
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=8 * np.finfo(float).eps)
+            else:
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
+
 # --- tolerances and non-finite input ----------------------------------------------
 
 
@@ -1155,11 +1193,21 @@ def test_a_replaced_scenario_builds_from_its_own_axes():
     ("planar-arm", ["analyze-chain", "--tol", "0.5"], "tolerance 0.5 cuts every singular value of a 2 x 3 matrix"),
     ("planar-arm", ["sweep", "--tol", "0.5", "--samples", "2"],
      "tolerance 0.5 cuts every singular value of a 2 x 3 matrix"),
-], ids=["analyze-cycle", "analyze-platform", "analyze-chain", "sweep"])
+    # a 3-frame in R^4 has no stabilizer rows, so the frame map's refusal is numeric_rank's own
+    (random_chain(rng_from(3), 4, 6, k=3), ["analyze-chain", "--tol", "0.5"],
+     "tolerance 0.5 cuts every singular value of a 5 x 10 matrix"),
+], ids=["analyze-cycle", "analyze-platform", "analyze-chain", "sweep", "analyze-chain-k3"])
 def test_a_tolerance_that_cuts_every_singular_value_exits_2(tmp_path, capsys, example, argv, message):
-    # each exited 0 with rank 0: mobility 7, "flexible (rank 0 < 3)", rank 0 of 2, and two singular samples
+    # the first four exited 0 with rank 0: mobility 7, "flexible (rank 0 < 3)", rank 0 of 2, and two singular samples
     path = tmp_path / "scenario.json"
-    path.write_text(example_text(capsys, example))
+    if isinstance(example, Chain):  # a chain that no example prints, written out as a scenario file
+        def entry(origin, rows):
+            return tuple(origin.tolist()), tuple(map(tuple, rows.tolist()))
+        axes = tuple(entry(a.origin, a.dirs) for a in example.ref_axes)
+        frame = entry(example.end_frame.origin, example.end_frame.vecs)
+        path.write_text(emit_scenario(Scenario("chain", example.d, axes, frame)))
+    else:
+        path.write_text(example_text(capsys, example))
     code, out, err = capture(capsys, [argv[0], str(path), *argv[1:]])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -88,7 +88,8 @@ exit 0: ``desargues --lengths x``, ``twisted-cubic-tangents --seed 7 --d 5
 --perturb x``, ``generic-cycle --t ''``, ``bricard-symmetric-six --height
 nan`` and ``planar-arm --t 1,1 --seed -1``. ``cyclohexane-panels --height
 1e308`` has directions that overflow; it builds no axis and is refused when
-printed (exit 2).
+printed (exit 2). So is ``twisted-cubic-tangents --t 0,1,2,3,4,1e110``,
+whose exact coordinate t^3 = 10^330 the parser would refuse.
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -157,6 +158,8 @@ EXAMPLES = {
     "arm-t-seed-negative": ["planar-arm", "--t", "1,1", "--seed", "-1"],
     # a chair whose directions overflow is refused when printed (exit 2), no axis built
     "chair-h-1e308": ["cyclohexane-panels", "--height", "1e308"],
+    # t = 10^110 is finite, but its exact t^3 = 10^330 is past the float range the parser reads (exit 2)
+    "cubic-t-1e110": ["twisted-cubic-tangents", "--t", "0,1,2,3,4,1e110"],
 }
 
 # hand-written scenarios: a generic end-point chain and a k=1 frame chain in R^3,

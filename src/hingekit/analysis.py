@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
+from numbers import Number
 
 import numpy as np
 
@@ -507,22 +508,34 @@ def planar_arm_chain(lengths=(1, 1, 1)) -> Chain:
     return Chain(2, axes, end)
 
 
+def _finite(params: dict, key: str, default):
+    """``params[key]``, else ``default``: a number, or any other iterable as a tuple; a NaN or an infinity in it
+    raises DefinitionError naming ``key``. The CLI's flag readers refuse these first."""
+    value = params.get(key, default)
+    value = value if isinstance(value, Number) else tuple(value)
+    for x in value if isinstance(value, tuple) else (value,):
+        if x != x or abs(x) == inf:
+            raise DefinitionError(f"fixture parameter {key!r} must be finite, got {float(x)!r}")
+    return value
+
+
 def _fixture_fields(name: str, **params):
     """The fixture ``name`` as (kind, d, fields, chain): ``cli.Scenario``'s kind, d and fields, numbers as the fixture
     makes them, and the chain planar-arm and generic-cycle read Python floats off, else None. The one dispatch on
-    fixture names and home of their defaults; it ignores a parameter the fixture does not read, builds no line axis."""
+    fixture names and home of their defaults; it checks each parameter it reads with ``_finite``, ignores any other
+    and builds no line axis."""
     seed, fields, chain = params.get("seed", 0), {}, None
     if name == "twisted-cubic-tangents":
-        lines = twisted_cubic_data(params.get("ts", (0, 1, -1, 2, -2, 3)))
+        lines = twisted_cubic_data(_finite(params, "ts", (0, 1, -1, 2, -2, 3)))
     elif name == "bricard-symmetric-six":
         lines, fields = bricard_symmetric_lines(seed), {"seed": seed}
     elif name == "cyclohexane-panels":
-        pts = chair_hexagon_points(params.get("height", 0.5))
+        pts = chair_hexagon_points(_finite(params, "height", 0.5))
         lines, fields = [(pts[i].tolist(), (pts[(i + 1) % 6] - pts[i]).tolist()) for i in range(6)], {"panel": True}
     elif name == "desargues":
-        return "platform", 2, {"legs": tuple(desargues_legs(params.get("perturb", 0)))}, None
+        return "platform", 2, {"legs": tuple(desargues_legs(_finite(params, "perturb", 0)))}, None
     elif name == "planar-arm":
-        chain = planar_arm_chain(params.get("lengths", (1, 1, 1)))
+        chain = planar_arm_chain(_finite(params, "lengths", (1, 1, 1)))
         axes, fields = chain.ref_axes, {"end_frame": (tuple(chain.end_frame.origin.tolist()), ())}
     elif name == "generic-cycle":
         chain = random_cycle(rng_from(seed, 7919), params.get("d", 3), params.get("n", 7))

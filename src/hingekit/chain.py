@@ -13,8 +13,11 @@ chain. Jacobian columns and Plucker points of the placed axes are read
 off these generators and the placed axis origins. Placed axes and frames
 are moved from checked ones by these rotations and not checked again.
 
-``_place`` builds one ``Placement`` an ``Isometry`` at a time; ``_place_many`` places
-a stack from stacked products, bit for bit the same, as the end map's arrays alone.
+``_place`` builds one ``Placement`` an ``Isometry`` at a time, the identity and then
+two per joint; it checks the angles and takes their sines and versines once per
+configuration and writes the placed origins and generators into preallocated
+arrays. ``_place_many`` places a stack from stacked products, bit for bit the same,
+as the end map's arrays alone.
 A ``Placement`` is immutable, and placing the same chain object at the
 same configuration as the call before returns the same ``Placement``: one
 ``lru_cache`` entry keyed by the chain's identity and the angle bytes.
@@ -38,7 +41,6 @@ from .geometry import (
     _frozen,
     _moved,
     _plucker_to_twist,
-    _rodrigues,
     _unchecked,
     compose,
     identity_isometry,
@@ -147,6 +149,11 @@ class Chain:
         generators.setflags(write=False)
         return generators
 
+    @cached_property
+    def ref_dirs(self) -> np.ndarray:
+        """Directions of the reference axes, stacked (n-1) x (d-2) x d and read-only; computed on first use."""
+        return _frozen([a.dirs for a in self.ref_axes])
+
 
 def cycle_chain(axes, panel: bool = False) -> Chain:
     """Cut a closed ring of n axes at the last one.
@@ -169,8 +176,8 @@ class Placement:
     """One configuration realized in the ambient space.
 
     ``rots`` and ``trans`` hold the rotations and translations of the body
-    motions g_1..g_n (g_1 is the identity), and ``ref_axes`` the chain's
-    reference axes; axis i as placed is apply(g_i, ref_axes[i]).
+    motions g_1..g_n (g_1 is the identity), and ``chain`` the placed chain;
+    axis i as placed is apply(g_i, ref_axes[i]).
     ``origins`` is the read-only (n-1) x d array of the placed axis
     origins, row i equal bit for bit to that axis's origin.
     ``generators`` stacks the rotation generators of the placed axes, an
@@ -183,7 +190,11 @@ class Placement:
     rots: tuple[np.ndarray, ...]
     trans: tuple[np.ndarray, ...]
     generators: np.ndarray
-    ref_axes: tuple[Axis, ...]
+    chain: Chain
+
+    @property
+    def ref_axes(self) -> tuple[Axis, ...]:
+        return self.chain.ref_axes
 
     @cached_property
     def body_isometries(self) -> tuple[Isometry, ...]:
@@ -194,7 +205,7 @@ class Placement:
     def dirs(self) -> np.ndarray:
         """The read-only (n-1) x (d-2) x d directions of the placed axes, stacked on first
         read: item i is ref_axes[i].dirs @ R_i^T, the arithmetic of apply(g_i, ref_axes[i])."""
-        return _frozen(np.array([axis.dirs for axis in self.ref_axes]) @ np.array(self.rots[:-1]).swapaxes(1, 2))
+        return _frozen(self.chain.ref_dirs @ np.array(self.rots[:-1]).swapaxes(1, 2))
 
     @cached_property
     def axes_at(self) -> tuple[Axis, ...]:
@@ -229,23 +240,30 @@ def _placed(chain: Chain, key: bytes) -> Placement:
 
 
 def _place(chain: Chain, theta: np.ndarray) -> Placement:
-    """The placement of a validated configuration, computed afresh, one ``Isometry`` per step."""
-    g = identity_isometry(chain.d)
-    rots, trans, origins, generators = [g.rot], [g.trans], [], []
-    for axis, J_ref, angle in zip(chain.ref_axes, chain.ref_generators, theta):
+    """The placement of a configuration, computed afresh: the identity ``Isometry``, then two per joint, the Rodrigues
+    turn and its composition onto the motion so far. The angles are checked, and their sines and versines taken, once;
+    the placed origins and generators are written into one preallocated array each, then made read-only."""
+    finite = np.isfinite(theta)
+    if not finite.all():  # the first bad angle, in ``rotate_about``'s words
+        raise DefinitionError(f"rotation angle must be finite, got {float(theta[finite.argmin()])!r}")
+    d, sin, vers = chain.d, np.sin(theta), 1.0 - np.cos(theta)
+    origins, generators = np.empty((len(theta), d)), np.empty((len(theta), d, d))
+    g = identity_isometry(d)
+    rots, trans = [g.rot], [g.trans]
+    for i, (axis, J_ref) in enumerate(zip(chain.ref_axes, chain.ref_generators)):
         # the arithmetic of apply(g, axis).origin, without building the Axis
-        origin = g.rot @ axis.origin + g.trans
+        origin = np.add(g.rot @ axis.origin, g.trans, out=origins[i])
         J = g.rot @ J_ref @ g.rot.T
         # the Frobenius norm as np.linalg.norm computes it, without its overhead
         flat = J.ravel()
-        J *= sqrt(2.0) / sqrt(flat.dot(flat))
-        origins.append(origin)
-        generators.append(J)
-        g = compose(_rodrigues(J, origin, angle), g)
+        J = np.multiply(J, sqrt(2.0) / sqrt(flat.dot(flat)), out=generators[i])
+        turn = _eye(d) + sin[i] * J + vers[i] * (J @ J)  # rotate_about's Rodrigues turn
+        g = compose(Isometry(turn, origin - turn @ origin), g)
         rots.append(g.rot)
         trans.append(g.trans)
-    return Placement(_frozen(origins), _moved(g, chain.end_frame), tuple(rots), tuple(trans), _frozen(generators),
-                     chain.ref_axes)
+    origins.setflags(write=False)
+    generators.setflags(write=False)
+    return Placement(origins, _moved(g, chain.end_frame), tuple(rots), tuple(trans), generators, chain)
 
 
 # ``_place`` stays the one-configuration route, not the S = 1 case of ``_place_many``, while
@@ -269,7 +287,7 @@ def _place_many(chain: Chain, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
         joints.append((origin, J))
         if not end.k:
             dirs.append(axis.dirs @ rot.swapaxes(1, 2))
-        step = _eye(d) + sin[:, i] * J + (1.0 - cos[:, i]) * (J @ J)  # _rodrigues, then compose
+        step = _eye(d) + sin[:, i] * J + (1.0 - cos[:, i]) * (J @ J)  # rotate_about's Rodrigues turn, then compose
         step_trans = origin - (step @ origin[..., None])[..., 0]
         rot, trans = step @ rot, (step @ trans[..., None])[..., 0] + step_trans
     return (*(np.stack(a, axis=1) for a in zip(*joints)), np.stack(dirs, axis=1) if dirs else None,
@@ -377,8 +395,9 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
     direction = np.asarray(direction, dtype=float)
     current = theta + step * direction
     residual = frame_residual(chain, current)
+    norm = sqrt(residual @ residual)  # np.linalg.norm's arithmetic, taken once per iterate
     for _ in range(50):
-        if np.linalg.norm(residual) <= tol:
+        if norm <= tol:
             return current
         # pseudo-inverse step truncated at the rank cutoff, so a near-kernel
         # direction of J (sigma ~ 1e-11 near a Bricard fiber) cannot blow it up
@@ -388,13 +407,14 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
         for _ in range(30):
             trial = current - scale * delta
             trial_residual = frame_residual(chain, trial)
-            if np.linalg.norm(trial_residual) < np.linalg.norm(residual):
-                current, residual = trial, trial_residual
+            trial_norm = sqrt(trial_residual @ trial_residual)
+            if trial_norm < norm:
+                current, residual, norm = trial, trial_residual, trial_norm
                 break
             scale *= 0.5
         else:
             raise ProjectionError("step halving stalled while projecting onto the fiber")
-    if np.linalg.norm(residual) <= tol:
+    if norm <= tol:
         return current
     raise ProjectionError("Gauss-Newton did not reach the fiber within 50 iterations")
 

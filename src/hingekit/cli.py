@@ -326,16 +326,23 @@ def _exact_cycle(sc: Scenario) -> analysis.Verdict:
 
 
 def _emit(x):
-    """JSON form of parsed values: a tuple becomes a list, a Fraction an int or an 'a/b' string."""
+    """JSON form of parsed values: a tuple becomes a list, a Fraction an int or an 'a/b' string. A number the parser
+    would refuse, one that is not a finite float (an int or Fraction past the float range too), raises ScenarioError."""
     if isinstance(x, tuple):
         return [_emit(v) for v in x]
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ScenarioError("the scenario has a coordinate that is not a finite float")
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
     return x
 
 
 def emit_scenario(sc: Scenario) -> str:
-    """Serialize back to schema JSON; parse(emit(sc)) == sc.
+    """Serialize back to schema JSON; parse(emit(sc)) == sc, so a number the parser would refuse raises ScenarioError.
 
     Keys come in the order kind, d, seed, axes, end_frame, legs, panel,
     tol; ``hingekit example`` prints through here, so its goldens pin it.
@@ -352,11 +359,8 @@ def emit_scenario(sc: Scenario) -> str:
     if sc.panel:
         doc["panel"] = True
     if sc.tol is not None:
-        doc["tol"] = sc.tol
-    try:
-        return json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:
-        raise ScenarioError("the scenario has a coordinate that is not a finite float") from None
+        doc["tol"] = _emit(sc.tol)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ def numeric_rank(matrix: np.ndarray, tol: float):
     sigma_max = sig[..., 0] if sig.shape[-1] else np.zeros(sig.shape[:-1])
     cutoff = tol * sigma_max * max(matrix.shape[-2:])
     rank = (sig > cutoff[..., None]).sum(-1)
-    if (sigma_max > 0)[rank == 0].any():
+    if not rank.all() and (sigma_max > 0)[rank == 0].any():  # the mask and index only when a rank is 0
         rows, cols = matrix.shape[-2:]
         raise ToleranceError(f"tolerance {tol} cuts every singular value of a {rows} x {cols} matrix")
     return rank if rank.ndim else int(rank), cutoff, u, sig, vh

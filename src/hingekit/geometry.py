@@ -145,26 +145,24 @@ class Frame:
         return self.vecs.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Isometry:
     """Orientation-preserving rigid motion x -> rot @ x + trans.
 
     ``rot`` is a rotation by construction (identity, products, inverses,
     and ``rotate_about`` of a validated Axis by a finite angle), so only
-    shapes are checked here.
+    shapes are checked here. Each field is a read-only C-ordered copy of
+    the argument, so changing the caller's arrays later does not move it.
     """
 
     rot: np.ndarray
     trans: np.ndarray
 
-    def __post_init__(self):
-        rot = _frozen(self.rot)
-        trans = _frozen(self.trans)
-        d = trans.shape[0]
-        if rot.shape != (d, d):
+    def __init__(self, rot, trans):
+        rot, trans = _frozen(rot), _frozen(trans)
+        if rot.shape != (trans.shape[0],) * 2:
             raise DimensionError("rotation and translation dimensions disagree")
-        object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "trans", trans)
+        self.__dict__.update(rot=rot, trans=trans)
 
     @property
     def dim(self) -> int:
@@ -337,23 +335,16 @@ def rotation_generator(axis: Axis) -> np.ndarray:
 def rotate_about(axis: Axis, angle: float) -> Isometry:
     """The isometry fixing the axis pointwise and turning its complement plane.
 
-    The sign convention is the one of ``rotation_generator``;
-    ``rotate_about(a, 0)`` is exactly the identity. A non-finite angle
-    raises DefinitionError.
-    """
-    return _rodrigues(rotation_generator(axis), axis.origin, angle)
-
-
-def _rodrigues(J: np.ndarray, origin: np.ndarray, angle: float) -> Isometry:
-    """Turn by ``angle`` about the axis through ``origin`` with unit-speed generator J.
-
-    Rodrigues' formula I + sin(angle) J + (1 - cos(angle)) J^2, valid since
-    J^3 = -J; a zero angle gives exactly the identity.
+    Rodrigues' formula I + sin(angle) J + (1 - cos(angle)) J^2 in the axis's
+    unit-speed generator J of ``rotation_generator``, whose sign convention it
+    takes, valid since J^3 = -J; ``rotate_about(a, 0)`` is exactly the
+    identity. A non-finite angle raises DefinitionError.
     """
     if not math.isfinite(angle):
         raise DefinitionError(f"rotation angle must be finite, got {float(angle)!r}")
-    rot = _eye(J.shape[0]) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
-    return Isometry(rot, origin - rot @ origin)
+    J = rotation_generator(axis)
+    rot = _eye(axis.dim) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
+    return Isometry(rot, axis.origin - rot @ axis.origin)
 
 
 @lru_cache(maxsize=None)  # one entry per dimension in use

@@ -1117,8 +1117,17 @@ def test_float_cycle_verdict_keeps_its_error_contract():
      "planar arm lengths must have a finite sum, got inf"),
     (lambda: grid_incident_line(np.ones(4), [make_axis(4, np.zeros(4), np.eye(4)[2:])]), DimensionError,
      "the direction grid oracle only covers d = 2 and d = 3"),
+    # a fixture parameter that is not finite is refused by name, not as a degenerate axis or a bare ValueError
+    (lambda: classical_scenario("cyclohexane-panels", height=float("nan")), DefinitionError,
+     "fixture parameter 'height' must be finite, got nan"),
+    (lambda: classical_scenario("twisted-cubic-tangents", ts=(0, 1, 2, 3, 4, float("nan"))), DefinitionError,
+     "fixture parameter 'ts' must be finite, got nan"),
+    (lambda: classical_scenario("desargues", perturb=-np.inf), DefinitionError,
+     "fixture parameter 'perturb' must be finite, got -inf"),
+    (lambda: classical_scenario("planar-arm", lengths=np.array([1.0, np.inf])), DefinitionError,
+     "fixture parameter 'lengths' must be finite, got inf"),
 ], ids=["endpoint-of-a-frame-chain", "platform-leg-length", "planar-arm-zero-length", "planar-arm-overflow",
-        "grid-oracle-d4"])
+        "grid-oracle-d4", "chair-height-nan", "cubic-ts-nan", "desargues-perturb-inf", "planar-arm-length-inf"])
 def test_analysis_refuses_malformed_inputs_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -770,6 +770,22 @@ def test_failed_placement_raises_again_and_keeps_the_last_placement():
     assert chain_module._placed.cache_info().hits == hits + 1
 
 
+@pytest.mark.parametrize("d, n, k", [(2, 4, 0), (3, 7, 0), (4, 11, 2), (5, 6, 1)])
+def test_placement_arrays_are_read_only_and_c_ordered(d, n, k):
+    # _place writes origins and generators into preallocated arrays, then freezes them
+    c = random_chain(rng_from(d, n), d, n, k=k)
+    pl = chain_module._place(c, rng_from(1).uniform(0.0, 2.0 * np.pi, n - 1))
+    arrays = [pl.origins, pl.generators, pl.dirs, *pl.rots, *pl.trans]
+    assert pl.origins.shape == (n - 1, d) and pl.generators.shape == (n - 1, d, d) and len(pl.rots) == n
+    for a in arrays:
+        assert not a.flags.writeable and a.flags.c_contiguous and a.dtype == float
+    with pytest.raises(ValueError):
+        pl.origins[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        pl.generators[0, 0, 0] = 0.0
+    assert pl.ref_axes is c.ref_axes
+
+
 def test_flex_path_places_each_configuration_once_in_a_row(monkeypatch):
     # 10 steps of the generic 7-cycle make 70 forward_kinematics calls;
     # 39 of them repeat the configuration placed just before

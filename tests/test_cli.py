@@ -487,6 +487,23 @@ def test_emit_scenario_keeps_the_tolerance():
     assert parse_scenario(text) == sc
 
 
+@pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**400, 3), 2**1024 - 1],
+                         ids=["int", "negative-int", "fraction", "int-rounding-past-the-largest-float"])
+def test_emit_scenario_refuses_a_number_the_parser_refuses(big):
+    # parse(emit(sc)) == sc: an int or Fraction past the float range would print, then fail to parse
+    doc = {"kind": "cycle", "d": 3, "axes": [{"origin": [0, 0, i], "dirs": [[1, i, 0]]} for i in range(3)]}
+    sc = parse_scenario(json.dumps(doc))
+    axes = (((0, 0, big), ((1, 0, 0),)),) + sc.axes[1:]
+    with pytest.raises(ScenarioError, match="^the scenario has a coordinate that is not a finite float$"):
+        emit_scenario(dataclasses.replace(sc, axes=axes))
+    with pytest.raises(ScenarioError, match="too large for a float"):
+        parse_scenario(json.dumps({**doc, "axes": [{"origin": [0, 0, int(big)], "dirs": [[1, 0, 0]]}] + doc["axes"][1:]}))
+    # the largest float and the 'a/b' string of a small Fraction still print and parse back
+    axes = (((0, 0, int(np.finfo(float).max)), ((1, 0, 0),)), ((Fraction(1, 10**400), 0, 0), ((0, 1, 0),)), sc.axes[2])
+    wide = dataclasses.replace(sc, axes=axes)
+    assert parse_scenario(emit_scenario(wide)) == wide
+
+
 @pytest.mark.parametrize(
     "command, accepted, refused",
     [
@@ -886,11 +903,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (["flex", "CYCLE", "--json", "--steps", "0", "--step-size", "nan"], "a flex step must be a finite number, got nan"),
     (["flex", "CYCLE", "--json", "--steps", "0", "--step-size", "inf"], "a flex step must be a finite number, got inf"),
     (["example", "planar-arm", "--lengths", "1e308,1e308"], "planar arm lengths must have a finite sum, got inf"),
+    (["example", "twisted-cubic-tangents", "--t", "0,1,2,3,4,1e110"],
+     "the scenario has a coordinate that is not a finite float"),
 ], ids=["analyze-chain-tol-cuts-stabilizer", "sweep-tol-cuts-stabilizer", "flex-0-steps-nan", "flex-0-steps-inf",
-        "planar-arm-overflow"])
+        "planar-arm-overflow", "cubic-tangent-past-the-float-range"])
 def test_inputs_once_passed_or_misnamed_exit_2_with_their_own_message(tmp_path, capsys, argv, message):
     # the first two printed a rank of -1 and the flex runs printed "step_size": NaN, all with exit 0;
-    # the planar arm overflowed to inf and was refused as an end-point on its last axis
+    # the planar arm overflowed to inf and was refused as an end-point on its last axis; the cubic
+    # tangent printed its exact t^3 = 10^330, which the parser then refused
     path = tmp_path / "cycle.json"
     path.write_text(example_text(capsys, "generic-cycle"))
     with warnings.catch_warnings():

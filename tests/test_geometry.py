@@ -550,16 +550,33 @@ def test_rowless_frames_and_planar_axes_skip_the_stacked_check_unchanged(cls, ma
             Frame(dim, origin, [[2.0, 0.0, 0.0]])
 
 
+def test_isometry_keeps_read_only_c_ordered_copies_of_its_arguments():
+    rot, trans = rotate_about(z_axis(), 0.7).rot.T.copy(order="F"), np.arange(3.0)
+    g = Isometry(rot, trans)
+    want = (rot.copy(), trans.copy())
+    rot[0, 0], trans[0] = 5.0, 5.0  # the caller's arrays change afterwards; the motion does not
+    assert np.array_equal(g.rot, want[0]) and np.array_equal(g.trans, want[1])
+    for a in (g.rot, g.trans):
+        assert not a.flags.writeable and a.flags.c_contiguous and a.dtype == float
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    with pytest.raises(AttributeError):
+        g.rot = np.eye(3)
+    assert Isometry([[1, 0], [0, 1]], [0, 2]).trans.tolist() == [0.0, 2.0]  # lists are read as floats
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Axis(1, (0,), []), "axes need ambient dimension >= 2"),
     (lambda: Axis(3, (0, 0), [(0, 0, 1)]), "axis origin must be a point of R^3"),
     (lambda: Axis(4, np.zeros(4), [(1, 0, 0, 0)]), "an axis of R^4 needs 2 directions"),
     (lambda: Frame(3, (0, 0), []), "frame origin must be a point of R^3"),
     (lambda: Isometry(np.eye(3), np.zeros(2)), "rotation and translation dimensions disagree"),
+    (lambda: Isometry(np.eye(3)[:2], np.zeros(3)), "rotation and translation dimensions disagree"),
+    (lambda: Isometry(np.zeros(3), np.zeros(3)), "rotation and translation dimensions disagree"),
     (lambda: apply(identity_isometry(3), (1.0, 2.0)), "cannot move a shape-(2,) object in R^3"),
     (lambda: affine_intersection([]), "affine_intersection needs at least one subspace"),
-], ids=["axis-dim-1", "axis-origin", "axis-direction-count", "frame-origin", "isometry", "apply-point",
-        "intersect-nothing"])
+], ids=["axis-dim-1", "axis-origin", "axis-direction-count", "frame-origin", "isometry", "isometry-rot-not-square",
+        "isometry-rot-1d", "apply-point", "intersect-nothing"])
 def test_mismatched_dimensions_raise_dimension_errors(call, message):
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         call()

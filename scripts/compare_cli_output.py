@@ -40,7 +40,10 @@ guard of the exact minor kernel, onto Python ints. ``analyze-cycle
 --exact --json`` also runs on a d=6 cycle of 20 axes with one coordinate
 of 2^31 + 11, past the guard, and ``analyze-platform --exact`` on a d=2
 platform whose first leg has rational endpoints 10^-20 apart, which a
-float comparison would call coincident. Float ``analyze-cycle`` in text
+float comparison would call coincident. ``analyze-cycle --exact`` in text
+and ``--json`` form runs on the d=4 integer cycle with axis i's origin
+scaled by 10^(20 i), whose exact functional has entries past the float
+range and prints them exactly. Float ``analyze-cycle`` in text
 and ``--json`` form runs on a generic d=7 cycle of 28 axes, the largest
 stacked determinant of the float minor kernel (28 minors of 6 x 6 per
 axis). A five-axis cycle in R^3 (mobility 0, though its Plucker span
@@ -315,6 +318,9 @@ SCENARIOS = {
                        "end_frame": {"origin": [3, 3, 1], "vecs": [[1, 0, 0]]}},
     "cycle-d4n9": {"kind": "cycle", "d": 4,
                    "axes": [{"origin": origin, "dirs": dirs} for origin, dirs in D4N9]},
+    # axis i's origin scaled by 10^(20 i): finite coordinates, an exact functional past 2^1024
+    "cycle-d4n9-wide": {"kind": "cycle", "d": 4, "axes": [
+        {"origin": [x * 10 ** (20 * i) for x in origin], "dirs": dirs} for i, (origin, dirs) in enumerate(D4N9)]},
     "cycle-d6n20": {"kind": "cycle", "d": 6, "axes": D6N20},
     "cycle-d6n21": {"kind": "cycle", "d": 6, "axes": D6N21},
     "cycle-modp": {"kind": "cycle", "d": 3,
@@ -398,6 +404,7 @@ RUNS = [
     *([_ANALYZE[SCENARIOS[tag]["kind"]], f"{{{tag}}}", "--exact", *flag]
       for tag in ("cycle-d5-ab", "cycle-d2-ab", "platform-d3", "cycle-d4-big") for flag in ([], ["--json"])),
     ["analyze-cycle", "{cycle-d6-big}", "--exact", "--json"], ["analyze-platform", "{platform-close}", "--exact"],
+    ["analyze-cycle", "{cycle-d4n9-wide}", "--exact"], ["analyze-cycle", "{cycle-d4n9-wide}", "--exact", "--json"],
     ["analyze-cycle", "{cycle-n5}"], ["analyze-cycle", "{cycle-n5}", "--json"], ["flex", "{cycle-n5}"],
     ["analyze-platform", "{desargues}"], ["analyze-platform", "{desargues}", "--exact"],
     ["analyze-platform", "{desargues}", "--json", "--exact"],

@@ -522,8 +522,8 @@ def _finite(params: dict, key: str, default):
 def _fixture_fields(name: str, **params):
     """The fixture ``name`` as (kind, d, fields, chain): ``cli.Scenario``'s kind, d and fields, numbers as the fixture
     makes them, and the chain planar-arm and generic-cycle read Python floats off, else None. The one dispatch on
-    fixture names and home of their defaults; it checks each parameter it reads with ``_finite``, ignores any other
-    and builds no line axis."""
+    fixture names and home of their defaults; it checks the numbers it reads with ``_finite`` (the planar arm's
+    lengths are checked by ``planar_arm_chain``), ignores any other parameter and builds no line axis."""
     seed, fields, chain = params.get("seed", 0), {}, None
     if name == "twisted-cubic-tangents":
         lines = twisted_cubic_data(_finite(params, "ts", (0, 1, -1, 2, -2, 3)))
@@ -535,7 +535,7 @@ def _fixture_fields(name: str, **params):
     elif name == "desargues":
         return "platform", 2, {"legs": tuple(desargues_legs(_finite(params, "perturb", 0)))}, None
     elif name == "planar-arm":
-        chain = planar_arm_chain(_finite(params, "lengths", (1, 1, 1)))
+        chain = planar_arm_chain(params.get("lengths", (1, 1, 1)))
         axes, fields = chain.ref_axes, {"end_frame": (tuple(chain.end_frame.origin.tolist()), ())}
     elif name == "generic-cycle":
         chain = random_cycle(rng_from(seed, 7919), params.get("d", 3), params.get("n", 7))

@@ -13,11 +13,9 @@ chain. Jacobian columns and Plucker points of the placed axes are read
 off these generators and the placed axis origins. Placed axes and frames
 are moved from checked ones by these rotations and not checked again.
 
-``_place`` builds one ``Placement`` an ``Isometry`` at a time, the identity and then
-two per joint; it checks the angles and takes their sines and versines once per
-configuration and writes the placed origins and generators into preallocated
-arrays. ``_place_many`` places a stack from stacked products, bit for bit the same,
-as the end map's arrays alone.
+``_place`` builds one ``Placement`` an ``Isometry`` at a time, after checking the
+angles and taking their sines and versines once; ``_place_many`` places a stack
+from stacked products, bit for bit the same, as the end map's arrays alone.
 A ``Placement`` is immutable, and placing the same chain object at the
 same configuration as the call before returns the same ``Placement``: one
 ``lru_cache`` entry keyed by the chain's identity and the angle bytes.
@@ -41,6 +39,7 @@ from .geometry import (
     _frozen,
     _moved,
     _plucker_to_twist,
+    _turn,
     _unchecked,
     compose,
     identity_isometry,
@@ -257,8 +256,7 @@ def _place(chain: Chain, theta: np.ndarray) -> Placement:
         # the Frobenius norm as np.linalg.norm computes it, without its overhead
         flat = J.ravel()
         J = np.multiply(J, sqrt(2.0) / sqrt(flat.dot(flat)), out=generators[i])
-        turn = _eye(d) + sin[i] * J + vers[i] * (J @ J)  # rotate_about's Rodrigues turn
-        g = compose(Isometry(turn, origin - turn @ origin), g)
+        g = compose(_turn(J, origin, sin[i], vers[i]), g)
         rots.append(g.rot)
         trans.append(g.trans)
     origins.setflags(write=False)
@@ -287,7 +285,7 @@ def _place_many(chain: Chain, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
         joints.append((origin, J))
         if not end.k:
             dirs.append(axis.dirs @ rot.swapaxes(1, 2))
-        step = _eye(d) + sin[:, i] * J + (1.0 - cos[:, i]) * (J @ J)  # rotate_about's Rodrigues turn, then compose
+        step = _eye(d) + sin[:, i] * J + (1.0 - cos[:, i]) * (J @ J)  # _turn, then compose
         step_trans = origin - (step @ origin[..., None])[..., 0]
         rot, trans = step @ rot, (step @ trans[..., None])[..., 0] + step_trans
     return (*(np.stack(a, axis=1) for a in zip(*joints)), np.stack(dirs, axis=1) if dirs else None,

@@ -451,8 +451,8 @@ def _verdict_json(verdict, exact_verdict=None) -> dict:
             "direction": [float(x) for x in verdict.witness.direction],
         }
     elif verdict.witness is not None:
-        # an exact functional is a coprime integer vector; a float would round it
-        out["functional"] = _emit(tuple(verdict.witness))
+        # an exact functional is a coprime integer vector of any size, not a scenario coordinate; a float would round it
+        out["functional"] = [int(x) if isinstance(x, Fraction) else x for x in verdict.witness]
     if exact_verdict is not None:
         out["exact"] = _verdict_json(exact_verdict)
     return out

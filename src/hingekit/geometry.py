@@ -335,16 +335,20 @@ def rotation_generator(axis: Axis) -> np.ndarray:
 def rotate_about(axis: Axis, angle: float) -> Isometry:
     """The isometry fixing the axis pointwise and turning its complement plane.
 
-    Rodrigues' formula I + sin(angle) J + (1 - cos(angle)) J^2 in the axis's
-    unit-speed generator J of ``rotation_generator``, whose sign convention it
-    takes, valid since J^3 = -J; ``rotate_about(a, 0)`` is exactly the
-    identity. A non-finite angle raises DefinitionError.
+    The sign convention is the one of ``rotation_generator``;
+    ``rotate_about(a, 0)`` is exactly the identity. A non-finite angle
+    raises DefinitionError.
     """
     if not math.isfinite(angle):
         raise DefinitionError(f"rotation angle must be finite, got {float(angle)!r}")
-    J = rotation_generator(axis)
-    rot = _eye(axis.dim) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
-    return Isometry(rot, axis.origin - rot @ axis.origin)
+    return _turn(rotation_generator(axis), axis.origin, np.sin(angle), 1.0 - np.cos(angle))
+
+
+def _turn(J: np.ndarray, origin: np.ndarray, sin, vers) -> Isometry:
+    """Rodrigues' turn I + sin J + vers J^2 (valid since J^3 = -J) about the axis through ``origin`` with unit-speed
+    generator J, given the sine and versine of an angle its caller checked; a zero angle gives exactly the identity."""
+    rot = _eye(J.shape[0]) + sin * J + vers * (J @ J)
+    return Isometry(rot, origin - rot @ origin)
 
 
 @lru_cache(maxsize=None)  # one entry per dimension in use

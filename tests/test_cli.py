@@ -989,6 +989,22 @@ def test_exact_json_functional_is_integer_and_annihilates(tmp_path, capsys):
         assert sum(Fraction(f) * p for f, p in zip(functional, _plucker_point(origin, dirs))) == 0
 
 
+def test_exact_functional_past_the_float_range_prints_exactly(tmp_path, capsys):
+    # the functional is a coprime integer vector, not a scenario coordinate: entries past the
+    # largest float print exactly, in JSON and in text, with exit 0
+    axes = [{"origin": [x * 10 ** (20 * i) for x in origin], "dirs": dirs} for i, (origin, dirs) in enumerate(D4N9_AXES)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "cycle", "d": 4, "axes": axes}))
+    code, out, _ = capture(capsys, ["analyze-cycle", str(path), "--exact", "--json"])
+    assert code == 0
+    functional = json.loads(out)["exact"]["functional"]
+    assert all(type(x) is int for x in functional) and max(abs(x) for x in functional) > 2**1024
+    for axis in axes:
+        assert sum(Fraction(f) * p for f, p in zip(functional, _plucker_point(axis["origin"], axis["dirs"]))) == 0
+    code, out, _ = capture(capsys, ["analyze-cycle", str(path), "--exact"])
+    assert code == 0 and f"exact functional: {functional}" in out
+
+
 def test_runs_after_an_error_and_help_print_the_same_bytes(tmp_path, capsys):
     argv = ["analyze-cycle", _d4n9_file(tmp_path), "--exact", "--json"]
     first = capture(capsys, argv)

@@ -93,6 +93,10 @@ nan`` and ``planar-arm --t 1,1 --seed -1``. ``cyclohexane-panels --height
 1e308`` has directions that overflow; it builds no axis and is refused when
 printed (exit 2). So is ``twisted-cubic-tangents --t 0,1,2,3,4,1e110``,
 whose exact coordinate t^3 = 10^330 the parser would refuse.
+``flex --json --steps 3`` runs on the generic d=2 cycle of five points,
+whose axes have no direction rows, and on a generic d=7 cycle of 30 axes
+(``example generic-cycle --d 7 --n 30``); the d=7 cycle of 28 axes above
+is rigid, so its flex would exit 3.
 Every invocation runs once against ``src/`` of this checkout and once
 against ``src/`` of REV (extracted with ``git archive``). Each side
 feeds the analyses with its own ``example`` output. Exit code, stdout,
@@ -153,6 +157,7 @@ EXAMPLES = {
     "cycle-d5n10": ["generic-cycle", "--d", "5", "--n", "10"],
     "cycle-d5n4": ["generic-cycle", "--d", "5", "--n", "4"],
     "cycle-d7n28": ["generic-cycle", "--d", "7", "--n", "28", "--seed", "3"],
+    "cycle-d7n30": ["generic-cycle", "--d", "7", "--n", "30"],
     # a flag is read only by its own fixture: the others ignore it, even malformed
     "desargues-lengths-x": ["desargues", "--lengths", "x"],
     "cubic-seed-d-perturb-x": ["twisted-cubic-tangents", "--seed", "7", "--d", "5", "--perturb", "x"],
@@ -420,6 +425,8 @@ RUNS = [
     ["flex", "{cycle}", "--json"], ["flex", "{cycle}", "--csv", "{out}/flex-cycle.csv"],
     ["flex", "{cycle-5}", "--steps", "4", "--step-size", "0.05"],
     ["flex", "{cycle-d4}", "--json", "--steps", "3"], ["flex", "{bricard}", "--json", "--steps", "3"],
+    # the smallest and largest dimension flexed: d=2 axes have no direction rows, and d=7
+    ["flex", "{cycle-d2}", "--json", "--steps", "3"], ["flex", "{cycle-d7n30}", "--json", "--steps", "3"],
     # line windows (d=5) and plane windows (d=6) stacked over several configurations
     ["flex", "{cycle-d5n10}", "--json", "--steps", "4"], ["flex", "{cycle-d6n12}", "--json", "--steps", "3"],
     ["flex", "{chair}", "--json", "--steps", "3"], ["flex", "{cycle}", "--json", "--steps", "0"],

@@ -556,12 +556,20 @@ def classical_scenario(name: str, **params):
     pairs about the z axis; cyclohexane-panels(height): chair hexagon as
     a panel 6-cycle; desargues(perturb): perspective-triangle platform;
     planar-arm(lengths): flat serial arm; generic-cycle(d, n, seed):
-    seeded random closed cycle.
+    seeded random closed cycle. A line fixture whose coordinates leave
+    the float range raises DefinitionError naming the fixture.
     """
-    kind, d, fields, chain = _fixture_fields(name, **params)
+    with np.errstate(over="ignore"):  # an overflowing chair is refused by name below, not warned about
+        kind, d, fields, chain = _fixture_fields(name, **params)
     if chain is not None:
         return chain
     if kind == "platform":
         return Platform(d, fields["legs"])
-    axes = [make_axis(d, [float(x) for x in p], [[float(x) for x in u]]) for p, (u,) in fields["axes"]]
+    try:  # an exact coordinate past the float range overflows here
+        lines = np.array([(*p, *u) for p, (u,) in fields["axes"]], dtype=float)
+    except OverflowError:
+        lines = None
+    if lines is None or not np.isfinite(lines).all():
+        raise DefinitionError(f"fixture {name!r} has a coordinate that is not a finite float")
+    axes = [make_axis(d, row[:d], [row[d:]]) for row in lines]
     return cycle_chain(axes, panel=True) if fields.get("panel") else axes

@@ -241,7 +241,9 @@ def _placed(chain: Chain, key: bytes) -> Placement:
 def _place(chain: Chain, theta: np.ndarray) -> Placement:
     """The placement of a configuration, computed afresh: the identity ``Isometry``, then two per joint, the Rodrigues
     turn and its composition onto the motion so far. The angles are checked, and their sines and versines taken, once;
-    the placed origins and generators are written into one preallocated array each, then made read-only."""
+    the placed origins and generators are written into one preallocated array each, then made read-only. Each
+    one-matrix product is an ``ndarray.dot``: on contiguous operands the same BLAS call as ``@``, without the ufunc
+    dispatch."""
     finite = np.isfinite(theta)
     if not finite.all():  # the first bad angle, in ``rotate_about``'s words
         raise DefinitionError(f"rotation angle must be finite, got {float(theta[finite.argmin()])!r}")
@@ -251,8 +253,8 @@ def _place(chain: Chain, theta: np.ndarray) -> Placement:
     rots, trans = [g.rot], [g.trans]
     for i, (axis, J_ref) in enumerate(zip(chain.ref_axes, chain.ref_generators)):
         # the arithmetic of apply(g, axis).origin, without building the Axis
-        origin = np.add(g.rot @ axis.origin, g.trans, out=origins[i])
-        J = g.rot @ J_ref @ g.rot.T
+        origin = np.add(g.rot.dot(axis.origin), g.trans, out=origins[i])
+        J = g.rot.dot(J_ref).dot(g.rot.T)
         # the Frobenius norm as np.linalg.norm computes it, without its overhead
         flat = J.ravel()
         J = np.multiply(J, sqrt(2.0) / sqrt(flat.dot(flat)), out=generators[i])
@@ -393,19 +395,20 @@ def flex_cycle(chain: Chain, theta, direction, step: float, tol: float = 1e-10) 
     direction = np.asarray(direction, dtype=float)
     current = theta + step * direction
     residual = frame_residual(chain, current)
-    norm = sqrt(residual @ residual)  # np.linalg.norm's arithmetic, taken once per iterate
+    norm = sqrt(residual.dot(residual))  # np.linalg.norm's arithmetic, taken once per iterate
     for _ in range(50):
         if norm <= tol:
             return current
         # pseudo-inverse step truncated at the rank cutoff, so a near-kernel
         # direction of J (sigma ~ 1e-11 near a Bricard fiber) cannot blow it up
         rank, _, u, sig, vh = numeric_rank(frame_map_jacobian(chain, current), tol)
+        # stays on @: these sliced views are not contiguous, and .dot on them changes the path's bits
         delta = vh[:rank].T @ ((u[:, :rank].T @ residual) / sig[:rank])
         scale = 1.0
         for _ in range(30):
             trial = current - scale * delta
             trial_residual = frame_residual(chain, trial)
-            trial_norm = sqrt(trial_residual @ trial_residual)
+            trial_norm = sqrt(trial_residual.dot(trial_residual))
             if trial_norm < norm:
                 current, residual, norm = trial, trial_residual, trial_norm
                 break

@@ -234,7 +234,7 @@ def identity_isometry(dim: int) -> Isometry:
 
 def compose(g: Isometry, f: Isometry) -> Isometry:
     """The motion applying f first, then g."""
-    return Isometry(g.rot @ f.rot, g.rot @ f.trans + g.trans)
+    return Isometry(g.rot.dot(f.rot), g.rot.dot(f.trans) + g.trans)
 
 
 def invert(iso: Isometry) -> Isometry:
@@ -256,7 +256,7 @@ def apply(iso: Isometry, obj):
 def _moved(iso: Isometry, obj):
     """An Axis or Frame moved by a rotation the package computed: ``apply`` without its check."""
     rows = obj.dirs if isinstance(obj, Axis) else obj.vecs
-    return _unchecked(type(obj), obj.dim, iso.rot @ obj.origin + iso.trans, rows @ iso.rot.T)
+    return _unchecked(type(obj), obj.dim, iso.rot.dot(obj.origin) + iso.trans, rows.dot(iso.rot.T))
 
 
 def _lift(points, dirs=()) -> list[list]:
@@ -346,9 +346,11 @@ def rotate_about(axis: Axis, angle: float) -> Isometry:
 
 def _turn(J: np.ndarray, origin: np.ndarray, sin, vers) -> Isometry:
     """Rodrigues' turn I + sin J + vers J^2 (valid since J^3 = -J) about the axis through ``origin`` with unit-speed
-    generator J, given the sine and versine of an angle its caller checked; a zero angle gives exactly the identity."""
-    rot = _eye(J.shape[0]) + sin * J + vers * (J @ J)
-    return Isometry(rot, origin - rot @ origin)
+    generator J, given the sine and versine of an angle its caller checked; a zero angle gives exactly the identity.
+    Its products, like ``compose``'s and ``_moved``'s, are ``ndarray.dot``: on contiguous operands the same BLAS call
+    as ``@``, without the ufunc dispatch."""
+    rot = _eye(J.shape[0]) + sin * J + vers * J.dot(J)
+    return Isometry(rot, origin - rot.dot(origin))
 
 
 @lru_cache(maxsize=None)  # one entry per dimension in use

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1129,3 +1130,18 @@ def test_float_cycle_verdict_keeps_its_error_contract():
 def test_analysis_refuses_malformed_inputs_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("name, params", [
+    # the chair's point differences overflow to inf (once with a RuntimeWarning)
+    ("cyclohexane-panels", {"height": 1e308}),
+    # the exact t^3 = 10^330 has no float (once a bare OverflowError)
+    ("twisted-cubic-tangents", {"ts": (0, 1, 2, 3, 4, 10**110)}),
+    # the float t^3 is inf (once an axis with an infinite origin, returned)
+    ("twisted-cubic-tangents", {"ts": (0, 1, 2, 3, 4, 1e110)}),
+], ids=["chair-height-1e308", "cubic-exact-t-1e110", "cubic-float-t-1e110"])
+def test_a_fixture_past_the_float_range_is_refused_by_name(name, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefinitionError, match=f"^fixture '{name}' has a coordinate that is not a finite float$"):
+            classical_scenario(name, **params)

@@ -421,6 +421,36 @@ def test_apply_composition_and_inverse():
     assert isinstance(moved, Axis)
 
 
+_ANGLES = st.sampled_from([0.0, np.pi, -np.pi, 1e12, -1e12]) | st.floats(-1e12, 1e12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10**6), _ANGLES, _ANGLES, st.data())
+def test_rigid_motion_helpers_keep_the_bits_of_matmul(d, seed, angle_a, angle_b, data):
+    # the reference is the Rodrigues turn, the composition and the moves written with @
+    rng = np.random.default_rng(seed)
+    a, b = (make_axis(d, rng.uniform(-10, 10, d), rng.standard_normal((d - 2, d))) for _ in range(2))
+    frame = make_frame(d, rng.uniform(-10, 10, d), rng.standard_normal((data.draw(st.integers(0, d)), d)))
+    point = rng.uniform(-10, 10, d)
+
+    def turn(axis, angle):
+        J = rotation_generator(axis)
+        rot = np.eye(d) + np.sin(angle) * J + (1.0 - np.cos(angle)) * (J @ J)
+        return rot, axis.origin - rot @ axis.origin
+
+    g, f = rotate_about(a, angle_a), rotate_about(b, angle_b)
+    for iso, (rot, trans) in ((g, turn(a, angle_a)), (f, turn(b, angle_b))):
+        assert (iso.rot.tobytes(), iso.trans.tobytes()) == (rot.tobytes(), trans.tobytes())
+    gf = compose(g, f)
+    assert gf.rot.tobytes() == (g.rot @ f.rot).tobytes()
+    assert gf.trans.tobytes() == (g.rot @ f.trans + g.trans).tobytes()
+    assert apply(gf, point).tobytes() == (gf.rot @ point + gf.trans).tobytes()
+    for obj, rows in ((b, b.dirs), (frame, frame.vecs)):
+        moved = apply(gf, obj)
+        assert moved.origin.tobytes() == (gf.rot @ obj.origin + gf.trans).tobytes()
+        assert (moved.dirs if obj is b else moved.vecs).tobytes() == (rows @ gf.rot.T).tobytes()
+
+
 @pytest.mark.parametrize("obj", [Axis(3, [1.0, 0, 0], [[0, 0, 1.0]]), Frame(3, [0, 1.0, 0], [[1.0, 0, 0], [0, 1.0, 0]])])
 def test_apply_checks_what_an_isometry_of_the_caller_moves(obj):
     # an Isometry checks only shapes, so apply checks the rows it moves by 2 I
